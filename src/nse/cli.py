@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -153,7 +152,6 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         (args.lo, args.hi),
         args.n,
         make_rng(cfg.master_seed, "distribution"),
-        workers=cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1),
     )
     target = open(args.output, "w", newline="") if args.output else sys.stdout
     try:

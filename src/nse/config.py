@@ -130,7 +130,6 @@ class RunConfig:
     max_rounds: int = 3
     capacity: int = 4
     lock_and_rehearse: bool = True
-    workers: int = 0
     prune_threshold: float = -2.0
     constraint_kind: str = "flops"
     cost_table_path: str | None = None
@@ -154,7 +153,6 @@ _TOP_KEYS = {
     "max_rounds",
     "k_per_layer",
     "lock_and_rehearse",
-    "workers",
     "pool",
     "constraint",
     "retrieval",
@@ -181,9 +179,8 @@ def parse_config(data: dict) -> RunConfig:
     cfg.lock_and_rehearse = _get(
         data, "lock_and_rehearse", bool, cfg.lock_and_rehearse, "config"
     )
-    cfg.workers = _get(data, "workers", int, cfg.workers, "config")
-    if cfg.max_rounds < 1 or cfg.capacity < 1 or cfg.workers < 0:
-        raise ConfigError("max_rounds, k_per_layer must be >= 1 and workers >= 0")
+    if cfg.max_rounds < 1 or cfg.capacity < 1:
+        raise ConfigError("max_rounds, k_per_layer must be >= 1")
 
     pool = data.get("pool", {})
     _check_keys(
@@ -347,7 +344,6 @@ def resolved_dict(cfg: RunConfig) -> dict:
         "max_rounds": cfg.max_rounds,
         "k_per_layer": cfg.capacity,
         "lock_and_rehearse": cfg.lock_and_rehearse,
-        "workers": cfg.workers,
         "pool": {
             "num_layers": cfg.pool.num_layers,
             "ops_per_layer": cfg.pool.ops_per_layer,
@@ -447,7 +443,6 @@ def build_engine(cfg: RunConfig) -> Engine:
         evaluator_kind=cfg.evaluator,
         prune_threshold=cfg.prune_threshold,
         lock_and_rehearse=cfg.lock_and_rehearse,
-        workers=cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1),
     )
     if cfg.evaluator == "oracle":
         return Engine(benchmark=cfg.benchmark.build(pool), **common)

@@ -13,7 +13,6 @@ The loop ends at the round cap or as soon as replenishment runs short.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -43,6 +42,7 @@ from .space import (
 )
 from .supernet import (
     BatchStream,
+    InferenceCache,
     NetworkGeometry,
     SharedWeights,
     ToyDataset,
@@ -112,7 +112,11 @@ class RunSummary:
 
 
 class SupernetEvaluator:
-    """Scores architectures on shared weights with private recalibration."""
+    """Scores architectures on shared weights with private recalibration.
+
+    Built once per round after training; its ``InferenceCache`` shares the
+    stem and layer-0 work across every architecture it scores.
+    """
 
     def __init__(
         self,
@@ -127,6 +131,7 @@ class SupernetEvaluator:
         self.table = table
         self.recal_batches = recal_batches
         self.batch_size = batch_size
+        self.cache = InferenceCache(weights, dataset, recal_batches, batch_size)
 
     def cost(self, architecture: Architecture) -> float:
         return architecture_cost(architecture, self.table)
@@ -138,36 +143,36 @@ class SupernetEvaluator:
             self.dataset,
             self.recal_batches,
             self.batch_size,
+            cache=self.cache,
         )
         return EvaluationRecord(architecture, accuracy, self.cost(architecture))
-
-
-def _evaluate_all(
-    evaluator: Evaluator, archs: Sequence[Architecture], workers: int
-) -> list[EvaluationRecord]:
-    if workers <= 1 or len(archs) < 2:
-        return [evaluator.evaluate(a) for a in archs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluator.evaluate, archs))
 
 
 def edging_filter(
     raw_front: Sequence[EvaluationRecord],
     auxiliary: Sequence[EvaluationRecord],
     constraint: ConstraintConfig,
+    diagnostics: dict | None = None,
 ) -> list[EvaluationRecord]:
     """Drop near-boundary front points beaten by a beyond-boundary sample.
 
     A point within the relative margin of the cost cutoff owes its
     optimality to window truncation whenever an auxiliary sample just past
-    the boundary is strictly more accurate.
+    the boundary is strictly more accurate.  When that would drop every
+    point, the raw front is returned unchanged, so a round never ends with an
+    empty front, and ``diagnostics["edging_fallback"]`` is set if given.
     """
     if not auxiliary:
         return list(raw_front)
     best_aux = max(r.accuracy for r in auxiliary)
     limit = constraint.upper_bound
     near = limit * (1.0 - constraint.edging_margin)
-    return [q for q in raw_front if not (q.cost >= near and best_aux > q.accuracy)]
+    kept = [q for q in raw_front if not (q.cost >= near and best_aux > q.accuracy)]
+    if raw_front and not kept:
+        if diagnostics is not None:
+            diagnostics["edging_fallback"] = True
+        return list(raw_front)
+    return kept
 
 
 def retrieve_pareto(
@@ -177,7 +182,6 @@ def retrieve_pareto(
     retrieval: RetrievalConfig,
     constraint: ConstraintConfig,
     rng: np.random.Generator,
-    workers: int = 1,
 ) -> tuple[list[EvaluationRecord], list[EvaluationRecord], list[EvaluationRecord], dict]:
     """Sample, evaluate, rehearse, and dominance-filter one round's models.
 
@@ -214,13 +218,11 @@ def retrieve_pareto(
         for rec in previous_front
         if rec.architecture.encoding() not in sampled_set
     ]
-    records = _evaluate_all(evaluator, in_budget + rehearse + auxiliary, workers)
+    records = [evaluator.evaluate(a) for a in in_budget + rehearse + auxiliary]
     n_in = len(in_budget) + len(rehearse)
     in_records = [r for r in records[:n_in] if r.cost <= limit]
     aux_records = records[n_in:]
 
-    raw = pareto_front(in_records)
-    corrected = edging_filter(raw, aux_records, constraint)
     diagnostics = {
         "draws": draws,
         "stalled": stalled,
@@ -228,6 +230,8 @@ def retrieve_pareto(
         "auxiliary": len(auxiliary),
         "rehearsed": len(rehearse),
     }
+    raw = pareto_front(in_records)
+    corrected = edging_filter(raw, aux_records, constraint, diagnostics)
     return corrected, raw, in_records, diagnostics
 
 
@@ -238,7 +242,6 @@ def distribution_estimate(
     n: int,
     rng: np.random.Generator,
     draw_factor: int = 1000,
-    workers: int = 1,
 ) -> list[EvaluationRecord]:
     """Uniform-gate samples with cost inside the band, fully evaluated."""
     lo, hi = cost_band
@@ -255,7 +258,7 @@ def distribution_estimate(
         raise EngineError(
             f"cost band [{lo}, {hi}] unreachable: {len(kept)}/{n} after {draws} draws"
         )
-    return _evaluate_all(evaluator, kept, workers)
+    return [evaluator.evaluate(a) for a in kept]
 
 
 class Engine:
@@ -273,7 +276,6 @@ class Engine:
         evaluator_kind: str,
         prune_threshold: float = -2.0,
         lock_and_rehearse: bool = True,
-        workers: int = 1,
         benchmark: SyntheticBenchmark | None = None,
         dataset: ToyDataset | None = None,
         geometry: NetworkGeometry | None = None,
@@ -297,7 +299,6 @@ class Engine:
         self.evaluator_kind = evaluator_kind
         self.prune_threshold = prune_threshold
         self.lock_and_rehearse = lock_and_rehearse
-        self.workers = max(1, workers)
         self.benchmark = benchmark
         self.dataset = dataset
         self.geometry = geometry
@@ -409,7 +410,6 @@ class Engine:
             self.retrieval,
             self.constraint,
             make_rng(self.master_seed, "retrieve", state.round_index),
-            workers=self.workers,
         )
         diagnostics.update(extras)
         if in_records:

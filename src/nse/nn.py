@@ -27,9 +27,10 @@ class ShapeError(ValueError):
     pass
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
+def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(data).all():
         raise NotFiniteError(f"non-finite values produced by {op}")
+    return data
 
 
 class Tensor:
@@ -102,13 +103,15 @@ def clear_grads(tensors: Iterable[Tensor]) -> None:
 # Ops
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+def _check_affine_shapes(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
         raise ShapeError("affine expects x:(B,I) w:(I,O) b:(O,)")
-    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"affine shape mismatch: x{x.shape} w{w.shape} b{b.shape}"
-        )
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ShapeError(f"affine shape mismatch: x{x.shape} w{w.shape} b{b.shape}")
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    _check_affine_shapes(x.data, w.data, b.data)
     data = x.data @ w.data + b.data
 
     def backward(g: np.ndarray) -> None:
@@ -142,13 +145,16 @@ def tanh(x: Tensor) -> Tensor:
     return _node(t, (x,), backward, "tanh")
 
 
-def add(*tensors: Tensor) -> Tensor:
-    if not tensors:
+def _check_add_shapes(arrays: Sequence[np.ndarray]) -> None:
+    if not arrays:
         raise ShapeError("add needs at least one tensor")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
+    for a in arrays[1:]:
+        if a.shape != arrays[0].shape:
             raise ShapeError("add requires identical shapes")
+
+
+def add(*tensors: Tensor) -> Tensor:
+    _check_add_shapes([t.data for t in tensors])
     data = tensors[0].data.copy()
     for t in tensors[1:]:
         data += t.data
@@ -227,12 +233,37 @@ class NormStats:
         self.mode = "eval"
 
 
-def normalize(x: Tensor, stats: NormStats) -> Tensor:
-    if x.data.ndim != 2 or x.data.shape[1] != stats.width:
+def _norm_moments(x: np.ndarray, stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
+    """The (mean, var) that ``normalize`` applies, after the mode's bookkeeping.
+
+    Eval mode reads the running values.  Train and recalibrate modes use the
+    batch's own moments and fold them into ``stats`` as the mode prescribes.
+    """
+    if x.ndim != 2 or x.shape[1] != stats.width:
         raise ShapeError(f"normalize expects (B,{stats.width}), got {x.shape}")
     if stats.mode == "eval":
-        inv = 1.0 / np.sqrt(stats.running_var + EPS_NORM)
-        data = (x.data - stats.running_mean) * inv
+        return stats.running_mean, stats.running_var
+    bm = x.mean(axis=0)
+    bv = x.var(axis=0)
+    if stats.mode == "train":
+        m = stats.momentum
+        stats.running_mean = (1.0 - m) * stats.running_mean + m * bm
+        stats.running_var = (1.0 - m) * stats.running_var + m * bv
+    elif stats.mode == "recalibrate":
+        stats._sum += x.sum(axis=0)
+        stats._sumsq += (x * x).sum(axis=0)
+        stats._count += x.shape[0]
+    else:
+        raise ValueError(f"unknown NormStats mode {stats.mode!r}")
+    return bm, bv
+
+
+def normalize(x: Tensor, stats: NormStats) -> Tensor:
+    mean, var = _norm_moments(x.data, stats)
+    inv = 1.0 / np.sqrt(var + EPS_NORM)
+    centered = x.data - mean
+    data = centered * inv
+    if stats.mode == "eval":
 
         def backward(g: np.ndarray) -> None:
             if x.requires_grad:
@@ -241,21 +272,6 @@ def normalize(x: Tensor, stats: NormStats) -> Tensor:
         return _node(data, (x,), backward, "normalize")
 
     batch = x.data.shape[0]
-    bm = x.data.mean(axis=0)
-    bv = x.data.var(axis=0)
-    if stats.mode == "train":
-        m = stats.momentum
-        stats.running_mean = (1.0 - m) * stats.running_mean + m * bm
-        stats.running_var = (1.0 - m) * stats.running_var + m * bv
-    elif stats.mode == "recalibrate":
-        stats._sum += x.data.sum(axis=0)
-        stats._sumsq += (x.data * x.data).sum(axis=0)
-        stats._count += batch
-    else:
-        raise ValueError(f"unknown NormStats mode {stats.mode!r}")
-    inv = 1.0 / np.sqrt(bv + EPS_NORM)
-    centered = x.data - bm
-    data = centered * inv
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
@@ -298,6 +314,40 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             _accumulate(logits, probs * (float(g) / batch))
 
     return _node(np.asarray(loss), (logits,), backward, "softmax_cross_entropy")
+
+
+# ---------------------------------------------------------------------------
+# No-grad ops: the forward expressions of the ops above on plain arrays, with
+# the same shape and finite-value checks, building no graph.  Inference uses
+# these; they give bit-identical outputs to their Tensor counterparts.
+
+
+def affine_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _check_affine_shapes(x, w, b)
+    return _check_finite(x @ w + b, "affine")
+
+
+def relu_array(x: np.ndarray) -> np.ndarray:
+    return _check_finite(x * (x > 0), "relu")
+
+
+def tanh_array(x: np.ndarray) -> np.ndarray:
+    return _check_finite(np.tanh(x), "tanh")
+
+
+def normalize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
+    mean, var = _norm_moments(x, stats)
+    return _check_finite((x - mean) * (1.0 / np.sqrt(var + EPS_NORM)), "normalize")
+
+
+def average_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``scale(add(*arrays), 1 / len(arrays))`` without the graph."""
+    _check_add_shapes(arrays)
+    data = arrays[0].copy()
+    for a in arrays[1:]:
+        data += a
+    _check_finite(data, "add")
+    return _check_finite(data * (1.0 / len(arrays)), "scale")
 
 
 # ---------------------------------------------------------------------------

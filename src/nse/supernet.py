@@ -7,7 +7,9 @@ A multi-branch layer averages its selected branch outputs; normal layers
 average the identity path in as well.  Training samples one architecture per
 batch uniformly, so only the touched branches receive gradient.  Evaluation
 recalibrates private copies of the selected branches' normalization
-statistics on training batches before scoring validation accuracy.
+statistics on training batches before scoring validation accuracy.  It runs
+on a no-grad path over plain arrays, and an ``InferenceCache`` shares the
+stem and layer-0 work of one set of trained weights across architectures.
 """
 
 from __future__ import annotations
@@ -22,16 +24,21 @@ from .nn import (
     NormStats,
     SGD,
     Tensor,
-    affine,
     add,
+    affine,
+    affine_array,
+    average_arrays,
     clear_grads,
     cosine_warmup_lr,
     normalize,
+    normalize_array,
     relu,
+    relu_array,
     scale,
     softmax_cross_entropy,
     state_hash,
     tanh,
+    tanh_array,
 )
 from .resources import CostTable
 from .rng import make_rng
@@ -210,6 +217,7 @@ def build_cost_table(
 
 
 _ACTS = {"relu": relu, "tanh": tanh}
+_ARRAY_ACTS = {"relu": relu_array, "tanh": tanh_array}
 
 
 class SharedWeights:
@@ -268,64 +276,39 @@ class SharedWeights:
     def state_hash(self) -> str:
         return state_hash(self.params)
 
-    # -- forward machinery
+    # -- forward machinery (autodiff, for training)
 
-    def branch_forward(
-        self,
-        layer_index: int,
-        slot: int,
-        x: Tensor,
-        stats_map: Mapping[tuple[int, int], NormStats] | None = None,
-    ) -> Tensor:
+    def branch_forward(self, layer_index: int, slot: int, x: Tensor) -> Tensor:
         kind, _ = self.kinds[(layer_index, slot)]
         act = _ACTS[kind.rsplit("_", 1)[1]]
         prefix = f"L{layer_index}.S{slot}"
         h = act(affine(x, self.params[f"{prefix}.w1"], self.params[f"{prefix}.b1"]))
         y = affine(h, self.params[f"{prefix}.w2"], self.params[f"{prefix}.b2"])
-        stats = None if stats_map is None else stats_map.get((layer_index, slot))
-        if stats is None:
-            stats = self.stats[(layer_index, slot)]
-        return normalize(y, stats)
+        return normalize(y, self.stats[(layer_index, slot)])
 
-    def layer_forward(
-        self,
-        layer_index: int,
-        gate: GateVector,
-        x: Tensor,
-        stats_map: Mapping[tuple[int, int], NormStats] | None = None,
-    ) -> Tensor:
-        branches = [
-            self.branch_forward(layer_index, slot, x, stats_map)
-            for slot in sorted(gate.selected)
-        ]
+    def _layer_parts(self, layer_index: int, x, branches: list) -> list:
+        """What a layer averages: its branches, plus the identity on normal layers."""
         if self.roles[layer_index] == NORMAL:
-            if not branches:
-                return x
-            parts = [x] + branches
-        else:
-            if not branches:
-                raise SpaceError(
-                    f"reduction layer {layer_index} forwarded with no gates (zero divisor)"
-                )
-            parts = branches
+            return [x] + branches
+        if not branches:
+            raise SpaceError(
+                f"reduction layer {layer_index} forwarded with no gates (zero divisor)"
+            )
+        return branches
+
+    def layer_forward(self, layer_index: int, gate: GateVector, x: Tensor) -> Tensor:
+        branches = [self.branch_forward(layer_index, slot, x) for slot in sorted(gate.selected)]
+        parts = self._layer_parts(layer_index, x, branches)
         if len(parts) == 1:
             return parts[0]
         return scale(add(*parts), 1.0 / len(parts))
 
-    def forward(
-        self,
-        gates: Sequence[GateVector],
-        x: Tensor,
-        stats_map: Mapping[tuple[int, int], NormStats] | None = None,
-    ) -> Tensor:
-        logits, _, _ = self.forward_collect(gates, x, stats_map)
+    def forward(self, gates: Sequence[GateVector], x: Tensor) -> Tensor:
+        logits, _, _ = self.forward_collect(gates, x)
         return logits
 
     def forward_collect(
-        self,
-        gates: Sequence[GateVector],
-        x: Tensor,
-        stats_map: Mapping[tuple[int, int], NormStats] | None = None,
+        self, gates: Sequence[GateVector], x: Tensor
     ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
         """Forward pass that also returns every layer's input and output."""
         h = affine(x, self.params["stem.w"], self.params["stem.b"])
@@ -333,31 +316,50 @@ class SharedWeights:
         layer_outputs: list[Tensor] = []
         for li, gate in enumerate(gates):
             layer_inputs.append(h)
-            h = self.layer_forward(li, gate, h, stats_map)
+            h = self.layer_forward(li, gate, h)
             layer_outputs.append(h)
         logits = affine(h, self.params["head.w"], self.params["head.b"])
         return logits, layer_inputs, layer_outputs
+
+    # -- no-grad machinery (plain arrays, for inference)
+
+    def branch_output(
+        self, layer_index: int, slot: int, x: np.ndarray, stats: NormStats
+    ) -> np.ndarray:
+        """``branch_forward`` without the graph, normalized with ``stats``."""
+        kind, _ = self.kinds[(layer_index, slot)]
+        act = _ARRAY_ACTS[kind.rsplit("_", 1)[1]]
+        prefix = f"L{layer_index}.S{slot}"
+        p = self.params
+        h = act(affine_array(x, p[f"{prefix}.w1"].data, p[f"{prefix}.b1"].data))
+        y = affine_array(h, p[f"{prefix}.w2"].data, p[f"{prefix}.b2"].data)
+        return normalize_array(y, stats)
+
+    def layer_mix(
+        self, layer_index: int, x: np.ndarray, branches: list[np.ndarray]
+    ) -> np.ndarray:
+        """``layer_forward``'s averaging of precomputed branch outputs."""
+        parts = self._layer_parts(layer_index, x, branches)
+        if len(parts) == 1:
+            return parts[0]
+        return average_arrays(parts)
 
     def layer_output_nograd(
         self, layer_index: int, gate: GateVector, x_data: np.ndarray
     ) -> np.ndarray:
         """Score a configuration on a fixed layer input without touching
-        running statistics (private copies are used for the probe)."""
-        stats_map = {
-            (layer_index, slot): self.stats[(layer_index, slot)].copy()
-            for slot in gate.selected
-        }
-        out = self.layer_forward(layer_index, gate, Tensor(x_data), stats_map)
-        return out.data
+        running statistics: each branch normalizes with a private copy of its
+        statistics, so in train mode only the copy's running values move."""
+        x = np.asarray(x_data, dtype=np.float64)
+        branches = [
+            self.branch_output(layer_index, slot, x, self.stats[(layer_index, slot)].copy())
+            for slot in sorted(gate.selected)
+        ]
+        return self.layer_mix(layer_index, x, branches)
 
 
-def forward_layer(
-    x: Tensor,
-    gate_vector: GateVector,
-    weights: SharedWeights,
-    stats_map: Mapping[tuple[int, int], NormStats] | None = None,
-) -> Tensor:
-    return weights.layer_forward(gate_vector.layer_index, gate_vector, x, stats_map)
+def forward_layer(x: Tensor, gate_vector: GateVector, weights: SharedWeights) -> Tensor:
+    return weights.layer_forward(gate_vector.layer_index, gate_vector, x)
 
 
 def reinitialize(weights: SharedWeights, seed: int, subset: SubsetState) -> SharedWeights:
@@ -410,41 +412,104 @@ def make_recal_batches(
     ]
 
 
+class InferenceCache:
+    """Architecture-independent evaluation work for one set of trained weights.
+
+    Holds the stem outputs of the recalibration and validation batches, and,
+    filled the first time an architecture selects a layer-0 slot, that
+    branch's recalibrated outputs on both.  Layer 0 reads the stem output and
+    a branch's recalibrated statistics depend only on its own input, so these
+    are the same for every architecture.  Deeper layers are computed per
+    architecture.  The cache is valid only while the weights do not change:
+    build it after training.
+    """
+
+    def __init__(
+        self,
+        weights: SharedWeights,
+        dataset: ToyDataset,
+        recal_batches: Sequence[np.ndarray],
+        batch_size: int = 256,
+    ):
+        self.weights = weights
+        w, b = weights.params["stem.w"].data, weights.params["stem.b"].data
+
+        def stem(x: np.ndarray) -> np.ndarray:
+            return affine_array(np.asarray(x, dtype=np.float64), w, b)
+
+        self.val_size = len(dataset.x_val)
+        starts = range(0, self.val_size, batch_size)
+        self.recal = [stem(xb) for xb in recal_batches]
+        self.val = [stem(dataset.x_val[s : s + batch_size]) for s in starts]
+        self.labels = [dataset.y_val[s : s + batch_size] for s in starts]
+        self._layer0: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+
+    def _branch(
+        self, layer_index: int, slot: int, recal: list[np.ndarray], val: list[np.ndarray]
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """One branch on every batch: recalibrate a private copy of its
+        statistics on the recal inputs, then apply them to the val inputs."""
+        stats = self.weights.stats[(layer_index, slot)].copy()
+        stats.begin_recalibration()
+        recal_out = [self.weights.branch_output(layer_index, slot, x, stats) for x in recal]
+        stats.finish_recalibration()
+        val_out = [self.weights.branch_output(layer_index, slot, x, stats) for x in val]
+        return recal_out, val_out
+
+    def val_logits(self, architecture: Architecture) -> list[np.ndarray]:
+        """Logits of every validation batch, with the selected branches'
+        statistics recalibrated first."""
+        gates = architecture.gate_vectors
+        if not self.recal and any(gv.selected for gv in gates):
+            raise ValueError("recalibration requires at least one batch")
+        recal, val = self.recal, self.val
+        for li, gate in enumerate(gates):
+            outs = []
+            for slot in sorted(gate.selected):
+                if li == 0:
+                    if slot not in self._layer0:
+                        self._layer0[slot] = self._branch(0, slot, recal, val)
+                    outs.append(self._layer0[slot])
+                else:
+                    outs.append(self._branch(li, slot, recal, val))
+            recal = [
+                self.weights.layer_mix(li, x, [r[i] for r, _ in outs])
+                for i, x in enumerate(recal)
+            ]
+            val = [
+                self.weights.layer_mix(li, x, [v[i] for _, v in outs])
+                for i, x in enumerate(val)
+            ]
+        w, b = self.weights.params["head.w"].data, self.weights.params["head.b"].data
+        return [affine_array(h, w, b) for h in val]
+
+    def accuracy(self, architecture: Architecture) -> float:
+        correct = 0
+        for logits, y in zip(self.val_logits(architecture), self.labels):
+            correct += int(np.sum(np.argmax(logits, axis=1) == y))
+        return correct / self.val_size
+
+
 def evaluate(
     weights: SharedWeights,
     architecture: Architecture,
     dataset: ToyDataset,
     recal_batches: Sequence[np.ndarray],
     batch_size: int = 256,
+    cache: InferenceCache | None = None,
 ) -> float:
     """Top-1 validation accuracy with recalibrated normalization statistics.
 
     Statistics are recalibrated on private copies, so repeated evaluations
-    and parallel evaluations leave the shared weights bit-identical.
+    leave the shared weights bit-identical.  ``cache``, when given, must have
+    been built from these same arguments; without one a fresh cache serves
+    this single call.
     """
-    needed = {
-        (li, slot)
-        for li, gv in enumerate(architecture.gate_vectors)
-        for slot in gv.selected
-    }
-    stats_map = {key: weights.stats[key].copy() for key in needed}
-    if stats_map:
-        if not recal_batches:
-            raise ValueError("recalibration requires at least one batch")
-        for st in stats_map.values():
-            st.begin_recalibration()
-        for xb in recal_batches:
-            weights.forward(architecture.gate_vectors, Tensor(xb), stats_map)
-        for st in stats_map.values():
-            st.finish_recalibration()
-    correct = 0
-    n = len(dataset.x_val)
-    for start in range(0, n, batch_size):
-        xb = dataset.x_val[start : start + batch_size]
-        yb = dataset.y_val[start : start + batch_size]
-        logits = weights.forward(architecture.gate_vectors, Tensor(xb), stats_map)
-        correct += int(np.sum(np.argmax(logits.data, axis=1) == yb))
-    return correct / n
+    if cache is None:
+        cache = InferenceCache(weights, dataset, recal_batches, batch_size)
+    elif cache.weights is not weights:
+        raise ValueError("the inference cache was built for other weights")
+    return cache.accuracy(architecture)
 
 
 def train_architecture(

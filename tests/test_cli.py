@@ -38,6 +38,12 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_workers_key_is_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, workers=2)
+    assert main(["run", str(path)]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
 def test_oracle_smoke_run_completes_quickly_with_artifacts(tmp_path):
     path = write_config(tmp_path)
     started = time.perf_counter()
@@ -236,3 +242,21 @@ def test_supernet_run_with_file_cost_table(tmp_path):
     engine = build_engine(load_config(base))
     assert engine.cost_table.unit == "ms"
     assert engine.cost_table.fixed_overhead == 1.0
+
+
+def test_auxiliary_one_no_longer_empties_the_front(tmp_path, monkeypatch):
+    # every raw-front point of round 1 sits near tau and the single
+    # auxiliary sample beats them all; the edging filter used to empty the
+    # front and the run failed with exit code 3
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NSE_SEED", raising=False)
+    path = tmp_path / "aux1.json"
+    path.write_text(json.dumps({
+        "evaluator": "supernet", "max_rounds": 2, "constraint": {"tau": 3.5, "alpha": 4e-3},
+        "retrieval": {"samples": 10, "auxiliary": 1}, "training": {"steps": 900, "warmup_steps": 40},
+    }))
+    assert main(["run", str(path)]) == 0
+    manifest = json.loads((tmp_path / "runs/out/round_001/manifest.json").read_text())
+    assert manifest["diagnostics"]["edging_fallback"] is True
+    pareto = json.loads((tmp_path / "runs/out/round_001/pareto.json").read_text())
+    assert pareto["corrected"] == pareto["raw"] != []

@@ -203,6 +203,22 @@ def test_edging_filter_spares_points_away_from_boundary():
     assert kept == [far]
 
 
+def test_edging_filter_keeps_raw_front_when_it_would_drop_every_point():
+    near_lo = EvaluationRecord(Architecture.from_encoding([[0]]), 0.6, 92.0)
+    near_hi = EvaluationRecord(Architecture.from_encoding([[1]]), 0.7, 98.0)
+    aux = EvaluationRecord(Architecture.from_encoding([[2]]), 0.9, 105.0)
+    constraint = ConstraintConfig(tau=100.0, edging_margin=0.1)
+    diagnostics = {}
+    kept = edging_filter([near_lo, near_hi], [aux], constraint, diagnostics)
+    assert kept == [near_lo, near_hi]
+    assert diagnostics == {"edging_fallback": True}
+    # a partial drop is not a fallback
+    far = EvaluationRecord(Architecture.from_encoding([[3]]), 0.5, 40.0)
+    diagnostics = {}
+    assert edging_filter([far, near_hi], [aux], constraint, diagnostics) == [far]
+    assert diagnostics == {}
+
+
 def test_sampling_stall_is_diagnosed_not_fatal():
     arch = Architecture.from_encoding([[0]])
     table = {arch.encoding(): (0.5, 10.0)}

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import central_difference
 from nse.rng import make_rng
-from nse.nn import SGD, Tensor, softmax_cross_entropy
+from nse.nn import SGD, NotFiniteError, Tensor, softmax_cross_entropy
 from nse.space import (
     Architecture,
     DeclaredLayer,
@@ -12,11 +12,13 @@ from nse.space import (
     SpaceError,
     TraversalLedger,
     init_subset,
+    sample_uniform_architecture,
     shuffle_pool,
 )
 from nse.supernet import (
     BatchStream,
     DatasetConfig,
+    InferenceCache,
     NetworkGeometry,
     SharedWeights,
     ToyDataset,
@@ -338,3 +340,144 @@ def test_train_architecture_runs_and_scores():
     training = TrainingConfig(steps=120, batch_size=64, lr=0.08, warmup_steps=10)
     acc = train_architecture(arch, pool, geometry, data, training, seed=1, recal_count=4)
     assert 0.3 < acc <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# The no-grad inference path against the autodiff graph
+
+
+def graph_evaluation(weights, arch, data, recal, batch_size=256):
+    """Reference: recalibrate and score through the Tensor graph; returns the
+    accuracy and the validation logits of every batch.
+
+    Private statistic copies are swapped into ``weights.stats`` for the
+    duration, so the shared statistics are left as they were.
+    """
+    keys = {(li, s) for li, gv in enumerate(arch.gate_vectors) for s in gv.selected}
+    saved = {k: weights.stats[k] for k in keys}
+    weights.stats.update({k: weights.stats[k].copy() for k in keys})
+    try:
+        if keys:
+            for k in keys:
+                weights.stats[k].begin_recalibration()
+            for xb in recal:
+                weights.forward(arch.gate_vectors, Tensor(xb))
+            for k in keys:
+                weights.stats[k].finish_recalibration()
+        correct = 0
+        all_logits = []
+        for start in range(0, len(data.x_val), batch_size):
+            logits = weights.forward(
+                arch.gate_vectors, Tensor(data.x_val[start : start + batch_size])
+            ).data
+            all_logits.append(logits)
+            correct += int(
+                np.sum(np.argmax(logits, axis=1) == data.y_val[start : start + batch_size])
+            )
+        return correct / len(data.x_val), all_logits
+    finally:
+        weights.stats.update(saved)
+
+
+def trained_net(seed=4):
+    """Three layers (normal, normal, reduction) after a few training steps."""
+    _, subset, _, weights = build_net(roles=("normal", "normal", "reduction"), ops=4, seed=seed)
+    data = ToyDataset.generate(
+        DatasetConfig(seed=seed, input_dim=5, classes=3, train_size=600, val_size=300)
+    )
+    stream = BatchStream(data.x_train, data.y_train, 32, make_rng("nograd-train", seed))
+    opt = SGD(lr=0.05, momentum=0.9, nesterov=True)
+    rng = make_rng("nograd-arch", seed)
+    for _ in range(30):
+        train_step(weights, subset, stream.next(), rng, opt)
+    recal = make_recal_batches(data, 3, 48, make_rng("nograd-recal", seed))
+    return subset, weights, data, recal
+
+
+def test_nograd_accuracy_equals_graph_accuracy_exactly():
+    subset, weights, data, recal = trained_net()
+    rng = make_rng("nograd-archs", 0)
+    slots = [subset.active_slots(li) for li in range(3)]
+    archs = [
+        Architecture.from_encoding([[], [], slots[2][:1]]),
+        Architecture.from_encoding([slots[0], slots[1], slots[2]]),
+        Architecture.from_encoding([slots[0][:1], [], slots[2][1:3]]),
+    ] + [sample_uniform_architecture(subset, rng) for _ in range(21)]
+    gates = [gv for a in archs for gv in a.gate_vectors]
+    assert any(not gv.selected for gv in gates)  # empty normal-layer gates
+    assert any(len(gv.selected) == 1 for gv in gates)  # single-branch layers
+    assert any(len(gv.selected) > 1 for gv in gates)  # multi-branch layers
+    cache = InferenceCache(weights, data, recal, 128)
+    got = [evaluate(weights, a, data, recal, 128, cache=cache) for a in archs]
+    expected = [graph_evaluation(weights, a, data, recal, 128) for a in archs]
+    assert got == [acc for acc, _ in expected]
+    assert len(set(got)) > 3  # the architectures really differ
+    # bit-identical logits, not just the same argmax
+    for arch, (_, logits) in zip(archs, expected):
+        nograd = cache.val_logits(arch)
+        assert len(nograd) == len(logits)
+        for a, b in zip(nograd, logits):
+            assert np.array_equal(a, b)
+
+
+def test_cached_evaluation_does_not_depend_on_order():
+    subset, weights, data, recal = trained_net(seed=5)
+    rng = make_rng("nograd-order", 0)
+    a, b = (sample_uniform_architecture(subset, rng) for _ in range(2))
+    cache = InferenceCache(weights, data, recal)
+    first = evaluate(weights, a, data, recal, cache=cache)
+    other = evaluate(weights, b, data, recal, cache=cache)
+    assert evaluate(weights, a, data, recal, cache=cache) == first
+    assert evaluate(weights, a, data, recal) == first  # a fresh cache agrees
+    assert evaluate(weights, b, data, recal) == other
+
+
+def test_cached_evaluation_leaves_weights_and_stats_untouched():
+    subset, weights, data, recal = trained_net(seed=6)
+    before_hash = weights.state_hash()
+    before = {
+        k: (s.running_mean.copy(), s.running_var.copy(), s.mode) for k, s in weights.stats.items()
+    }
+    cache = InferenceCache(weights, data, recal)
+    rng = make_rng("nograd-pure", 0)
+    for _ in range(5):
+        evaluate(weights, sample_uniform_architecture(subset, rng), data, recal, cache=cache)
+    assert weights.state_hash() == before_hash
+    for k, s in weights.stats.items():
+        assert np.array_equal(s.running_mean, before[k][0])
+        assert np.array_equal(s.running_var, before[k][1])
+        assert s.mode == before[k][2]
+
+
+def test_nan_in_layer0_weight_raises_through_cache():
+    subset, weights, data, recal = trained_net(seed=7)
+    slots = subset.active_slots(0)
+    cache = InferenceCache(weights, data, recal)
+    arch_other = Architecture.from_encoding([slots[:1], [], subset.active_slots(2)[:1]])
+    evaluate(weights, arch_other, data, recal, cache=cache)
+    weights.params[f"L0.S{slots[1]}.w1"].data[0, 0] = np.nan
+    arch = Architecture.from_encoding([slots[1:2], [], subset.active_slots(2)[:1]])
+    with pytest.raises(NotFiniteError):
+        evaluate(weights, arch, data, recal, cache=cache)
+
+
+def test_cache_rejects_other_weights():
+    subset, weights, data, recal = trained_net(seed=8)
+    _, _, _, other = build_net(roles=("normal", "normal", "reduction"), ops=4, seed=9)
+    arch = sample_uniform_architecture(subset, make_rng("nograd-other", 0))
+    with pytest.raises(ValueError):
+        evaluate(other, arch, data, recal, cache=InferenceCache(weights, data, recal))
+
+
+def test_layer_output_nograd_matches_train_mode_graph_on_copies():
+    subset, weights, data, _ = trained_net(seed=10)
+    x = make_rng("nograd-layer", 0).normal(size=(16, 6))
+    weights.set_mode("train")
+    for li in range(2):
+        gate = GateVector(li, frozenset(subset.active_slots(li)[:3]))
+        before = {k: s.running_mean.copy() for k, s in weights.stats.items()}
+        got = weights.layer_output_nograd(li, gate, x)
+        for k, s in weights.stats.items():
+            assert np.array_equal(s.running_mean, before[k])
+        expected = weights.layer_forward(li, gate, Tensor(x)).data  # moves the shared stats
+        assert np.array_equal(got, expected)
