@@ -408,7 +408,14 @@ def resolved_dict(cfg: RunConfig) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(resolved_dict(cfg), sort_keys=True)
+    """sha256 of the settings that change results.
+
+    ``output_dir`` only says where a run is written, so it is left out: the
+    same experiment written to two directories keeps one hash.
+    """
+    science = resolved_dict(cfg)
+    del science["output_dir"]
+    canonical = json.dumps(science, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

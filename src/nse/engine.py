@@ -18,26 +18,31 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# sample_architecture and sample_uniform_architecture are one-row calls of
+# GateSampler that the engine itself no longer makes; they stay importable
+# here because bench/child.py wraps them by this path.
 from .indicators import (
     FitnessIndicators,
     ThetaAdam,
+    indicator_sampler,
     indicator_update_step,
     prune,
-    sample_architecture,
+    sample_architecture,  # noqa: F401
 )
 from .oracle import Evaluator, OracleEvaluator, SyntheticBenchmark
 from .pareto import EvaluationRecord, pareto_front
-from .resources import ConstraintConfig, CostTable, architecture_cost
+from .resources import ConstraintConfig, CostTable, MaskCost, architecture_cost
 from .rng import derive_seed, make_rng
 from .space import (
     Architecture,
+    GateSampler,
     SearchSpacePool,
     SubsetState,
     TraversalLedger,
     aggregate,
     init_subset,
     replenish,
-    sample_uniform_architecture,
+    sample_uniform_architecture,  # noqa: F401
     subset_to_json,
 )
 from .supernet import (
@@ -54,6 +59,11 @@ from .supernet import (
     train_step,
 )
 from .nn import SGD
+
+
+# Doubles per sampler block in retrieval (64 KiB): larger blocks were no
+# faster on the oracle, and a block that retrieval stops early wastes less.
+BLOCK_DOUBLES = 8192
 
 
 class EngineError(RuntimeError):
@@ -136,7 +146,7 @@ class SupernetEvaluator:
     def cost(self, architecture: Architecture) -> float:
         return architecture_cost(architecture, self.table)
 
-    def evaluate(self, architecture: Architecture) -> EvaluationRecord:
+    def evaluate(self, architecture: Architecture, cost: float) -> EvaluationRecord:
         accuracy = evaluate_on_supernet(
             self.weights,
             architecture,
@@ -145,7 +155,7 @@ class SupernetEvaluator:
             self.batch_size,
             cache=self.cache,
         )
-        return EvaluationRecord(architecture, accuracy, self.cost(architecture))
+        return EvaluationRecord(architecture, accuracy, cost)
 
 
 def edging_filter(
@@ -175,8 +185,60 @@ def edging_filter(
     return kept
 
 
+def _draw_blocks(
+    sampler: GateSampler, cost_of: MaskCost, rng: np.random.Generator, max_draws: int
+):
+    """Yield up to ``max_draws`` (row, cost) pairs, drawn in bounded blocks."""
+    size = max(1, BLOCK_DOUBLES // max(1, sampler.width))
+    while max_draws > 0:
+        block = sampler.draw(rng, min(size, max_draws))
+        max_draws -= len(block)
+        yield from zip(block.tolist(), cost_of(block).tolist())
+
+
+def _keep_draws(
+    sampler: GateSampler,
+    table: CostTable,
+    retrieval: RetrievalConfig,
+    constraint: ConstraintConfig,
+    rng: np.random.Generator,
+) -> tuple[list[tuple[tuple[int, ...], float]], list[tuple[tuple[int, ...], float]], int]:
+    """The in-budget and auxiliary draws kept, as (mask row, cost) pairs,
+    and the number of draws made.
+
+    Draws are taken one at a time in order: a repeat of an earlier draw is
+    skipped, the first ``samples`` distinct in-budget draws and the first
+    ``auxiliary`` distinct draws in the band past the cutoff are kept, and
+    drawing stops once both are full or after ``stall_factor * samples``
+    draws.
+    """
+    limit = constraint.upper_bound
+    band_hi = limit * (1.0 + constraint.edging_margin)
+    cost_of = MaskCost(sampler, table)
+    seen: set[tuple[int, ...]] = set()
+    in_budget: list[tuple[tuple[int, ...], float]] = []
+    auxiliary: list[tuple[tuple[int, ...], float]] = []
+    draws = 0
+    max_draws = retrieval.stall_factor * retrieval.samples
+    for row, cost in _draw_blocks(sampler, cost_of, rng, max_draws):
+        draws += 1
+        key = tuple(row)
+        if key in seen:
+            continue
+        seen.add(key)
+        if cost <= limit and len(in_budget) < retrieval.samples:
+            in_budget.append((key, cost))
+        elif limit < cost <= band_hi and len(auxiliary) < retrieval.auxiliary:
+            auxiliary.append((key, cost))
+        else:
+            continue
+        if len(in_budget) == retrieval.samples and len(auxiliary) == retrieval.auxiliary:
+            break
+    return in_budget, auxiliary, draws
+
+
 def retrieve_pareto(
-    sampler: Callable[[np.random.Generator], Architecture],
+    sampler: GateSampler,
     evaluator: Evaluator,
     previous_front: Sequence[EvaluationRecord],
     retrieval: RetrievalConfig,
@@ -185,41 +247,29 @@ def retrieve_pareto(
 ) -> tuple[list[EvaluationRecord], list[EvaluationRecord], list[EvaluationRecord], dict]:
     """Sample, evaluate, rehearse, and dominance-filter one round's models.
 
+    Each kept draw is priced once, on its layer masks (see ``_keep_draws``),
+    and only kept draws become architectures.
+
     Returns (corrected front, raw front, in-budget records, diagnostics).
     Both fronts only contain in-budget points; the corrected front is the raw
     front after the edging filter.
     """
     limit = constraint.upper_bound
-    band_hi = limit * (1.0 + constraint.edging_margin)
-    seen: set = set()
-    in_budget: list[Architecture] = []
-    auxiliary: list[Architecture] = []
-    draws = 0
-    max_draws = retrieval.stall_factor * retrieval.samples
-    while draws < max_draws and (
-        len(in_budget) < retrieval.samples or len(auxiliary) < retrieval.auxiliary
-    ):
-        arch = sampler(rng)
-        draws += 1
-        enc = arch.encoding()
-        if enc in seen:
-            continue
-        seen.add(enc)
-        cost = evaluator.cost(arch)
-        if cost <= limit and len(in_budget) < retrieval.samples:
-            in_budget.append(arch)
-        elif limit < cost <= band_hi and len(auxiliary) < retrieval.auxiliary:
-            auxiliary.append(arch)
+    in_budget, auxiliary, draws = _keep_draws(
+        sampler, evaluator.table, retrieval, constraint, rng
+    )
     stalled = len(in_budget) < retrieval.samples
 
-    sampled_set = {a.encoding() for a in in_budget}
+    sampled = [(sampler.decode(key), cost) for key, cost in in_budget]
+    sampled_set = {a.encoding() for a, _ in sampled}
     rehearse = [
-        rec.architecture
+        (rec.architecture, evaluator.cost(rec.architecture))
         for rec in previous_front
         if rec.architecture.encoding() not in sampled_set
     ]
-    records = [evaluator.evaluate(a) for a in in_budget + rehearse + auxiliary]
-    n_in = len(in_budget) + len(rehearse)
+    beyond = [(sampler.decode(key), cost) for key, cost in auxiliary]
+    records = [evaluator.evaluate(a, cost) for a, cost in sampled + rehearse + beyond]
+    n_in = len(sampled) + len(rehearse)
     in_records = [r for r in records[:n_in] if r.cost <= limit]
     aux_records = records[n_in:]
 
@@ -247,18 +297,21 @@ def distribution_estimate(
     lo, hi = cost_band
     if lo > hi:
         raise EngineError("empty cost band")
-    kept: list[Architecture] = []
+    sampler = GateSampler.uniform(subset)
+    cost_of = MaskCost(sampler, evaluator.table)
+    kept: list[tuple[list[int], float]] = []
     draws = 0
-    while len(kept) < n and draws < draw_factor * max(n, 1):
-        arch = sample_uniform_architecture(subset, rng)
+    for row, cost in _draw_blocks(sampler, cost_of, rng, draw_factor * n):
         draws += 1
-        if lo <= evaluator.cost(arch) <= hi:
-            kept.append(arch)
+        if lo <= cost <= hi:
+            kept.append((row, cost))
+            if len(kept) == n:
+                break
     if len(kept) < n:
         raise EngineError(
             f"cost band [{lo}, {hi}] unreachable: {len(kept)}/{n} after {draws} draws"
         )
-    return [evaluator.evaluate(a) for a in kept]
+    return [evaluator.evaluate(sampler.decode(row), cost) for row, cost in kept]
 
 
 class Engine:
@@ -312,12 +365,7 @@ class Engine:
 
     def _oracle_phase(self, state: EvolutionState):
         evaluator = OracleEvaluator(self.benchmark)
-        subset = state.subset
-
-        def sampler(rng: np.random.Generator) -> Architecture:
-            return sample_uniform_architecture(subset, rng)
-
-        return evaluator, sampler, None, {}
+        return evaluator, GateSampler.uniform(state.subset), None, {}
 
     def _supernet_phase(self, state: EvolutionState):
         r = state.round_index
@@ -384,11 +432,7 @@ class Engine:
         evaluator = SupernetEvaluator(
             weights, self.dataset, self.cost_table, recal, self.retrieval.eval_batch_size
         )
-        subset = state.subset
-
-        def sampler(rng: np.random.Generator) -> Architecture:
-            return sample_architecture(thetas, subset, rng)
-
+        sampler = indicator_sampler(thetas, state.subset.roles)
         extras = {
             "mean_train_loss": float(np.mean(losses)) if losses else None,
             "pruned": pruned_total,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,18 +32,20 @@ from .resources import (
     penalty_gradient_wrt_r,
 )
 from .space import (
-    MAX_REDRAWS,
     NORMAL,
     REDUCTION,
     Architecture,
+    GateSampler,
     GateVector,
-    SpaceError,
     SubsetState,
 )
 
 
 def op_probability(theta: float) -> float:
-    """Numerically stable sigmoid, strictly inside (0, 1)."""
+    """Numerically stable sigmoid, strictly inside (0, 1).
+
+    The package's one sigmoid: the oracle maps scores to accuracies with it.
+    """
     if theta >= 0:
         return 1.0 / (1.0 + math.exp(-theta))
     z = math.exp(theta)
@@ -115,26 +117,32 @@ def config_probability(gate: GateVector, thetas: FitnessIndicators) -> float:
     return prob
 
 
+def indicator_sampler(
+    thetas: FitnessIndicators, roles: Sequence[str]
+) -> GateSampler:
+    """Gate each slot independently by its indicator probability."""
+    slots = [thetas.slots(li) for li in range(thetas.num_layers)]
+    probs = [[thetas.probability(li, s) for s in layer] for li, layer in enumerate(slots)]
+    return GateSampler(slots, roles, probs)
+
+
 def sample_config(
     thetas: FitnessIndicators,
     rng: np.random.Generator,
     layer_index: int,
     role: str,
 ) -> GateVector:
-    """Gate each slot independently by its indicator probability."""
-    slots = thetas.slots(layer_index)
-    if not slots:
-        if role == REDUCTION:
-            raise SpaceError(f"reduction layer {layer_index} has no indicators")
-        return GateVector(layer_index, frozenset())
-    probs = np.array([thetas.probability(layer_index, s) for s in slots])
-    for _ in range(MAX_REDRAWS):
-        mask = rng.random(len(slots)) < probs
-        if mask.any() or role == NORMAL:
-            break
-    else:
-        raise RuntimeError(f"redraw cap exceeded in layer {layer_index}")
-    return GateVector(layer_index, frozenset(s for s, m in zip(slots, mask) if m))
+    """One layer's draw from its indicator probabilities.
+
+    The layers before it are left empty, so the draw reads only this layer's
+    doubles and its gate vector and errors carry the real layer index.
+    """
+    slots = [()] * layer_index + [thetas.slots(layer_index)]
+    probs = [()] * layer_index + [
+        [thetas.probability(layer_index, s) for s in slots[-1]]
+    ]
+    sampler = GateSampler(slots, [NORMAL] * layer_index + [role], probs)
+    return sampler.gate(layer_index, int(sampler.draw(rng, 1)[0, layer_index]))
 
 
 def sample_architecture(
@@ -142,12 +150,8 @@ def sample_architecture(
     subset: SubsetState,
     rng: np.random.Generator,
 ) -> Architecture:
-    return Architecture(
-        tuple(
-            sample_config(thetas, rng, li, subset.roles[li])
-            for li in range(subset.num_layers)
-        )
-    )
+    sampler = indicator_sampler(thetas, subset.roles)
+    return sampler.decode(sampler.draw(rng, 1)[0])
 
 
 def rescale_pair(p_a: float, p_b: float) -> tuple[float, float]:

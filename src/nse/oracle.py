@@ -14,14 +14,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
+from .indicators import op_probability as sigmoid  # the package's one sigmoid
 from .pareto import EvaluationRecord, pareto_front
 from .resources import CostTable, architecture_cost
 from .rng import make_rng
 from .space import (
     NORMAL,
     Architecture,
+    GateVector,
     SearchSpacePool,
     SpaceError,
     SubsetState,
@@ -31,18 +33,18 @@ ENUMERATION_CAP = 2**21
 
 
 class Evaluator(Protocol):
-    """Uniform scoring interface shared by oracle- and supernet-backed paths."""
+    """Uniform scoring interface shared by oracle- and supernet-backed paths.
+
+    ``table`` prices the architectures.  ``evaluate`` scores an architecture
+    and records the ``cost`` its caller priced it at on ``table``, so each
+    architecture is priced once.
+    """
+
+    table: CostTable
 
     def cost(self, architecture: Architecture) -> float: ...
 
-    def evaluate(self, architecture: Architecture) -> EvaluationRecord: ...
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
+    def evaluate(self, architecture: Architecture, cost: float) -> EvaluationRecord: ...
 
 
 def _logit(p: float) -> float:
@@ -151,26 +153,42 @@ def _saturate(x: float) -> float:
     return x / (1.0 + x)
 
 
+def _layer_value(bench: SyntheticBenchmark, gate: GateVector) -> float:
+    return _saturate(_layer_score(bench, gate.layer_index, sorted(gate.selected)))
+
+
+def _accuracy(bench: SyntheticBenchmark, layer_values: Iterable[float]) -> float:
+    total = 0.0
+    for value in layer_values:
+        total += value
+    return sigmoid(bench.c0 + bench.c1 * total)
+
+
 def oracle_score(arch: Architecture, bench: SyntheticBenchmark) -> tuple[float, float]:
     """Closed-form (accuracy, cost) of an architecture."""
-    total = 0.0
-    for gv in arch.gate_vectors:
-        total += _saturate(_layer_score(bench, gv.layer_index, sorted(gv.selected)))
-    accuracy = _sigmoid(bench.c0 + bench.c1 * total)
-    cost = architecture_cost(arch, bench.cost_table())
-    return accuracy, cost
+    accuracy = _accuracy(bench, (_layer_value(bench, gv) for gv in arch.gate_vectors))
+    return accuracy, architecture_cost(arch, bench.cost_table())
 
 
 class OracleEvaluator:
+    """``oracle_score`` with each layer's saturated score memoised."""
+
     def __init__(self, benchmark: SyntheticBenchmark):
         self.benchmark = benchmark
-        self._table = benchmark.cost_table()
+        self.table = benchmark.cost_table()
+        self._values: dict[GateVector, float] = {}
 
     def cost(self, architecture: Architecture) -> float:
-        return architecture_cost(architecture, self._table)
+        return architecture_cost(architecture, self.table)
 
-    def evaluate(self, architecture: Architecture) -> EvaluationRecord:
-        accuracy, cost = oracle_score(architecture, self.benchmark)
+    def _value(self, gate: GateVector) -> float:
+        value = self._values.get(gate)
+        if value is None:
+            value = self._values[gate] = _layer_value(self.benchmark, gate)
+        return value
+
+    def evaluate(self, architecture: Architecture, cost: float) -> EvaluationRecord:
+        accuracy = _accuracy(self.benchmark, map(self._value, architecture.gate_vectors))
         return EvaluationRecord(architecture, accuracy, cost)
 
 

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .space import Architecture, GateVector
+import numpy as np
+
+from .space import Architecture, GateSampler, GateVector
 
 
 class ResourceError(ValueError):
@@ -102,15 +104,51 @@ class ConstraintConfig:
 
 def layer_cost(gate_vector: GateVector, table: CostTable) -> float:
     """Summed cost of one layer's selected branches (identity adds nothing)."""
-    return sum(
-        table.lookup(gate_vector.layer_index, slot) for slot in gate_vector.selected
-    )
+    total = 0.0
+    for slot in gate_vector.selected:
+        total += table.lookup(gate_vector.layer_index, slot)
+    return total
 
 
 def architecture_cost(arch: Architecture, table: CostTable) -> float:
-    return table.fixed_overhead + sum(
-        layer_cost(gv, table) for gv in arch.gate_vectors
-    )
+    """Overhead plus the layer costs, summed left to right first.
+
+    Explicit loops rather than ``sum()``, whose float result is compensated
+    from Python 3.12 on, so this and ``MaskCost`` give the same float on
+    every Python.
+    """
+    total = 0.0
+    for gv in arch.gate_vectors:
+        total += layer_cost(gv, table)
+    return table.fixed_overhead + total
+
+
+class MaskCost:
+    """Architecture costs of rows of layer masks drawn by a GateSampler.
+
+    Each layer's cost is memoised per mask from ``layer_cost`` of the decoded
+    gate vector, filled only for masks that occur, and the layers add up as
+    in ``architecture_cost``, so a row costs exactly what its decoded
+    architecture does.
+    """
+
+    def __init__(self, sampler: GateSampler, table: CostTable):
+        # not ``sampler.gate``: most priced masks are never decoded again,
+        # so their gate vectors are not worth keeping
+        self._gate = sampler.selection
+        self._table = table
+        self._layers: list[dict[int, float]] = [{} for _ in sampler.slots]
+
+    def __call__(self, masks: np.ndarray) -> np.ndarray:
+        """Costs of an ``(n, num_layers)`` mask array, one per row."""
+        total = np.zeros(len(masks))
+        for li, costs in enumerate(self._layers):
+            occurring, index = np.unique(masks[:, li], return_inverse=True)
+            for mask in occurring.tolist():
+                if mask not in costs:
+                    costs[mask] = layer_cost(self._gate(li, mask), self._table)
+            total += np.array([costs[mask] for mask in occurring.tolist()])[index]
+        return self._table.fixed_overhead + total
 
 
 def expected_pair_cost(

@@ -13,6 +13,8 @@ replenishment never samples the same operation twice.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -174,9 +176,6 @@ class GateVector:
 
     layer_index: int
     selected: frozenset[int]
-
-    def bits(self, active_slots: Sequence[int]) -> tuple[int, ...]:
-        return tuple(1 if s in self.selected else 0 for s in active_slots)
 
 
 @dataclass(frozen=True)
@@ -382,6 +381,141 @@ def subset_for_architecture(arch: Architecture, pool: SearchSpacePool) -> Subset
 # Sampling and combinatorics
 
 
+# Rows checked per vectorised pass of GateSampler.draw.  A reduction-layer
+# redraw shifts every later row in the stream, so the rows behind it are
+# checked again; a short pass bounds that repeated work.
+SCAN_ROWS = 64
+
+
+class GateSampler:
+    """Draws architectures as rows of per-layer gate bitmasks.
+
+    Layer ``l`` gates its sorted active slots ``slots[l]``: bit ``j`` of the
+    layer's mask selects ``slots[l][j]`` and is set independently with
+    probability ``probs[l][j]``.  A reduction layer that comes out all-zero
+    is redrawn, up to MAX_REDRAWS times per draw.
+
+    The generator is read exactly as one draw at a time, layer by layer,
+    would read it: one double per active slot in layer order, plus one more
+    chunk per redraw.  Every draw reads at least ``width`` doubles, so
+    ``draw`` fetches ``width`` per draw still owed in one call and more only
+    after a redraw: it never reads ahead, and its rows and the generator
+    state after it equal ``n`` one-row calls.
+    """
+
+    def __init__(
+        self,
+        slots: Sequence[Sequence[int]],
+        roles: Sequence[str],
+        probs: Sequence[Sequence[float]],
+    ):
+        if not len(slots) == len(roles) == len(probs):
+            raise SpaceError("slots/roles/probs layer count mismatch")
+        self.slots = tuple(tuple(layer) for layer in slots)
+        self.roles = tuple(roles)
+        self._probs = [[float(x) for x in p] for p in probs]
+        for li, (layer, role, p) in enumerate(zip(self.slots, self.roles, self._probs)):
+            if role == REDUCTION and not layer:
+                raise SpaceError(f"reduction layer {li} has no active entries")
+            if len(p) != len(layer):
+                raise SpaceError(f"layer {li} needs one probability per slot")
+            if len(layer) > 63:
+                raise SpaceError(f"layer {li} has more than 63 active slots")
+        self._bounds = list(itertools.accumulate(map(len, self.slots), initial=0))
+        self.width = self._bounds[-1]
+        self._gates: list[dict[int, GateVector]] = [{} for _ in self.slots]
+
+    @staticmethod
+    def uniform(subset: SubsetState) -> "GateSampler":
+        """Each active operation gated with probability 1/2."""
+        slots = [subset.active_slots(li) for li in range(subset.num_layers)]
+        return GateSampler(slots, subset.roles, [[0.5] * len(s) for s in slots])
+
+    @functools.cached_property
+    def _scan_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Probabilities, the bit-packing matrix, and the reduction columns."""
+        probs = np.array([x for p in self._probs for x in p])
+        # column l packs layer l's gate bits into its mask
+        pack = np.zeros((self.width, len(self.slots)), dtype=np.int64)
+        for li, lo in enumerate(self._bounds[:-1]):
+            bits = np.arange(self._bounds[li + 1] - lo, dtype=np.int64)
+            pack[lo : lo + bits.size, li] = 1 << bits
+        return probs, pack, np.array([role == REDUCTION for role in self.roles])
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` draws as an ``(n, num_layers)`` array of layer masks."""
+        width, bounds = self.width, self._bounds
+        out = np.empty((n, len(self.slots)), dtype=np.int64)
+        buf = np.empty(0)  # doubles read from rng and not yet used
+        row = 0
+        while row < n:
+            rows = min(n - row, SCAN_ROWS)
+            if buf.size < rows * width:
+                owed = (n - row) * width
+                buf = np.concatenate((buf, rng.random(owed - buf.size)))
+            if rows == 1:  # a lone row is cheaper to resolve in Python
+                out[row], buf = self._finish_row(rng, buf, [], 0)
+                row += 1
+                continue
+            probs, pack, required = self._scan_arrays
+            masks = (buf[: rows * width].reshape(rows, width) < probs) @ pack
+            empty = masks[:, required] == 0
+            failed = np.flatnonzero(empty.any(axis=1))
+            done = int(failed[0]) if failed.size else rows
+            out[row : row + done] = masks[:done]
+            buf = buf[done * width :]
+            row += done
+            if done < rows:
+                # the first failed reduction layer of that row is redrawn
+                li = int(np.flatnonzero(required)[np.argmax(empty[done])])
+                prefix = masks[done, :li].tolist()
+                out[row], buf = self._finish_row(rng, buf[bounds[li] :], prefix, li)
+                row += 1
+        return out
+
+    def _finish_row(
+        self, rng: np.random.Generator, buf: np.ndarray, row: list[int], start: int
+    ) -> tuple[list[int], np.ndarray]:
+        """Complete a draw from layer ``start`` on, layer by layer.
+
+        ``row`` holds the masks of the layers before ``start``, and ``buf``
+        starts at the doubles of layer ``start``; they are read first, then
+        ``rng``.  Returns the row and the unused rest of ``buf``.
+        """
+        for li in range(start, len(self.slots)):
+            probs, role = self._probs[li], self.roles[li]
+            for _ in range(MAX_REDRAWS):
+                if buf.size < len(probs):
+                    buf = np.concatenate((buf, rng.random(len(probs) - buf.size)))
+                chunk = buf[: len(probs)].tolist()
+                buf = buf[len(probs) :]
+                mask = sum(1 << j for j, (u, p) in enumerate(zip(chunk, probs)) if u < p)
+                if mask or role == NORMAL:
+                    break
+            else:
+                raise RuntimeError(f"redraw cap exceeded in layer {li}")
+            row.append(mask)
+        return row, buf
+
+    def selection(self, layer_index: int, mask: int) -> GateVector:
+        """The gate vector of the slots a layer mask selects."""
+        slots = self.slots[layer_index]
+        return GateVector(
+            layer_index, frozenset(s for j, s in enumerate(slots) if mask >> j & 1)
+        )
+
+    def gate(self, layer_index: int, mask: int) -> GateVector:
+        """``selection``, kept and shared by every decoded row that uses it."""
+        gates = self._gates[layer_index]
+        gate = gates.get(mask)
+        if gate is None:
+            gate = gates[mask] = self.selection(layer_index, mask)
+        return gate
+
+    def decode(self, row: Sequence[int]) -> Architecture:
+        return Architecture(tuple(self.gate(li, int(m)) for li, m in enumerate(row)))
+
+
 def sample_uniform_architecture(
     subset: SubsetState, rng: np.random.Generator
 ) -> Architecture:
@@ -390,23 +524,8 @@ def sample_uniform_architecture(
     Reduction layers reject all-zero draws and redraw, which leaves the
     distribution uniform over their nonzero gate vectors.
     """
-    gate_vectors = []
-    for li in range(subset.num_layers):
-        slots = subset.active_slots(li)
-        if not slots:
-            if subset.roles[li] == REDUCTION:
-                raise SpaceError(f"reduction layer {li} has no active entries")
-            gate_vectors.append(GateVector(li, frozenset()))
-            continue
-        for attempt in range(MAX_REDRAWS):
-            mask = rng.random(len(slots)) < 0.5
-            if mask.any() or subset.roles[li] == NORMAL:
-                break
-        else:
-            raise RuntimeError(f"redraw cap exceeded in layer {li}")
-        selected = frozenset(s for s, m in zip(slots, mask) if m)
-        gate_vectors.append(GateVector(li, selected))
-    return Architecture(tuple(gate_vectors))
+    sampler = GateSampler.uniform(subset)
+    return sampler.decode(sampler.draw(rng, 1)[0])
 
 
 def sample_space_architecture(

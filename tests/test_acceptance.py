@@ -47,6 +47,7 @@ from nse.space import (
     Architecture,
     DeclaredLayer,
     DeclaredOp,
+    GateSampler,
     GateVector,
     TraversalLedger,
     count_architectures,
@@ -349,7 +350,7 @@ def test_criterion_5_pareto_oracle_equivalence():
         exact = brute_force_pareto(subset, bench, tau)
         d = sum(1 for r in records if r[2] <= tau)
         corrected, raw, _, diag = retrieve_pareto(
-            lambda rng: sample_uniform_architecture(subset, rng),
+            GateSampler.uniform(subset),
             OracleEvaluator(bench),
             [],
             RetrievalConfig(samples=d),

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import time
 
 from nse.cli import main
+from nse.config import config_hash, parse_config, resolved_dict
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -260,3 +262,55 @@ def test_auxiliary_one_no_longer_empties_the_front(tmp_path, monkeypatch):
     assert manifest["diagnostics"]["edging_fallback"] is True
     pareto = json.loads((tmp_path / "runs/out/round_001/pareto.json").read_text())
     assert pareto["corrected"] == pareto["raw"] != []
+
+
+def test_config_hash_names_the_science_not_the_output_dir():
+    a = parse_config({"output_dir": "a"})
+    assert config_hash(parse_config({"output_dir": "b"})) == config_hash(a)
+    assert config_hash(parse_config({"output_dir": "a", "master_seed": 1})) != config_hash(a)
+    assert resolved_dict(a)["output_dir"] == "a"
+
+
+# sha256 of each artifact with its config hash cut out, as written by the
+# code before retrieval drew blocks of gate bitmasks; a change that alters a
+# single byte of the science (RNG stream, summation order, accept rules)
+# shows here
+PINNED_DIGESTS = {
+    "round_001/pareto.json": "2e6063753bbcb498312414139eb6770c23f60168d8a70b4791ab011fcfb74e2a",
+    "round_001/subset.json": "6038bc9c20a83e359948d91054aaa513a6f580ab92a5ce4a49cde2c53fffdec2",
+    "round_001/ledger.json": "684a96a7f879061d7649278b6a4c5f7ac94742e7f1fe0b571eba6d621d294db9",
+    "round_002/pareto.json": "f69063f6396148df2113b4e9644c32e2718f7abb1cc0add3ecc558393f927f35",
+    "round_002/subset.json": "62bc3671d036dea7a17fbe0200864168d1ef6331e3ba1c1262e1be3e51bbf008",
+    "round_002/ledger.json": "fa8ff47febac0c9d7ef8a5183c82a8003880fcbab42fc0b98dd751a76b70145c",
+    "round_003/pareto.json": "ce6af0219e67ef7247f78b79cc768fe11fbb405da60abf1ea7b087c57a66e771",
+    "round_003/subset.json": "ada9281aafd8848b92593496001aabc648347b1e261bce8d84c07fc2ddb5d9f0",
+    "round_003/ledger.json": "21cebdc788a1b0a9ed73885ba02da8d4ce546495e309aaf973d542185f617e61",
+}
+
+
+def test_pinned_oracle_artifacts_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.delenv("NSE_SEED", raising=False)
+    started = time.perf_counter()
+    path = write_config(
+        tmp_path,
+        master_seed=11,
+        max_rounds=3,
+        k_per_layer=4,
+        pool={"num_layers": 3, "ops_per_layer": 12, "reduction_layers": [2], "preset": "opaque"},
+        constraint={"tau": 260.0},
+        retrieval={"samples": 120, "auxiliary": 12, "stall_factor": 20},
+    )
+    assert main(["run", str(path)]) == 0
+    assert time.perf_counter() - started < 2.0
+    out = tmp_path / "run"
+    chash = json.loads((out / "manifest.json").read_text())["config_hash"].encode()
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes().replace(chash, b"")).hexdigest()
+        for name in PINNED_DIGESTS
+    }
+    assert digests == PINNED_DIGESTS
+    draws = [
+        json.loads((out / f"round_00{r}" / "manifest.json").read_text())["diagnostics"]["draws"]
+        for r in (1, 2, 3)
+    ]
+    assert draws == [569, 879, 877]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import reference_draw
 from nse.rng import make_rng
 from nse.engine import (
     Engine,
@@ -18,15 +19,15 @@ from nse.oracle import (
     oracle_score,
 )
 from nse.pareto import EvaluationRecord
-from nse.resources import ConstraintConfig
+from nse.resources import ConstraintConfig, CostTable, architecture_cost
 from nse.space import (
     Architecture,
     DeclaredLayer,
     DeclaredOp,
+    GateSampler,
     SubsetEntry,
     SubsetState,
     full_subset,
-    sample_uniform_architecture,
     shuffle_pool,
 )
 from nse.supernet import DatasetConfig, NetworkGeometry, ToyDataset, TrainingConfig, toy_op_family
@@ -66,28 +67,31 @@ def oracle_engine(
 
 
 class StubEvaluator:
-    """Fixed (accuracy, cost) per encoding, for handcrafted instances."""
+    """Fixed (accuracy, cost) per single-slot one-layer encoding."""
 
-    def __init__(self, table):
-        self.table = table
+    def __init__(self, scores):
+        self.scores = scores
+        self.table = CostTable({(0, enc[0][0]): cost for enc, (_, cost) in scores.items()})
 
     def cost(self, arch):
-        return self.table[arch.encoding()][1]
+        return self.scores[arch.encoding()][1]
 
-    def evaluate(self, arch):
-        acc, cost = self.table[arch.encoding()]
-        return EvaluationRecord(arch, acc, cost)
+    def evaluate(self, arch, cost):
+        return EvaluationRecord(arch, self.scores[arch.encoding()][0], cost)
 
 
-def cycling_sampler(archs):
-    state = {"i": 0}
+class CyclingSampler(GateSampler):
+    """Replays fixed one-layer architectures over slots 0-7 in order."""
 
-    def sampler(rng):
-        arch = archs[state["i"] % len(archs)]
-        state["i"] += 1
-        return arch
+    def __init__(self, archs):
+        super().__init__([range(8)], ["normal"], [[0.5] * 8])
+        self.rows = [[sum(1 << s for s in arch.selected(0))] for arch in archs]
+        self.i = 0
 
-    return sampler
+    def draw(self, rng, n):
+        rows = [self.rows[(self.i + k) % len(self.rows)] for k in range(n)]
+        self.i += n
+        return np.array(rows, dtype=np.int64).reshape(n, 1)
 
 
 def test_retrieve_matches_brute_force_with_exhaustive_sampling():
@@ -104,7 +108,7 @@ def test_retrieve_matches_brute_force_with_exhaustive_sampling():
     assert in_constraint >= 20
     evaluator = OracleEvaluator(bench)
     corrected, raw, _, diag = retrieve_pareto(
-        lambda rng: sample_uniform_architecture(subset, rng),
+        GateSampler.uniform(subset),
         evaluator,
         [],
         RetrievalConfig(samples=in_constraint),
@@ -127,7 +131,7 @@ def test_rehearsed_member_survives_when_still_best():
     champion = max(exact, key=lambda r: r.accuracy)
     # sample only a handful of models; the rehearsed champion must remain
     corrected, raw, _, _ = retrieve_pareto(
-        lambda rng: sample_uniform_architecture(subset, rng),
+        GateSampler.uniform(subset),
         OracleEvaluator(bench),
         [champion],
         RetrievalConfig(samples=5),
@@ -143,7 +147,7 @@ def test_equal_accuracy_front_is_single_cheapest():
     table = {a.encoding(): (0.5, 10.0 + i) for i, a in enumerate(archs)}
     evaluator = StubEvaluator(table)
     corrected, raw, _, _ = retrieve_pareto(
-        cycling_sampler(archs),
+        CyclingSampler(archs),
         evaluator,
         [],
         RetrievalConfig(samples=4),
@@ -168,7 +172,7 @@ def test_edging_instance_shows_both_behaviors():
 
     # without auxiliary samples q is Pareto-optimal and stays
     corrected0, raw0, _, _ = retrieve_pareto(
-        cycling_sampler([q, p]),
+        CyclingSampler([q, p]),
         evaluator,
         [],
         RetrievalConfig(samples=2, auxiliary=0),
@@ -182,7 +186,7 @@ def test_edging_instance_shows_both_behaviors():
 
     # with the auxiliary point, q is removed from the corrected front only
     corrected1, raw1, _, _ = retrieve_pareto(
-        cycling_sampler([q, p, r]),
+        CyclingSampler([q, p, r]),
         evaluator,
         [],
         RetrievalConfig(samples=2, auxiliary=1),
@@ -223,7 +227,7 @@ def test_sampling_stall_is_diagnosed_not_fatal():
     arch = Architecture.from_encoding([[0]])
     table = {arch.encoding(): (0.5, 10.0)}
     corrected, raw, _, diag = retrieve_pareto(
-        cycling_sampler([arch]),
+        CyclingSampler([arch]),
         StubEvaluator(table),
         [],
         RetrievalConfig(samples=5, stall_factor=10),
@@ -233,6 +237,71 @@ def test_sampling_stall_is_diagnosed_not_fatal():
     assert diag["stalled"]
     assert diag["draws"] == 50
     assert len(raw) == 1
+
+
+def reference_retrieval(subset, table, retrieval, constraint, rng):
+    """The retrieval draw loop, one plain draw at a time."""
+    slots = [subset.active_slots(li) for li in range(subset.num_layers)]
+    probs = [[0.5] * len(layer) for layer in slots]
+    limit = constraint.upper_bound
+    band_hi = limit * (1.0 + constraint.edging_margin)
+    seen, in_budget, auxiliary, draws = set(), [], [], 0
+    while draws < retrieval.stall_factor * retrieval.samples and (
+        len(in_budget) < retrieval.samples or len(auxiliary) < retrieval.auxiliary
+    ):
+        row = reference_draw(slots, subset.roles, probs, rng)
+        draws += 1
+        arch = Architecture.from_encoding(
+            [[s for j, s in enumerate(layer) if m >> j & 1] for layer, m in zip(slots, row)]
+        )
+        if arch.encoding() in seen:
+            continue
+        seen.add(arch.encoding())
+        cost = architecture_cost(arch, table)
+        if cost <= limit and len(in_budget) < retrieval.samples:
+            in_budget.append((arch.encoding(), cost))
+        elif limit < cost <= band_hi and len(auxiliary) < retrieval.auxiliary:
+            auxiliary.append((arch.encoding(), cost))
+    return draws, len(in_budget) < retrieval.samples, in_budget, auxiliary
+
+
+class CountingEvaluator(OracleEvaluator):
+    def __init__(self, bench):
+        super().__init__(bench)
+        self.cost_calls = 0
+
+    def cost(self, arch):
+        self.cost_calls += 1
+        return super().cost(arch)
+
+
+@pytest.mark.parametrize(
+    "retrieval, stalled",
+    [
+        (RetrievalConfig(samples=60, auxiliary=6), False),
+        # in-budget fills early; the unfilled band keeps drawing to the cap
+        (RetrievalConfig(samples=10, auxiliary=30), False),
+        (RetrievalConfig(samples=300, auxiliary=30, stall_factor=3), True),
+    ],
+)
+def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
+    pool = opaque_pool(("normal", "normal", "reduction"), 5, seed=4)
+    bench = SyntheticBenchmark.generate(pool, seed=9)
+    subset = full_subset(pool)
+    constraint = ConstraintConfig(tau=bench.overhead + 250.0)
+    evaluator = CountingEvaluator(bench)
+    _, _, in_records, diag = retrieve_pareto(
+        GateSampler.uniform(subset), evaluator, [], retrieval, constraint, make_rng("blocks", 0)
+    )
+    draws, ref_stalled, in_budget, auxiliary = reference_retrieval(
+        subset, bench.cost_table(), retrieval, constraint, make_rng("blocks", 0)
+    )
+    assert ref_stalled == stalled
+    assert (diag["draws"], diag["stalled"]) == (draws, stalled)
+    assert (diag["in_budget"], diag["auxiliary"]) == (len(in_budget), len(auxiliary))
+    assert [(r.architecture.encoding(), r.cost) for r in in_records] == in_budget
+    # every kept draw was priced once, on its masks
+    assert evaluator.cost_calls == 0
 
 
 def test_run_rounds_are_deterministic():

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from nse.rng import make_rng
@@ -14,10 +15,12 @@ from nse.oracle import (
     oracle_score,
 )
 from nse.pareto import EvaluationRecord, dominates, pareto_front
+from nse.resources import MaskCost
 from nse.space import (
     Architecture,
     DeclaredLayer,
     DeclaredOp,
+    GateSampler,
     SpaceError,
     TraversalLedger,
     full_subset,
@@ -177,10 +180,30 @@ def test_oracle_evaluator_matches_score():
     bench = SyntheticBenchmark.generate(pool, seed=4)
     ev = OracleEvaluator(bench)
     arch = Architecture.from_encoding([[0], [1]])
-    rec = ev.evaluate(arch)
+    rec = ev.evaluate(arch, ev.cost(arch))
     acc, cost = oracle_score(arch, bench)
     assert (rec.accuracy, rec.cost) == (acc, cost)
     assert ev.cost(arch) == cost
+
+
+def test_memoised_scores_and_mask_costs_equal_the_closed_form():
+    pool = small_pool(roles=("normal", "normal", "reduction"), n=4, seed=1)
+    bench = SyntheticBenchmark.generate(pool, seed=8)
+    subset = full_subset(pool)
+    ev = OracleEvaluator(bench)
+    sampler = GateSampler.uniform(subset)
+    cost_of = MaskCost(sampler, bench.cost_table())
+    archs = list(enumerate_architectures(subset))
+    assert len(archs) == 16 * 16 * 15
+    for arch in archs:
+        acc, cost = oracle_score(arch, bench)
+        assert ev.evaluate(arch, cost).accuracy == acc
+        row = [
+            sum(1 << sampler.slots[li].index(s) for s in arch.selected(li))
+            for li in range(arch.num_layers)
+        ]
+        assert cost_of(np.array([row])).tolist() == [cost]
+        assert sampler.decode(row) == arch
 
 
 def test_constrained_optimum_matches_enumeration():

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import reference_draw
 from nse.rng import make_rng
 from nse import space
 from nse.space import (
     Architecture,
     DeclaredLayer,
     DeclaredOp,
+    GateSampler,
     GateVector,
     SpaceExhaustedError,
     TraversalLedger,
@@ -322,3 +324,58 @@ def test_architecture_encoding_and_ids():
     assert arch.encoding() == ((0, 3), (1,), (), (2,))
     assert arch.compact_id() == "0+3;1;;2"
     assert Architecture.from_encoding(arch.encoding()) == arch
+
+
+SAMPLER_CASES = {
+    # uniform gates with a four-slot reduction layer
+    "uniform": (
+        [[0, 2, 5], [1, 3], [0, 1, 2, 7]],
+        ["normal", "normal", "reduction"],
+        [[0.5] * 3, [0.5] * 2, [0.5] * 4],
+    ),
+    # indicator probabilities; the reduction layer's gate is rarely set
+    "indicator": (
+        [[1, 4], [0, 2, 3], [6]],
+        ["normal", "reduction", "reduction"],
+        [[0.9, 0.2], [0.1, 0.05, 0.3], [0.15]],
+    ),
+    # a one-slot reduction layer (redrawn half the time) and an empty
+    # normal layer, which reads no doubles
+    "redraws": (
+        [[3], [], [0, 1, 2, 3, 4, 5]],
+        ["reduction", "normal", "normal"],
+        [[0.5], [], [0.5] * 6],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_gate_sampler_blocks_equal_one_draw_at_a_time(case, n):
+    slots, roles, probs = SAMPLER_CASES[case]
+    for seed in range(3):
+        rng, ref = make_rng("sampler", case, n, seed), make_rng("sampler", case, n, seed)
+        masks = GateSampler(slots, roles, probs).draw(rng, n)
+        assert masks.shape == (n, len(slots))
+        assert masks.tolist() == [reference_draw(slots, roles, probs, ref) for _ in range(n)]
+        # the generator is left exactly where the one-at-a-time draws leave it
+        assert rng.random() == ref.random()
+
+
+def test_gate_sampler_decodes_masks_over_sorted_slots():
+    sampler = GateSampler([[2, 5, 9], []], ["normal", "normal"], [[0.5] * 3, []])
+    arch = sampler.decode([0b101, 0])
+    assert arch.encoding() == ((2, 9), ())
+    assert sampler.gate(0, 0b101) is arch.gate_vectors[0]
+
+
+def test_gate_sampler_redraw_cap_still_raises():
+    sampler = GateSampler([[0, 1], [4]], ["normal", "reduction"], [[0.5, 0.5], [0.0]])
+    for n in (1, 7):
+        with pytest.raises(RuntimeError, match="redraw cap exceeded in layer 1"):
+            sampler.draw(make_rng("cap", n), n)
+
+
+def test_gate_sampler_rejects_reduction_layer_without_slots():
+    with pytest.raises(space.SpaceError):
+        GateSampler([[0], []], ["normal", "reduction"], [[0.5], []])
