@@ -395,7 +395,8 @@ class Engine:
         arch_rng = make_rng(self.master_seed, "train-arch", r)
         ind_rng = make_rng(self.master_seed, "indicator", r)
         losses = []
-        pruned_total = 0
+        curves: dict[str, list[float]] = {"loss": [], "expected_cost_gap": [], "penalty": []}
+        prune_log = []
         for step in range(self.training.steps):
             w_opt.lr = cosine_warmup_lr(
                 step, self.training.steps, self.training.lr, self.training.warmup_steps
@@ -405,7 +406,7 @@ class Engine:
             )
             # one indicator step after every two supernet steps, pruning right after
             if (step + 1) % 2 == 0:
-                indicator_update_step(
+                stepped = indicator_update_step(
                     thetas,
                     weights,
                     state.subset,
@@ -415,14 +416,24 @@ class Engine:
                     t_opt,
                     ind_rng,
                 )
-                pruned_total += len(
-                    prune(
-                        thetas,
-                        state.subset,
-                        self.prune_threshold,
-                        lock_inherited=self.lock_and_rehearse,
-                    )
+                for name, curve in curves.items():
+                    curve.append(stepped[name])
+                values = [dict(layer) for layer in thetas.values]
+                removed = prune(
+                    thetas,
+                    state.subset,
+                    self.prune_threshold,
+                    lock_inherited=self.lock_and_rehearse,
                 )
+                prune_log += [
+                    {
+                        "step": len(curves["loss"]) - 1,
+                        "layer": li,
+                        "slot": slot,
+                        "indicator": values[li][slot],
+                    }
+                    for li, slot in removed
+                ]
         recal = make_recal_batches(
             self.dataset,
             self.retrieval.recal_batches,
@@ -435,8 +446,10 @@ class Engine:
         sampler = indicator_sampler(thetas, state.subset.roles)
         extras = {
             "mean_train_loss": float(np.mean(losses)) if losses else None,
-            "pruned": pruned_total,
+            "pruned": len(prune_log),
             "indicator_steps": self.training.steps // 2,
+            "indicator_curves": curves,
+            "prune_log": prune_log,
         }
         return evaluator, sampler, thetas, extras
 

@@ -27,6 +27,7 @@ from . import nn
 from .resources import (
     ConstraintConfig,
     CostTable,
+    expected_pair_cost,
     layer_cost,
     penalty,
     penalty_gradient_wrt_r,
@@ -287,9 +288,11 @@ def indicator_update_step(
 
     Samples a configuration pair per layer, forwards the first configuration
     through the whole network on a validation batch, reads each layer
-    output's gradient from the backward pass, scores the second configuration
-    on the same layer inputs without gradients, and applies the rescaled-pair
-    chain rule plus the resource penalty.  Shared weights are not updated.
+    output's gradient from the backward pass (no weight gradients are
+    formed), scores the second configuration on the same layer inputs
+    without gradients, reusing the branch outputs the two share, and applies
+    the rescaled-pair chain rule plus the resource penalty.  Shared weights
+    are not updated.
     """
     x, y = val_batch
     gates_a = []
@@ -299,19 +302,16 @@ def indicator_update_step(
         gates_b.append(sample_config(thetas, rng, li, subset.roles[li]))
 
     weights.set_mode("train")
-    nn.clear_grads(weights.params.values())
-    logits, layer_inputs, layer_outputs = weights.forward_collect(
-        gates_a, nn.Tensor(np.asarray(x))
-    )
-    loss = nn.softmax_cross_entropy(logits, np.asarray(y))
-    loss.backward()
+    record = weights.train_forward(gates_a, x)
+    loss, dlogits = nn.softmax_cross_entropy_array(record.logits, y)
+    _, upstreams = weights.train_backward(record, dlogits, param_grads=False)
 
     per_layer = []
-    for li in range(subset.num_layers):
-        out = layer_outputs[li]
-        upstream = out.grad if out.grad is not None else np.zeros_like(out.data)
-        o_b = weights.layer_output_nograd(li, gates_b[li], layer_inputs[li].data)
-        s_a = float(np.sum(upstream * out.data))
+    expected_cost = 0.0
+    for li, (trace, upstream) in enumerate(zip(record.layers, upstreams)):
+        shared = dict(zip(trace.slots, trace.branches if trace.slots else ()))
+        o_b = weights.layer_output_nograd(li, gates_b[li], trace.x, shared)
+        s_a = float(np.sum(upstream * trace.out))
         s_b = float(np.sum(upstream * o_b))
         p_a = config_probability(gates_a[li], thetas)
         p_b = config_probability(gates_b[li], thetas)
@@ -319,24 +319,20 @@ def indicator_update_step(
         d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], thetas)
         c_a = layer_cost(gates_a[li], cost_table)
         c_b = layer_cost(gates_b[li], cost_table)
-        per_layer.append((li, s_a, s_b, pt_a, pt_b, d_tilde, c_a, c_b))
+        expected_cost += expected_pair_cost(gates_a[li], gates_b[li], pt_a, pt_b, cost_table)
+        per_layer.append((li, s_a, s_b, d_tilde, c_a, c_b))
 
-    r_value = (
-        cost_table.fixed_overhead
-        - constraint_cfg.tau
-        + sum(pt_a * c_a + pt_b * c_b for _, _, _, pt_a, pt_b, _, c_a, c_b in per_layer)
-    )
+    r_value = cost_table.fixed_overhead - constraint_cfg.tau + expected_cost
     pg = penalty_gradient_wrt_r(r_value, constraint_cfg)
 
     grads: dict[tuple[int, int], float] = {}
-    for li, s_a, s_b, _, _, d_tilde, c_a, c_b in per_layer:
+    for li, s_a, s_b, d_tilde, c_a, c_b in per_layer:
         for slot, d in d_tilde.items():
             grads[(li, slot)] = (s_a - s_b) * d + pg * d * (c_a - c_b)
 
     optimizer.step(thetas, grads)
-    nn.clear_grads(weights.params.values())
     return {
-        "loss": float(loss.data),
+        "loss": loss,
         "expected_cost_gap": r_value,
         "penalty": penalty(r_value, constraint_cfg),
     }

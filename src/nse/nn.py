@@ -3,7 +3,9 @@
 Small on purpose: float64 numpy arrays, a handful of ops, and a tape that is
 implicit in the graph (each tensor keeps its parents and a backward closure).
 Every op validates shapes and rejects non-finite outputs immediately, which
-keeps failures close to their cause in long training loops.
+keeps failures close to their cause in long training loops.  Runs use the
+no-grad array twins of the ops; the tape is the reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -245,6 +247,12 @@ def _norm_moments(x: np.ndarray, stats: NormStats) -> tuple[np.ndarray, np.ndarr
         return stats.running_mean, stats.running_var
     bm = x.mean(axis=0)
     bv = x.var(axis=0)
+    _fold_moments(x, bm, bv, stats)
+    return bm, bv
+
+
+def _fold_moments(x: np.ndarray, bm: np.ndarray, bv: np.ndarray, stats: NormStats) -> None:
+    """Fold one batch ``x`` with moments (bm, bv) into ``stats`` as its mode says."""
     if stats.mode == "train":
         m = stats.momentum
         stats.running_mean = (1.0 - m) * stats.running_mean + m * bm
@@ -255,7 +263,21 @@ def _norm_moments(x: np.ndarray, stats: NormStats) -> tuple[np.ndarray, np.ndarr
         stats._count += x.shape[0]
     else:
         raise ValueError(f"unknown NormStats mode {stats.mode!r}")
-    return bm, bv
+
+
+def normalize_train_grad(g: np.ndarray, centered: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Train-mode normalize backward, reducing over the batch axis (-2).
+
+    ``centered`` is one (B, W) batch or a (n, B, W) stack; ``g`` and ``inv``
+    broadcast against it.  Summing a stack over axis -2 gives each batch's
+    axis-0 sum bit for bit, so the stacked and the per-batch results agree.
+    """
+    batch = centered.shape[-2]
+    dvar = np.sum(g * centered, axis=-2, keepdims=True) * (-0.5) * inv**3
+    dmean = np.sum(-g * inv, axis=-2, keepdims=True) + dvar * (-2.0 / batch) * centered.sum(
+        axis=-2, keepdims=True
+    )
+    return g * inv + dvar * 2.0 * centered / batch + dmean / batch
 
 
 def normalize(x: Tensor, stats: NormStats) -> Tensor:
@@ -271,15 +293,9 @@ def normalize(x: Tensor, stats: NormStats) -> Tensor:
 
         return _node(data, (x,), backward, "normalize")
 
-    batch = x.data.shape[0]
-
     def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        dvar = np.sum(g * centered, axis=0) * (-0.5) * inv**3
-        dmean = np.sum(-g * inv, axis=0) + dvar * (-2.0 / batch) * centered.sum(axis=0)
-        dx = g * inv + dvar * 2.0 * centered / batch + dmean / batch
-        _accumulate(x, dx)
+        if x.requires_grad:
+            _accumulate(x, normalize_train_grad(g, centered, inv))
 
     return _node(data, (x,), backward, "normalize")
 
@@ -296,30 +312,40 @@ def recalibrate(stats: NormStats, batches: Sequence[np.ndarray]) -> NormStats:
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    if logits.data.ndim != 2:
-        raise ShapeError("softmax_cross_entropy expects (B, C) logits")
     labels = np.asarray(labels)
-    batch = logits.data.shape[0]
-    if labels.shape != (batch,):
-        raise ShapeError("labels must be a (B,) integer vector")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    loss = -log_probs[np.arange(batch), labels].mean()
+    log_probs, loss = _log_softmax_loss(logits.data, labels)
 
     def backward(g: np.ndarray) -> None:
         if logits.requires_grad:
-            probs = np.exp(log_probs)
-            probs[np.arange(batch), labels] -= 1.0
-            _accumulate(logits, probs * (float(g) / batch))
+            _accumulate(logits, _log_softmax_loss_grad(log_probs, labels, float(g)))
 
     return _node(np.asarray(loss), (logits,), backward, "softmax_cross_entropy")
 
 
+def _log_softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
+    if logits.ndim != 2:
+        raise ShapeError("softmax_cross_entropy expects (B, C) logits")
+    batch = logits.shape[0]
+    if labels.shape != (batch,):
+        raise ShapeError("labels must be a (B,) integer vector")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - log_z
+    return log_probs, -log_probs[np.arange(batch), labels].mean()
+
+
+def _log_softmax_loss_grad(log_probs: np.ndarray, labels: np.ndarray, g: float) -> np.ndarray:
+    batch = log_probs.shape[0]
+    probs = np.exp(log_probs)
+    probs[np.arange(batch), labels] -= 1.0
+    return probs * (g / batch)
+
+
 # ---------------------------------------------------------------------------
 # No-grad ops: the forward expressions of the ops above on plain arrays, with
-# the same shape and finite-value checks, building no graph.  Inference uses
-# these; they give bit-identical outputs to their Tensor counterparts.
+# the same shape and finite-value checks, building no graph.  Inference and
+# the supernet's explicit training pass use these; they give bit-identical
+# outputs to their Tensor counterparts.
 
 
 def affine_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -338,6 +364,60 @@ def tanh_array(x: np.ndarray) -> np.ndarray:
 def normalize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
     mean, var = _norm_moments(x, stats)
     return _check_finite((x - mean) * (1.0 / np.sqrt(var + EPS_NORM)), "normalize")
+
+
+def affine_stack(
+    xs: Sequence[np.ndarray], ws: Sequence[np.ndarray], bs: Sequence[np.ndarray]
+) -> np.ndarray:
+    """``affine_array`` of n (x, w, b) triples with one output shape, written
+    into a (n, B, O) stack.  The matmuls stay separate, so each slice equals
+    its own ``affine_array`` bit for bit."""
+    for x, w, b in zip(xs, ws, bs):
+        _check_affine_shapes(x, w, b)
+        if x.shape[0] != xs[0].shape[0] or w.shape[1] != ws[0].shape[1]:
+            raise ShapeError("affine stack needs one output shape")
+    out = np.empty((len(xs), xs[0].shape[0], ws[0].shape[1]))
+    for k, (x, w) in enumerate(zip(xs, ws)):
+        np.matmul(x, w, out=out[k])
+    out += np.stack(bs)[:, None, :]
+    return _check_finite(out, "affine")
+
+
+def normalize_train_stack(
+    y: np.ndarray, stats: Sequence[NormStats]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train-mode ``normalize`` of a (n, B, W) stack, batch k with ``stats[k]``.
+
+    Returns the output and what the backward needs: the centered stack and
+    the (n, 1, W) inverse deviations.  The moments over axis 1 equal each
+    batch's own axis-0 moments bit for bit, and each batch is folded into its
+    statistics as ``normalize`` would fold it.
+    """
+    if y.ndim != 3 or y.shape[0] != len(stats):
+        raise ShapeError(f"normalize stack expects ({len(stats)},B,W), got {y.shape}")
+    for st in stats:
+        if st.width != y.shape[2]:
+            raise ShapeError(f"normalize expects (B,{st.width}), got {y.shape[1:]}")
+        if st.mode != "train":
+            raise ValueError(f"a normalize stack runs in train mode, not {st.mode!r}")
+    bm = y.mean(axis=1)
+    bv = y.var(axis=1)
+    for k, st in enumerate(stats):
+        _fold_moments(y[k], bm[k], bv[k], st)
+    inv = (1.0 / np.sqrt(bv + EPS_NORM))[:, None, :]
+    centered = y - bm[:, None, :]
+    return _check_finite(centered * inv, "normalize"), centered, inv
+
+
+def softmax_cross_entropy_array(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """``softmax_cross_entropy`` and its backward without the graph: the mean
+    loss and d(loss)/d(logits)."""
+    labels = np.asarray(labels)
+    log_probs, loss = _log_softmax_loss(logits, labels)
+    _check_finite(np.asarray(loss), "softmax_cross_entropy")
+    return float(loss), _log_softmax_loss_grad(log_probs, labels, 1.0)
 
 
 def average_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:

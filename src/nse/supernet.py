@@ -5,7 +5,9 @@ bottleneck, a nonlinearity, and a per-branch normalization) so branches have
 genuinely different capacity and cost without any convolution machinery.
 A multi-branch layer averages its selected branch outputs; normal layers
 average the identity path in as well.  Training samples one architecture per
-batch uniformly, so only the touched branches receive gradient.  Evaluation
+batch uniformly, so only the touched branches receive gradient.  It runs on
+plain arrays with one explicit backward per layer that repeats the float
+order of the ``Tensor`` autodiff tape, which the tests keep as its reference.  Evaluation
 recalibrates private copies of the selected branches' normalization
 statistics on training batches before scoring validation accuracy.  It runs
 on a no-grad path over plain arrays, and an ``InferenceCache`` shares the
@@ -27,15 +29,18 @@ from .nn import (
     add,
     affine,
     affine_array,
+    affine_stack,
     average_arrays,
     clear_grads,
     cosine_warmup_lr,
     normalize,
     normalize_array,
+    normalize_train_grad,
+    normalize_train_stack,
     relu,
     relu_array,
     scale,
-    softmax_cross_entropy,
+    softmax_cross_entropy_array,
     state_hash,
     tanh,
     tanh_array,
@@ -218,6 +223,35 @@ def build_cost_table(
 
 _ACTS = {"relu": relu, "tanh": tanh}
 _ARRAY_ACTS = {"relu": relu_array, "tanh": tanh_array}
+# d(act)/d(input) times g, from the activation's output: relu's output is
+# positive exactly where its input is, and tanh' = 1 - tanh^2
+_ACT_GRADS = {
+    "relu": lambda g, out: g * (out > 0),
+    "tanh": lambda g, out: g * (1.0 - out * out),
+}
+
+
+@dataclass
+class LayerTrace:
+    """What one layer's backward needs from the train-mode forward."""
+
+    x: np.ndarray  # the layer input
+    slots: list[int]  # selected slots, sorted
+    hidden: list[np.ndarray]  # each branch's activation output
+    centered: np.ndarray | None  # (n, B, W) centered second-affine outputs
+    inv: np.ndarray | None  # (n, 1, W) inverse batch deviations
+    branches: np.ndarray | None  # (n, B, W) normalized branch outputs
+    out: np.ndarray  # the layer output
+
+
+@dataclass
+class TrainRecord:
+    """A train-mode forward pass: its input, per-layer traces and logits."""
+
+    x: np.ndarray
+    layers: list[LayerTrace]
+    features: np.ndarray  # the head's input
+    logits: np.ndarray
 
 
 class SharedWeights:
@@ -276,7 +310,116 @@ class SharedWeights:
     def state_hash(self) -> str:
         return state_hash(self.params)
 
-    # -- forward machinery (autodiff, for training)
+    # -- training pass (plain arrays, one explicit backward per layer)
+
+    def train_forward(self, gates: Sequence[GateVector], x: np.ndarray) -> TrainRecord:
+        """Train-mode forward that records what ``train_backward`` needs.
+
+        Gives ``forward``'s logits bit for bit and folds the same batch
+        moments into the selected branches' statistics.  A layer's branches
+        share its input and output width, so their second affines are written
+        into one (n, B, W) stack that is normalized in one call; the matmuls
+        stay per branch, which keeps BLAS's summation order.
+        """
+        p = self.params
+        x = np.asarray(x, dtype=np.float64)
+        h = affine_array(x, p["stem.w"].data, p["stem.b"].data)
+        layers = []
+        for li, gate in enumerate(gates):
+            layers.append(self._layer_train_forward(li, sorted(gate.selected), h))
+            h = layers[-1].out
+        logits = affine_array(h, p["head.w"].data, p["head.b"].data)
+        return TrainRecord(x, layers, h, logits)
+
+    def _layer_train_forward(self, li: int, slots: list[int], x: np.ndarray) -> LayerTrace:
+        if not slots:
+            return LayerTrace(x, slots, [], None, None, None, self.layer_mix(li, x, []))
+        p = self.params
+        hidden = []
+        for slot in slots:
+            kind, _ = self.kinds[(li, slot)]
+            prefix = f"L{li}.S{slot}"
+            act = _ARRAY_ACTS[kind.rsplit("_", 1)[1]]
+            hidden.append(act(affine_array(x, p[f"{prefix}.w1"].data, p[f"{prefix}.b1"].data)))
+        ys = affine_stack(
+            hidden,
+            [p[f"L{li}.S{slot}.w2"].data for slot in slots],
+            [p[f"L{li}.S{slot}.b2"].data for slot in slots],
+        )
+        out, centered, inv = normalize_train_stack(ys, [self.stats[(li, s)] for s in slots])
+        return LayerTrace(x, slots, hidden, centered, inv, out, self.layer_mix(li, x, list(out)))
+
+    def train_backward(
+        self, record: TrainRecord, dlogits: np.ndarray, param_grads: bool = True
+    ) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
+        """Backward of ``record`` from d(loss)/d(logits).
+
+        Returns the gradients of the parameters the forward touched, by name
+        (none without ``param_grads``), and the gradient of every layer's
+        output.  The float operations follow the autodiff tape's order, so
+        the results equal ``forward`` plus ``Tensor.backward`` bit for bit.
+        """
+        p = self.params
+        grads: dict[str, np.ndarray] = {}
+        if param_grads:
+            grads["head.w"] = record.features.T @ dlogits
+            grads["head.b"] = dlogits.sum(axis=0)
+        g = dlogits @ p["head.w"].data.T
+        out_grads = []
+        for li in reversed(range(len(record.layers))):
+            out_grads.append(g)
+            # layer 0's input gradient feeds only the stem's weights
+            need_input = param_grads or li > 0
+            g = self._layer_backward(
+                li, record.layers[li], g, grads if param_grads else None, need_input
+            )
+        if param_grads:
+            grads["stem.w"] = record.x.T @ g
+            grads["stem.b"] = g.sum(axis=0)
+        return grads, out_grads[::-1]
+
+    def _layer_backward(
+        self,
+        li: int,
+        trace: LayerTrace,
+        g: np.ndarray,
+        grads: dict[str, np.ndarray] | None,
+        need_input: bool,
+    ) -> np.ndarray | None:
+        """Gradient of the layer input given ``g`` at its output; branch
+        parameter gradients go into ``grads`` unless it is None.
+
+        The tape's order: the identity part's ``g * alpha`` comes first, then
+        each branch's ``da @ w1.T`` in sorted-slot order as a left fold; a
+        one-part layer has no scale.
+        """
+        if not trace.slots:
+            return g
+        normal = self.roles[li] == NORMAL
+        parts = len(trace.slots) + normal
+        if parts > 1:
+            g = g * (1.0 / parts)
+        dy = normalize_train_grad(g, trace.centered, trace.inv)
+        if grads is not None:
+            db2 = dy.sum(axis=1)
+        dx = g if normal else None
+        p = self.params
+        for k, slot in enumerate(trace.slots):
+            kind, _ = self.kinds[(li, slot)]
+            prefix = f"L{li}.S{slot}"
+            r = trace.hidden[k]
+            da = _ACT_GRADS[kind.rsplit("_", 1)[1]](dy[k] @ p[f"{prefix}.w2"].data.T, r)
+            if grads is not None:
+                grads[f"{prefix}.w1"] = trace.x.T @ da
+                grads[f"{prefix}.b1"] = da.sum(axis=0)
+                grads[f"{prefix}.w2"] = r.T @ dy[k]
+                grads[f"{prefix}.b2"] = db2[k]
+            if need_input:
+                dx_k = da @ p[f"{prefix}.w1"].data.T
+                dx = dx_k if dx is None else dx + dx_k
+        return dx
+
+    # -- autodiff machinery (the Tensor tape; tests use it as the reference)
 
     def branch_forward(self, layer_index: int, slot: int, x: Tensor) -> Tensor:
         kind, _ = self.kinds[(layer_index, slot)]
@@ -345,26 +488,29 @@ class SharedWeights:
         return average_arrays(parts)
 
     def layer_output_nograd(
-        self, layer_index: int, gate: GateVector, x_data: np.ndarray
+        self,
+        layer_index: int,
+        gate: GateVector,
+        x_data: np.ndarray,
+        known: Mapping[int, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Score a configuration on a fixed layer input without touching
         running statistics: each branch normalizes with a private copy of its
-        statistics, so in train mode only the copy's running values move."""
+        statistics, so in train mode only the copy's running values move.
+
+        ``known`` maps slots to branch outputs already computed on this input
+        in train mode.  A train-mode branch output depends only on its input
+        and weights, so those are mixed in as they are.
+        """
         x = np.asarray(x_data, dtype=np.float64)
+        known = known or {}
         branches = [
-            self.branch_output(layer_index, slot, x, self.stats[(layer_index, slot)].copy())
+            known[slot]
+            if slot in known
+            else self.branch_output(layer_index, slot, x, self.stats[(layer_index, slot)].copy())
             for slot in sorted(gate.selected)
         ]
         return self.layer_mix(layer_index, x, branches)
-
-
-def forward_layer(x: Tensor, gate_vector: GateVector, weights: SharedWeights) -> Tensor:
-    return weights.layer_forward(gate_vector.layer_index, gate_vector, x)
-
-
-def reinitialize(weights: SharedWeights, seed: int, subset: SubsetState) -> SharedWeights:
-    """Fresh deterministic parameters for a new round; old state is dropped."""
-    return SharedWeights(subset, weights.geometry, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +538,14 @@ def train_step_fixed(
     x, y = batch
     weights.set_mode("train")
     clear_grads(weights.params.values())
-    logits = weights.forward(arch.gate_vectors, Tensor(np.asarray(x)))
-    loss = softmax_cross_entropy(logits, np.asarray(y))
-    loss.backward()
+    record = weights.train_forward(arch.gate_vectors, x)
+    loss, dlogits = softmax_cross_entropy_array(record.logits, y)
+    grads, _ = weights.train_backward(record, dlogits)
+    for name, grad in grads.items():
+        weights.params[name].grad = grad
     optimizer.step(weights.params)
     clear_grads(weights.params.values())
-    return float(loss.data)
+    return loss
 
 
 def make_recal_batches(

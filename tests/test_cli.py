@@ -314,3 +314,74 @@ def test_pinned_oracle_artifacts_are_byte_identical(tmp_path, monkeypatch):
         for r in (1, 2, 3)
     ]
     assert draws == [569, 879, 877]
+
+
+# sha256 of each artifact of a small supernet run with its config hash cut
+# out, as written when training still ran on the autodiff tape; the explicit
+# per-layer backward must reproduce them byte for byte.  The batch size is not
+# a power of two, so dividing by it and multiplying by its reciprocal differ
+PINNED_SUPERNET_DIGESTS = {
+    "round_001/pareto.json": "36415ffab8b3998dfcbf6a7b0ba126b83b9708066870f3d1264f7f1eed0bb271",
+    "round_001/subset.json": "0e3c0a2d06deec9c5324db3764bd4e2ba799886960fe874b381ab5cf350c6515",
+    "round_001/ledger.json": "a6ecdbc89a0e68a6bc6f90756b8d8c8cec7bf3c0064b88d9a9566588ea560240",
+    "round_002/pareto.json": "e6cd742ec245316f7378dbaadf5bf0344798fc12aa3ab372c4d1a482d2562439",
+    "round_002/subset.json": "de78fda283ec4a5abf1b783fe8c527eac143a592e3b610d7371bf2aa575f4d09",
+    "round_002/ledger.json": "13ecd3b66650cd8bcbb4a25bd3f5ca107714374c3b992441dee1da3b21d4d577",
+    "round_003/pareto.json": "db18c876968cea04ee936da86912f08a302541787672b0f74b8c325716f5ca4a",
+    "round_003/subset.json": "01badf773e3823478b301d614d7a172a05d2d42168b366cb04b6e2c2fea2a1e1",
+    "round_003/ledger.json": "c07a8982cf791103a9b4883b3a1e1ffb81635fe37d73857eb2f0ead3594d6b50",
+}
+
+
+def test_pinned_supernet_artifacts_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.delenv("NSE_SEED", raising=False)
+    started = time.perf_counter()
+    path = write_config(
+        tmp_path,
+        master_seed=5,
+        evaluator="supernet",
+        max_rounds=3,
+        k_per_layer=4,
+        pool={"num_layers": 3, "ops_per_layer": 12, "reduction_layers": [2], "preset": "toy"},
+        network={"stem_width": 8, "layer_widths": [8, 8, 12]},
+        constraint={"tau": 1.5, "alpha": 0.05},
+        retrieval={
+            "samples": 6, "auxiliary": 2, "recal_batches": 2,
+            "recal_batch_size": 32, "eval_batch_size": 128,
+        },
+        dataset={"seed": 1, "input_dim": 6, "classes": 3, "train_size": 400, "val_size": 200},
+        training={"steps": 60, "batch_size": 40, "warmup_steps": 4, "indicator_lr": 0.5},
+    )
+    assert main(["run", str(path)]) == 0
+    assert time.perf_counter() - started < 4.0
+    out = tmp_path / "run"
+    chash = json.loads((out / "manifest.json").read_text())["config_hash"].encode()
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes().replace(chash, b"")).hexdigest()
+        for name in PINNED_SUPERNET_DIGESTS
+    }
+    assert digests == PINNED_SUPERNET_DIGESTS
+
+    # the manifests record every indicator step and every pruned operation
+    pruned = 0
+    for r in (1, 2, 3):
+        diagnostics = json.loads((out / f"round_00{r}" / "manifest.json").read_text())[
+            "diagnostics"
+        ]
+        curves = diagnostics["indicator_curves"]
+        assert sorted(curves) == ["expected_cost_gap", "loss", "penalty"]
+        assert all(len(curve) == 60 // 2 for curve in curves.values())
+        assert all(loss > 0.0 for loss in curves["loss"])
+        log = diagnostics["prune_log"]
+        assert len(log) == diagnostics["pruned"]
+        subset = json.loads((out / f"round_00{r}" / "subset.json").read_text())["subset"]
+        for record in log:
+            assert 0 <= record["step"] < 60 // 2
+            assert record["indicator"] < -2.0  # the default prune threshold
+            entry = next(
+                e for e in subset["layers"][record["layer"]]["entries"]
+                if e["slot"] == record["slot"]
+            )
+            assert not entry["active"]
+        pruned += len(log)
+    assert pruned > 0

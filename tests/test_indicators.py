@@ -378,3 +378,117 @@ def test_theta_adam_rejects_non_finite_gradient():
     opt = ThetaAdam(lr=0.1)
     with pytest.raises(FloatingPointError):
         opt.step(thetas, {(0, 0): float("nan")})
+
+
+def tape_indicator_update_step(
+    thetas, weights, subset, val_batch, cost_table, constraint_cfg, optimizer, rng
+):
+    """Reference: the indicator step on the Tensor graph, as it was written
+    before the explicit training pass (weight gradients formed and dropped,
+    every gate-b branch recomputed)."""
+    from nse import nn
+    from nse.resources import layer_cost, penalty, penalty_gradient_wrt_r
+
+    x, y = val_batch
+    gates_a, gates_b = [], []
+    for li in range(subset.num_layers):
+        gates_a.append(sample_config(thetas, rng, li, subset.roles[li]))
+        gates_b.append(sample_config(thetas, rng, li, subset.roles[li]))
+    weights.set_mode("train")
+    nn.clear_grads(weights.params.values())
+    logits, layer_inputs, layer_outputs = weights.forward_collect(gates_a, nn.Tensor(x))
+    loss = nn.softmax_cross_entropy(logits, y)
+    loss.backward()
+    per_layer = []
+    for li in range(subset.num_layers):
+        out = layer_outputs[li]
+        o_b = weights.layer_output_nograd(li, gates_b[li], layer_inputs[li].data)
+        s_a = float(np.sum(out.grad * out.data))
+        s_b = float(np.sum(out.grad * o_b))
+        pt_a, pt_b = rescale_pair(
+            config_probability(gates_a[li], thetas), config_probability(gates_b[li], thetas)
+        )
+        d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], thetas)
+        c_a = layer_cost(gates_a[li], cost_table)
+        c_b = layer_cost(gates_b[li], cost_table)
+        per_layer.append((li, s_a, s_b, pt_a, pt_b, d_tilde, c_a, c_b))
+    r_value = (
+        cost_table.fixed_overhead
+        - constraint_cfg.tau
+        + sum(pt_a * c_a + pt_b * c_b for _, _, _, pt_a, pt_b, _, c_a, c_b in per_layer)
+    )
+    pg = penalty_gradient_wrt_r(r_value, constraint_cfg)
+    grads = {}
+    for li, s_a, s_b, _, _, d_tilde, c_a, c_b in per_layer:
+        for slot, d in d_tilde.items():
+            grads[(li, slot)] = (s_a - s_b) * d + pg * d * (c_a - c_b)
+    optimizer.step(thetas, grads)
+    nn.clear_grads(weights.params.values())
+    return {
+        "loss": float(loss.data),
+        "expected_cost_gap": r_value,
+        "penalty": penalty(r_value, constraint_cfg),
+    }
+
+
+def test_indicator_step_matches_the_tape_bit_for_bit():
+    roles = ("normal", "normal", "reduction")
+    family = toy_op_family()
+    decl = [
+        DeclaredLayer(role=r, ops=[DeclaredOp(family[i].kind, dict(family[i].params)) for i in range(5)])
+        for r in roles
+    ]
+    pool = shuffle_pool(decl, seed=4)
+    subset = init_subset(pool, capacity=5, seed=0, ledger=TraversalLedger())
+    geometry = NetworkGeometry(input_dim=5, stem_width=6, layer_widths=(6, 6, 8), classes=3)
+    table = CostTable(
+        cost={(li, s): 1.0 + li + 0.25 * s for li in range(3) for s in range(5)},
+        fixed_overhead=0.5,
+    )
+    cfg = ConstraintConfig(tau=6.0, alpha=1e-2, beta=2.0)
+    x = make_rng("tape-x", 0).normal(size=(16, 5))
+    y = make_rng("tape-y", 0).integers(0, 3, size=16)
+
+    def fresh_thetas():
+        thetas = FitnessIndicators.for_subset(subset)
+        vals = make_rng("tape-thetas", 0).normal(size=15)
+        for li in range(3):
+            for k, slot in enumerate(thetas.slots(li)):
+                thetas.set(li, slot, float(vals[li * 5 + k]))
+        return thetas
+
+    # a sampling seed whose gate-b configurations both share branches with
+    # gate a and select branches gate a left out
+    for attempt in range(100):
+        probe = make_rng("tape-pair", attempt)
+        thetas = fresh_thetas()
+        pairs = [
+            (sample_config(thetas, probe, li, roles[li]).selected,
+             sample_config(thetas, probe, li, roles[li]).selected)
+            for li in range(3)
+        ]
+        if any(a & b for a, b in pairs) and any(b - a for a, b in pairs):
+            break
+    else:
+        pytest.fail("no sampling seed mixes shared and unshared gate-b branches")
+
+    results = []
+    for step in (indicator_update_step, tape_indicator_update_step):
+        weights = SharedWeights(subset, geometry, seed=21)
+        thetas = fresh_thetas()
+        before = weights.state_hash()
+        out = step(
+            thetas, weights, subset, (x, y), table, cfg, ThetaAdam(lr=0.1),
+            make_rng("tape-pair", attempt),
+        )
+        assert weights.state_hash() == before
+        assert all(p.grad is None for p in weights.params.values())
+        stats = {k: (s.running_mean, s.running_var) for k, s in weights.stats.items()}
+        results.append((out, thetas.values, stats))
+    (fast, fast_thetas, fast_stats), (tape, tape_thetas, tape_stats) = results
+    assert fast == tape
+    assert fast_thetas == tape_thetas
+    assert fast_thetas != fresh_thetas().values  # the step moved the indicators
+    for key, (mean, var) in tape_stats.items():
+        assert np.array_equal(fast_stats[key][0], mean)
+        assert np.array_equal(fast_stats[key][1], var)

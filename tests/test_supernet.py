@@ -3,7 +3,14 @@ import pytest
 
 from conftest import central_difference
 from nse.rng import make_rng
-from nse.nn import SGD, NotFiniteError, Tensor, softmax_cross_entropy
+from nse.nn import (
+    SGD,
+    NotFiniteError,
+    Tensor,
+    clear_grads,
+    softmax_cross_entropy,
+    softmax_cross_entropy_array,
+)
 from nse.space import (
     Architecture,
     DeclaredLayer,
@@ -25,13 +32,12 @@ from nse.supernet import (
     TrainingConfig,
     build_cost_table,
     evaluate,
-    forward_layer,
     make_recal_batches,
     op_cost,
-    reinitialize,
     toy_op_family,
     train_architecture,
     train_step,
+    train_step_fixed,
 )
 
 
@@ -73,7 +79,7 @@ def test_forward_normal_layer_all_gates_zero_is_identity():
     _, subset, _, weights = build_net()
     weights.set_mode("eval")
     x = Tensor(make_rng("fx", 0).normal(size=(4, 6)))
-    out = forward_layer(x, GateVector(0, frozenset()), weights)
+    out = weights.layer_forward(0, GateVector(0, frozenset()), x)
     assert out is x
 
 
@@ -84,7 +90,7 @@ def test_forward_normal_layer_averages_identity_and_branches():
     x = Tensor(make_rng("fx", 1).normal(size=(4, 6)))
     b0 = weights.branch_forward(0, slots[0], x)
     b1 = weights.branch_forward(0, slots[1], x)
-    out = forward_layer(x, GateVector(0, frozenset(slots)), weights)
+    out = weights.layer_forward(0, GateVector(0, frozenset(slots)), x)
     expected = (x.data + b0.data + b1.data) / 3.0
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -97,7 +103,7 @@ def test_forward_reduction_layer_averages_selected_branches():
     picked = [slots[0], slots[2]]
     b0 = weights.branch_forward(1, picked[0], x)
     b2 = weights.branch_forward(1, picked[1], x)
-    out = forward_layer(x, GateVector(1, frozenset(picked)), weights)
+    out = weights.layer_forward(1, GateVector(1, frozenset(picked)), x)
     assert np.allclose(out.data, (b0.data + b2.data) / 2.0, atol=1e-12)
 
 
@@ -105,7 +111,7 @@ def test_forward_reduction_layer_rejects_empty_gates():
     _, _, _, weights = build_net()
     x = Tensor(np.zeros((2, 6)))
     with pytest.raises(SpaceError):
-        forward_layer(x, GateVector(1, frozenset()), weights)
+        weights.layer_forward(1, GateVector(1, frozenset()), x)
 
 
 def test_forward_linearity_of_disjoint_gate_unions():
@@ -114,9 +120,9 @@ def test_forward_linearity_of_disjoint_gate_unions():
     slots = subset.active_slots(0)
     g1, g2 = slots[:2], slots[2:]
     x = Tensor(make_rng("fx", 3).normal(size=(4, 6)))
-    out1 = forward_layer(x, GateVector(0, frozenset(g1)), weights)
-    out2 = forward_layer(x, GateVector(0, frozenset(g2)), weights)
-    union = forward_layer(x, GateVector(0, frozenset(slots)), weights)
+    out1 = weights.layer_forward(0, GateVector(0, frozenset(g1)), x)
+    out2 = weights.layer_forward(0, GateVector(0, frozenset(g2)), x)
+    union = weights.layer_forward(0, GateVector(0, frozenset(slots)), x)
     mix = (len(g1) * out1.data + len(g2) * out2.data) / len(slots)
     assert np.max(np.abs(union.data - mix)) < 1e-10
 
@@ -283,10 +289,10 @@ def test_evaluate_is_deterministic_and_pure():
 
 def test_reinitialize_determinism_and_init_law():
     _, subset, geometry, weights = build_net(seed=2)
-    w1 = reinitialize(weights, 42, subset)
-    w2 = reinitialize(weights, 42, subset)
+    w1 = SharedWeights(subset, geometry, 42)
+    w2 = SharedWeights(subset, geometry, 42)
     assert w1.state_hash() == w2.state_hash()
-    w3 = reinitialize(weights, 43, subset)
+    w3 = SharedWeights(subset, geometry, 43)
     assert w3.state_hash() != w1.state_hash()
     # per-block sample mean within 3 sigma of the zero-mean init law
     for name, p in w1.params.items():
@@ -481,3 +487,122 @@ def test_layer_output_nograd_matches_train_mode_graph_on_copies():
             assert np.array_equal(s.running_mean, before[k])
         expected = weights.layer_forward(li, gate, Tensor(x)).data  # moves the shared stats
         assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# The explicit training pass against the autodiff tape
+
+
+def tape_train_step_fixed(weights, arch, batch, optimizer):
+    """Reference: one weight step through the Tensor graph and its backward."""
+    x, y = batch
+    weights.set_mode("train")
+    clear_grads(weights.params.values())
+    logits = weights.forward(arch.gate_vectors, Tensor(np.asarray(x)))
+    loss = softmax_cross_entropy(logits, np.asarray(y))
+    loss.backward()
+    optimizer.step(weights.params)
+    clear_grads(weights.params.values())
+    return float(loss.data)
+
+
+def training_archs(subset, rng, count):
+    """Fixed corner cases first, then uniform draws, for the roles
+    (normal, normal, reduction)."""
+    slots = [subset.active_slots(li) for li in range(3)]
+    archs = [
+        Architecture.from_encoding([[], [], slots[2][:1]]),
+        Architecture.from_encoding([slots[0], slots[1], slots[2]]),
+        Architecture.from_encoding([slots[0][:1], [], slots[2][1:3]]),
+        Architecture.from_encoding([[], slots[1][1:], slots[2][3:]]),
+    ]
+    archs += [sample_uniform_architecture(subset, rng) for _ in range(count - len(archs))]
+    gates = [gv for a in archs for gv in a.gate_vectors]
+    assert any(not gv.selected for gv in gates)  # empty normal gates
+    assert any(len(gv.selected) == 1 for gv in gates[2::3])  # one-branch reduction
+    assert any(len(gv.selected) > 1 for gv in gates[0::3])  # multi-branch normal
+    assert any(len(gv.selected) > 1 for gv in gates[2::3])  # multi-branch reduction
+    return archs
+
+
+def test_train_step_matches_the_tape_bit_for_bit():
+    seed = 11
+    nets = [
+        build_net(roles=("normal", "normal", "reduction"), ops=4, seed=seed)
+        for _ in range(2)
+    ]
+    subset = nets[0][1]
+    data = ToyDataset.generate(
+        DatasetConfig(seed=seed, input_dim=5, classes=3, train_size=600, val_size=100)
+    )
+    archs = training_archs(subset, make_rng("pass-archs", 0), 30)
+    losses = []
+    for (_, _, _, weights), step in zip(nets, (train_step_fixed, tape_train_step_fixed)):
+        stream = BatchStream(data.x_train, data.y_train, 32, make_rng("pass-train", seed))
+        opt = SGD(lr=0.05, momentum=0.9, nesterov=True, weight_decay=4e-5)
+        losses.append([step(weights, arch, stream.next(), opt) for arch in archs])
+    fast, tape = nets[0][3], nets[1][3]
+    assert losses[0] == losses[1]
+    assert len(set(losses[0])) > 20
+    assert fast.state_hash() == tape.state_hash()
+    for key, stats in tape.stats.items():
+        assert np.array_equal(fast.stats[key].running_mean, stats.running_mean), key
+        assert np.array_equal(fast.stats[key].running_var, stats.running_var), key
+        assert stats.running_mean.any()  # every branch was trained
+
+
+def test_train_backward_matches_tape_gradients():
+    _, subset, _, fast = build_net(roles=("normal", "normal", "reduction"), ops=4, seed=12)
+    _, _, _, tape = build_net(roles=("normal", "normal", "reduction"), ops=4, seed=12)
+    rng = make_rng("pass-grads", 0)
+    x = rng.normal(size=(24, 5))
+    y = rng.integers(0, 3, size=24)
+    for arch in training_archs(subset, rng, 8):
+        fast.set_mode("train")
+        tape.set_mode("train")
+        record = fast.train_forward(arch.gate_vectors, x)
+        loss, dlogits = softmax_cross_entropy_array(record.logits, y)
+        grads, out_grads = fast.train_backward(record, dlogits)
+        _, no_params = fast.train_backward(record, dlogits, param_grads=False)
+
+        clear_grads(tape.params.values())
+        logits, inputs, outputs = tape.forward_collect(arch.gate_vectors, Tensor(x))
+        tape_loss = softmax_cross_entropy(logits, y)
+        tape_loss.backward()
+        assert loss == float(tape_loss.data)
+        assert np.array_equal(record.logits, logits.data)
+        for li, trace in enumerate(record.layers):
+            assert np.array_equal(trace.x, inputs[li].data)
+            assert np.array_equal(trace.out, outputs[li].data)
+            assert np.array_equal(out_grads[li], outputs[li].grad)
+            assert np.array_equal(no_params[li], outputs[li].grad)
+        touched = {name for name, p in tape.params.items() if p.grad is not None}
+        assert set(grads) == touched
+        for name in touched:
+            assert np.array_equal(grads[name], tape.params[name].grad), name
+
+
+def test_nan_in_deeper_layer_w2_raises_from_train_step():
+    _, subset, _, weights = build_net(roles=("normal", "normal", "reduction"), ops=4, seed=13)
+    slots = [subset.active_slots(li) for li in range(3)]
+    weights.params[f"L1.S{slots[1][2]}.w2"].data[0, 0] = np.nan
+    data = ToyDataset.generate(DatasetConfig(seed=1, input_dim=5, classes=3, train_size=64))
+    stream = BatchStream(data.x_train, data.y_train, 16, make_rng("pass-nan", 0))
+    opt = SGD(lr=0.05)
+    # architectures that skip the broken branch train normally
+    healthy = Architecture.from_encoding([slots[0], slots[1][:2], slots[2][:1]])
+    train_step_fixed(weights, healthy, stream.next(), opt)
+    arch = Architecture.from_encoding([slots[0][:1], slots[1][1:], slots[2][:1]])
+    with pytest.raises(NotFiniteError, match="affine"):
+        train_step_fixed(weights, arch, stream.next(), opt)
+    with pytest.raises(NotFiniteError, match="affine"):
+        train_step(weights, subset, stream.next(), _rng_selecting(subset, 1, slots[1][2]), opt)
+
+
+def _rng_selecting(subset, layer_index, slot):
+    """A generator whose next uniform architecture selects ``slot``."""
+    for attempt in range(100):
+        arch = sample_uniform_architecture(subset, make_rng("pass-nan-arch", attempt))
+        if slot in arch.selected(layer_index):
+            return make_rng("pass-nan-arch", attempt)
+    raise AssertionError("no seed selects the slot")
