@@ -133,7 +133,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     sizes = [cfg.pool.ops_per_layer] * cfg.pool.num_layers
-    exact = count_architectures(sizes, cfg.capacity, cfg.pool.roles())
+    exact = count_architectures(sizes, cfg.k_per_layer, cfg.pool.roles())
     print(f"exact: {exact}")
     print(f"approx: {scientific(exact)}")
     return EXIT_OK

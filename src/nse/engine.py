@@ -79,7 +79,7 @@ class RetrievalConfig:
     band used to smooth the front near the cost cutoff.
     """
 
-    samples: int
+    samples: int = 200
     auxiliary: int = 0
     recal_batches: int = 16
     recal_batch_size: int = 128
@@ -87,8 +87,10 @@ class RetrievalConfig:
     stall_factor: int = 100
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        sizes = ("samples", "recal_batches", "recal_batch_size", "eval_batch_size", "stall_factor")
+        for name in sizes:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.auxiliary < 0:
             raise ValueError("auxiliary must be >= 0")
 

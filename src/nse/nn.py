@@ -11,9 +11,7 @@ against.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import struct
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,9 +46,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def backward(self) -> None:
         """Reverse-mode sweep seeding d(self)/d(self) = 1; scalar only."""
@@ -177,20 +172,6 @@ def scale(x: Tensor, alpha: float) -> Tensor:
     return _node(x.data * alpha, (x,), backward, "scale")
 
 
-def mean_over(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    data = np.mean(x.data, axis=axes)
-    count = x.data.size if axes is None else math.prod(x.data.shape[a] for a in axes)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            if axes is None:
-                _accumulate(x, np.full_like(x.data, float(g) / count))
-            else:
-                _accumulate(x, np.broadcast_to(np.expand_dims(g, axes), x.data.shape) / count)
-
-    return _node(data, (x,), backward, "mean_over")
-
-
 class NormStats:
     """Per-feature running statistics with train/eval/recalibrate modes.
 
@@ -298,17 +279,6 @@ def normalize(x: Tensor, stats: NormStats) -> Tensor:
             _accumulate(x, normalize_train_grad(g, centered, inv))
 
     return _node(data, (x,), backward, "normalize")
-
-
-def recalibrate(stats: NormStats, batches: Sequence[np.ndarray]) -> NormStats:
-    """Replace running statistics with the exact aggregate over ``batches``."""
-    if len(batches) == 0:
-        raise ValueError("recalibrate needs at least one batch")
-    stats.begin_recalibration()
-    for batch in batches:
-        normalize(Tensor(batch), stats)
-    stats.finish_recalibration()
-    return stats
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -468,36 +438,6 @@ class SGD:
             p.data = p.data - self.lr * g
 
 
-class Adam:
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._t: dict[str, int] = {}
-
-    def step(self, params: Mapping[str, Tensor]) -> None:
-        for name, p in params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            t = self._t.get(name, 0) + 1
-            m = self.b1 * self._m.get(name, np.zeros_like(g)) + (1 - self.b1) * g
-            v = self.b2 * self._v.get(name, np.zeros_like(g)) + (1 - self.b2) * g * g
-            self._t[name], self._m[name], self._v[name] = t, m, v
-            m_hat = m / (1 - self.b1**t)
-            v_hat = v / (1 - self.b2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
 def cosine_warmup_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int) -> float:
     """Linear warm-up into a cosine decay that reaches 0 at the last step."""
     if warmup_steps > 0 and step < warmup_steps:
@@ -505,41 +445,6 @@ def cosine_warmup_lr(step: int, total_steps: int, base_lr: float, warmup_steps: 
     span = max(1, total_steps - warmup_steps)
     progress = min(1.0, (step - warmup_steps) / span)
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * progress))
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-
-_MAGIC = b"NSECKPT1"
-
-
-def save_checkpoint(path: str, params: Mapping[str, Tensor]) -> None:
-    """Shape manifest (JSON) followed by raw little-endian float64 data."""
-    names = sorted(params)
-    manifest = {"params": [{"name": n, "shape": list(params[n].shape)} for n in names]}
-    header = json.dumps(manifest).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for n in names:
-            fh.write(params[n].data.astype("<f8").tobytes())
-
-
-def load_checkpoint(path: str) -> dict[str, Tensor]:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(header_len).decode())
-        params = {}
-        for entry in manifest["params"]:
-            shape = tuple(entry["shape"])
-            count = math.prod(shape) if shape else 1
-            raw = fh.read(8 * count)
-            data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            params[entry["name"]] = Tensor(data, requires_grad=True)
-    return params
 
 
 def state_hash(params: Mapping[str, Tensor]) -> str:

@@ -77,10 +77,6 @@ class LayerSpec:
             raise SpaceError(f"duplicate slot indices in layer {self.layer_index}")
 
     @property
-    def has_identity(self) -> bool:
-        return self.role == NORMAL
-
-    @property
     def size(self) -> int:
         return len(self.pool)
 
@@ -104,10 +100,6 @@ class SearchSpacePool:
     @property
     def roles(self) -> tuple[str, ...]:
         return tuple(layer.role for layer in self.layers)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(layer.size for layer in self.layers)
 
     def descriptor(self, layer_index: int, slot_index: int) -> OperationDescriptor:
         for op in self.layers[layer_index].pool:
@@ -591,49 +583,6 @@ def aggregate(
 
 # ---------------------------------------------------------------------------
 # JSON snapshots
-
-
-def pool_to_json(pool: SearchSpacePool) -> dict:
-    return {
-        "shuffle_seed": pool.shuffle_seed,
-        "layers": [
-            {
-                "layer_index": layer.layer_index,
-                "role": layer.role,
-                "ops": [
-                    {
-                        "slot": op.slot_index,
-                        "kind": op.kind,
-                        "params": op.params,
-                        "trainable": op.trainable,
-                    }
-                    for op in layer.pool
-                ],
-            }
-            for layer in pool.layers
-        ],
-    }
-
-
-def pool_from_json(data: dict) -> SearchSpacePool:
-    layers = [
-        LayerSpec(
-            layer_index=entry["layer_index"],
-            role=entry["role"],
-            pool=[
-                OperationDescriptor(
-                    layer_index=entry["layer_index"],
-                    slot_index=op["slot"],
-                    kind=op["kind"],
-                    params=dict(op["params"]),
-                    trainable=op.get("trainable", True),
-                )
-                for op in entry["ops"]
-            ],
-        )
-        for entry in data["layers"]
-    ]
-    return SearchSpacePool(layers=layers, shuffle_seed=data["shuffle_seed"])
 
 
 def subset_to_json(subset: SubsetState) -> dict:

@@ -110,6 +110,13 @@ class TrainingConfig:
     warmup_steps: int = 20
     indicator_lr: float = 0.1
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        for name in ("steps", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass
 class DatasetConfig:
@@ -121,6 +128,11 @@ class DatasetConfig:
     clusters_per_class: int = 2
     noise: float = 0.6
     radius: float = 2.0
+
+    def __post_init__(self) -> None:
+        for name in ("input_dim", "classes", "train_size", "val_size", "clusters_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

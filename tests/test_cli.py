@@ -1,9 +1,15 @@
 import hashlib
 import json
+import re
 import time
+from pathlib import Path
+
+import pytest
 
 from nse.cli import main
-from nse.config import config_hash, parse_config, resolved_dict
+from nse.config import ConfigError, config_hash, parse_config, resolved_dict
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -385,3 +391,96 @@ def test_pinned_supernet_artifacts_are_byte_identical(tmp_path, monkeypatch):
             assert not entry["active"]
         pruned += len(log)
     assert pruned > 0
+
+
+# sha256 of the resolved config of the default and of each benchmark workload;
+# a change to a key name, a default or the float/int form of a value shows here
+PINNED_CONFIG_HASHES = {
+    None: "034957a8674eaa996c484d6b299230147dd8eff2dae1fba9f0017d792acbcdbb",
+    "oracle-sample": "d5d324800f702ab9a46dae23690b2b5cc14004def3627c932db16e0fef593c54",
+    "supernet-eval": "6f884a0b27a83237e86d922d014c2aa0b224218a8eb1c81be20f4c653fdf524e",
+    "supernet-train": "27e6b97312fd399e06675a7319def0536cb0d3bf45478f5e9e2d51f0ef3883e5",
+}
+
+
+def test_pinned_config_hashes():
+    def load(name):
+        if name is None:
+            return {}
+        return json.loads((REPO / "bench" / "workloads" / f"{name}.json").read_text())
+
+    got = {name: config_hash(parse_config(load(name))) for name in PINNED_CONFIG_HASHES}
+    assert got == PINNED_CONFIG_HASHES
+    # an integer where a number is expected hashes as the float it stands for
+    assert config_hash(parse_config({"constraint": {"tau": 300}})) == PINNED_CONFIG_HASHES[None]
+
+
+SIZES = [
+    ("dataset", "input_dim", 0),
+    ("dataset", "classes", 0),
+    ("dataset", "train_size", 0),
+    ("dataset", "val_size", 0),
+    ("dataset", "clusters_per_class", 0),
+    ("training", "batch_size", 0),
+    ("training", "steps", -5),
+    ("training", "warmup_steps", -1),
+    ("retrieval", "recal_batches", 0),
+    ("retrieval", "recal_batch_size", 0),
+    ("retrieval", "eval_batch_size", 0),
+    ("retrieval", "stall_factor", 0),
+]
+
+# (config, text the error must contain): each must raise ConfigError
+REJECTED = [
+    # an unknown key in the root and in each section
+    ({"bogus": 1}, ["config", "bogus"]),
+    *[
+        ({section: {"bogus": 1}}, [f"config.{section}", "bogus"])
+        for section in (
+            "pool", "constraint", "retrieval", "benchmark", "dataset", "training", "network"
+        )
+    ],
+    # values of the wrong type
+    ({"max_rounds": True}, ["config", "max_rounds"]),
+    ({"constraint": {"tau": "300"}}, ["config.constraint", "tau"]),
+    ({"lock_and_rehearse": 1}, ["config", "lock_and_rehearse"]),
+    ({"pool": {"reduction_layers": 3}}, ["config.pool", "reduction_layers"]),
+    ({"pool": {"reduction_layers": [True]}}, ["config.pool", "reduction_layers"]),
+    ({"network": {"layer_widths": [24, 0, 24, 32]}}, ["config.network", "layer_widths"]),
+    # null where the key is not optional
+    ({"master_seed": None}, ["config", "master_seed"]),
+    ({"output_dir": None}, ["config", "output_dir"]),
+    ({"max_rounds": None}, ["config", "max_rounds"]),
+    ({"retrieval": {"samples": None}}, ["config.retrieval", "samples"]),
+    ({"constraint": {"tau": None}}, ["config.constraint", "tau"]),
+    ({"benchmark": {"chance": None}}, ["config.benchmark", "chance"]),
+    ({"training": {"lr": None}}, ["config.training", "lr"]),
+    ({"pool": {"reduction_layers": None}}, ["config.pool", "reduction_layers"]),
+    # a section that is not an object
+    ({"pool": [1, 2]}, ["config.pool"]),
+    ({"training": None}, ["config.training"]),
+    # sizes out of range
+    *[({section: {key: value}}, [f"config.{section}", key]) for section, key, value in SIZES],
+]
+
+
+@pytest.mark.parametrize(
+    "data,needles", REJECTED, ids=[json.dumps(data) for data, _ in REJECTED]
+)
+def test_parse_config_rejections(data, needles):
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    for needle in needles:
+        assert needle in str(info.value)
+
+
+def test_null_is_accepted_for_upper_bound_and_cost_table():
+    explicit = parse_config({"constraint": {"upper_bound": None, "cost_table": None}})
+    assert resolved_dict(explicit) == resolved_dict(parse_config({}))
+
+
+def test_readme_config_block_is_the_default():
+    text = (REPO / "README.md").read_text()
+    block = re.search(r"### Config\n.*?```json\n(.*?)```", text, re.S).group(1)
+    data = json.loads(re.sub(r"//.*$", "", block, flags=re.M))
+    assert resolved_dict(parse_config(data)) == resolved_dict(parse_config({}))

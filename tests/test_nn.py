@@ -7,22 +7,15 @@ from conftest import central_difference
 from nse.rng import make_rng
 from nse import nn
 from nse.nn import (
-    Adam,
     NormStats,
     SGD,
     Tensor,
     affine,
     clear_grads,
     cosine_warmup_lr,
-    load_checkpoint,
-    mean_over,
     normalize,
-    recalibrate,
     relu,
-    save_checkpoint,
-    scale,
     softmax_cross_entropy,
-    state_hash,
     tanh,
 )
 
@@ -36,8 +29,8 @@ def test_cross_entropy_uniform_logits():
 def test_relu_backward_masks_negative_inputs():
     x = Tensor(np.array([[-1.0, 2.0]]), requires_grad=True)
     y = relu(x)
-    # scale the mean back up so the upstream gradient at y is exactly (1, 1)
-    loss = scale(mean_over(y), y.data.size)
+    # sum the outputs, so the upstream gradient at y is exactly (1, 1)
+    loss = affine(y, Tensor(np.ones((2, 1))), Tensor(np.zeros(1)))
     loss.backward()
     assert np.array_equal(x.grad, np.array([[0.0, 1.0]]))
 
@@ -130,6 +123,14 @@ def test_train_mode_updates_running_stats():
     assert stats.running_mean == pytest.approx([0.5 * 2.0, 0.5 * 4.0])
 
 
+def recalibrate(stats, batches):
+    """Recalibrate ``stats`` on ``batches`` with the calls evaluation makes."""
+    stats.begin_recalibration()
+    for batch in batches:
+        nn.normalize_array(batch, stats)
+    stats.finish_recalibration()
+
+
 def test_recalibrate_constant_batch():
     stats = NormStats(3)
     recalibrate(stats, [np.full((10, 3), 2.5)])
@@ -197,21 +198,9 @@ def test_sgd_skips_parameters_without_grad():
     assert np.array_equal(p.data, before)
 
 
-def test_adam_first_step_closed_form():
-    g = np.array([0.3, -2.0, 0.01])
-    p = Tensor(np.zeros(3), requires_grad=True)
-    p.grad = g.copy()
-    opt = Adam(lr=0.1, betas=(0.9, 0.999), eps=1e-8)
-    opt.step({"p": p})
-    expected = -0.1 * g / (np.abs(g) + 1e-8)
-    assert p.data == pytest.approx(expected, rel=1e-9)
-
-
 def test_optimizers_reject_nonpositive_lr():
     with pytest.raises(ValueError):
         SGD(lr=0.0)
-    with pytest.raises(ValueError):
-        Adam(lr=-1.0)
 
 
 def test_cosine_warmup_schedule_shape():
@@ -221,21 +210,6 @@ def test_cosine_warmup_schedule_shape():
     assert max(lrs) == pytest.approx(base)
     assert lrs[-1] < 0.01 * base
     assert all(a >= b for a, b in zip(lrs[warm:], lrs[warm + 1 :]))
-
-
-def test_checkpoint_roundtrip_and_hash(tmp_path):
-    rng = make_rng("ckpt", 0)
-    params = {
-        "a.w": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        "a.b": Tensor(rng.normal(size=4), requires_grad=True),
-    }
-    path = tmp_path / "weights.ckpt"
-    save_checkpoint(str(path), params)
-    back = load_checkpoint(str(path))
-    assert set(back) == set(params)
-    for name in params:
-        assert np.array_equal(back[name].data, params[name].data)
-    assert state_hash(back) == state_hash(params)
 
 
 def test_clear_grads():
