@@ -158,6 +158,10 @@ class BenchmarkSettings:
     def __post_init__(self) -> None:
         if not (0.0 < self.chance < self.ceiling < 1.0):
             raise ValueError("requires 0 < chance < ceiling < 1")
+        if not self.cost_low >= 0:
+            raise ValueError("cost_low must be >= 0")
+        if not self.cost_low <= self.cost_high:
+            raise ValueError("cost_low must be <= cost_high")
 
     def build(self, pool: SearchSpacePool) -> SyntheticBenchmark:
         return SyntheticBenchmark.generate(

@@ -100,10 +100,13 @@ def clear_grads(tensors: Iterable[Tensor]) -> None:
 # Ops
 
 
-def _check_affine_shapes(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
+def _check_affine_shapes(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stacked: bool = False
+) -> None:
+    """``stacked`` also admits an (R, B, I) stack of inputs."""
+    if x.ndim not in ((2, 3) if stacked else (2,)) or w.ndim != 2 or b.ndim != 1:
         raise ShapeError("affine expects x:(B,I) w:(I,O) b:(O,)")
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+    if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"affine shape mismatch: x{x.shape} w{w.shape} b{b.shape}")
 
 
@@ -207,6 +210,21 @@ class NormStats:
         self._count = 0
         self.mode = "recalibrate"
 
+    def accumulate(self, x: np.ndarray, sums: np.ndarray | None = None) -> None:
+        """Recalibrate mode: fold the raw sums of every batch of the
+        (R, B, W) stack ``x`` in batch order.  ``sums``, when given, are its
+        (R, 1, W) sums over axis 1, already taken."""
+        if self.mode != "recalibrate":
+            raise ValueError(f"accumulate runs in recalibrate mode, not {self.mode!r}")
+        if x.ndim != 3 or x.shape[2] != self.width:
+            raise ShapeError(f"recalibration expects (R,B,{self.width}), got {x.shape}")
+        if sums is None:
+            sums = x.sum(axis=1, keepdims=True)
+        for s, q in zip(sums[:, 0], (x * x).sum(axis=1)):
+            self._sum += s
+            self._sumsq += q
+        self._count += x.shape[0] * x.shape[1]
+
     def finish_recalibration(self) -> None:
         if self._count == 0:
             raise ValueError("no batches forwarded during recalibration")
@@ -216,11 +234,53 @@ class NormStats:
         self.mode = "eval"
 
 
+def batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sum, mean, centered values and population variance of every batch of
+    ``x`` over axis -2, with that axis kept.
+
+    ``x`` is one (B, W) batch or an (R, B, W) stack.  One sum serves the mean
+    and the recalibration fold, and the centered array serves the variance
+    and the normalized output.  The results equal ``x.sum``, ``x.mean`` and
+    ``x.var`` over axis -2 bit for bit: numpy divides that same sum by the
+    batch size, and squares the same centered values.
+    """
+    n = x.shape[-2]
+    sums = x.sum(axis=-2, keepdims=True)
+    mean = sums / n
+    centered = x - mean
+    var = (centered * centered).sum(axis=-2, keepdims=True)
+    var /= n
+    return sums, mean, centered, var
+
+
+def _fold_moments(
+    stats: NormStats,
+    x: np.ndarray,
+    mean: np.ndarray,
+    var: np.ndarray,
+    sums: np.ndarray | None = None,
+) -> None:
+    """Fold the batches of the (R, B, W) stack ``x``, with their (R, 1, W)
+    moments and sums, into ``stats`` in batch order as its mode says."""
+    if stats.mode == "train":
+        m = stats.momentum
+        for bm, bv in zip(mean[:, 0], var[:, 0]):
+            stats.running_mean = (1.0 - m) * stats.running_mean + m * bm
+            stats.running_var = (1.0 - m) * stats.running_var + m * bv
+    elif stats.mode == "recalibrate":
+        stats.accumulate(x, sums)
+    else:
+        raise ValueError(f"unknown NormStats mode {stats.mode!r}")
+
+
 def _norm_moments(x: np.ndarray, stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
-    """The (mean, var) that ``normalize`` applies, after the mode's bookkeeping.
+    """The (mean, var) that the tape's ``normalize`` applies, after the
+    mode's bookkeeping.
 
     Eval mode reads the running values.  Train and recalibrate modes use the
-    batch's own moments and fold them into ``stats`` as the mode prescribes.
+    batch's own moments, from ``np.mean``/``np.var`` so that the tape stays
+    an independent reference for ``batch_moments``, and fold them into
+    ``stats`` as the mode prescribes.
     """
     if x.ndim != 2 or x.shape[1] != stats.width:
         raise ShapeError(f"normalize expects (B,{stats.width}), got {x.shape}")
@@ -228,22 +288,8 @@ def _norm_moments(x: np.ndarray, stats: NormStats) -> tuple[np.ndarray, np.ndarr
         return stats.running_mean, stats.running_var
     bm = x.mean(axis=0)
     bv = x.var(axis=0)
-    _fold_moments(x, bm, bv, stats)
+    _fold_moments(stats, x[None], bm[None, None], bv[None, None])
     return bm, bv
-
-
-def _fold_moments(x: np.ndarray, bm: np.ndarray, bv: np.ndarray, stats: NormStats) -> None:
-    """Fold one batch ``x`` with moments (bm, bv) into ``stats`` as its mode says."""
-    if stats.mode == "train":
-        m = stats.momentum
-        stats.running_mean = (1.0 - m) * stats.running_mean + m * bm
-        stats.running_var = (1.0 - m) * stats.running_var + m * bv
-    elif stats.mode == "recalibrate":
-        stats._sum += x.sum(axis=0)
-        stats._sumsq += (x * x).sum(axis=0)
-        stats._count += x.shape[0]
-    else:
-        raise ValueError(f"unknown NormStats mode {stats.mode!r}")
 
 
 def normalize_train_grad(g: np.ndarray, centered: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -319,21 +365,48 @@ def _log_softmax_loss_grad(log_probs: np.ndarray, labels: np.ndarray, g: float) 
 
 
 def affine_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_affine_shapes(x, w, b)
-    return _check_finite(x @ w + b, "affine")
+    """``affine`` on one (B, I) batch or an (R, B, I) stack of batches.  numpy
+    multiplies a stack one gemm per slice, so each slice equals its own
+    batch's product bit for bit."""
+    _check_affine_shapes(x, w, b, stacked=True)
+    out = x @ w
+    out += b
+    return _check_finite(out, "affine")
 
 
-def relu_array(x: np.ndarray) -> np.ndarray:
-    return _check_finite(x * (x > 0), "relu")
+def relu_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``relu``; ``out=x`` overwrites a fresh input in place."""
+    return _check_finite(np.multiply(x, x > 0, out=out), "relu")
 
 
-def tanh_array(x: np.ndarray) -> np.ndarray:
-    return _check_finite(np.tanh(x), "tanh")
+def tanh_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``tanh``; ``out=x`` overwrites a fresh input in place."""
+    return _check_finite(np.tanh(x, out=out), "tanh")
 
 
-def normalize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
-    mean, var = _norm_moments(x, stats)
-    return _check_finite((x - mean) * (1.0 / np.sqrt(var + EPS_NORM)), "normalize")
+def normalize_array(x: np.ndarray, stats: NormStats | None) -> np.ndarray:
+    """``normalize`` on one (B, W) batch or an (R, B, W) stack of batches
+    that share ``stats``.
+
+    Eval mode applies the running values.  Train and recalibrate modes
+    normalize every batch with its own moments and fold the batches into
+    ``stats`` in order, as R separate calls would.  With ``stats`` None each
+    batch uses its own moments and nothing is folded: train mode's output
+    without its bookkeeping.
+    """
+    width = x.shape[-1] if stats is None else stats.width
+    if x.ndim not in (2, 3) or x.shape[-1] != width:
+        raise ShapeError(f"normalize expects (B,{width}) or (R,B,{width}), got {x.shape}")
+    if stats is not None and stats.mode == "eval":
+        out = x - stats.running_mean
+        out *= 1.0 / np.sqrt(stats.running_var + EPS_NORM)
+        return _check_finite(out, "normalize")
+    stack = x.reshape((-1,) + x.shape[-2:])
+    sums, mean, centered, var = batch_moments(stack)
+    if stats is not None:
+        _fold_moments(stats, stack, mean, var, sums)
+    centered *= 1.0 / np.sqrt(var + EPS_NORM)
+    return _check_finite(centered.reshape(x.shape), "normalize")
 
 
 def affine_stack(
@@ -359,9 +432,9 @@ def normalize_train_stack(
     """Train-mode ``normalize`` of a (n, B, W) stack, batch k with ``stats[k]``.
 
     Returns the output and what the backward needs: the centered stack and
-    the (n, 1, W) inverse deviations.  The moments over axis 1 equal each
-    batch's own axis-0 moments bit for bit, and each batch is folded into its
-    statistics as ``normalize`` would fold it.
+    the (n, 1, W) inverse deviations.  Each batch's moments equal its own
+    axis-0 moments bit for bit, and each batch is folded into its statistics
+    as ``normalize`` would fold it.
     """
     if y.ndim != 3 or y.shape[0] != len(stats):
         raise ShapeError(f"normalize stack expects ({len(stats)},B,W), got {y.shape}")
@@ -370,12 +443,10 @@ def normalize_train_stack(
             raise ShapeError(f"normalize expects (B,{st.width}), got {y.shape[1:]}")
         if st.mode != "train":
             raise ValueError(f"a normalize stack runs in train mode, not {st.mode!r}")
-    bm = y.mean(axis=1)
-    bv = y.var(axis=1)
+    _, mean, centered, var = batch_moments(y)
     for k, st in enumerate(stats):
-        _fold_moments(y[k], bm[k], bv[k], st)
-    inv = (1.0 / np.sqrt(bv + EPS_NORM))[:, None, :]
-    centered = y - bm[:, None, :]
+        _fold_moments(st, y[k : k + 1], mean[k : k + 1], var[k : k + 1])
+    inv = 1.0 / np.sqrt(var + EPS_NORM)
     return _check_finite(centered * inv, "normalize"), centered, inv
 
 

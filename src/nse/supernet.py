@@ -12,6 +12,9 @@ recalibrates private copies of the selected branches' normalization
 statistics on training batches before scoring validation accuracy.  It runs
 on a no-grad path over plain arrays, and an ``InferenceCache`` shares the
 stem and layer-0 work of one set of trained weights across architectures.
+The recalibration batches form one (R, B, W) stack, so each branch runs once
+over all of them and its statistics fold the batches in order; the last
+layer folds only their sums, since nothing reads its recalibrated outputs.
 """
 
 from __future__ import annotations
@@ -116,6 +119,14 @@ class TrainingConfig:
         for name in ("steps", "warmup_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        # written as negations so that NaN fails them too
+        for name in ("lr", "indicator_lr"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be >= 0")
 
 
 @dataclass
@@ -347,12 +358,7 @@ class SharedWeights:
         if not slots:
             return LayerTrace(x, slots, [], None, None, None, self.layer_mix(li, x, []))
         p = self.params
-        hidden = []
-        for slot in slots:
-            kind, _ = self.kinds[(li, slot)]
-            prefix = f"L{li}.S{slot}"
-            act = _ARRAY_ACTS[kind.rsplit("_", 1)[1]]
-            hidden.append(act(affine_array(x, p[f"{prefix}.w1"].data, p[f"{prefix}.b1"].data)))
+        hidden = [self._hidden(li, slot, x) for slot in slots]
         ys = affine_stack(
             hidden,
             [p[f"L{li}.S{slot}.w2"].data for slot in slots],
@@ -478,17 +484,27 @@ class SharedWeights:
 
     # -- no-grad machinery (plain arrays, for inference)
 
-    def branch_output(
-        self, layer_index: int, slot: int, x: np.ndarray, stats: NormStats
-    ) -> np.ndarray:
-        """``branch_forward`` without the graph, normalized with ``stats``."""
+    def _hidden(self, layer_index: int, slot: int, x: np.ndarray) -> np.ndarray:
+        """A branch's first affine and activation, on a batch or a stack; the
+        activation overwrites the fresh affine output."""
         kind, _ = self.kinds[(layer_index, slot)]
-        act = _ARRAY_ACTS[kind.rsplit("_", 1)[1]]
+        prefix = f"L{layer_index}.S{slot}"
+        h = affine_array(x, self.params[f"{prefix}.w1"].data, self.params[f"{prefix}.b1"].data)
+        return _ARRAY_ACTS[kind.rsplit("_", 1)[1]](h, out=h)
+
+    def branch_affines(self, layer_index: int, slot: int, x: np.ndarray) -> np.ndarray:
+        """``branch_forward`` without the graph and before its normalization."""
         prefix = f"L{layer_index}.S{slot}"
         p = self.params
-        h = act(affine_array(x, p[f"{prefix}.w1"].data, p[f"{prefix}.b1"].data))
-        y = affine_array(h, p[f"{prefix}.w2"].data, p[f"{prefix}.b2"].data)
-        return normalize_array(y, stats)
+        h = self._hidden(layer_index, slot, x)
+        return affine_array(h, p[f"{prefix}.w2"].data, p[f"{prefix}.b2"].data)
+
+    def branch_output(
+        self, layer_index: int, slot: int, x: np.ndarray, stats: NormStats | None
+    ) -> np.ndarray:
+        """``branch_forward`` without the graph, on a batch or a stack,
+        normalized as ``normalize_array`` does with ``stats``."""
+        return normalize_array(self.branch_affines(layer_index, slot, x), stats)
 
     def layer_mix(
         self, layer_index: int, x: np.ndarray, branches: list[np.ndarray]
@@ -506,9 +522,9 @@ class SharedWeights:
         x_data: np.ndarray,
         known: Mapping[int, np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Score a configuration on a fixed layer input without touching
-        running statistics: each branch normalizes with a private copy of its
-        statistics, so in train mode only the copy's running values move.
+        """A configuration's train-mode layer output on a fixed layer input,
+        without touching running statistics: each branch normalizes with its
+        batch's own moments, as in train mode, and folds them nowhere.
 
         ``known`` maps slots to branch outputs already computed on this input
         in train mode.  A train-mode branch output depends only on its input
@@ -517,9 +533,7 @@ class SharedWeights:
         x = np.asarray(x_data, dtype=np.float64)
         known = known or {}
         branches = [
-            known[slot]
-            if slot in known
-            else self.branch_output(layer_index, slot, x, self.stats[(layer_index, slot)].copy())
+            known[slot] if slot in known else self.branch_output(layer_index, slot, x, None)
             for slot in sorted(gate.selected)
         ]
         return self.layer_mix(layer_index, x, branches)
@@ -575,13 +589,13 @@ def make_recal_batches(
 class InferenceCache:
     """Architecture-independent evaluation work for one set of trained weights.
 
-    Holds the stem outputs of the recalibration and validation batches, and,
-    filled the first time an architecture selects a layer-0 slot, that
-    branch's recalibrated outputs on both.  Layer 0 reads the stem output and
-    a branch's recalibrated statistics depend only on its own input, so these
-    are the same for every architecture.  Deeper layers are computed per
-    architecture.  The cache is valid only while the weights do not change:
-    build it after training.
+    Holds the stem outputs of the recalibration batches, as one (R, B, W)
+    stack, and of the validation batches, and, filled the first time an
+    architecture selects a layer-0 slot, that branch's recalibrated outputs
+    on both.  Layer 0 reads the stem output and a branch's recalibrated
+    statistics depend only on its own input, so these are the same for every
+    architecture.  Deeper layers are computed per architecture.  The cache is
+    valid only while the weights do not change: build it after training.
     """
 
     def __init__(
@@ -597,21 +611,32 @@ class InferenceCache:
         def stem(x: np.ndarray) -> np.ndarray:
             return affine_array(np.asarray(x, dtype=np.float64), w, b)
 
+        sizes = sorted({len(xb) for xb in recal_batches})
+        if len(sizes) > 1:
+            raise ValueError(
+                f"recalibration batches must all have one size to be stacked, got sizes {sizes}"
+            )
         self.val_size = len(dataset.x_val)
         starts = range(0, self.val_size, batch_size)
-        self.recal = [stem(xb) for xb in recal_batches]
+        self.recal = stem(np.stack(recal_batches)) if sizes else None
         self.val = [stem(dataset.x_val[s : s + batch_size]) for s in starts]
         self.labels = [dataset.y_val[s : s + batch_size] for s in starts]
-        self._layer0: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        self._layer0: dict[int, tuple[np.ndarray | None, list[np.ndarray]]] = {}
 
     def _branch(
-        self, layer_index: int, slot: int, recal: list[np.ndarray], val: list[np.ndarray]
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        self, layer_index: int, slot: int, recal: np.ndarray, val: list[np.ndarray], last: bool
+    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """One branch on every batch: recalibrate a private copy of its
-        statistics on the recal inputs, then apply them to the val inputs."""
+        statistics on the recal stack in one pass, then apply them to the val
+        inputs.  The last layer's recal outputs feed nothing, so there only
+        the sums are folded and the outputs are not formed."""
         stats = self.weights.stats[(layer_index, slot)].copy()
         stats.begin_recalibration()
-        recal_out = [self.weights.branch_output(layer_index, slot, x, stats) for x in recal]
+        if last:
+            stats.accumulate(self.weights.branch_affines(layer_index, slot, recal))
+            recal_out = None
+        else:
+            recal_out = self.weights.branch_output(layer_index, slot, recal, stats)
         stats.finish_recalibration()
         val_out = [self.weights.branch_output(layer_index, slot, x, stats) for x in val]
         return recal_out, val_out
@@ -620,22 +645,21 @@ class InferenceCache:
         """Logits of every validation batch, with the selected branches'
         statistics recalibrated first."""
         gates = architecture.gate_vectors
-        if not self.recal and any(gv.selected for gv in gates):
+        if self.recal is None and any(gv.selected for gv in gates):
             raise ValueError("recalibration requires at least one batch")
         recal, val = self.recal, self.val
         for li, gate in enumerate(gates):
+            last = li == len(gates) - 1
             outs = []
             for slot in sorted(gate.selected):
                 if li == 0:
                     if slot not in self._layer0:
-                        self._layer0[slot] = self._branch(0, slot, recal, val)
+                        self._layer0[slot] = self._branch(0, slot, recal, val, last)
                     outs.append(self._layer0[slot])
                 else:
-                    outs.append(self._branch(li, slot, recal, val))
-            recal = [
-                self.weights.layer_mix(li, x, [r[i] for r, _ in outs])
-                for i, x in enumerate(recal)
-            ]
+                    outs.append(self._branch(li, slot, recal, val, last))
+            if not last:
+                recal = self.weights.layer_mix(li, recal, [r for r, _ in outs])
             val = [
                 self.weights.layer_mix(li, x, [v[i] for _, v in outs])
                 for i, x in enumerate(val)

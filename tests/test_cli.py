@@ -461,6 +461,17 @@ REJECTED = [
     ({"training": None}, ["config.training"]),
     # sizes out of range
     *[({section: {key: value}}, [f"config.{section}", key]) for section, key, value in SIZES],
+    # values that crashed mid-run or ran silently before parse-time checks
+    ({"training": {"lr": 0}}, ["config.training", "lr"]),
+    ({"training": {"lr": -1}}, ["config.training", "lr"]),
+    ({"training": {"indicator_lr": 0}}, ["config.training", "indicator_lr"]),
+    ({"training": {"indicator_lr": -0.1}}, ["config.training", "indicator_lr"]),
+    ({"training": {"momentum": 5}}, ["config.training", "momentum"]),
+    ({"training": {"momentum": 1.0}}, ["config.training", "momentum"]),
+    ({"training": {"momentum": -0.1}}, ["config.training", "momentum"]),
+    ({"training": {"weight_decay": -1e-4}}, ["config.training", "weight_decay"]),
+    ({"benchmark": {"cost_low": -50}}, ["config.benchmark", "cost_low"]),
+    ({"benchmark": {"cost_low": 200, "cost_high": 10}}, ["config.benchmark", "cost_low"]),
 ]
 
 

@@ -217,3 +217,80 @@ def test_clear_grads():
     p.grad = np.ones(2)
     clear_grads([p])
     assert p.grad is None
+
+
+def test_check_finite_passes_a_finite_array_whose_sum_overflows():
+    data = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):
+        assert nn._check_finite(data, "probe") is data
+
+
+@pytest.mark.parametrize("values", [[np.inf, -np.inf], [np.nan]])
+def test_check_finite_names_the_op(values):
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(nn.NotFiniteError, match="probe"):
+            nn._check_finite(np.array(values), "probe")
+
+
+@pytest.mark.parametrize("batch", [1, 2, 25, 128])
+@pytest.mark.parametrize("width", [1, 24, 32])
+def test_batch_moments_equal_numpy_reductions_bit_for_bit(batch, width):
+    rng = make_rng("moments", batch, width)
+    for shape in [(batch, width), (3, batch, width)]:
+        x = rng.normal(size=shape) * 7.0 + 3.0
+        sums, mean, centered, var = nn.batch_moments(x)
+        assert np.array_equal(sums, x.sum(axis=-2, keepdims=True))
+        assert np.array_equal(mean, x.mean(axis=-2, keepdims=True))
+        assert np.array_equal(var, x.var(axis=-2, keepdims=True))
+        assert np.array_equal(centered, x - x.mean(axis=-2, keepdims=True))
+        if x.ndim == 3:  # each slice of a stack equals that batch on its own
+            for k in range(len(x)):
+                assert np.array_equal(var[k, 0], x[k].var(axis=0))
+                assert np.array_equal(sums[k, 0], x[k].sum(axis=0))
+
+
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_stacked_recalibration_equals_folding_batches_one_at_a_time(count):
+    rng = make_rng("recal-stack", count)
+    batches = [rng.normal(size=(32, 6)) * 2.0 + 1.0 for _ in range(count)]
+    one_by_one, stacked = NormStats(6), NormStats(6)
+    one_by_one.begin_recalibration()
+    outs = [nn.normalize_array(batch, one_by_one) for batch in batches]
+    one_by_one.finish_recalibration()
+    stacked.begin_recalibration()
+    out = nn.normalize_array(np.stack(batches), stacked)
+    stacked.finish_recalibration()
+    assert np.array_equal(out, np.stack(outs))
+    assert np.array_equal(stacked.running_mean, one_by_one.running_mean)
+    assert np.array_equal(stacked.running_var, one_by_one.running_var)
+    folded = NormStats(6)  # folding the sums alone, as the last layer does
+    folded.begin_recalibration()
+    folded.accumulate(np.stack(batches))
+    folded.finish_recalibration()
+    assert np.array_equal(folded.running_mean, one_by_one.running_mean)
+    assert np.array_equal(folded.running_var, one_by_one.running_var)
+
+
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_stacked_train_mode_folds_batches_in_order(count):
+    rng = make_rng("train-stack", count)
+    batches = [rng.normal(size=(32, 6)) * 2.0 + 1.0 for _ in range(count)]
+    one_by_one, stacked = NormStats(6), NormStats(6)
+    outs = [nn.normalize_array(batch, one_by_one) for batch in batches]
+    assert np.array_equal(nn.normalize_array(np.stack(batches), stacked), np.stack(outs))
+    assert np.array_equal(stacked.running_mean, one_by_one.running_mean)
+    assert np.array_equal(stacked.running_var, one_by_one.running_var)
+
+
+def test_stacked_affine_equals_each_batch_bit_for_bit():
+    # the recal stack relies on numpy multiplying a stack one gemm per slice;
+    # widths 1 and 2 cover the rank-1 and rank-2 branches' gemv-shaped products
+    rng = make_rng("affine-stack", 0)
+    for rows in (1, 25, 128):
+        for fan_in, fan_out in [(24, 1), (1, 24), (24, 2), (24, 96), (96, 32), (16, 24)]:
+            x = rng.normal(size=(8, rows, fan_in))
+            w = rng.normal(size=(fan_in, fan_out))
+            b = rng.normal(size=fan_out)
+            stacked = nn.affine_array(x, w, b)
+            for k in range(len(x)):
+                assert np.array_equal(stacked[k], nn.affine_array(x[k], w, b))

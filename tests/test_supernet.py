@@ -475,6 +475,12 @@ def test_cache_rejects_other_weights():
         evaluate(other, arch, data, recal, cache=InferenceCache(weights, data, recal))
 
 
+def test_cache_rejects_recal_batches_of_unequal_size():
+    _, weights, data, recal = trained_net(seed=8)
+    with pytest.raises(ValueError, match="one size"):
+        InferenceCache(weights, data, recal + [recal[0][:-1]])
+
+
 def test_layer_output_nograd_matches_train_mode_graph_on_copies():
     subset, weights, data, _ = trained_net(seed=10)
     x = make_rng("nograd-layer", 0).normal(size=(16, 6))
