@@ -190,12 +190,12 @@ def edging_filter(
 def _draw_blocks(
     sampler: GateSampler, cost_of: MaskCost, rng: np.random.Generator, max_draws: int
 ):
-    """Yield up to ``max_draws`` (row, cost) pairs, drawn in bounded blocks."""
+    """Yield up to ``max_draws`` draws as (mask rows, costs) blocks of bounded size."""
     size = max(1, BLOCK_DOUBLES // max(1, sampler.width))
     while max_draws > 0:
         block = sampler.draw(rng, min(size, max_draws))
         max_draws -= len(block)
-        yield from zip(block.tolist(), cost_of(block).tolist())
+        yield block, cost_of(block)
 
 
 def _keep_draws(
@@ -212,7 +212,8 @@ def _keep_draws(
     skipped, the first ``samples`` distinct in-budget draws and the first
     ``auxiliary`` distinct draws in the band past the cutoff are kept, and
     drawing stops once both are full or after ``stall_factor * samples``
-    draws.
+    draws.  A draw priced past the band is never kept, and neither is any
+    repeat of it, so only the draws inside it are looked at one by one.
     """
     limit = constraint.upper_bound
     band_hi = limit * (1.0 + constraint.edging_margin)
@@ -222,20 +223,22 @@ def _keep_draws(
     auxiliary: list[tuple[tuple[int, ...], float]] = []
     draws = 0
     max_draws = retrieval.stall_factor * retrieval.samples
-    for row, cost in _draw_blocks(sampler, cost_of, rng, max_draws):
-        draws += 1
-        key = tuple(row)
-        if key in seen:
-            continue
-        seen.add(key)
-        if cost <= limit and len(in_budget) < retrieval.samples:
-            in_budget.append((key, cost))
-        elif limit < cost <= band_hi and len(auxiliary) < retrieval.auxiliary:
-            auxiliary.append((key, cost))
-        else:
-            continue
-        if len(in_budget) == retrieval.samples and len(auxiliary) == retrieval.auxiliary:
-            break
+    for block, costs in _draw_blocks(sampler, cost_of, rng, max_draws):
+        keep = np.flatnonzero(costs <= band_hi)
+        for i, row, cost in zip(keep.tolist(), block[keep].tolist(), costs[keep].tolist()):
+            key = tuple(row)
+            if key in seen:
+                continue
+            seen.add(key)
+            if cost <= limit and len(in_budget) < retrieval.samples:
+                in_budget.append((key, cost))
+            elif limit < cost and len(auxiliary) < retrieval.auxiliary:
+                auxiliary.append((key, cost))
+            else:
+                continue
+            if len(in_budget) == retrieval.samples and len(auxiliary) == retrieval.auxiliary:
+                return in_budget, auxiliary, draws + i + 1
+        draws += len(block)
     return in_budget, auxiliary, draws
 
 
@@ -303,12 +306,12 @@ def distribution_estimate(
     cost_of = MaskCost(sampler, evaluator.table)
     kept: list[tuple[list[int], float]] = []
     draws = 0
-    for row, cost in _draw_blocks(sampler, cost_of, rng, draw_factor * n):
-        draws += 1
-        if lo <= cost <= hi:
-            kept.append((row, cost))
-            if len(kept) == n:
-                break
+    for block, costs in _draw_blocks(sampler, cost_of, rng, draw_factor * n):
+        draws += len(block)
+        band = np.flatnonzero((lo <= costs) & (costs <= hi))[: n - len(kept)]
+        kept += zip(block[band].tolist(), costs[band].tolist())
+        if len(kept) == n:
+            break
     if len(kept) < n:
         raise EngineError(
             f"cost band [{lo}, {hi}] unreachable: {len(kept)}/{n} after {draws} draws"
@@ -399,12 +402,13 @@ class Engine:
         losses = []
         curves: dict[str, list[float]] = {"loss": [], "expected_cost_gap": [], "penalty": []}
         prune_log = []
+        train_sampler = GateSampler.uniform(state.subset)
         for step in range(self.training.steps):
             w_opt.lr = cosine_warmup_lr(
                 step, self.training.steps, self.training.lr, self.training.warmup_steps
             )
             losses.append(
-                train_step(weights, state.subset, train_stream.next(), arch_rng, w_opt)
+                train_step(weights, train_sampler, train_stream.next(), arch_rng, w_opt)
             )
             # one indicator step after every two supernet steps, pruning right after
             if (step + 1) % 2 == 0:
@@ -436,6 +440,8 @@ class Engine:
                     }
                     for li, slot in removed
                 ]
+                if removed:
+                    train_sampler = GateSampler.uniform(state.subset)
         recal = make_recal_batches(
             self.dataset,
             self.retrieval.recal_batches,

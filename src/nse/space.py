@@ -13,6 +13,7 @@ replenishment never samples the same operation twice.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import make_rng
 
@@ -183,6 +185,11 @@ class Architecture:
 
     def encoding(self) -> tuple[tuple[int, ...], ...]:
         """Canonical hashable form: sorted slot tuples per layer."""
+        return self._encoding
+
+    @functools.cached_property
+    def _encoding(self) -> tuple[tuple[int, ...], ...]:
+        # kept in the instance dict, outside the fields that eq and hash use
         return tuple(tuple(sorted(gv.selected)) for gv in self.gate_vectors)
 
     def compact_id(self) -> str:
@@ -373,12 +380,6 @@ def subset_for_architecture(arch: Architecture, pool: SearchSpacePool) -> Subset
 # Sampling and combinatorics
 
 
-# Rows checked per vectorised pass of GateSampler.draw.  A reduction-layer
-# redraw shifts every later row in the stream, so the rows behind it are
-# checked again; a short pass bounds that repeated work.
-SCAN_ROWS = 64
-
-
 class GateSampler:
     """Draws architectures as rows of per-layer gate bitmasks.
 
@@ -391,8 +392,15 @@ class GateSampler:
     would read it: one double per active slot in layer order, plus one more
     chunk per redraw.  Every draw reads at least ``width`` doubles, so
     ``draw`` fetches ``width`` per draw still owed in one call and more only
-    after a redraw: it never reads ahead, and its rows and the generator
-    state after it equal ``n`` one-row calls.
+    once that buffer is used up: it never reads ahead, and its rows and the
+    generator state after it equal ``n`` one-row calls.
+
+    A redraw shifts every later row in the buffer by its extra doubles.  So
+    several rows are drawn by first marking, per fetched buffer, the offsets
+    at which a reduction layer's chunk selects nothing.  Those marks give
+    the next row that redraws, and the redraws of that row, without
+    computing any mask; every row's masks then come from one indexed
+    compare and pack over the buffer.
     """
 
     def __init__(
@@ -424,46 +432,131 @@ class GateSampler:
         return GateSampler(slots, subset.roles, [[0.5] * len(s) for s in slots])
 
     @functools.cached_property
-    def _scan_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Probabilities, the bit-packing matrix, and the reduction columns."""
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """Per-column probabilities, the bit-packing matrix, the layer of each
+        column, and ``(layer, first column, width)`` per reduction layer."""
         probs = np.array([x for p in self._probs for x in p])
         # column l packs layer l's gate bits into its mask
         pack = np.zeros((self.width, len(self.slots)), dtype=np.int64)
+        columns = np.zeros(self.width, dtype=np.intp)
         for li, lo in enumerate(self._bounds[:-1]):
             bits = np.arange(self._bounds[li + 1] - lo, dtype=np.int64)
             pack[lo : lo + bits.size, li] = 1 << bits
-        return probs, pack, np.array([role == REDUCTION for role in self.roles])
+            columns[lo : lo + bits.size] = li
+        reductions = [
+            (li, self._bounds[li], len(self.slots[li]))
+            for li, role in enumerate(self.roles)
+            if role == REDUCTION
+        ]
+        return probs, pack, columns, reductions
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws as an ``(n, num_layers)`` array of layer masks."""
-        width, bounds = self.width, self._bounds
-        out = np.empty((n, len(self.slots)), dtype=np.int64)
+        if n == 1:  # a lone row is cheaper to resolve in Python
+            row, _ = self._finish_row(rng, rng.random(self.width), [], 0)
+            return np.array([row], dtype=np.int64)
+        out = np.zeros((n, len(self.slots)), dtype=np.int64)
+        if not self.width:  # every layer is empty: nothing to read
+            return out
         buf = np.empty(0)  # doubles read from rng and not yet used
         row = 0
         while row < n:
-            rows = min(n - row, SCAN_ROWS)
-            if buf.size < rows * width:
-                owed = (n - row) * width
-                buf = np.concatenate((buf, rng.random(owed - buf.size)))
-            if rows == 1:  # a lone row is cheaper to resolve in Python
-                out[row], buf = self._finish_row(rng, buf, [], 0)
-                row += 1
-                continue
-            probs, pack, required = self._scan_arrays
-            masks = (buf[: rows * width].reshape(rows, width) < probs) @ pack
-            empty = masks[:, required] == 0
-            failed = np.flatnonzero(empty.any(axis=1))
-            done = int(failed[0]) if failed.size else rows
-            out[row : row + done] = masks[:done]
-            buf = buf[done * width :]
-            row += done
-            if done < rows:
-                # the first failed reduction layer of that row is redrawn
-                li = int(np.flatnonzero(required)[np.argmax(empty[done])])
-                prefix = masks[done, :li].tolist()
-                out[row], buf = self._finish_row(rng, buf[bounds[li] :], prefix, li)
-                row += 1
+            # the buffer holds less than one row here, and every row still
+            # owed reads at least ``width`` doubles
+            buf = np.concatenate((buf, rng.random((n - row) * self.width - buf.size)))
+            row, buf = self._fill(rng, buf, out, row)
         return out
+
+    def _fill(
+        self, rng: np.random.Generator, buf: np.ndarray, out: np.ndarray, row: int
+    ) -> tuple[int, np.ndarray]:
+        """Draw rows ``row, row + 1, ...`` of ``out`` from ``buf``.
+
+        Stops when ``out`` is full or ``buf`` cannot hold the next row; a row
+        whose redraws run past the end of ``buf`` is finished by
+        ``_finish_row``, which reads on from ``rng``.  Returns the next row to
+        draw and the unused rest of ``buf``.
+        """
+        probs, pack, columns, reductions = self._arrays
+        width, size, n = self.width, buf.size, len(out)
+        tables: dict[int, tuple[list[int], dict[int, np.ndarray]]] = {}
+
+        def table(r: int) -> tuple[list[int], dict[int, np.ndarray]]:
+            """For the whole rows of ``buf`` that start at ``r + k * width``:
+            the sorted ``k`` whose row has an empty reduction chunk, and per
+            reduction layer whether its chunk in row ``k`` is empty."""
+            if r not in tables:
+                whole = (size - r) // width
+                unset = buf[r : r + whole * width].reshape(whole, width) >= probs
+                failing = np.zeros(whole, dtype=bool)
+                empty = {}
+                for li, lo, w in reductions:
+                    chunk = empty[li] = unset[:, lo].copy()
+                    for j in range(lo + 1, lo + w):
+                        chunk &= unset[:, j]
+                    failing |= chunk
+                tables[r] = (np.flatnonzero(failing).tolist(), empty)
+            return tables[r]
+
+        def shifts(pos: int) -> list[int] | None:
+            """How many doubles later than in a row without redraws each
+            layer's chunk starts in the row at ``pos``, or None if the row
+            runs past the end of ``buf``."""
+            late = [0] * len(self.slots)
+            for li, lo, w in reductions:
+                c = pos + lo + late[li]
+                for _ in range(MAX_REDRAWS):
+                    # the chunk at ``c`` is layer ``li``'s in a row at ``c - lo``
+                    empty = table((c - lo) % width)[1][li]
+                    k = (c - lo) // width
+                    if k >= len(empty):  # that row is not whole, so this one is not
+                        return None
+                    if not empty[k]:
+                        break
+                    c += w
+                else:
+                    raise RuntimeError(f"redraw cap exceeded in layer {li}")
+                late[li:] = [c - pos - lo] * (len(late) - li)
+            # the row ends where the whole row at the last ``c - lo`` does
+            return late
+
+        first, pos, fixes, crossed = row, 0, [], False
+        while row < n and pos + width <= size:
+            failing = table(pos % width)[0]
+            k = pos // width
+            i = bisect.bisect_left(failing, k)
+            stop = failing[i] if i < len(failing) else (size - pos % width) // width
+            done = min(stop - k, n - row)
+            row += done
+            pos += done * width
+            if row == n or i == len(failing):
+                break
+            late = shifts(pos)
+            if late is None:
+                crossed = True
+                break
+            fixes.append((row - first, late))
+            row += 1
+            pos += width + late[-1]
+
+        rows = row - first
+        if fixes:
+            at = np.array([i for i, _ in fixes])
+            extra = np.array([s for _, s in fixes])[:, columns]
+            # rows after a redrawing row start its extra doubles later
+            step = np.zeros(rows + 1, dtype=np.intp)
+            step[at + 1] = extra[:, -1]
+            starts = np.arange(0, rows * width, width) + np.cumsum(step[:rows])
+            bits = sliding_window_view(buf, width)[starts] < probs
+            # and a redrawing row reads its later layers further on
+            bits[at] = buf[starts[at, None] + np.arange(width) + extra] < probs
+        else:  # the rows lie back to back
+            bits = buf[: rows * width].reshape(rows, width) < probs
+        out[first:row] = bits @ pack
+        if crossed:
+            out[row], rest = self._finish_row(rng, buf[pos:], [], 0)
+            return row + 1, rest
+        return row, buf[pos:]
 
     def _finish_row(
         self, rng: np.random.Generator, buf: np.ndarray, row: list[int], start: int
@@ -518,31 +611,6 @@ def sample_uniform_architecture(
     """
     sampler = GateSampler.uniform(subset)
     return sampler.decode(sampler.draw(rng, 1)[0])
-
-
-def sample_space_architecture(
-    subset: SubsetState, capacity: int, rng: np.random.Generator
-) -> Architecture:
-    """Uniform draw from the K-bounded architecture space over a subset.
-
-    Every selection of at most ``capacity`` active operations per layer
-    (at least one on reduction layers) is equally likely, matching the
-    space that count_architectures counts.
-    """
-    gate_vectors = []
-    for li in range(subset.num_layers):
-        slots = subset.active_slots(li)
-        low = 0 if subset.roles[li] == NORMAL else 1
-        hi = min(capacity, len(slots))
-        if hi < low:
-            raise SpaceError(f"layer {li} cannot satisfy the selection bounds")
-        weights = np.array(
-            [math.comb(len(slots), k) for k in range(low, hi + 1)], dtype=float
-        )
-        k = low + int(rng.choice(len(weights), p=weights / weights.sum()))
-        picked = rng.choice(len(slots), size=k, replace=False) if k else []
-        gate_vectors.append(GateVector(li, frozenset(slots[i] for i in picked)))
-    return Architecture(tuple(gate_vectors))
 
 
 def count_architectures(

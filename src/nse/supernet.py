@@ -50,16 +50,20 @@ from .nn import (
 )
 from .resources import CostTable
 from .rng import make_rng
+# sample_uniform_architecture is a one-row call of GateSampler that training
+# no longer makes; it stays importable here because bench/child.py wraps it
+# by this path.
 from .space import (
     NORMAL,
     REDUCTION,
     Architecture,
     DeclaredOp,
+    GateSampler,
     GateVector,
     SearchSpacePool,
     SpaceError,
     SubsetState,
-    sample_uniform_architecture,
+    sample_uniform_architecture,  # noqa: F401
     subset_for_architecture,
 )
 
@@ -545,13 +549,19 @@ class SharedWeights:
 
 def train_step(
     weights: SharedWeights,
-    subset: SubsetState,
+    sampler: GateSampler,
     batch: tuple[np.ndarray, np.ndarray],
     rng: np.random.Generator,
     optimizer: SGD,
 ) -> float:
-    """One uniformly sampled architecture, one gradient step on its branches."""
-    arch = sample_uniform_architecture(subset, rng)
+    """One architecture drawn by ``sampler``, one gradient step on its branches.
+
+    Training passes ``GateSampler.uniform`` of the current subset.
+    """
+    # ``selection``, not ``decode``: each drawn architecture trains once, so
+    # its gate vectors are not worth keeping in the sampler
+    row = sampler.draw(rng, 1)[0].tolist()
+    arch = Architecture(tuple(sampler.selection(li, m) for li, m in enumerate(row)))
     return train_step_fixed(weights, arch, batch, optimizer)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
+from reference import sample_space_architecture
 from nse.cli import main as cli_main
 from nse.engine import Engine, RetrievalConfig, retrieve_pareto
 from nse.indicators import (
@@ -54,7 +55,6 @@ from nse.space import (
     full_subset,
     init_subset,
     replenish,
-    sample_space_architecture,
     sample_uniform_architecture,
     shuffle_pool,
 )

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import reference_draw
+from reference import reference_keep_draws
 from nse.rng import make_rng
 from nse.engine import (
+    BLOCK_DOUBLES,
     Engine,
     EngineError,
     RetrievalConfig,
+    _keep_draws,
     distribution_estimate,
     edging_filter,
     retrieve_pareto,
@@ -302,6 +305,38 @@ def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
     assert [(r.architecture.encoding(), r.cost) for r in in_records] == in_budget
     # every kept draw was priced once, on its masks
     assert evaluator.cost_calls == 0
+
+
+@pytest.mark.parametrize(
+    "retrieval, tau, margin, stop",
+    [
+        # both lists fill inside the first block
+        (RetrievalConfig(samples=20, auxiliary=3), 500.0, 0.1, "mid-block"),
+        # more draws are asked for in both lists than the draw cap allows
+        (RetrievalConfig(samples=400, auxiliary=100, stall_factor=2), 500.0, 0.1, "stall"),
+        # a tight cutoff: the wide band fills, the in-budget list never does
+        (RetrievalConfig(samples=40, auxiliary=10, stall_factor=3), 300.0, 1.0, "auxiliary"),
+    ],
+)
+def test_keep_draws_equals_the_every_draw_loop(retrieval, tau, margin, stop):
+    # draw costs run from about 215 to 1000, with a median near 740
+    pool = opaque_pool(("normal", "reduction", "normal"), 6, seed=2)
+    bench = SyntheticBenchmark.generate(pool, seed=5)
+    sampler = GateSampler.uniform(full_subset(pool))
+    constraint = ConstraintConfig(tau=tau, edging_margin=margin)
+    kept = _keep_draws(sampler, bench.cost_table(), retrieval, constraint, make_rng("keep", 0))
+    ref = reference_keep_draws(
+        sampler, bench.cost_table(), retrieval, constraint, make_rng("keep", 0)
+    )
+    assert kept == ref
+    in_budget, auxiliary, draws = kept
+    cap = retrieval.stall_factor * retrieval.samples
+    if stop == "mid-block":
+        assert draws < BLOCK_DOUBLES // sampler.width
+        assert (len(in_budget), len(auxiliary)) == (retrieval.samples, retrieval.auxiliary)
+    else:
+        assert draws == cap and len(in_budget) < retrieval.samples
+        assert (len(auxiliary) == retrieval.auxiliary) == (stop == "auxiliary")
 
 
 def test_run_rounds_are_deterministic():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_draw
+from reference import sample_space_architecture
 from nse.rng import make_rng
 from nse import space
 from nse.space import (
@@ -141,7 +142,7 @@ def test_space_sampler_is_uniform_over_bounded_selections():
     n = 70_000
     freq: dict = {}
     for _ in range(n):
-        arch = space.sample_space_architecture(subset, 2, rng)
+        arch = sample_space_architecture(subset, 2, rng)
         freq[arch.encoding()] = freq.get(arch.encoding(), 0) + 1
     assert len(freq) == 7  # sizes 0..2 over 3 slots
     for count in freq.values():
@@ -153,7 +154,7 @@ def test_space_sampler_respects_reduction_floor():
     subset = space.full_subset(pool)
     rng = make_rng("space-sample", 1)
     for _ in range(300):
-        arch = space.sample_space_architecture(subset, 2, rng)
+        arch = sample_space_architecture(subset, 2, rng)
         assert 1 <= len(arch.selected(0)) <= 2
 
 
@@ -376,3 +377,49 @@ def test_gate_sampler_redraw_cap_still_raises():
 def test_gate_sampler_rejects_reduction_layer_without_slots():
     with pytest.raises(space.SpaceError):
         GateSampler([[0], []], ["normal", "reduction"], [[0.5], []])
+
+
+def random_sampler_config(rng):
+    """Layers of random roles and widths, including several reduction layers
+    of different widths, empty normal layers and 1- and 12-slot reduction
+    layers, with gate probabilities between 0.02 and 0.9."""
+    slots, roles, probs = [], [], []
+    for _ in range(int(rng.integers(1, 6))):
+        reduction = rng.random() < 0.5
+        width = int(rng.choice([1, 2, 3, 5, 12])) if reduction else int(rng.integers(0, 7))
+        slots.append(sorted(rng.choice(20, size=width, replace=False).tolist()))
+        roles.append("reduction" if reduction else "normal")
+        probs.append(rng.uniform(0.02, 0.9, size=width).tolist())
+    return slots, roles, probs
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 512, 1000])
+def test_gate_sampler_draw_equals_reference_on_random_configs(n):
+    configs = make_rng("sampler-configs", n)
+    for case in range(12):
+        slots, roles, probs = random_sampler_config(configs)
+        rng, ref = make_rng("sampler-draw", n, case), make_rng("sampler-draw", n, case)
+        masks = GateSampler(slots, roles, probs).draw(rng, n)
+        assert masks.tolist() == [reference_draw(slots, roles, probs, ref) for _ in range(n)]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_gate_sampler_fetches_mid_row_when_redraws_outrun_the_buffer(monkeypatch):
+    # a rarely set one-slot reduction layer after a normal layer: the first
+    # rows' redraws run past the 2 * width doubles fetched up front
+    slots, roles, probs = [[0, 1], [3]], ["normal", "reduction"], [[0.5, 0.5], [0.02]]
+    finished = []
+    finish_row = GateSampler._finish_row
+
+    def spy(self, *args):
+        finished.append(args)
+        return finish_row(self, *args)
+
+    monkeypatch.setattr(GateSampler, "_finish_row", spy)
+    for seed in range(5):
+        rng, ref = make_rng("mid-row", seed), make_rng("mid-row", seed)
+        masks = GateSampler(slots, roles, probs).draw(rng, 2)
+        assert masks.tolist() == [reference_draw(slots, roles, probs, ref) for _ in range(2)]
+        assert rng.bit_generator.state == ref.bit_generator.state
+    # in a multi-row draw only a row that outruns the buffer is handed over
+    assert finished

@@ -15,6 +15,7 @@ from nse.space import (
     Architecture,
     DeclaredLayer,
     DeclaredOp,
+    GateSampler,
     GateVector,
     SpaceError,
     TraversalLedger,
@@ -240,8 +241,9 @@ def test_training_reduces_loss_on_fixed_architecture():
     stream = BatchStream(data.x_train, data.y_train, 64, make_rng("train", 0))
     opt = SGD(lr=0.05, momentum=0.9, nesterov=True, weight_decay=4e-5)
     rng = make_rng("arch", 0)
+    sampler = GateSampler.uniform(subset)
     losses = [
-        train_step(weights, subset, stream.next(), rng, opt) for _ in range(200)
+        train_step(weights, sampler, stream.next(), rng, opt) for _ in range(200)
     ]
     assert np.mean(losses[-50:]) < np.mean(losses[:50]) * 0.8
 
@@ -394,8 +396,9 @@ def trained_net(seed=4):
     stream = BatchStream(data.x_train, data.y_train, 32, make_rng("nograd-train", seed))
     opt = SGD(lr=0.05, momentum=0.9, nesterov=True)
     rng = make_rng("nograd-arch", seed)
+    sampler = GateSampler.uniform(subset)
     for _ in range(30):
-        train_step(weights, subset, stream.next(), rng, opt)
+        train_step(weights, sampler, stream.next(), rng, opt)
     recal = make_recal_batches(data, 3, 48, make_rng("nograd-recal", seed))
     return subset, weights, data, recal
 
@@ -602,7 +605,13 @@ def test_nan_in_deeper_layer_w2_raises_from_train_step():
     with pytest.raises(NotFiniteError, match="affine"):
         train_step_fixed(weights, arch, stream.next(), opt)
     with pytest.raises(NotFiniteError, match="affine"):
-        train_step(weights, subset, stream.next(), _rng_selecting(subset, 1, slots[1][2]), opt)
+        train_step(
+            weights,
+            GateSampler.uniform(subset),
+            stream.next(),
+            _rng_selecting(subset, 1, slots[1][2]),
+            opt,
+        )
 
 
 def _rng_selecting(subset, layer_index, slot):
