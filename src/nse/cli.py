@@ -95,6 +95,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "master_seed": cfg.master_seed,
                 "duration_seconds": result.duration,
                 "diagnostics": result.diagnostics,
+                "timings": result.timings,
             },
         )
         top = max(result.front, key=lambda r: r.accuracy) if result.front else None
@@ -201,6 +202,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     )
     for rec in pareto["corrected"]:
         print(f"  acc {rec['accuracy']:.4f}  cost {rec['cost']:.2f}  [{rec['id']}]")
+    timings = artifacts["manifest.json"].get("timings")
+    if timings:
+        print("timings: " + ", ".join(f"{k} {v:.4f}s" for k, v in timings.items()))
     print(f"subset (capacity {subset['capacity']}, shortage {subset['shortage']}):")
     for layer in subset["layers"]:
         parts = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,6 +114,9 @@ class RoundResult:
     subset_snapshot: dict
     indicator_snapshot: dict | None
     duration: float
+    # seconds per phase: sample_draws, evaluation and front, plus
+    # weight_steps and indicator_steps on supernet rounds
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -159,6 +162,11 @@ class SupernetEvaluator:
         )
         return EvaluationRecord(architecture, accuracy, cost)
 
+    def accuracies(
+        self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
+    ) -> list[float]:
+        return [self.evaluate(sampler.decode(row), cost).accuracy for row, cost in draws]
+
 
 def edging_filter(
     raw_front: Sequence[EvaluationRecord],
@@ -173,6 +181,7 @@ def edging_filter(
     the boundary is strictly more accurate.  When that would drop every
     point, the raw front is returned unchanged, so a round never ends with an
     empty front, and ``diagnostics["edging_fallback"]`` is set if given.
+    Only the auxiliary samples' ``accuracy`` is read.
     """
     if not auxiliary:
         return list(raw_front)
@@ -242,6 +251,26 @@ def _keep_draws(
     return in_budget, auxiliary, draws
 
 
+class _Scored(NamedTuple):
+    """A kept draw with its score, decoded to an architecture only on demand."""
+
+    accuracy: float
+    cost: float
+    row: tuple[int, ...]
+    sampler: GateSampler
+
+    @property
+    def architecture(self) -> Architecture:
+        return self.sampler.decode(self.row)
+
+
+def _score(
+    sampler: GateSampler, evaluator: Evaluator, draws: list[tuple[tuple[int, ...], float]]
+) -> list[_Scored]:
+    accuracies = evaluator.accuracies(sampler, draws)
+    return [_Scored(a, cost, row, sampler) for (row, cost), a in zip(draws, accuracies)]
+
+
 def retrieve_pareto(
     sampler: GateSampler,
     evaluator: Evaluator,
@@ -249,45 +278,57 @@ def retrieve_pareto(
     retrieval: RetrievalConfig,
     constraint: ConstraintConfig,
     rng: np.random.Generator,
-) -> tuple[list[EvaluationRecord], list[EvaluationRecord], list[EvaluationRecord], dict]:
+    timings: dict | None = None,
+) -> tuple[list[EvaluationRecord], list[EvaluationRecord], EvaluationRecord | None, dict]:
     """Sample, evaluate, rehearse, and dominance-filter one round's models.
 
-    Each kept draw is priced once, on its layer masks (see ``_keep_draws``),
-    and only kept draws become architectures.
+    Each kept draw stays a (mask row, cost) pair: it is priced once, on its
+    layer masks (see ``_keep_draws``), scored with ``evaluator.accuracies``,
+    and a previous-front member is rehearsed unless its mask row was kept.
+    Only the records that leave retrieval are built as architectures: the
+    fronts and the rehearsed previous front.
 
-    Returns (corrected front, raw front, in-budget records, diagnostics).
+    Returns (corrected front, raw front, best in-budget record, diagnostics).
     Both fronts only contain in-budget points; the corrected front is the raw
-    front after the edging filter.
+    front after the edging filter.  The best record is the most accurate
+    in-budget one, the cheapest of those, and the smallest encoding of exact
+    ties among them, which is the raw front's last point; it is None when
+    nothing is in budget.  ``timings``, if given, receives the seconds spent
+    on ``sample_draws`` (drawing and keeping), ``evaluation`` and ``front``.
     """
+    clock = time.perf_counter
+    start = clock()
     limit = constraint.upper_bound
     in_budget, auxiliary, draws = _keep_draws(
         sampler, evaluator.table, retrieval, constraint, rng
     )
-    stalled = len(in_budget) < retrieval.samples
-
-    sampled = [(sampler.decode(key), cost) for key, cost in in_budget]
-    sampled_set = {a.encoding() for a, _ in sampled}
+    drawn = clock()
+    sampled = {row for row, _ in in_budget}
     rehearse = [
-        (rec.architecture, evaluator.cost(rec.architecture))
+        rec.architecture
         for rec in previous_front
-        if rec.architecture.encoding() not in sampled_set
+        if sampler.row(rec.architecture) not in sampled
     ]
-    beyond = [(sampler.decode(key), cost) for key, cost in auxiliary]
-    records = [evaluator.evaluate(a, cost) for a, cost in sampled + rehearse + beyond]
-    n_in = len(sampled) + len(rehearse)
-    in_records = [r for r in records[:n_in] if r.cost <= limit]
-    aux_records = records[n_in:]
+    in_scored = _score(sampler, evaluator, in_budget)
+    rehearsed = [evaluator.evaluate(a, evaluator.cost(a)) for a in rehearse]
+    beyond = _score(sampler, evaluator, auxiliary)
+    evaluated = clock()
 
     diagnostics = {
         "draws": draws,
-        "stalled": stalled,
+        "stalled": len(in_budget) < retrieval.samples,
         "in_budget": len(in_budget),
         "auxiliary": len(auxiliary),
         "rehearsed": len(rehearse),
     }
-    raw = pareto_front(in_records)
-    corrected = edging_filter(raw, aux_records, constraint, diagnostics)
-    return corrected, raw, in_records, diagnostics
+    candidates = in_scored + [r for r in rehearsed if r.cost <= limit]
+    raw = [EvaluationRecord(r.architecture, r.accuracy, r.cost) for r in pareto_front(candidates)]
+    corrected = edging_filter(raw, beyond, constraint, diagnostics)
+    if timings is not None:
+        timings.update(
+            sample_draws=drawn - start, evaluation=evaluated - drawn, front=clock() - evaluated
+        )
+    return corrected, raw, raw[-1] if raw else None, diagnostics
 
 
 def distribution_estimate(
@@ -316,7 +357,10 @@ def distribution_estimate(
         raise EngineError(
             f"cost band [{lo}, {hi}] unreachable: {len(kept)}/{n} after {draws} draws"
         )
-    return [evaluator.evaluate(sampler.decode(row), cost) for row, cost in kept]
+    return [
+        EvaluationRecord(sampler.decode(row), accuracy, cost)
+        for (row, cost), accuracy in zip(kept, evaluator.accuracies(sampler, kept))
+    ]
 
 
 class Engine:
@@ -372,8 +416,10 @@ class Engine:
         evaluator = OracleEvaluator(self.benchmark)
         return evaluator, GateSampler.uniform(state.subset), None, {}
 
-    def _supernet_phase(self, state: EvolutionState):
+    def _supernet_phase(self, state: EvolutionState, timings: dict[str, float]):
         r = state.round_index
+        clock = time.perf_counter
+        timings.update(weight_steps=0.0, indicator_steps=0.0)
         weights = SharedWeights(
             state.subset, self.geometry, derive_seed(self.master_seed, "weights", r)
         )
@@ -407,11 +453,14 @@ class Engine:
             w_opt.lr = cosine_warmup_lr(
                 step, self.training.steps, self.training.lr, self.training.warmup_steps
             )
+            started = clock()
             losses.append(
                 train_step(weights, train_sampler, train_stream.next(), arch_rng, w_opt)
             )
+            timings["weight_steps"] += clock() - started
             # one indicator step after every two supernet steps, pruning right after
             if (step + 1) % 2 == 0:
+                started = clock()
                 stepped = indicator_update_step(
                     thetas,
                     weights,
@@ -442,6 +491,7 @@ class Engine:
                 ]
                 if removed:
                     train_sampler = GateSampler.uniform(state.subset)
+                timings["indicator_steps"] += clock() - started
         recal = make_recal_batches(
             self.dataset,
             self.retrieval.recal_batches,
@@ -463,25 +513,23 @@ class Engine:
 
     def run_round(self, state: EvolutionState) -> RoundResult:
         start = time.perf_counter()
+        timings: dict[str, float] = {}
         if self.evaluator_kind == "oracle":
             evaluator, sampler, thetas, extras = self._oracle_phase(state)
         else:
-            evaluator, sampler, thetas, extras = self._supernet_phase(state)
+            evaluator, sampler, thetas, extras = self._supernet_phase(state, timings)
         rehearse = state.previous_front if self.lock_and_rehearse else []
-        front, raw, in_records, diagnostics = retrieve_pareto(
+        front, raw, round_best, diagnostics = retrieve_pareto(
             sampler,
             evaluator,
             rehearse,
             self.retrieval,
             self.constraint,
             make_rng(self.master_seed, "retrieve", state.round_index),
+            timings,
         )
         diagnostics.update(extras)
-        if in_records:
-            round_best = min(
-                in_records,
-                key=lambda rec: (-rec.accuracy, rec.cost, rec.architecture.encoding()),
-            )
+        if round_best is not None:
             previous = state.best_archive[-1] if state.best_archive else None
             if previous is not None and (
                 (-previous.accuracy, previous.cost)
@@ -497,6 +545,7 @@ class Engine:
             subset_snapshot=subset_to_json(state.subset),
             indicator_snapshot=thetas.to_json() if thetas is not None else None,
             duration=time.perf_counter() - start,
+            timings=timings,
         )
 
     def step_aggregate_replenish(self, state: EvolutionState, front: Sequence[EvaluationRecord]) -> None:

@@ -87,6 +87,15 @@ class FitnessIndicators:
     def probability(self, layer_index: int, slot: int) -> float:
         return op_probability(self.values[layer_index][slot])
 
+    def probabilities(self) -> "SlotProbabilities":
+        """Every slot's probability now, each computed once."""
+        return SlotProbabilities(
+            tuple(
+                {slot: op_probability(value) for slot, value in sorted(layer.items())}
+                for layer in self.values
+            )
+        )
+
     def to_json(self) -> dict:
         return {
             "layers": [
@@ -105,7 +114,27 @@ class FitnessIndicators:
         )
 
 
-def config_probability(gate: GateVector, thetas: FitnessIndicators) -> float:
+@dataclass(frozen=True)
+class SlotProbabilities:
+    """A snapshot of ``FitnessIndicators.probability`` for every slot.
+
+    It answers ``slots`` and ``probability`` as the indicators do, so every
+    function below that takes the indicators also takes a snapshot, which
+    spares recomputing a probability each time it is read.
+    """
+
+    layers: tuple[dict[int, float], ...]
+
+    def slots(self, layer_index: int) -> list[int]:
+        return list(self.layers[layer_index])
+
+    def probability(self, layer_index: int, slot: int) -> float:
+        return self.layers[layer_index][slot]
+
+
+def config_probability(
+    gate: GateVector, thetas: FitnessIndicators | SlotProbabilities
+) -> float:
     """Joint Bernoulli probability of one layer configuration.
 
     Identity paths are structural with probability fixed to 1, so they never
@@ -122,28 +151,38 @@ def indicator_sampler(
     thetas: FitnessIndicators, roles: Sequence[str]
 ) -> GateSampler:
     """Gate each slot independently by its indicator probability."""
-    slots = [thetas.slots(li) for li in range(thetas.num_layers)]
-    probs = [[thetas.probability(li, s) for s in layer] for li, layer in enumerate(slots)]
-    return GateSampler(slots, roles, probs)
+    probs = thetas.probabilities().layers
+    return GateSampler([list(p) for p in probs], roles, [list(p.values()) for p in probs])
+
+
+def layer_sampler(
+    thetas: FitnessIndicators | SlotProbabilities, layer_index: int, role: str
+) -> GateSampler:
+    """A sampler of one layer's configurations by its indicator probabilities.
+
+    The layers before it are left empty, so a draw reads only this layer's
+    doubles and its gate vector and errors carry the real layer index.
+    """
+    slots = thetas.slots(layer_index)
+    probs = [thetas.probability(layer_index, s) for s in slots]
+    empty = [()] * layer_index
+    return GateSampler(empty + [slots], [NORMAL] * layer_index + [role], empty + [probs])
+
+
+def draw_config(sampler: GateSampler, rng: np.random.Generator) -> GateVector:
+    """One draw of a ``layer_sampler``'s layer."""
+    li = len(sampler.slots) - 1
+    return sampler.gate(li, int(sampler.draw(rng, 1)[0, li]))
 
 
 def sample_config(
-    thetas: FitnessIndicators,
+    thetas: FitnessIndicators | SlotProbabilities,
     rng: np.random.Generator,
     layer_index: int,
     role: str,
 ) -> GateVector:
-    """One layer's draw from its indicator probabilities.
-
-    The layers before it are left empty, so the draw reads only this layer's
-    doubles and its gate vector and errors carry the real layer index.
-    """
-    slots = [()] * layer_index + [thetas.slots(layer_index)]
-    probs = [()] * layer_index + [
-        [thetas.probability(layer_index, s) for s in slots[-1]]
-    ]
-    sampler = GateSampler(slots, [NORMAL] * layer_index + [role], probs)
-    return sampler.gate(layer_index, int(sampler.draw(rng, 1)[0, layer_index]))
+    """One layer's draw from its indicator probabilities."""
+    return draw_config(layer_sampler(thetas, layer_index, role), rng)
 
 
 def sample_architecture(
@@ -163,7 +202,7 @@ def rescale_pair(p_a: float, p_b: float) -> tuple[float, float]:
 
 
 def config_probability_grads(
-    gate: GateVector, thetas: FitnessIndicators
+    gate: GateVector, thetas: FitnessIndicators | SlotProbabilities
 ) -> dict[int, float]:
     """d p_hat / d theta_n for every slot: p_hat * (g_n - p_n)."""
     p_hat = config_probability(gate, thetas)
@@ -178,7 +217,7 @@ def config_probability_grads(
 
 
 def rescaled_pair_grads(
-    g_a: GateVector, g_b: GateVector, thetas: FitnessIndicators
+    g_a: GateVector, g_b: GateVector, thetas: FitnessIndicators | SlotProbabilities
 ) -> dict[int, float]:
     """d p_tilde_a / d theta_n through the pair rescale (quotient rule).
 
@@ -295,11 +334,13 @@ def indicator_update_step(
     are not updated.
     """
     x, y = val_batch
+    probs = thetas.probabilities()
     gates_a = []
     gates_b = []
     for li in range(subset.num_layers):
-        gates_a.append(sample_config(thetas, rng, li, subset.roles[li]))
-        gates_b.append(sample_config(thetas, rng, li, subset.roles[li]))
+        sampler = layer_sampler(probs, li, subset.roles[li])
+        gates_a.append(draw_config(sampler, rng))
+        gates_b.append(draw_config(sampler, rng))
 
     weights.set_mode("train")
     record = weights.train_forward(gates_a, x)
@@ -313,10 +354,10 @@ def indicator_update_step(
         o_b = weights.layer_output_nograd(li, gates_b[li], trace.x, shared)
         s_a = float(np.sum(upstream * trace.out))
         s_b = float(np.sum(upstream * o_b))
-        p_a = config_probability(gates_a[li], thetas)
-        p_b = config_probability(gates_b[li], thetas)
+        p_a = config_probability(gates_a[li], probs)
+        p_b = config_probability(gates_b[li], probs)
         pt_a, pt_b = rescale_pair(p_a, p_b)
-        d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], thetas)
+        d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], probs)
         c_a = layer_cost(gates_a[li], cost_table)
         c_b = layer_cost(gates_b[li], cost_table)
         expected_cost += expected_pair_cost(gates_a[li], gates_b[li], pt_a, pt_b, cost_table)

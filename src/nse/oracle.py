@@ -23,6 +23,7 @@ from .rng import make_rng
 from .space import (
     NORMAL,
     Architecture,
+    GateSampler,
     GateVector,
     SearchSpacePool,
     SpaceError,
@@ -37,7 +38,9 @@ class Evaluator(Protocol):
 
     ``table`` prices the architectures.  ``evaluate`` scores an architecture
     and records the ``cost`` its caller priced it at on ``table``, so each
-    architecture is priced once.
+    architecture is priced once.  ``accuracies`` scores a sampler's draws,
+    given as (mask row, cost) pairs, to what ``evaluate`` gives their
+    decoded architectures.
     """
 
     table: CostTable
@@ -45,6 +48,10 @@ class Evaluator(Protocol):
     def cost(self, architecture: Architecture) -> float: ...
 
     def evaluate(self, architecture: Architecture, cost: float) -> EvaluationRecord: ...
+
+    def accuracies(
+        self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
+    ) -> list[float]: ...
 
 
 def _logit(p: float) -> float:
@@ -171,12 +178,20 @@ def oracle_score(arch: Architecture, bench: SyntheticBenchmark) -> tuple[float, 
 
 
 class OracleEvaluator:
-    """``oracle_score`` with each layer's saturated score memoised."""
+    """``oracle_score`` with each layer's saturated score memoised.
+
+    ``evaluate`` looks the values up per gate vector, ``accuracies`` per
+    layer mask of a sampler's rows, in tables filled from the gate vectors'
+    values.  Both fold a row's values with ``_accuracy``, so every accuracy
+    equals ``oracle_score``'s.
+    """
 
     def __init__(self, benchmark: SyntheticBenchmark):
         self.benchmark = benchmark
         self.table = benchmark.cost_table()
         self._values: dict[GateVector, float] = {}
+        # per sampler slot layout: one table of mask -> value per layer
+        self._masks: dict[tuple[tuple[int, ...], ...], list[dict[int, float]]] = {}
 
     def cost(self, architecture: Architecture) -> float:
         return architecture_cost(architecture, self.table)
@@ -190,6 +205,16 @@ class OracleEvaluator:
     def evaluate(self, architecture: Architecture, cost: float) -> EvaluationRecord:
         accuracy = _accuracy(self.benchmark, map(self._value, architecture.gate_vectors))
         return EvaluationRecord(architecture, accuracy, cost)
+
+    def accuracies(
+        self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
+    ) -> list[float]:
+        tables = self._masks.setdefault(sampler.slots, [{} for _ in sampler.slots])
+        rows = [row for row, _ in draws]
+        for li, (table, masks) in enumerate(zip(tables, zip(*rows))):
+            for mask in set(masks).difference(table):
+                table[mask] = self._value(sampler.selection(li, mask))
+        return [_accuracy(self.benchmark, map(dict.__getitem__, tables, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,19 @@ class GateSampler:
     def decode(self, row: Sequence[int]) -> Architecture:
         return Architecture(tuple(self.gate(li, int(m)) for li, m in enumerate(row)))
 
+    def row(self, architecture: Architecture) -> tuple[int, ...] | None:
+        """The mask row that ``decode`` turns into ``architecture``, or None
+        if the architecture gates a slot or layer this sampler does not."""
+        if architecture.num_layers != len(self.slots):
+            return None
+        row = []
+        for slots, gate in zip(self.slots, architecture.gate_vectors):
+            mask = sum(1 << j for j, s in enumerate(slots) if s in gate.selected)
+            if mask.bit_count() != len(gate.selected):
+                return None
+            row.append(mask)
+        return tuple(row)
+
 
 def sample_uniform_architecture(
     subset: SubsetState, rng: np.random.Generator

@@ -2,14 +2,15 @@
 
 ``sample_space_architecture`` is a second sampler of the K-bounded space
 that only tests use; ``reference_keep_draws`` is the retrieval keep loop
-that looks at every draw, one at a time.
+that looks at every draw, one at a time; ``reference_retrieve_pareto`` is
+retrieval with one evaluated record per kept draw.
 """
 
 import math
 
 import numpy as np
 
-from nse.engine import BLOCK_DOUBLES
+from nse.engine import BLOCK_DOUBLES, edging_filter
 from nse.resources import MaskCost
 from nse.space import NORMAL, Architecture, GateVector, SpaceError, SubsetState
 
@@ -66,3 +67,54 @@ def reference_keep_draws(sampler, table, retrieval, constraint, rng):
             if len(in_budget) == retrieval.samples and len(auxiliary) == retrieval.auxiliary:
                 return in_budget, auxiliary, draws
     return in_budget, auxiliary, draws
+
+
+def reference_pareto_front(records):
+    """``pareto.pareto_front`` with the gate encoding in every sort key."""
+    ordered = sorted(records, key=lambda r: (r.cost, -r.accuracy, r.architecture.encoding()))
+    front, best = [], -math.inf
+    for record in ordered:
+        if record.accuracy > best:
+            front.append(record)
+            best = record.accuracy
+    return front
+
+
+def reference_retrieve_pareto(sampler, evaluator, previous_front, retrieval, constraint, rng):
+    """``engine.retrieve_pareto`` with one record per kept draw: every kept
+    row is decoded and evaluated as an architecture, rehearsal compares
+    encodings, and the best pick sorts every in-budget record.
+
+    Returns (corrected front, raw front, best in-budget record, in-budget
+    records, diagnostics).
+    """
+    limit = constraint.upper_bound
+    in_budget, auxiliary, draws = reference_keep_draws(
+        sampler, evaluator.table, retrieval, constraint, rng
+    )
+    sampled = [(sampler.decode(key), cost) for key, cost in in_budget]
+    sampled_set = {a.encoding() for a, _ in sampled}
+    rehearse = [
+        (rec.architecture, evaluator.cost(rec.architecture))
+        for rec in previous_front
+        if rec.architecture.encoding() not in sampled_set
+    ]
+    beyond = [(sampler.decode(key), cost) for key, cost in auxiliary]
+    records = [evaluator.evaluate(a, cost) for a, cost in sampled + rehearse + beyond]
+    n_in = len(sampled) + len(rehearse)
+    in_records = [r for r in records[:n_in] if r.cost <= limit]
+    diagnostics = {
+        "draws": draws,
+        "stalled": len(in_budget) < retrieval.samples,
+        "in_budget": len(in_budget),
+        "auxiliary": len(auxiliary),
+        "rehearsed": len(rehearse),
+    }
+    raw = reference_pareto_front(in_records)
+    corrected = edging_filter(raw, records[n_in:], constraint, diagnostics)
+    best = min(
+        in_records,
+        key=lambda rec: (-rec.accuracy, rec.cost, rec.architecture.encoding()),
+        default=None,
+    )
+    return corrected, raw, best, in_records, diagnostics

@@ -66,6 +66,10 @@ def test_oracle_smoke_run_completes_quickly_with_artifacts(tmp_path):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["rounds_completed"] == 2
     assert manifest["best_archive"]
+    # each round manifest says where the round's retrieval time went
+    timings = json.loads((run_dir / "round_001" / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"sample_draws", "evaluation", "front"}
+    assert all(t >= 0.0 for t in timings.values())
 
 
 def test_rerun_produces_byte_identical_pareto(tmp_path):
@@ -146,6 +150,7 @@ def test_inspect_lists_origins_and_checks_hashes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "inherited" in out  # legend
     assert "round 2" in out
+    assert "timings: evaluation" in out
     # tampered artifact hash is refused
     pareto_path = tmp_path / "run" / "round_002" / "pareto.json"
     payload = json.loads(pareto_path.read_text())

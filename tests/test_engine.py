@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_draw
-from reference import reference_keep_draws
+from reference import reference_keep_draws, reference_retrieve_pareto
 from nse.rng import make_rng
 from nse.engine import (
     BLOCK_DOUBLES,
@@ -22,7 +22,7 @@ from nse.oracle import (
     oracle_score,
 )
 from nse.pareto import EvaluationRecord
-from nse.resources import ConstraintConfig, CostTable, architecture_cost
+from nse.resources import ConstraintConfig, CostTable, MaskCost, architecture_cost
 from nse.space import (
     Architecture,
     DeclaredLayer,
@@ -30,7 +30,9 @@ from nse.space import (
     GateSampler,
     SubsetEntry,
     SubsetState,
+    TraversalLedger,
     full_subset,
+    init_subset,
     shuffle_pool,
 )
 from nse.supernet import DatasetConfig, NetworkGeometry, ToyDataset, TrainingConfig, toy_op_family
@@ -81,6 +83,9 @@ class StubEvaluator:
 
     def evaluate(self, arch, cost):
         return EvaluationRecord(arch, self.scores[arch.encoding()][0], cost)
+
+    def accuracies(self, sampler, draws):
+        return [self.evaluate(sampler.decode(row), cost).accuracy for row, cost in draws]
 
 
 class CyclingSampler(GateSampler):
@@ -272,10 +277,15 @@ class CountingEvaluator(OracleEvaluator):
     def __init__(self, bench):
         super().__init__(bench)
         self.cost_calls = 0
+        self.scored = []  # per call, the decoded draws scored
 
     def cost(self, arch):
         self.cost_calls += 1
         return super().cost(arch)
+
+    def accuracies(self, sampler, draws):
+        self.scored.append([(sampler.decode(row), cost) for row, cost in draws])
+        return super().accuracies(sampler, draws)
 
 
 @pytest.mark.parametrize(
@@ -293,7 +303,7 @@ def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
     subset = full_subset(pool)
     constraint = ConstraintConfig(tau=bench.overhead + 250.0)
     evaluator = CountingEvaluator(bench)
-    _, _, in_records, diag = retrieve_pareto(
+    _, _, _, diag = retrieve_pareto(
         GateSampler.uniform(subset), evaluator, [], retrieval, constraint, make_rng("blocks", 0)
     )
     draws, ref_stalled, in_budget, auxiliary = reference_retrieval(
@@ -302,7 +312,8 @@ def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
     assert ref_stalled == stalled
     assert (diag["draws"], diag["stalled"]) == (draws, stalled)
     assert (diag["in_budget"], diag["auxiliary"]) == (len(in_budget), len(auxiliary))
-    assert [(r.architecture.encoding(), r.cost) for r in in_records] == in_budget
+    # the first draws scored are the in-budget ones
+    assert [(arch.encoding(), cost) for arch, cost in evaluator.scored[0]] == in_budget
     # every kept draw was priced once, on its masks
     assert evaluator.cost_calls == 0
 
@@ -337,6 +348,153 @@ def test_keep_draws_equals_the_every_draw_loop(retrieval, tau, margin, stop):
     else:
         assert draws == cap and len(in_budget) < retrieval.samples
         assert (len(auxiliary) == retrieval.auxiliary) == (stop == "auxiliary")
+
+
+def check_retrieval_equals_reference(sampler, bench, previous, retrieval, constraint, seed):
+    """retrieve_pareto on mask rows returns what the record-per-draw reference
+    does, and every accuracy it scores is the closed form's, exactly."""
+    got = retrieve_pareto(
+        sampler, OracleEvaluator(bench), previous, retrieval, constraint, make_rng("rows", seed)
+    )
+    corrected, raw, best, in_records, diag = reference_retrieve_pareto(
+        sampler, OracleEvaluator(bench), previous, retrieval, constraint, make_rng("rows", seed)
+    )
+    assert got[0] == corrected
+    assert got[1] == raw
+    assert got[2] == best
+    assert got[3] == diag
+    in_budget, _, _ = _keep_draws(
+        sampler, bench.cost_table(), retrieval, constraint, make_rng("rows", seed)
+    )
+    # the sampled records come first, all of them in budget
+    assert OracleEvaluator(bench).accuracies(sampler, in_budget) == [
+        r.accuracy for r in in_records[: len(in_budget)]
+    ]
+    for rec in in_records:
+        assert rec.accuracy == oracle_score(rec.architecture, bench)[0]
+    return diag, in_records, raw
+
+
+def outside_architecture(pool, subset):
+    """An architecture gating, in every layer, one slot the subset does not."""
+    return Architecture.from_encoding(
+        [
+            [next(s for s in range(layer.size) if s not in subset.active_slots(li))]
+            for li, layer in enumerate(pool.layers)
+        ]
+    )
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_retrieval_on_mask_rows_equals_the_record_per_draw_reference(case):
+    rng = make_rng("random-retrieval", case)
+    roles = [str(r) for r in rng.choice(["normal", "reduction"], size=int(rng.integers(2, 5)))]
+    n = int(rng.integers(4, 8))
+    pool = opaque_pool(roles, n, seed=case)
+    bench = SyntheticBenchmark.generate(pool, seed=50 + case)
+    subset = init_subset(pool, int(rng.integers(2, n)), case, TraversalLedger())
+    sampler = GateSampler.uniform(subset)
+    costs = MaskCost(sampler, bench.cost_table())(sampler.draw(make_rng("costs", case), 400))
+    retrieval = RetrievalConfig(
+        samples=int(rng.integers(5, 80)),
+        auxiliary=int(rng.integers(0, 20)),
+        stall_factor=int(rng.integers(2, 30)),
+    )
+    constraint = ConstraintConfig(
+        tau=float(np.quantile(costs, rng.uniform(0.1, 0.9))),
+        edging_margin=float(rng.uniform(0.05, 0.5)),
+    )
+    # a previous front partly among this round's kept rows and partly not:
+    # half a front of the same draws, a front of other draws, and an
+    # architecture that gates slots outside the subset
+    fronts = [
+        reference_retrieve_pareto(
+            sampler, OracleEvaluator(bench), [], retrieval, constraint, make_rng(name, case)
+        )[1]
+        for name in ("rows", "other")
+    ]
+    outside = outside_architecture(pool, subset)
+    previous = fronts[0][::2] + fronts[1] + [EvaluationRecord(outside, 0.5, 1.0)]
+    diag, _, _ = check_retrieval_equals_reference(
+        sampler, bench, previous, retrieval, constraint, case
+    )
+    assert 1 <= diag["rehearsed"] <= len(previous) - len(fronts[0][::2])
+
+
+@pytest.mark.parametrize("kind", ["stall", "auxiliary only", "edging fallback"])
+def test_retrieval_on_mask_rows_equals_the_reference_at_the_edges(kind):
+    pool = opaque_pool(("normal", "reduction", "normal"), 5, seed=6)
+    bench = SyntheticBenchmark.generate(pool, seed=12)
+    sampler = GateSampler.uniform(full_subset(pool))
+    costs = MaskCost(sampler, bench.cost_table())(sampler.draw(make_rng("costs", kind), 1000))
+    if kind == "stall":
+        # fewer distinct in-budget draws exist than are asked for
+        tau, margin = float(np.quantile(costs, 0.02)), 0.1
+        retrieval = RetrievalConfig(samples=200, auxiliary=5, stall_factor=3)
+    elif kind == "auxiliary only":
+        tau, margin = float(np.quantile(costs, 0.05)), 1.0
+        retrieval = RetrievalConfig(samples=100, auxiliary=5, stall_factor=3)
+    else:
+        # every front point is near the cutoff and a beyond-boundary draw
+        # beats them all
+        tau, margin = float(np.quantile(costs, 0.2)), 1.0
+        retrieval = RetrievalConfig(samples=30, auxiliary=40, stall_factor=20)
+    constraint = ConstraintConfig(tau=tau, edging_margin=margin)
+    diag, _, _ = check_retrieval_equals_reference(sampler, bench, [], retrieval, constraint, 0)
+    if kind == "stall":
+        assert diag["stalled"] and diag["in_budget"] < retrieval.samples
+    elif kind == "auxiliary only":
+        assert diag["stalled"] and diag["auxiliary"] == retrieval.auxiliary
+    else:
+        assert diag["edging_fallback"]
+
+
+def tied_benchmark(pool, seed):
+    """A benchmark in which slots 0 and 1 of every layer are cheap, strong and
+    interchangeable, so front points tie."""
+    bench = SyntheticBenchmark.generate(pool, seed=seed)
+    for li in range(pool.num_layers):
+        for slot in (0, 1):
+            bench.utilities[(li, slot)] = 0.95
+            bench.costs[(li, slot)] = 30.0
+    bench.synergies = {key: 0.0 for key in bench.synergies}
+    return bench
+
+
+def swap_first_slots(arch):
+    swap = {0: 1, 1: 0}
+    return Architecture.from_encoding(
+        [sorted(swap.get(s, s) for s in layer) for layer in arch.encoding()]
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_retrieval_breaks_exact_ties_like_the_reference(seed):
+    pool = opaque_pool(("normal", "reduction"), 5, seed=3)
+    bench = tied_benchmark(pool, seed=7)
+    sampler = GateSampler.uniform(full_subset(pool))
+    retrieval = RetrievalConfig(samples=60, stall_factor=20)
+    constraint = ConstraintConfig(tau=bench.overhead + 150.0)
+    # the tie partners of another draw order's front arrive by rehearsal,
+    # after the sampled rows; each seed draws the tied rows in another order
+    other = reference_retrieve_pareto(
+        sampler, OracleEvaluator(bench), [], retrieval, constraint, make_rng("tie", seed)
+    )[1]
+    previous = [
+        EvaluationRecord(swap_first_slots(r.architecture), r.accuracy, r.cost) for r in other
+    ]
+    _, in_records, raw = check_retrieval_equals_reference(
+        sampler, bench, previous, retrieval, constraint, seed
+    )
+    tied = [
+        r
+        for r in raw
+        if any(
+            (o.accuracy, o.cost) == (r.accuracy, r.cost) and o.architecture != r.architecture
+            for o in in_records
+        )
+    ]
+    assert tied
 
 
 def test_run_rounds_are_deterministic():
@@ -590,3 +748,8 @@ def test_indicator_cadence_diagnostic():
     )
     summary = engine.run()
     assert summary.results[0].diagnostics["indicator_steps"] == 6
+    timings = summary.results[0].timings
+    assert set(timings) == {
+        "sample_draws", "evaluation", "front", "weight_steps", "indicator_steps"
+    }
+    assert sum(timings.values()) <= summary.results[0].duration

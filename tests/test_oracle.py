@@ -140,6 +140,40 @@ def test_pareto_front_duplicate_tie_break():
     assert front[0].architecture.encoding() == ((0,),)
 
 
+class LazyRecord:
+    """A record whose architecture is built, and counted, only when read."""
+
+    reads = 0
+
+    def __init__(self, acc, cost, encoding):
+        self.accuracy, self.cost, self.encoding = acc, cost, encoding
+
+    @property
+    def architecture(self):
+        LazyRecord.reads += 1
+        return Architecture.from_encoding(self.encoding)
+
+
+def test_pareto_front_ties_go_to_the_smallest_encoding_in_any_order():
+    tied = [[[2], [0]], [[0, 1], [3]], [[0], [4]], [[1], []]]
+    records = [_rec(0.7, 150.0, enc) for enc in tied] + [
+        _rec(0.6, 100.0, [[3], [3]]),
+        _rec(0.7, 160.0, [[0], []]),  # as accurate, dearer: dominated
+        _rec(0.8, 200.0, [[4], [4]]),
+    ]
+    expected = [(0.6, 100.0, ((3,), (3,))), (0.7, 150.0, ((0,), (4,))), (0.8, 200.0, ((4,), (4,)))]
+    for order in itertools.permutations(range(len(records))):
+        front = pareto_front([records[i] for i in order])
+        assert [(r.accuracy, r.cost, r.architecture.encoding()) for r in front] == expected
+    # encodings are read only inside exact ties
+    LazyRecord.reads = 0
+    lazy = [LazyRecord(0.6, 100.0, [[3]]), LazyRecord(0.7, 150.0, [[2]])]
+    assert [r.cost for r in pareto_front(lazy[::-1])] == [100.0, 150.0]
+    assert LazyRecord.reads == 0
+    pareto_front(lazy + [LazyRecord(0.7, 150.0, [[1]])])
+    assert LazyRecord.reads == 2
+
+
 def test_brute_force_front_is_exact_antichain():
     pool = small_pool(n=4)
     subset = full_subset(pool)
@@ -195,6 +229,7 @@ def test_memoised_scores_and_mask_costs_equal_the_closed_form():
     cost_of = MaskCost(sampler, bench.cost_table())
     archs = list(enumerate_architectures(subset))
     assert len(archs) == 16 * 16 * 15
+    draws, accuracies = [], []
     for arch in archs:
         acc, cost = oracle_score(arch, bench)
         assert ev.evaluate(arch, cost).accuracy == acc
@@ -204,6 +239,15 @@ def test_memoised_scores_and_mask_costs_equal_the_closed_form():
         ]
         assert cost_of(np.array([row])).tolist() == [cost]
         assert sampler.decode(row) == arch
+        assert sampler.row(arch) == tuple(row)
+        draws.append((row, cost))
+        accuracies.append(acc)
+    # the mask-row scorer, on filled tables and on fresh ones
+    assert ev.accuracies(sampler, draws) == accuracies
+    assert OracleEvaluator(bench).accuracies(sampler, draws[::-1]) == accuracies[::-1]
+    # an architecture the sampler cannot draw has no row
+    assert sampler.row(Architecture.from_encoding([[0], [4], [1]])) is None
+    assert sampler.row(Architecture.from_encoding([[0], [1]])) is None
 
 
 def test_constrained_optimum_matches_enumeration():
