@@ -53,12 +53,11 @@ from .supernet import (
     ToyDataset,
     TrainingConfig,
     build_cost_table,
-    cosine_warmup_lr,
     evaluate as evaluate_on_supernet,
     make_recal_batches,
     train_step,
 )
-from .nn import SGD
+from .nn import SGD, cosine_warmup_lr
 
 
 # Doubles per sampler block in retrieval (64 KiB): larger blocks were no
@@ -572,37 +571,6 @@ class Engine:
             round_index=1,
             subset=subset,
             ledger=ledger,
-            master_seed=self.master_seed,
-        )
-
-    def continuation_state(
-        self,
-        inherited: Sequence[frozenset[int]],
-        previous_front: Sequence[EvaluationRecord] = (),
-    ) -> EvolutionState:
-        """Resume search over this engine's pool from an inherited union.
-
-        Used to attach a second operation pool after a finished run: the
-        caller merges the surviving operations into the new pool and passes
-        their per-layer slot sets here.  Inherited slots are recorded as
-        traversed so replenishment never re-samples them as fresh, and the
-        previous front can be carried over for rehearsal.
-        """
-        ledger = TraversalLedger()
-        for li, slots in enumerate(inherited):
-            ledger.record((li, s) for s in slots)
-        subset = replenish(
-            inherited,
-            self.pool,
-            ledger,
-            self.capacity,
-            derive_seed(self.master_seed, "subset"),
-        )
-        return EvolutionState(
-            round_index=1,
-            subset=subset,
-            ledger=ledger,
-            previous_front=list(previous_front),
             master_seed=self.master_seed,
         )
 

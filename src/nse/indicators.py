@@ -16,7 +16,6 @@ path of a reduction layer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -84,9 +83,6 @@ class FitnessIndicators:
     def remove(self, layer_index: int, slot: int) -> None:
         del self.values[layer_index][slot]
 
-    def probability(self, layer_index: int, slot: int) -> float:
-        return op_probability(self.values[layer_index][slot])
-
     def probabilities(self) -> "SlotProbabilities":
         """Every slot's probability now, each computed once."""
         return SlotProbabilities(
@@ -116,11 +112,10 @@ class FitnessIndicators:
 
 @dataclass(frozen=True)
 class SlotProbabilities:
-    """A snapshot of ``FitnessIndicators.probability`` for every slot.
+    """Every slot's ``op_probability`` at one moment, per layer in slot order.
 
-    It answers ``slots`` and ``probability`` as the indicators do, so every
-    function below that takes the indicators also takes a snapshot, which
-    spares recomputing a probability each time it is read.
+    ``FitnessIndicators.probabilities`` takes it; the functions below read
+    probabilities only from it, so each is computed once per snapshot.
     """
 
     layers: tuple[dict[int, float], ...]
@@ -132,9 +127,7 @@ class SlotProbabilities:
         return self.layers[layer_index][slot]
 
 
-def config_probability(
-    gate: GateVector, thetas: FitnessIndicators | SlotProbabilities
-) -> float:
+def config_probability(gate: GateVector, thetas: SlotProbabilities) -> float:
     """Joint Bernoulli probability of one layer configuration.
 
     Identity paths are structural with probability fixed to 1, so they never
@@ -155,9 +148,7 @@ def indicator_sampler(
     return GateSampler([list(p) for p in probs], roles, [list(p.values()) for p in probs])
 
 
-def layer_sampler(
-    thetas: FitnessIndicators | SlotProbabilities, layer_index: int, role: str
-) -> GateSampler:
+def layer_sampler(thetas: SlotProbabilities, layer_index: int, role: str) -> GateSampler:
     """A sampler of one layer's configurations by its indicator probabilities.
 
     The layers before it are left empty, so a draw reads only this layer's
@@ -173,16 +164,6 @@ def draw_config(sampler: GateSampler, rng: np.random.Generator) -> GateVector:
     """One draw of a ``layer_sampler``'s layer."""
     li = len(sampler.slots) - 1
     return sampler.gate(li, int(sampler.draw(rng, 1)[0, li]))
-
-
-def sample_config(
-    thetas: FitnessIndicators | SlotProbabilities,
-    rng: np.random.Generator,
-    layer_index: int,
-    role: str,
-) -> GateVector:
-    """One layer's draw from its indicator probabilities."""
-    return draw_config(layer_sampler(thetas, layer_index, role), rng)
 
 
 def sample_architecture(
@@ -201,9 +182,7 @@ def rescale_pair(p_a: float, p_b: float) -> tuple[float, float]:
     return p_a / total, p_b / total
 
 
-def config_probability_grads(
-    gate: GateVector, thetas: FitnessIndicators | SlotProbabilities
-) -> dict[int, float]:
+def config_probability_grads(gate: GateVector, thetas: SlotProbabilities) -> dict[int, float]:
     """d p_hat / d theta_n for every slot: p_hat * (g_n - p_n)."""
     p_hat = config_probability(gate, thetas)
     return {
@@ -217,7 +196,7 @@ def config_probability_grads(
 
 
 def rescaled_pair_grads(
-    g_a: GateVector, g_b: GateVector, thetas: FitnessIndicators | SlotProbabilities
+    g_a: GateVector, g_b: GateVector, thetas: SlotProbabilities
 ) -> dict[int, float]:
     """d p_tilde_a / d theta_n through the pair rescale (quotient rule).
 
@@ -232,49 +211,6 @@ def rescaled_pair_grads(
         slot: (d_a[slot] * p_b - p_a * d_b[slot]) / total_sq
         for slot in thetas.slots(g_a.layer_index)
     }
-
-
-def two_config_ce_grads(
-    s_a: float,
-    s_b: float,
-    g_a: GateVector,
-    g_b: GateVector,
-    thetas: FitnessIndicators,
-) -> dict[int, float]:
-    """Two-configuration cross-entropy term: (s_a - s_b) * d p_tilde_a."""
-    d_tilde = rescaled_pair_grads(g_a, g_b, thetas)
-    return {slot: (s_a - s_b) * d for slot, d in d_tilde.items()}
-
-
-def exhaustive_ce_grads(
-    layer_index: int,
-    role: str,
-    thetas: FitnessIndicators,
-    branch_outputs: Mapping[int, np.ndarray],
-    upstream: np.ndarray,
-    identity_input: np.ndarray | None,
-) -> dict[int, float]:
-    """Enumeration-based reference for the cross-entropy indicator gradient.
-
-    Sums over every configuration of the layer; only feasible for a handful
-    of slots, and used as a verification baseline rather than in training.
-    """
-    slots = thetas.slots(layer_index)
-    if len(slots) > 16:
-        raise ValueError("exhaustive gradient is limited to small layers")
-    grads = {slot: 0.0 for slot in slots}
-    low = 0 if role == NORMAL else 1
-    for k in range(low, len(slots) + 1):
-        for sel in itertools.combinations(slots, k):
-            gate = GateVector(layer_index, frozenset(sel))
-            parts = [branch_outputs[s] for s in sel]
-            if role == NORMAL:
-                parts = [identity_input] + parts
-            mix = sum(parts) / len(parts)
-            s_g = float(np.sum(upstream * mix))
-            for slot, d in config_probability_grads(gate, thetas).items():
-                grads[slot] += s_g * d
-    return grads
 
 
 class ThetaAdam:

@@ -1,11 +1,11 @@
-"""Dense-tensor reverse-mode autodiff, normalization, losses, optimizers.
+"""Array ops, normalization, losses, optimizers, and a reverse-mode tape.
 
-Small on purpose: float64 numpy arrays, a handful of ops, and a tape that is
-implicit in the graph (each tensor keeps its parents and a backward closure).
-Every op validates shapes and rejects non-finite outputs immediately, which
-keeps failures close to their cause in long training loops.  Runs use the
-no-grad array twins of the ops; the tape is the reference they are tested
-against.
+Small on purpose: float64 numpy arrays and a handful of ops.  Every op
+validates shapes and rejects non-finite outputs immediately, which keeps
+failures close to their cause in long training loops.  Runs use the array
+ops and hold parameters as plain arrays.  The ``Tensor`` tape (each tensor
+keeps its parents and a backward closure) is on no run path: the tests use
+it as the reference the array ops are checked against.
 """
 
 from __future__ import annotations
@@ -494,19 +494,18 @@ class SGD:
         self.weight_decay = weight_decay
         self._velocity: dict[str, np.ndarray] = {}
 
-    def step(self, params: Mapping[str, Tensor]) -> None:
-        for name, p in params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
+    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
+        """Replace each array of ``params`` named in ``grads`` by its step."""
+        for name, g in grads.items():
+            p = params[name]
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
+                g = g + self.weight_decay * p
             if self.momentum:
                 buf = self._velocity.get(name)
                 buf = g if buf is None else self.momentum * buf + g
                 self._velocity[name] = buf
                 g = g + self.momentum * buf if self.nesterov else buf
-            p.data = p.data - self.lr * g
+            params[name] = p - self.lr * g
 
 
 def cosine_warmup_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int) -> float:
@@ -518,10 +517,10 @@ def cosine_warmup_lr(step: int, total_steps: int, base_lr: float, warmup_steps: 
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * progress))
 
 
-def state_hash(params: Mapping[str, Tensor]) -> str:
+def state_hash(params: Mapping[str, np.ndarray]) -> str:
     h = hashlib.sha256()
     for name in sorted(params):
         h.update(name.encode())
         h.update(str(params[name].shape).encode())
-        h.update(params[name].data.astype("<f8").tobytes())
+        h.update(params[name].astype("<f8").tobytes())
     return h.hexdigest()

@@ -1,12 +1,12 @@
-"""Synthetic tabular benchmark with closed-form scores and exact baselines.
+"""Synthetic tabular benchmark with closed-form scores.
 
 The benchmark assigns every pool operation a seeded utility, every operation
 pair within a layer a small synergy, and every operation a cost.  A layer's
 quality is the mean utility of its selected operations plus the per-selection
 share of pairwise synergies, squashed through a saturating curve; the whole
 architecture maps to an accuracy in (0, 1) through a sigmoid.  Scores are
-pure functions of the seed, which makes brute-force verification of the
-search loop possible on small spaces.
+pure functions of the seed, so the search loop can be checked against
+brute-force enumeration on small spaces (the tests hold that enumeration).
 """
 
 from __future__ import annotations
@@ -17,20 +17,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from .indicators import op_probability as sigmoid  # the package's one sigmoid
-from .pareto import EvaluationRecord, pareto_front
+from .pareto import EvaluationRecord
 from .resources import CostTable, architecture_cost
 from .rng import make_rng
-from .space import (
-    NORMAL,
-    Architecture,
-    GateSampler,
-    GateVector,
-    SearchSpacePool,
-    SpaceError,
-    SubsetState,
-)
-
-ENUMERATION_CAP = 2**21
+from .space import Architecture, GateSampler, GateVector, SearchSpacePool
 
 
 class Evaluator(Protocol):
@@ -215,99 +205,3 @@ class OracleEvaluator:
             for mask in set(masks).difference(table):
                 table[mask] = self._value(sampler.selection(li, mask))
         return [_accuracy(self.benchmark, map(dict.__getitem__, tables, row)) for row in rows]
-
-
-# ---------------------------------------------------------------------------
-# Exact baselines
-
-
-def _layer_selections(
-    subset: SubsetState, layer_index: int, max_ops: int | None = None
-) -> list[tuple[int, ...]]:
-    slots = subset.active_slots(layer_index)
-    low = 0 if subset.roles[layer_index] == NORMAL else 1
-    hi = len(slots) if max_ops is None else min(max_ops, len(slots))
-    out: list[tuple[int, ...]] = []
-    for k in range(low, hi + 1):
-        out.extend(itertools.combinations(slots, k))
-    return out
-
-
-def enumeration_size(subset: SubsetState, max_ops: int | None = None) -> int:
-    total = 1
-    for li in range(subset.num_layers):
-        slots = len(subset.active_slots(li))
-        low = 0 if subset.roles[li] == NORMAL else 1
-        hi = slots if max_ops is None else min(max_ops, slots)
-        total *= sum(math.comb(slots, k) for k in range(low, hi + 1))
-    return total
-
-
-def enumerate_architectures(subset: SubsetState, cap: int = ENUMERATION_CAP):
-    """Yield every valid architecture over the subset's active entries."""
-    size = enumeration_size(subset)
-    if size > cap:
-        raise SpaceError(f"enumeration size {size} exceeds cap {cap}")
-    per_layer = [_layer_selections(subset, li) for li in range(subset.num_layers)]
-    for combo in itertools.product(*per_layer):
-        yield Architecture.from_encoding(combo)
-
-
-def brute_force_pareto(
-    subset: SubsetState,
-    bench: SyntheticBenchmark,
-    constraint_upper: float,
-    cap: int = ENUMERATION_CAP,
-) -> list[EvaluationRecord]:
-    """Exact front over every enumerable architecture with cost in budget."""
-    records = []
-    for arch in enumerate_architectures(subset, cap=cap):
-        accuracy, cost = oracle_score(arch, bench)
-        if cost <= constraint_upper:
-            records.append(EvaluationRecord(arch, accuracy, cost))
-    return pareto_front(records)
-
-
-def constrained_optimum(
-    subset: SubsetState,
-    bench: SyntheticBenchmark,
-    constraint_upper: float,
-    max_ops_per_layer: int | None = None,
-) -> tuple[float, Architecture]:
-    """Exact best in-budget accuracy over the (optionally K-bounded) space.
-
-    The score decomposes per layer into (saturated quality, cost) pairs, so
-    layers can be enumerated independently and merged with dominance pruning;
-    the result is exact without enumerating the full product space.
-    """
-    budget = constraint_upper - bench.overhead
-    if budget < 0:
-        raise SpaceError("budget below fixed overhead")
-    # states: (total saturated score, total cost, encoding-so-far)
-    states: list[tuple[float, float, tuple]] = [(0.0, 0.0, ())]
-    for li in range(subset.num_layers):
-        options = []
-        for sel in _layer_selections(subset, li, max_ops_per_layer):
-            f_val = _saturate(_layer_score(bench, li, sel))
-            c_val = sum(bench.costs[(li, s)] for s in sel)
-            options.append((f_val, c_val, sel))
-        merged = []
-        for f0, c0_, enc in states:
-            for f_val, c_val, sel in options:
-                c_new = c0_ + c_val
-                if c_new <= budget:
-                    merged.append((f0 + f_val, c_new, enc + (sel,)))
-        if not merged:
-            raise SpaceError(f"no in-budget selection for layer {li}")
-        # keep only (score up, cost down) non-dominated partial sums
-        merged.sort(key=lambda t: (t[1], -t[0], t[2]))
-        states = []
-        best_f = -float("inf")
-        for f_val, c_val, enc in merged:
-            if f_val > best_f:
-                states.append((f_val, c_val, enc))
-                best_f = f_val
-    best = max(states, key=lambda t: (t[0], -t[1]))
-    arch = Architecture.from_encoding(best[2])
-    accuracy, _ = oracle_score(arch, bench)
-    return accuracy, arch

@@ -15,15 +15,6 @@ class EvaluationRecord:
     cost: float
 
 
-def dominates(a: EvaluationRecord, b: EvaluationRecord) -> bool:
-    """a is at least as accurate and at most as costly, strictly better in one."""
-    return (
-        a.accuracy >= b.accuracy
-        and a.cost <= b.cost
-        and (a.accuracy > b.accuracy or a.cost < b.cost)
-    )
-
-
 def pareto_front(records: Sequence[EvaluationRecord]) -> list[EvaluationRecord]:
     """Non-dominated, deduplicated records sorted by ascending cost.
 

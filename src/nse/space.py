@@ -360,22 +360,6 @@ def full_subset(pool: SearchSpacePool) -> SubsetState:
     return SubsetState(layers=layers, roles=pool.roles, capacity=capacity)
 
 
-def subset_for_architecture(arch: Architecture, pool: SearchSpacePool) -> SubsetState:
-    """A minimal subset holding exactly one architecture's operations."""
-    layers = []
-    for li, gv in enumerate(arch.gate_vectors):
-        layers.append(
-            [
-                SubsetEntry(pool.descriptor(li, slot), ORIGIN_FRESH)
-                for slot in sorted(gv.selected)
-            ]
-        )
-    capacity = max(1, max(len(entries) for entries in layers))
-    state = SubsetState(layers=layers, roles=pool.roles, capacity=capacity)
-    state.validate()
-    return state
-
-
 # ---------------------------------------------------------------------------
 # Sampling and combinatorics
 

@@ -5,9 +5,10 @@ bottleneck, a nonlinearity, and a per-branch normalization) so branches have
 genuinely different capacity and cost without any convolution machinery.
 A multi-branch layer averages its selected branch outputs; normal layers
 average the identity path in as well.  Training samples one architecture per
-batch uniformly, so only the touched branches receive gradient.  It runs on
-plain arrays with one explicit backward per layer that repeats the float
-order of the ``Tensor`` autodiff tape, which the tests keep as its reference.  Evaluation
+batch uniformly, so only the touched branches receive gradient.  Parameters
+are plain arrays, and a step runs one explicit backward per layer that
+repeats the float order of the ``Tensor`` autodiff tape in ``nn``; the tests
+build the tape forward over these arrays as the reference.  Evaluation
 recalibrates private copies of the selected branches' normalization
 statistics on training batches before scoring validation accuracy.  It runs
 on a no-grad path over plain arrays, and an ``InferenceCache`` shares the
@@ -25,34 +26,28 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+# affine, normalize and sample_uniform_architecture are on no path of this
+# module: the tape ops are the tests' reference, and a one-row call of
+# GateSampler is no longer how training draws.  They stay importable here
+# because bench/child.py wraps them by this path.
 from .nn import (
     NormStats,
     SGD,
-    Tensor,
-    add,
-    affine,
+    affine,  # noqa: F401
     affine_array,
     affine_stack,
     average_arrays,
-    clear_grads,
-    cosine_warmup_lr,
-    normalize,
+    normalize,  # noqa: F401
     normalize_array,
     normalize_train_grad,
     normalize_train_stack,
-    relu,
     relu_array,
-    scale,
     softmax_cross_entropy_array,
     state_hash,
-    tanh,
     tanh_array,
 )
 from .resources import CostTable
 from .rng import make_rng
-# sample_uniform_architecture is a one-row call of GateSampler that training
-# no longer makes; it stays importable here because bench/child.py wraps it
-# by this path.
 from .space import (
     NORMAL,
     REDUCTION,
@@ -64,7 +59,6 @@ from .space import (
     SpaceError,
     SubsetState,
     sample_uniform_architecture,  # noqa: F401
-    subset_for_architecture,
 )
 
 
@@ -248,7 +242,6 @@ def build_cost_table(
 # Shared weights
 
 
-_ACTS = {"relu": relu, "tanh": tanh}
 _ARRAY_ACTS = {"relu": relu_array, "tanh": tanh_array}
 # d(act)/d(input) times g, from the activation's output: relu's output is
 # positive exactly where its input is, and tanh' = 1 - tanh^2
@@ -294,7 +287,7 @@ class SharedWeights:
             for entry in subset.layers[li]:
                 op = entry.descriptor
                 self.kinds[(li, op.slot_index)] = (op.kind, dict(op.params))
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, np.ndarray] = {}
         self.stats: dict[tuple[int, int], NormStats] = {}
         self._build()
 
@@ -326,7 +319,7 @@ class SharedWeights:
             else:
                 fan_in = shape[0]
                 data = rng.normal(size=shape) * math.sqrt(2.0 / fan_in)
-            self.params[name] = Tensor(data, requires_grad=True)
+            self.params[name] = data
         for (li, slot) in self.kinds:
             self.stats[(li, slot)] = NormStats(self.geometry.w_out(li))
 
@@ -342,7 +335,7 @@ class SharedWeights:
     def train_forward(self, gates: Sequence[GateVector], x: np.ndarray) -> TrainRecord:
         """Train-mode forward that records what ``train_backward`` needs.
 
-        Gives ``forward``'s logits bit for bit and folds the same batch
+        Gives the tape forward's logits bit for bit and folds the same batch
         moments into the selected branches' statistics.  A layer's branches
         share its input and output width, so their second affines are written
         into one (n, B, W) stack that is normalized in one call; the matmuls
@@ -350,12 +343,12 @@ class SharedWeights:
         """
         p = self.params
         x = np.asarray(x, dtype=np.float64)
-        h = affine_array(x, p["stem.w"].data, p["stem.b"].data)
+        h = affine_array(x, p["stem.w"], p["stem.b"])
         layers = []
         for li, gate in enumerate(gates):
             layers.append(self._layer_train_forward(li, sorted(gate.selected), h))
             h = layers[-1].out
-        logits = affine_array(h, p["head.w"].data, p["head.b"].data)
+        logits = affine_array(h, p["head.w"], p["head.b"])
         return TrainRecord(x, layers, h, logits)
 
     def _layer_train_forward(self, li: int, slots: list[int], x: np.ndarray) -> LayerTrace:
@@ -365,8 +358,8 @@ class SharedWeights:
         hidden = [self._hidden(li, slot, x) for slot in slots]
         ys = affine_stack(
             hidden,
-            [p[f"L{li}.S{slot}.w2"].data for slot in slots],
-            [p[f"L{li}.S{slot}.b2"].data for slot in slots],
+            [p[f"L{li}.S{slot}.w2"] for slot in slots],
+            [p[f"L{li}.S{slot}.b2"] for slot in slots],
         )
         out, centered, inv = normalize_train_stack(ys, [self.stats[(li, s)] for s in slots])
         return LayerTrace(x, slots, hidden, centered, inv, out, self.layer_mix(li, x, list(out)))
@@ -379,14 +372,15 @@ class SharedWeights:
         Returns the gradients of the parameters the forward touched, by name
         (none without ``param_grads``), and the gradient of every layer's
         output.  The float operations follow the autodiff tape's order, so
-        the results equal ``forward`` plus ``Tensor.backward`` bit for bit.
+        the results equal the tape forward plus ``Tensor.backward`` bit for
+        bit.
         """
         p = self.params
         grads: dict[str, np.ndarray] = {}
         if param_grads:
             grads["head.w"] = record.features.T @ dlogits
             grads["head.b"] = dlogits.sum(axis=0)
-        g = dlogits @ p["head.w"].data.T
+        g = dlogits @ p["head.w"].T
         out_grads = []
         for li in reversed(range(len(record.layers))):
             out_grads.append(g)
@@ -430,26 +424,16 @@ class SharedWeights:
             kind, _ = self.kinds[(li, slot)]
             prefix = f"L{li}.S{slot}"
             r = trace.hidden[k]
-            da = _ACT_GRADS[kind.rsplit("_", 1)[1]](dy[k] @ p[f"{prefix}.w2"].data.T, r)
+            da = _ACT_GRADS[kind.rsplit("_", 1)[1]](dy[k] @ p[f"{prefix}.w2"].T, r)
             if grads is not None:
                 grads[f"{prefix}.w1"] = trace.x.T @ da
                 grads[f"{prefix}.b1"] = da.sum(axis=0)
                 grads[f"{prefix}.w2"] = r.T @ dy[k]
                 grads[f"{prefix}.b2"] = db2[k]
             if need_input:
-                dx_k = da @ p[f"{prefix}.w1"].data.T
+                dx_k = da @ p[f"{prefix}.w1"].T
                 dx = dx_k if dx is None else dx + dx_k
         return dx
-
-    # -- autodiff machinery (the Tensor tape; tests use it as the reference)
-
-    def branch_forward(self, layer_index: int, slot: int, x: Tensor) -> Tensor:
-        kind, _ = self.kinds[(layer_index, slot)]
-        act = _ACTS[kind.rsplit("_", 1)[1]]
-        prefix = f"L{layer_index}.S{slot}"
-        h = act(affine(x, self.params[f"{prefix}.w1"], self.params[f"{prefix}.b1"]))
-        y = affine(h, self.params[f"{prefix}.w2"], self.params[f"{prefix}.b2"])
-        return normalize(y, self.stats[(layer_index, slot)])
 
     def _layer_parts(self, layer_index: int, x, branches: list) -> list:
         """What a layer averages: its branches, plus the identity on normal layers."""
@@ -461,31 +445,6 @@ class SharedWeights:
             )
         return branches
 
-    def layer_forward(self, layer_index: int, gate: GateVector, x: Tensor) -> Tensor:
-        branches = [self.branch_forward(layer_index, slot, x) for slot in sorted(gate.selected)]
-        parts = self._layer_parts(layer_index, x, branches)
-        if len(parts) == 1:
-            return parts[0]
-        return scale(add(*parts), 1.0 / len(parts))
-
-    def forward(self, gates: Sequence[GateVector], x: Tensor) -> Tensor:
-        logits, _, _ = self.forward_collect(gates, x)
-        return logits
-
-    def forward_collect(
-        self, gates: Sequence[GateVector], x: Tensor
-    ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
-        """Forward pass that also returns every layer's input and output."""
-        h = affine(x, self.params["stem.w"], self.params["stem.b"])
-        layer_inputs: list[Tensor] = []
-        layer_outputs: list[Tensor] = []
-        for li, gate in enumerate(gates):
-            layer_inputs.append(h)
-            h = self.layer_forward(li, gate, h)
-            layer_outputs.append(h)
-        logits = affine(h, self.params["head.w"], self.params["head.b"])
-        return logits, layer_inputs, layer_outputs
-
     # -- no-grad machinery (plain arrays, for inference)
 
     def _hidden(self, layer_index: int, slot: int, x: np.ndarray) -> np.ndarray:
@@ -493,27 +452,27 @@ class SharedWeights:
         activation overwrites the fresh affine output."""
         kind, _ = self.kinds[(layer_index, slot)]
         prefix = f"L{layer_index}.S{slot}"
-        h = affine_array(x, self.params[f"{prefix}.w1"].data, self.params[f"{prefix}.b1"].data)
+        h = affine_array(x, self.params[f"{prefix}.w1"], self.params[f"{prefix}.b1"])
         return _ARRAY_ACTS[kind.rsplit("_", 1)[1]](h, out=h)
 
     def branch_affines(self, layer_index: int, slot: int, x: np.ndarray) -> np.ndarray:
-        """``branch_forward`` without the graph and before its normalization."""
+        """A branch's output before its normalization."""
         prefix = f"L{layer_index}.S{slot}"
         p = self.params
         h = self._hidden(layer_index, slot, x)
-        return affine_array(h, p[f"{prefix}.w2"].data, p[f"{prefix}.b2"].data)
+        return affine_array(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def branch_output(
         self, layer_index: int, slot: int, x: np.ndarray, stats: NormStats | None
     ) -> np.ndarray:
-        """``branch_forward`` without the graph, on a batch or a stack,
-        normalized as ``normalize_array`` does with ``stats``."""
+        """A branch's output on a batch or a stack, normalized as
+        ``normalize_array`` does with ``stats``."""
         return normalize_array(self.branch_affines(layer_index, slot, x), stats)
 
     def layer_mix(
         self, layer_index: int, x: np.ndarray, branches: list[np.ndarray]
     ) -> np.ndarray:
-        """``layer_forward``'s averaging of precomputed branch outputs."""
+        """A layer's average of precomputed branch outputs."""
         parts = self._layer_parts(layer_index, x, branches)
         if len(parts) == 1:
             return parts[0]
@@ -573,14 +532,10 @@ def train_step_fixed(
 ) -> float:
     x, y = batch
     weights.set_mode("train")
-    clear_grads(weights.params.values())
     record = weights.train_forward(arch.gate_vectors, x)
     loss, dlogits = softmax_cross_entropy_array(record.logits, y)
     grads, _ = weights.train_backward(record, dlogits)
-    for name, grad in grads.items():
-        weights.params[name].grad = grad
-    optimizer.step(weights.params)
-    clear_grads(weights.params.values())
+    optimizer.step(weights.params, grads)
     return loss
 
 
@@ -616,7 +571,7 @@ class InferenceCache:
         batch_size: int = 256,
     ):
         self.weights = weights
-        w, b = weights.params["stem.w"].data, weights.params["stem.b"].data
+        w, b = weights.params["stem.w"], weights.params["stem.b"]
 
         def stem(x: np.ndarray) -> np.ndarray:
             return affine_array(np.asarray(x, dtype=np.float64), w, b)
@@ -674,7 +629,7 @@ class InferenceCache:
                 self.weights.layer_mix(li, x, [v[i] for _, v in outs])
                 for i, x in enumerate(val)
             ]
-        w, b = self.weights.params["head.w"].data, self.weights.params["head.b"].data
+        w, b = self.weights.params["head.w"], self.weights.params["head.b"]
         return [affine_array(h, w, b) for h in val]
 
     def accuracy(self, architecture: Architecture) -> float:
@@ -704,33 +659,3 @@ def evaluate(
     elif cache.weights is not weights:
         raise ValueError("the inference cache was built for other weights")
     return cache.accuracy(architecture)
-
-
-def train_architecture(
-    architecture: Architecture,
-    pool: SearchSpacePool,
-    geometry: NetworkGeometry,
-    dataset: ToyDataset,
-    training: TrainingConfig,
-    seed: int,
-    recal_count: int = 16,
-) -> float:
-    """Train one fixed architecture from scratch and return its accuracy."""
-    subset = subset_for_architecture(architecture, pool)
-    weights = SharedWeights(subset, geometry, seed)
-    optimizer = SGD(
-        lr=training.lr,
-        momentum=training.momentum,
-        nesterov=training.nesterov,
-        weight_decay=training.weight_decay,
-    )
-    stream = BatchStream(
-        dataset.x_train, dataset.y_train, training.batch_size, make_rng(seed, "retrain-batches")
-    )
-    for step in range(training.steps):
-        optimizer.lr = cosine_warmup_lr(step, training.steps, training.lr, training.warmup_steps)
-        train_step_fixed(weights, architecture, stream.next(), optimizer)
-    recal = make_recal_batches(
-        dataset, recal_count, training.batch_size, make_rng(seed, "retrain-recal")
-    )
-    return evaluate(weights, architecture, dataset, recal)

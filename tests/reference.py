@@ -1,18 +1,340 @@
 """Plain reference implementations that tests compare the program against.
 
-``sample_space_architecture`` is a second sampler of the K-bounded space
-that only tests use; ``reference_keep_draws`` is the retrieval keep loop
-that looks at every draw, one at a time; ``reference_retrieve_pareto`` is
-retrieval with one evaluated record per kept draw.
+- The tape forward: the supernet's forward pass on the ``Tensor`` autodiff
+  tape, over ``Tensor`` leaves that wrap the parameter arrays, so a test can
+  read every parameter's gradient after ``backward``.  The explicit training
+  pass is checked against it bit for bit.
+- ``train_architecture``: train one fixed architecture from scratch and
+  score it, the retrained baseline of acceptance criterion 7.
+- The oracle's exact baselines: every architecture of a subset
+  (``enumerate_architectures``), the brute-force Pareto front, and the exact
+  constrained optimum by per-layer dominance merging.
+- ``two_config_ce_grads`` and ``exhaustive_ce_grads``: the sampled and the
+  enumerated cross-entropy indicator gradient of one layer.
+- ``dominates``, the pairwise Pareto order.
+- ``sample_space_architecture``, a second sampler of the K-bounded space;
+  ``reference_keep_draws``, the retrieval keep loop that looks at every draw
+  one at a time; and ``reference_retrieve_pareto``, retrieval with one
+  evaluated record per kept draw.
 """
 
+from __future__ import annotations
+
+import itertools
 import math
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from nse.engine import BLOCK_DOUBLES, edging_filter
+from nse.indicators import SlotProbabilities, config_probability_grads, rescaled_pair_grads
+from nse.nn import SGD, Tensor, add, affine, cosine_warmup_lr, normalize, relu, scale, tanh
+from nse.oracle import SyntheticBenchmark, _layer_score, _saturate, oracle_score
+from nse.pareto import EvaluationRecord, pareto_front
 from nse.resources import MaskCost
-from nse.space import NORMAL, Architecture, GateVector, SpaceError, SubsetState
+from nse.rng import make_rng
+from nse.space import (
+    NORMAL,
+    ORIGIN_FRESH,
+    Architecture,
+    GateVector,
+    SearchSpacePool,
+    SpaceError,
+    SubsetEntry,
+    SubsetState,
+)
+from nse.supernet import (
+    BatchStream,
+    NetworkGeometry,
+    SharedWeights,
+    ToyDataset,
+    TrainingConfig,
+    evaluate,
+    make_recal_batches,
+    train_step_fixed,
+)
+
+# ---------------------------------------------------------------------------
+# The tape forward of the supernet
+
+_ACTS = {"relu": relu, "tanh": tanh}
+
+
+def tape_leaves(weights: SharedWeights) -> dict[str, Tensor]:
+    """Every parameter array of ``weights`` wrapped in a ``Tensor`` leaf that
+    collects its gradient."""
+    return {name: Tensor(value, requires_grad=True) for name, value in weights.params.items()}
+
+
+def branch_forward(
+    weights: SharedWeights,
+    layer_index: int,
+    slot: int,
+    x: Tensor,
+    leaves: Mapping[str, Tensor] | None = None,
+) -> Tensor:
+    leaves = tape_leaves(weights) if leaves is None else leaves
+    kind, _ = weights.kinds[(layer_index, slot)]
+    act = _ACTS[kind.rsplit("_", 1)[1]]
+    prefix = f"L{layer_index}.S{slot}"
+    h = act(affine(x, leaves[f"{prefix}.w1"], leaves[f"{prefix}.b1"]))
+    y = affine(h, leaves[f"{prefix}.w2"], leaves[f"{prefix}.b2"])
+    return normalize(y, weights.stats[(layer_index, slot)])
+
+
+def layer_forward(
+    weights: SharedWeights,
+    layer_index: int,
+    gate: GateVector,
+    x: Tensor,
+    leaves: Mapping[str, Tensor] | None = None,
+) -> Tensor:
+    leaves = tape_leaves(weights) if leaves is None else leaves
+    branches = [
+        branch_forward(weights, layer_index, slot, x, leaves) for slot in sorted(gate.selected)
+    ]
+    parts = weights._layer_parts(layer_index, x, branches)
+    if len(parts) == 1:
+        return parts[0]
+    return scale(add(*parts), 1.0 / len(parts))
+
+
+def forward_collect(
+    weights: SharedWeights, gates: Sequence[GateVector], x: Tensor
+) -> tuple[Tensor, list[Tensor], list[Tensor], dict[str, Tensor]]:
+    """Tape forward on fresh leaves; returns the logits, every layer's input
+    and output, and the leaves."""
+    leaves = tape_leaves(weights)
+    h = affine(x, leaves["stem.w"], leaves["stem.b"])
+    layer_inputs: list[Tensor] = []
+    layer_outputs: list[Tensor] = []
+    for li, gate in enumerate(gates):
+        layer_inputs.append(h)
+        h = layer_forward(weights, li, gate, h, leaves)
+        layer_outputs.append(h)
+    logits = affine(h, leaves["head.w"], leaves["head.b"])
+    return logits, layer_inputs, layer_outputs, leaves
+
+
+def forward(
+    weights: SharedWeights, gates: Sequence[GateVector], x: Tensor
+) -> tuple[Tensor, dict[str, Tensor]]:
+    """Tape forward on fresh leaves; returns the logits and the leaves."""
+    logits, _, _, leaves = forward_collect(weights, gates, x)
+    return logits, leaves
+
+
+def tape_grads(leaves: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+    """The gradient of every leaf the last ``backward`` reached, by name."""
+    return {name: leaf.grad for name, leaf in leaves.items() if leaf.grad is not None}
+
+
+# ---------------------------------------------------------------------------
+# Retraining one fixed architecture
+
+
+def subset_for_architecture(arch: Architecture, pool: SearchSpacePool) -> SubsetState:
+    """A minimal subset holding exactly one architecture's operations."""
+    layers = []
+    for li, gv in enumerate(arch.gate_vectors):
+        layers.append(
+            [
+                SubsetEntry(pool.descriptor(li, slot), ORIGIN_FRESH)
+                for slot in sorted(gv.selected)
+            ]
+        )
+    capacity = max(1, max(len(entries) for entries in layers))
+    state = SubsetState(layers=layers, roles=pool.roles, capacity=capacity)
+    state.validate()
+    return state
+
+
+def train_architecture(
+    architecture: Architecture,
+    pool: SearchSpacePool,
+    geometry: NetworkGeometry,
+    dataset: ToyDataset,
+    training: TrainingConfig,
+    seed: int,
+    recal_count: int = 16,
+) -> float:
+    """Train one fixed architecture from scratch and return its accuracy."""
+    subset = subset_for_architecture(architecture, pool)
+    weights = SharedWeights(subset, geometry, seed)
+    optimizer = SGD(
+        lr=training.lr,
+        momentum=training.momentum,
+        nesterov=training.nesterov,
+        weight_decay=training.weight_decay,
+    )
+    stream = BatchStream(
+        dataset.x_train, dataset.y_train, training.batch_size, make_rng(seed, "retrain-batches")
+    )
+    for step in range(training.steps):
+        optimizer.lr = cosine_warmup_lr(step, training.steps, training.lr, training.warmup_steps)
+        train_step_fixed(weights, architecture, stream.next(), optimizer)
+    recal = make_recal_batches(
+        dataset, recal_count, training.batch_size, make_rng(seed, "retrain-recal")
+    )
+    return evaluate(weights, architecture, dataset, recal)
+
+
+# ---------------------------------------------------------------------------
+# The oracle's exact baselines
+
+ENUMERATION_CAP = 2**21
+
+
+def _layer_selections(
+    subset: SubsetState, layer_index: int, max_ops: int | None = None
+) -> list[tuple[int, ...]]:
+    slots = subset.active_slots(layer_index)
+    low = 0 if subset.roles[layer_index] == NORMAL else 1
+    hi = len(slots) if max_ops is None else min(max_ops, len(slots))
+    out: list[tuple[int, ...]] = []
+    for k in range(low, hi + 1):
+        out.extend(itertools.combinations(slots, k))
+    return out
+
+
+def enumeration_size(subset: SubsetState, max_ops: int | None = None) -> int:
+    total = 1
+    for li in range(subset.num_layers):
+        slots = len(subset.active_slots(li))
+        low = 0 if subset.roles[li] == NORMAL else 1
+        hi = slots if max_ops is None else min(max_ops, slots)
+        total *= sum(math.comb(slots, k) for k in range(low, hi + 1))
+    return total
+
+
+def enumerate_architectures(subset: SubsetState, cap: int = ENUMERATION_CAP):
+    """Yield every valid architecture over the subset's active entries."""
+    size = enumeration_size(subset)
+    if size > cap:
+        raise SpaceError(f"enumeration size {size} exceeds cap {cap}")
+    per_layer = [_layer_selections(subset, li) for li in range(subset.num_layers)]
+    for combo in itertools.product(*per_layer):
+        yield Architecture.from_encoding(combo)
+
+
+def brute_force_pareto(
+    subset: SubsetState,
+    bench: SyntheticBenchmark,
+    constraint_upper: float,
+    cap: int = ENUMERATION_CAP,
+) -> list[EvaluationRecord]:
+    """Exact front over every enumerable architecture with cost in budget."""
+    records = []
+    for arch in enumerate_architectures(subset, cap=cap):
+        accuracy, cost = oracle_score(arch, bench)
+        if cost <= constraint_upper:
+            records.append(EvaluationRecord(arch, accuracy, cost))
+    return pareto_front(records)
+
+
+def constrained_optimum(
+    subset: SubsetState,
+    bench: SyntheticBenchmark,
+    constraint_upper: float,
+    max_ops_per_layer: int | None = None,
+) -> tuple[float, Architecture]:
+    """Exact best in-budget accuracy over the (optionally K-bounded) space.
+
+    The score decomposes per layer into (saturated quality, cost) pairs, so
+    layers can be enumerated independently and merged with dominance pruning;
+    the result is exact without enumerating the full product space.
+    """
+    budget = constraint_upper - bench.overhead
+    if budget < 0:
+        raise SpaceError("budget below fixed overhead")
+    # states: (total saturated score, total cost, encoding-so-far)
+    states: list[tuple[float, float, tuple]] = [(0.0, 0.0, ())]
+    for li in range(subset.num_layers):
+        options = []
+        for sel in _layer_selections(subset, li, max_ops_per_layer):
+            f_val = _saturate(_layer_score(bench, li, sel))
+            c_val = sum(bench.costs[(li, s)] for s in sel)
+            options.append((f_val, c_val, sel))
+        merged = []
+        for f0, c0_, enc in states:
+            for f_val, c_val, sel in options:
+                c_new = c0_ + c_val
+                if c_new <= budget:
+                    merged.append((f0 + f_val, c_new, enc + (sel,)))
+        if not merged:
+            raise SpaceError(f"no in-budget selection for layer {li}")
+        # keep only (score up, cost down) non-dominated partial sums
+        merged.sort(key=lambda t: (t[1], -t[0], t[2]))
+        states = []
+        best_f = -float("inf")
+        for f_val, c_val, enc in merged:
+            if f_val > best_f:
+                states.append((f_val, c_val, enc))
+                best_f = f_val
+    best = max(states, key=lambda t: (t[0], -t[1]))
+    arch = Architecture.from_encoding(best[2])
+    accuracy, _ = oracle_score(arch, bench)
+    return accuracy, arch
+
+
+# ---------------------------------------------------------------------------
+# Indicator gradients of one layer
+
+
+def two_config_ce_grads(
+    s_a: float,
+    s_b: float,
+    g_a: GateVector,
+    g_b: GateVector,
+    thetas: SlotProbabilities,
+) -> dict[int, float]:
+    """Two-configuration cross-entropy term: (s_a - s_b) * d p_tilde_a."""
+    d_tilde = rescaled_pair_grads(g_a, g_b, thetas)
+    return {slot: (s_a - s_b) * d for slot, d in d_tilde.items()}
+
+
+def exhaustive_ce_grads(
+    layer_index: int,
+    role: str,
+    thetas: SlotProbabilities,
+    branch_outputs: Mapping[int, np.ndarray],
+    upstream: np.ndarray,
+    identity_input: np.ndarray | None,
+) -> dict[int, float]:
+    """Enumeration-based reference for the cross-entropy indicator gradient.
+
+    Sums over every configuration of the layer; only feasible for a handful
+    of slots, and used as a verification baseline rather than in training.
+    """
+    slots = thetas.slots(layer_index)
+    if len(slots) > 16:
+        raise ValueError("exhaustive gradient is limited to small layers")
+    grads = {slot: 0.0 for slot in slots}
+    low = 0 if role == NORMAL else 1
+    for k in range(low, len(slots) + 1):
+        for sel in itertools.combinations(slots, k):
+            gate = GateVector(layer_index, frozenset(sel))
+            parts = [branch_outputs[s] for s in sel]
+            if role == NORMAL:
+                parts = [identity_input] + parts
+            mix = sum(parts) / len(parts)
+            s_g = float(np.sum(upstream * mix))
+            for slot, d in config_probability_grads(gate, thetas).items():
+                grads[slot] += s_g * d
+    return grads
+
+
+# ---------------------------------------------------------------------------
+# Pareto order and retrieval
+
+
+def dominates(a: EvaluationRecord, b: EvaluationRecord) -> bool:
+    """a is at least as accurate and at most as costly, strictly better in one."""
+    return (
+        a.accuracy >= b.accuracy
+        and a.cost <= b.cost
+        and (a.accuracy > b.accuracy or a.cost < b.cost)
+    )
 
 
 def sample_space_architecture(

@@ -13,29 +13,31 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
-from reference import sample_space_architecture
+from reference import (
+    branch_forward,
+    brute_force_pareto,
+    constrained_optimum,
+    enumerate_architectures,
+    exhaustive_ce_grads,
+    layer_forward,
+    sample_space_architecture,
+    train_architecture,
+    two_config_ce_grads,
+)
 from nse.cli import main as cli_main
 from nse.engine import Engine, RetrievalConfig, retrieve_pareto
 from nse.indicators import (
     FitnessIndicators,
     config_probability,
     config_probability_grads,
-    exhaustive_ce_grads,
+    draw_config,
+    layer_sampler,
     prune,
     rescale_pair,
     rescaled_pair_grads,
-    sample_config,
-    two_config_ce_grads,
 )
 from nse.nn import NormStats, Tensor, affine, normalize, relu, softmax_cross_entropy, tanh
-from nse.oracle import (
-    OracleEvaluator,
-    SyntheticBenchmark,
-    brute_force_pareto,
-    constrained_optimum,
-    enumerate_architectures,
-    oracle_score,
-)
+from nse.oracle import OracleEvaluator, SyntheticBenchmark, oracle_score
 from nse.resources import (
     ConstraintConfig,
     CostTable,
@@ -68,7 +70,6 @@ from nse.supernet import (
     evaluate as supernet_evaluate,
     make_recal_batches,
     toy_op_family,
-    train_architecture,
 )
 
 
@@ -122,7 +123,7 @@ def test_criterion_2_probability_normalization():
         k = int(rng.integers(1, 13))
         thetas = FitnessIndicators(
             values=[{s: float(rng.uniform(-4, 4)) for s in range(k)}]
-        )
+        ).probabilities()
         total = 0.0
         for bits in itertools.product([0, 1], repeat=k):
             gate = GateVector(0, frozenset(s for s in range(k) if bits[s]))
@@ -151,7 +152,9 @@ def test_criterion_3a_probability_chain_gradients():
         g_a, g_b = GateVector(0, sel_a), GateVector(0, sel_b)
 
         def at(vec):
-            return FitnessIndicators(values=[{s: vec[i] for i, s in enumerate(slots)}])
+            return FitnessIndicators(
+                values=[{s: vec[i] for i, s in enumerate(slots)}]
+            ).probabilities()
 
         thetas = at(base)
         d_hat = config_probability_grads(g_a, thetas)
@@ -233,7 +236,7 @@ def test_criterion_3c_penalty_path_gradients():
         def at(vec):
             return FitnessIndicators(
                 values=[{s: vec[li * k + s] for s in range(k)} for li in range(num_layers)]
-            )
+            ).probabilities()
 
         def r_of(thetas):
             r = table.fixed_overhead - cfg.tau
@@ -283,7 +286,7 @@ def test_criterion_4_two_config_estimator_direction():
         identity_input = rng.normal(size=features)
         outputs = {s: rng.normal(size=features) for s in range(layer_k)}
         upstream = rng.normal(size=features)
-        thetas = FitnessIndicators(values=[{s: 0.0 for s in range(layer_k)}])
+        thetas = FitnessIndicators(values=[{s: 0.0 for s in range(layer_k)}]).probabilities()
 
         exact = exhaustive_ce_grads(
             0, "normal", thetas, outputs, upstream, identity_input
@@ -298,8 +301,8 @@ def test_criterion_4_two_config_estimator_direction():
             )
         acc = np.zeros(layer_k)
         for _ in range(resamples):
-            g_a = sample_config(thetas, rng, 0, "normal")
-            g_b = sample_config(thetas, rng, 0, "normal")
+            g_a = draw_config(layer_sampler(thetas, 0, "normal"), rng)
+            g_b = draw_config(layer_sampler(thetas, 0, "normal"), rng)
             grads = two_config_ce_grads(
                 mix_cache[g_a.selected], mix_cache[g_b.selected], g_a, g_b, thetas
             )
@@ -577,10 +580,10 @@ def test_criterion_9_structural_invariants(tmp_path):
     weights = SharedWeights(tsubset, geometry, seed=1)
     weights.set_mode("eval")
     x = Tensor(make_rng("acc9", "x").normal(size=(3, 6)))
-    assert weights.layer_forward(0, GateVector(0, frozenset()), x) is x
+    assert layer_forward(weights, 0, GateVector(0, frozenset()), x) is x
     slot = tsubset.active_slots(0)[0]
-    branch = weights.branch_forward(0, slot, x)
-    mixed = weights.layer_forward(0, GateVector(0, frozenset({slot})), x)
+    branch = branch_forward(weights, 0, slot, x)
+    mixed = layer_forward(weights, 0, GateVector(0, frozenset({slot})), x)
     assert np.allclose(mixed.data, (x.data + branch.data) / 2.0, atol=1e-12)
 
     # evaluation purity: weights and stats bit-identical after evaluation

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -164,6 +167,26 @@ def test_inspect_missing_round_is_config_code(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", str(path)]) == 0
     assert main(["inspect", str(tmp_path / "run"), "--round", "9"]) == 2
+
+
+def test_inspect_into_a_closed_pipe_exits_141_silently(tmp_path):
+    # ``nse inspect RUN | head``: the reader is gone before the output is
+    path = write_config(tmp_path)
+    assert main(["run", str(path)]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nse", "inspect", str(tmp_path / "run")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_dump_benchmark_writes_tables(tmp_path):

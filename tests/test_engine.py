@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import reference_draw
-from reference import reference_keep_draws, reference_retrieve_pareto
+from reference import (
+    brute_force_pareto,
+    enumerate_architectures,
+    reference_keep_draws,
+    reference_retrieve_pareto,
+)
 from nse.rng import make_rng
 from nse.engine import (
     BLOCK_DOUBLES,
@@ -14,13 +19,7 @@ from nse.engine import (
     edging_filter,
     retrieve_pareto,
 )
-from nse.oracle import (
-    OracleEvaluator,
-    SyntheticBenchmark,
-    brute_force_pareto,
-    enumerate_architectures,
-    oracle_score,
-)
+from nse.oracle import OracleEvaluator, SyntheticBenchmark, oracle_score
 from nse.pareto import EvaluationRecord
 from nse.resources import ConstraintConfig, CostTable, MaskCost, architecture_cost
 from nse.space import (
@@ -702,30 +701,6 @@ def test_supernet_round_smoke_and_artifacts():
             r.architecture.encoding() for r in rb.front
         ]
         assert [r.accuracy for r in ra.front] == [r.accuracy for r in rb.front]
-
-
-def test_continuation_inherits_union_into_new_pool():
-    # a second pool with more slots per layer stands in for an attached space
-    pool = opaque_pool(("normal", "reduction"), 10)
-    bench = SyntheticBenchmark.generate(pool, seed=12)
-    engine = oracle_engine(pool, bench, bench.overhead + 250.0, capacity=4, max_rounds=2, samples=40)
-    inherited = (frozenset({0, 2}), frozenset({1}))
-    prev = [
-        EvaluationRecord(Architecture.from_encoding([[0, 2], [1]]), 0.9, 50.0)
-    ]
-    state = engine.continuation_state(inherited, prev)
-    assert state.round_index == 1
-    assert state.previous_front == prev
-    for li, slots in enumerate(inherited):
-        entries = {e.descriptor.slot_index: e for e in state.subset.layers[li]}
-        for s in slots:
-            assert entries[s].origin == "inherited"
-        fresh = [e for e in state.subset.layers[li] if e.origin == "fresh"]
-        assert len(fresh) == 4 - len(slots)
-        # inherited slots were recorded as traversed up front
-        assert all((li, s) in state.ledger for s in slots)
-    summary = engine.run(initial_state=state)
-    assert summary.results
 
 
 def test_indicator_cadence_diagnostic():

@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
+from reference import exhaustive_ce_grads, forward_collect, two_config_ce_grads
 from nse.rng import make_rng
 from nse.indicators import (
     FitnessIndicators,
     ThetaAdam,
     config_probability,
     config_probability_grads,
-    exhaustive_ce_grads,
+    draw_config,
     indicator_update_step,
+    layer_sampler,
     op_probability,
     prune,
     rescale_pair,
     rescaled_pair_grads,
     sample_architecture,
-    sample_config,
-    two_config_ce_grads,
 )
 from nse.resources import ConstraintConfig, CostTable
 from nse.space import (
@@ -37,6 +37,10 @@ def make_thetas(layer_values):
     return FitnessIndicators(values=[dict(v) for v in layer_values])
 
 
+def make_probs(layer_values):
+    return make_thetas(layer_values).probabilities()
+
+
 def test_op_probability_reference_points():
     assert op_probability(0.0) == pytest.approx(0.5)
     assert op_probability(2.0) == pytest.approx(0.880797, abs=1e-6)
@@ -47,9 +51,9 @@ def test_op_probability_reference_points():
 
 
 def test_config_probability_examples():
-    thetas = make_thetas([{0: 0.0, 1: 0.0}])
+    thetas = make_probs([{0: 0.0, 1: 0.0}])
     assert config_probability(GateVector(0, frozenset({0})), thetas) == pytest.approx(0.25)
-    thetas = make_thetas([{0: 0.0, 1: 2.0, 2: -2.0}])
+    thetas = make_probs([{0: 0.0, 1: 2.0, 2: -2.0}])
     got = config_probability(GateVector(0, frozenset({0, 1})), thetas)
     assert got == pytest.approx(0.5 * 0.880797 * 0.880797, abs=1e-5)
 
@@ -57,7 +61,7 @@ def test_config_probability_examples():
 def test_config_probabilities_sum_to_one():
     rng = make_rng("norm", 0)
     for k in (1, 3, 6, 12):
-        thetas = make_thetas([{s: float(rng.uniform(-4, 4)) for s in range(k)}])
+        thetas = make_probs([{s: float(rng.uniform(-4, 4)) for s in range(k)}])
         total = 0.0
         for bits in itertools.product([0, 1], repeat=k):
             gate = GateVector(0, frozenset(s for s in range(k) if bits[s]))
@@ -66,22 +70,22 @@ def test_config_probabilities_sum_to_one():
 
 
 def test_sample_config_saturated_indicator():
-    thetas = make_thetas([{0: 20.0, 1: -20.0}])
+    thetas = make_probs([{0: 20.0, 1: -20.0}])
     rng = make_rng("sat", 0)
     for _ in range(200):
-        gate = sample_config(thetas, rng, 0, "normal")
+        gate = draw_config(layer_sampler(thetas, 0, "normal"), rng)
         assert 0 in gate.selected
         assert 1 not in gate.selected
 
 
 def test_sample_config_monte_carlo_frequencies():
-    thetas = make_thetas([{0: 0.7, 1: -1.1, 2: 0.0}])
+    thetas = make_probs([{0: 0.7, 1: -1.1, 2: 0.0}])
     probs = [op_probability(0.7), op_probability(-1.1), 0.5]
     rng = make_rng("freq", 1)
     n = 100_000
     counts = np.zeros(3)
     for _ in range(n):
-        gate = sample_config(thetas, rng, 0, "normal")
+        gate = draw_config(layer_sampler(thetas, 0, "normal"), rng)
         for s in gate.selected:
             counts[s] += 1
     for s in range(3):
@@ -89,12 +93,12 @@ def test_sample_config_monte_carlo_frequencies():
 
 
 def test_sample_config_zero_thetas_matches_uniform_law():
-    thetas = make_thetas([{0: 0.0, 1: 0.0}])
+    thetas = make_probs([{0: 0.0, 1: 0.0}])
     rng = make_rng("unif", 2)
     n = 60_000
     freq: dict = {}
     for _ in range(n):
-        gate = sample_config(thetas, rng, 0, "reduction")
+        gate = draw_config(layer_sampler(thetas, 0, "reduction"), rng)
         freq[gate.selected] = freq.get(gate.selected, 0) + 1
     for key in (frozenset({0}), frozenset({1}), frozenset({0, 1})):
         assert abs(freq.get(key, 0) / n - 1 / 3) < 0.012
@@ -110,7 +114,7 @@ def test_rescale_pair():
 
 
 def test_probability_gradient_reference_case():
-    thetas = make_thetas([{0: 0.0}])
+    thetas = make_probs([{0: 0.0}])
     grads = config_probability_grads(GateVector(0, frozenset({0})), thetas)
     assert grads[0] == pytest.approx(0.25)
 
@@ -126,7 +130,7 @@ def test_probability_gradients_match_finite_differences():
         g_a, g_b = GateVector(0, sel_a), GateVector(0, sel_b)
 
         def at(vec):
-            return make_thetas([{s: vec[i] for i, s in enumerate(slots)}])
+            return make_probs([{s: vec[i] for i, s in enumerate(slots)}])
 
         base = np.array([values[s] for s in slots])
         thetas = at(base)
@@ -148,7 +152,7 @@ def test_probability_gradients_match_finite_differences():
 
 
 def test_identical_configs_give_zero_ce_gradient():
-    thetas = make_thetas([{0: 0.3, 1: -0.7}])
+    thetas = make_probs([{0: 0.3, 1: -0.7}])
     g = GateVector(0, frozenset({0}))
     grads = two_config_ce_grads(1.7, -0.4, g, g, thetas)
     assert all(v == pytest.approx(0.0, abs=1e-15) for v in grads.values())
@@ -176,7 +180,7 @@ def test_penalty_chain_matches_finite_differences():
             pairs.append((GateVector(li, sel_a), GateVector(li, sel_b)))
 
         def at(vec):
-            return make_thetas(
+            return make_probs(
                 [
                     {s: vec[li * k + s] for s in range(k)}
                     for li in range(num_layers)
@@ -252,10 +256,11 @@ def test_penalty_only_update_pushes_costly_ops_down():
         opt = ThetaAdam(lr=0.1)
         # replay the step's per-layer draw order: g_a then g_b per layer
         probe = make_rng("pair", attempt)
+        probs = thetas.probabilities()
         g_as, g_bs = [], []
         for li in range(3):
-            g_as.append(sample_config(thetas, probe, li, "normal"))
-            g_bs.append(sample_config(thetas, probe, li, "normal"))
+            g_as.append(draw_config(layer_sampler(probs, li, "normal"), probe))
+            g_bs.append(draw_config(layer_sampler(probs, li, "normal"), probe))
         if all(a.selected != b.selected for a, b in zip(g_as, g_bs)):
             step_rng = make_rng("pair", attempt)
             indicator_update_step(
@@ -286,7 +291,7 @@ def test_indicator_step_leaves_weights_untouched():
 
 
 def test_exhaustive_gradient_single_op_matches_direct_formula():
-    thetas = make_thetas([{0: 0.4}])
+    thetas = make_probs([{0: 0.4}])
     rng = make_rng("ex", 0)
     x = rng.normal(size=(3, 4))
     out0 = rng.normal(size=(3, 4))
@@ -390,13 +395,13 @@ def tape_indicator_update_step(
     from nse.resources import layer_cost, penalty, penalty_gradient_wrt_r
 
     x, y = val_batch
+    probs = thetas.probabilities()
     gates_a, gates_b = [], []
     for li in range(subset.num_layers):
-        gates_a.append(sample_config(thetas, rng, li, subset.roles[li]))
-        gates_b.append(sample_config(thetas, rng, li, subset.roles[li]))
+        gates_a.append(draw_config(layer_sampler(probs, li, subset.roles[li]), rng))
+        gates_b.append(draw_config(layer_sampler(probs, li, subset.roles[li]), rng))
     weights.set_mode("train")
-    nn.clear_grads(weights.params.values())
-    logits, layer_inputs, layer_outputs = weights.forward_collect(gates_a, nn.Tensor(x))
+    logits, layer_inputs, layer_outputs, _ = forward_collect(weights, gates_a, nn.Tensor(x))
     loss = nn.softmax_cross_entropy(logits, y)
     loss.backward()
     per_layer = []
@@ -406,9 +411,9 @@ def tape_indicator_update_step(
         s_a = float(np.sum(out.grad * out.data))
         s_b = float(np.sum(out.grad * o_b))
         pt_a, pt_b = rescale_pair(
-            config_probability(gates_a[li], thetas), config_probability(gates_b[li], thetas)
+            config_probability(gates_a[li], probs), config_probability(gates_b[li], probs)
         )
-        d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], thetas)
+        d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], probs)
         c_a = layer_cost(gates_a[li], cost_table)
         c_b = layer_cost(gates_b[li], cost_table)
         per_layer.append((li, s_a, s_b, pt_a, pt_b, d_tilde, c_a, c_b))
@@ -423,7 +428,6 @@ def tape_indicator_update_step(
         for slot, d in d_tilde.items():
             grads[(li, slot)] = (s_a - s_b) * d + pg * d * (c_a - c_b)
     optimizer.step(thetas, grads)
-    nn.clear_grads(weights.params.values())
     return {
         "loss": float(loss.data),
         "expected_cost_gap": r_value,
@@ -461,10 +465,10 @@ def test_indicator_step_matches_the_tape_bit_for_bit():
     # gate a and select branches gate a left out
     for attempt in range(100):
         probe = make_rng("tape-pair", attempt)
-        thetas = fresh_thetas()
+        probs = fresh_thetas().probabilities()
         pairs = [
-            (sample_config(thetas, probe, li, roles[li]).selected,
-             sample_config(thetas, probe, li, roles[li]).selected)
+            (draw_config(layer_sampler(probs, li, roles[li]), probe).selected,
+             draw_config(layer_sampler(probs, li, roles[li]), probe).selected)
             for li in range(3)
         ]
         if any(a & b for a, b in pairs) and any(b - a for a, b in pairs):
@@ -482,7 +486,7 @@ def test_indicator_step_matches_the_tape_bit_for_bit():
             make_rng("tape-pair", attempt),
         )
         assert weights.state_hash() == before
-        assert all(p.grad is None for p in weights.params.values())
+        assert all(type(p) is np.ndarray for p in weights.params.values())
         stats = {k: (s.running_mean, s.running_var) for k, s in weights.stats.items()}
         results.append((out, thetas.values, stats))
     (fast, fast_thetas, fast_stats), (tape, tape_thetas, tape_stats) = results

@@ -166,36 +166,32 @@ def test_recalibrate_empty_raises():
 
 
 def test_sgd_basic_step():
-    p = Tensor(np.array([0.0]), requires_grad=True)
-    p.grad = np.array([1.0])
-    SGD(lr=0.1).step({"p": p})
-    assert p.data == pytest.approx([-0.1])
+    params = {"p": np.array([0.0])}
+    SGD(lr=0.1).step(params, {"p": np.array([1.0])})
+    assert params["p"] == pytest.approx([-0.1])
 
 
 def test_sgd_weight_decay_on_zero_grad():
-    p = Tensor(np.array([2.0]), requires_grad=True)
-    p.grad = np.array([0.0])
-    SGD(lr=0.1, weight_decay=4e-5).step({"p": p})
-    assert p.data == pytest.approx([2.0 * (1.0 - 0.1 * 4e-5)], abs=1e-15)
+    params = {"p": np.array([2.0])}
+    SGD(lr=0.1, weight_decay=4e-5).step(params, {"p": np.array([0.0])})
+    assert params["p"] == pytest.approx([2.0 * (1.0 - 0.1 * 4e-5)], abs=1e-15)
 
 
 def test_sgd_nesterov_two_steps_reference():
     # hand-computed: g constant 1, momentum 0.9, lr 0.1, nesterov
-    p = Tensor(np.array([0.0]), requires_grad=True)
+    params = {"p": np.array([0.0])}
     opt = SGD(lr=0.1, momentum=0.9, nesterov=True)
-    p.grad = np.array([1.0])
-    opt.step({"p": p})  # buf=1, d=1+0.9 -> p=-0.19
-    assert p.data == pytest.approx([-0.19])
-    p.grad = np.array([1.0])
-    opt.step({"p": p})  # buf=1.9, d=1+1.71 -> p=-0.19-0.271
-    assert p.data == pytest.approx([-0.461])
+    opt.step(params, {"p": np.array([1.0])})  # buf=1, d=1+0.9 -> p=-0.19
+    assert params["p"] == pytest.approx([-0.19])
+    opt.step(params, {"p": np.array([1.0])})  # buf=1.9, d=1+1.71 -> p=-0.19-0.271
+    assert params["p"] == pytest.approx([-0.461])
 
 
 def test_sgd_skips_parameters_without_grad():
-    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    before = p.data.copy()
-    SGD(lr=0.1, weight_decay=0.1).step({"p": p})
-    assert np.array_equal(p.data, before)
+    params = {"p": np.array([1.0, 2.0])}
+    before = params["p"].copy()
+    SGD(lr=0.1, weight_decay=0.1).step(params, {})
+    assert np.array_equal(params["p"], before)
 
 
 def test_optimizers_reject_nonpositive_lr():

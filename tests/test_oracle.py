@@ -4,17 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from nse.rng import make_rng
-from nse.oracle import (
-    OracleEvaluator,
-    SyntheticBenchmark,
+from reference import (
     brute_force_pareto,
     constrained_optimum,
+    dominates,
     enumerate_architectures,
     enumeration_size,
-    oracle_score,
 )
-from nse.pareto import EvaluationRecord, dominates, pareto_front
+from nse.rng import make_rng
+from nse.oracle import OracleEvaluator, SyntheticBenchmark, oracle_score
+from nse.pareto import EvaluationRecord, pareto_front
 from nse.resources import MaskCost
 from nse.space import (
     Architecture,

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
+from reference import branch_forward, forward, forward_collect, layer_forward, tape_grads, train_architecture
 from nse.rng import make_rng
 from nse.nn import (
     SGD,
     NotFiniteError,
     Tensor,
-    clear_grads,
     softmax_cross_entropy,
     softmax_cross_entropy_array,
 )
@@ -36,7 +36,6 @@ from nse.supernet import (
     make_recal_batches,
     op_cost,
     toy_op_family,
-    train_architecture,
     train_step,
     train_step_fixed,
 )
@@ -80,7 +79,7 @@ def test_forward_normal_layer_all_gates_zero_is_identity():
     _, subset, _, weights = build_net()
     weights.set_mode("eval")
     x = Tensor(make_rng("fx", 0).normal(size=(4, 6)))
-    out = weights.layer_forward(0, GateVector(0, frozenset()), x)
+    out = layer_forward(weights, 0, GateVector(0, frozenset()), x)
     assert out is x
 
 
@@ -89,9 +88,9 @@ def test_forward_normal_layer_averages_identity_and_branches():
     weights.set_mode("eval")
     slots = subset.active_slots(0)[:2]
     x = Tensor(make_rng("fx", 1).normal(size=(4, 6)))
-    b0 = weights.branch_forward(0, slots[0], x)
-    b1 = weights.branch_forward(0, slots[1], x)
-    out = weights.layer_forward(0, GateVector(0, frozenset(slots)), x)
+    b0 = branch_forward(weights, 0, slots[0], x)
+    b1 = branch_forward(weights, 0, slots[1], x)
+    out = layer_forward(weights, 0, GateVector(0, frozenset(slots)), x)
     expected = (x.data + b0.data + b1.data) / 3.0
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -102,9 +101,9 @@ def test_forward_reduction_layer_averages_selected_branches():
     slots = subset.active_slots(1)
     x = Tensor(make_rng("fx", 2).normal(size=(4, 6)))
     picked = [slots[0], slots[2]]
-    b0 = weights.branch_forward(1, picked[0], x)
-    b2 = weights.branch_forward(1, picked[1], x)
-    out = weights.layer_forward(1, GateVector(1, frozenset(picked)), x)
+    b0 = branch_forward(weights, 1, picked[0], x)
+    b2 = branch_forward(weights, 1, picked[1], x)
+    out = layer_forward(weights, 1, GateVector(1, frozenset(picked)), x)
     assert np.allclose(out.data, (b0.data + b2.data) / 2.0, atol=1e-12)
 
 
@@ -112,7 +111,7 @@ def test_forward_reduction_layer_rejects_empty_gates():
     _, _, _, weights = build_net()
     x = Tensor(np.zeros((2, 6)))
     with pytest.raises(SpaceError):
-        weights.layer_forward(1, GateVector(1, frozenset()), x)
+        layer_forward(weights, 1, GateVector(1, frozenset()), x)
 
 
 def test_forward_linearity_of_disjoint_gate_unions():
@@ -121,9 +120,9 @@ def test_forward_linearity_of_disjoint_gate_unions():
     slots = subset.active_slots(0)
     g1, g2 = slots[:2], slots[2:]
     x = Tensor(make_rng("fx", 3).normal(size=(4, 6)))
-    out1 = weights.layer_forward(0, GateVector(0, frozenset(g1)), x)
-    out2 = weights.layer_forward(0, GateVector(0, frozenset(g2)), x)
-    union = weights.layer_forward(0, GateVector(0, frozenset(slots)), x)
+    out1 = layer_forward(weights, 0, GateVector(0, frozenset(g1)), x)
+    out2 = layer_forward(weights, 0, GateVector(0, frozenset(g2)), x)
+    union = layer_forward(weights, 0, GateVector(0, frozenset(slots)), x)
     mix = (len(g1) * out1.data + len(g2) * out2.data) / len(slots)
     assert np.max(np.abs(union.data - mix)) < 1e-10
 
@@ -134,12 +133,12 @@ def test_weight_sharing_between_architectures():
     name = f"L0.S{slots[0]}.w1"
     a1 = Architecture.from_encoding([[slots[0]], [subset.active_slots(1)[0]]])
     a2 = Architecture.from_encoding([sorted(slots[:2]), [subset.active_slots(1)[0]]])
-    # both architectures resolve the branch to the same parameter tensor
-    before = weights.params[name].data.copy()
+    # both architectures resolve the branch to the same parameter array
+    before = weights.params[name].copy()
     weights.set_mode("eval")
     for arch in (a1, a2):
-        weights.forward(arch.gate_vectors, Tensor(np.zeros((2, 5))))
-    assert np.array_equal(weights.params[name].data, before)
+        forward(weights, arch.gate_vectors, Tensor(np.zeros((2, 5))))
+    assert np.array_equal(weights.params[name], before)
 
 
 def test_gradient_flow_through_two_layer_stack():
@@ -153,26 +152,23 @@ def test_gradient_flow_through_two_layer_stack():
     ]
 
     def loss_with(name, values):
-        saved = weights.params[name].data
-        weights.params[name].data = values
+        saved = weights.params[name]
+        weights.params[name] = values
         weights.set_mode("train")
-        logits = weights.forward(gates, Tensor(x))
+        logits, _ = forward(weights, gates, Tensor(x))
         out = float(softmax_cross_entropy(logits, y).data)
-        weights.params[name].data = saved
+        weights.params[name] = saved
         return out
 
     weights.set_mode("train")
-    from nse.nn import clear_grads
-
-    clear_grads(weights.params.values())
-    logits = weights.forward(gates, Tensor(x))
+    logits, leaves = forward(weights, gates, Tensor(x))
     loss = softmax_cross_entropy(logits, y)
     loss.backward()
     for name in ("stem.w", "head.w", f"L0.S{subset.active_slots(0)[0]}.w1",
                  f"L1.S{subset.active_slots(1)[0]}.w2"):
-        got = weights.params[name].grad
+        got = leaves[name].grad
         fd = central_difference(
-            lambda v, n=name: loss_with(n, v), weights.params[name].data, step=1e-5
+            lambda v, n=name: loss_with(n, v), weights.params[name], step=1e-5
         )
         denom = np.maximum(np.abs(fd), 1e-6)
         assert np.max(np.abs(got - fd) / denom) < 1e-4, name
@@ -188,7 +184,7 @@ def test_train_step_only_updates_selected_branches():
         f"L0.S{slots0[2]}.w2",
         f"L1.S{slots1[1]}.w1",
     ]
-    before = {n: weights.params[n].data.copy() for n in untouched}
+    before = {n: weights.params[n].copy() for n in untouched}
     rng = make_rng("tstep", 0)
     x = rng.normal(size=(8, 5))
     y = rng.integers(0, 3, size=8)
@@ -196,9 +192,9 @@ def test_train_step_only_updates_selected_branches():
 
     train_step_fixed(weights, arch, (x, y), SGD(lr=0.05, momentum=0.9, nesterov=True))
     for name in untouched:
-        assert np.array_equal(weights.params[name].data, before[name])
+        assert np.array_equal(weights.params[name], before[name])
     # stem and head are always in the graph, so they moved
-    assert not np.array_equal(weights.params["stem.w"].data, before.get("stem.w", weights.params["stem.w"].data + 1))
+    assert not np.array_equal(weights.params["stem.w"], before.get("stem.w", weights.params["stem.w"] + 1))
 
 
 def test_identical_branches_get_identical_gradients():
@@ -209,24 +205,17 @@ def test_identical_branches_get_identical_gradients():
     weights.kinds[(0, slots[1])] = (kind0[0], dict(kind0[1]))
     for suffix in ("w1", "b1", "w2", "b2"):
         src = weights.params[f"L0.S{slots[0]}.{suffix}"]
-        dst = weights.params[f"L0.S{slots[1]}.{suffix}"]
-        if src.data.shape != dst.data.shape:
-            dst.data = src.data.copy()
-        else:
-            dst.data = src.data.copy()
+        weights.params[f"L0.S{slots[1]}.{suffix}"] = src.copy()
     rng = make_rng("twin", 0)
     x = rng.normal(size=(6, 5))
     y = rng.integers(0, 3, size=6)
     weights.set_mode("train")
-    from nse.nn import clear_grads
-
-    clear_grads(weights.params.values())
     gates = [GateVector(0, frozenset(slots))]
-    logits = weights.forward(gates, Tensor(x))
+    logits, leaves = forward(weights, gates, Tensor(x))
     softmax_cross_entropy(logits, y).backward()
     for suffix in ("w1", "b1", "w2", "b2"):
-        g0 = weights.params[f"L0.S{slots[0]}.{suffix}"].grad
-        g1 = weights.params[f"L0.S{slots[1]}.{suffix}"].grad
+        g0 = leaves[f"L0.S{slots[0]}.{suffix}"].grad
+        g1 = leaves[f"L0.S{slots[1]}.{suffix}"].grad
         assert np.allclose(g0, g1, atol=1e-12)
 
 
@@ -300,12 +289,12 @@ def test_reinitialize_determinism_and_init_law():
     for name, p in w1.params.items():
         if not name.endswith("w") and ".w" not in name:
             continue
-        if p.data.ndim != 2:
+        if p.ndim != 2:
             continue
-        fan_in = p.data.shape[0]
+        fan_in = p.shape[0]
         std = np.sqrt(2.0 / fan_in)
-        tol = 3.0 * std / np.sqrt(p.data.size)
-        assert abs(p.data.mean()) < tol, name
+        tol = 3.0 * std / np.sqrt(p.size)
+        assert abs(p.mean()) < tol, name
 
 
 def test_dataset_generation_is_deterministic_and_balanced():
@@ -369,15 +358,16 @@ def graph_evaluation(weights, arch, data, recal, batch_size=256):
             for k in keys:
                 weights.stats[k].begin_recalibration()
             for xb in recal:
-                weights.forward(arch.gate_vectors, Tensor(xb))
+                forward(weights, arch.gate_vectors, Tensor(xb))
             for k in keys:
                 weights.stats[k].finish_recalibration()
         correct = 0
         all_logits = []
         for start in range(0, len(data.x_val), batch_size):
-            logits = weights.forward(
-                arch.gate_vectors, Tensor(data.x_val[start : start + batch_size])
-            ).data
+            logits, _ = forward(
+                weights, arch.gate_vectors, Tensor(data.x_val[start : start + batch_size])
+            )
+            logits = logits.data
             all_logits.append(logits)
             correct += int(
                 np.sum(np.argmax(logits, axis=1) == data.y_val[start : start + batch_size])
@@ -464,7 +454,7 @@ def test_nan_in_layer0_weight_raises_through_cache():
     cache = InferenceCache(weights, data, recal)
     arch_other = Architecture.from_encoding([slots[:1], [], subset.active_slots(2)[:1]])
     evaluate(weights, arch_other, data, recal, cache=cache)
-    weights.params[f"L0.S{slots[1]}.w1"].data[0, 0] = np.nan
+    weights.params[f"L0.S{slots[1]}.w1"][0, 0] = np.nan
     arch = Architecture.from_encoding([slots[1:2], [], subset.active_slots(2)[:1]])
     with pytest.raises(NotFiniteError):
         evaluate(weights, arch, data, recal, cache=cache)
@@ -494,7 +484,7 @@ def test_layer_output_nograd_matches_train_mode_graph_on_copies():
         got = weights.layer_output_nograd(li, gate, x)
         for k, s in weights.stats.items():
             assert np.array_equal(s.running_mean, before[k])
-        expected = weights.layer_forward(li, gate, Tensor(x)).data  # moves the shared stats
+        expected = layer_forward(weights, li, gate, Tensor(x)).data  # moves the shared stats
         assert np.array_equal(got, expected)
 
 
@@ -506,12 +496,10 @@ def tape_train_step_fixed(weights, arch, batch, optimizer):
     """Reference: one weight step through the Tensor graph and its backward."""
     x, y = batch
     weights.set_mode("train")
-    clear_grads(weights.params.values())
-    logits = weights.forward(arch.gate_vectors, Tensor(np.asarray(x)))
+    logits, leaves = forward(weights, arch.gate_vectors, Tensor(np.asarray(x)))
     loss = softmax_cross_entropy(logits, np.asarray(y))
     loss.backward()
-    optimizer.step(weights.params)
-    clear_grads(weights.params.values())
+    optimizer.step(weights.params, tape_grads(leaves))
     return float(loss.data)
 
 
@@ -574,8 +562,7 @@ def test_train_backward_matches_tape_gradients():
         grads, out_grads = fast.train_backward(record, dlogits)
         _, no_params = fast.train_backward(record, dlogits, param_grads=False)
 
-        clear_grads(tape.params.values())
-        logits, inputs, outputs = tape.forward_collect(arch.gate_vectors, Tensor(x))
+        logits, inputs, outputs, leaves = forward_collect(tape, arch.gate_vectors, Tensor(x))
         tape_loss = softmax_cross_entropy(logits, y)
         tape_loss.backward()
         assert loss == float(tape_loss.data)
@@ -585,16 +572,16 @@ def test_train_backward_matches_tape_gradients():
             assert np.array_equal(trace.out, outputs[li].data)
             assert np.array_equal(out_grads[li], outputs[li].grad)
             assert np.array_equal(no_params[li], outputs[li].grad)
-        touched = {name for name, p in tape.params.items() if p.grad is not None}
-        assert set(grads) == touched
-        for name in touched:
-            assert np.array_equal(grads[name], tape.params[name].grad), name
+        touched = tape_grads(leaves)
+        assert set(grads) == set(touched)
+        for name, grad in touched.items():
+            assert np.array_equal(grads[name], grad), name
 
 
 def test_nan_in_deeper_layer_w2_raises_from_train_step():
     _, subset, _, weights = build_net(roles=("normal", "normal", "reduction"), ops=4, seed=13)
     slots = [subset.active_slots(li) for li in range(3)]
-    weights.params[f"L1.S{slots[1][2]}.w2"].data[0, 0] = np.nan
+    weights.params[f"L1.S{slots[1][2]}.w2"][0, 0] = np.nan
     data = ToyDataset.generate(DatasetConfig(seed=1, input_dim=5, classes=3, train_size=64))
     stream = BatchStream(data.x_train, data.y_train, 16, make_rng("pass-nan", 0))
     opt = SGD(lr=0.05)
