@@ -60,9 +60,11 @@ from .supernet import (
 from .nn import SGD, cosine_warmup_lr
 
 
-# Doubles per sampler block in retrieval (64 KiB): larger blocks were no
-# faster on the oracle, and a block that retrieval stops early wastes less.
-BLOCK_DOUBLES = 8192
+# The most doubles one sampler block in retrieval may fetch (512 KiB).  It
+# caps memory only: blocks start at the fewest draws that could be enough
+# and double from there, so a round that stalls pays a block's fixed costs
+# only a few times, and the draws past a round's stop are not priced.
+BLOCK_DOUBLES = 65536
 
 
 class EngineError(RuntimeError):
@@ -196,14 +198,32 @@ def edging_filter(
 
 
 def _draw_blocks(
-    sampler: GateSampler, cost_of: MaskCost, rng: np.random.Generator, max_draws: int
+    sampler: GateSampler,
+    cost_of: MaskCost,
+    rng: np.random.Generator,
+    max_draws: int,
+    first: int,
 ):
-    """Yield up to ``max_draws`` draws as (mask rows, costs) blocks of bounded size."""
-    size = max(1, BLOCK_DOUBLES // max(1, sampler.width))
+    """Yield up to ``max_draws`` draws as (mask rows, costs) pieces.
+
+    The first block drawn holds ``first`` rows, the fewest that could
+    satisfy the caller, and each later block twice as many as the one
+    before.  Every block is cut to the draws left and to ``BLOCK_DOUBLES``
+    doubles.  A block is priced and yielded in pieces of at most ``first``
+    rows, so the rows past the caller's stop are drawn but not priced.  The
+    rows do not depend on the block sizes: ``sampler.draw`` reads the
+    generator as one row at a time would.
+    """
+    piece = max(1, first)
+    cap = max(1, BLOCK_DOUBLES // max(1, sampler.width))
+    size = piece
     while max_draws > 0:
-        block = sampler.draw(rng, min(size, max_draws))
+        block = sampler.draw(rng, min(size, cap, max_draws))
         max_draws -= len(block)
-        yield block, cost_of(block)
+        size = min(2 * size, cap)
+        for lo in range(0, len(block), piece):
+            rows = block[lo : lo + piece]
+            yield rows, cost_of(rows)
 
 
 def _keep_draws(
@@ -231,7 +251,8 @@ def _keep_draws(
     auxiliary: list[tuple[tuple[int, ...], float]] = []
     draws = 0
     max_draws = retrieval.stall_factor * retrieval.samples
-    for block, costs in _draw_blocks(sampler, cost_of, rng, max_draws):
+    first = retrieval.samples + retrieval.auxiliary
+    for block, costs in _draw_blocks(sampler, cost_of, rng, max_draws, first):
         keep = np.flatnonzero(costs <= band_hi)
         for i, row, cost in zip(keep.tolist(), block[keep].tolist(), costs[keep].tolist()):
             key = tuple(row)
@@ -346,7 +367,7 @@ def distribution_estimate(
     cost_of = MaskCost(sampler, evaluator.table)
     kept: list[tuple[list[int], float]] = []
     draws = 0
-    for block, costs in _draw_blocks(sampler, cost_of, rng, draw_factor * n):
+    for block, costs in _draw_blocks(sampler, cost_of, rng, draw_factor * n, n):
         draws += len(block)
         band = np.flatnonzero((lo <= costs) & (costs <= hi))[: n - len(kept)]
         kept += zip(block[band].tolist(), costs[band].tolist())

@@ -463,6 +463,14 @@ class GateSampler:
         """
         probs, pack, columns, reductions = self._arrays
         width, size, n = self.width, buf.size, len(out)
+        # per reduction layer, whether a chunk of it starting at each offset
+        # of ``buf`` would select nothing
+        marks = {}
+        for li, lo, w in reductions:
+            starts = max(0, size - w + 1)
+            mark = marks[li] = buf[:starts] >= probs[lo]
+            for j in range(1, w):
+                mark &= buf[j : j + starts] >= probs[lo + j]
         tables: dict[int, tuple[list[int], dict[int, np.ndarray]]] = {}
 
         def table(r: int) -> tuple[list[int], dict[int, np.ndarray]]:
@@ -471,14 +479,11 @@ class GateSampler:
             reduction layer whether its chunk in row ``k`` is empty."""
             if r not in tables:
                 whole = (size - r) // width
-                unset = buf[r : r + whole * width].reshape(whole, width) >= probs
                 failing = np.zeros(whole, dtype=bool)
                 empty = {}
-                for li, lo, w in reductions:
-                    chunk = empty[li] = unset[:, lo].copy()
-                    for j in range(lo + 1, lo + w):
-                        chunk &= unset[:, j]
-                    failing |= chunk
+                for li, lo, _ in reductions:
+                    empty[li] = marks[li][r + lo :: width][:whole]
+                    failing |= empty[li]
                 tables[r] = (np.flatnonzero(failing).tolist(), empty)
             return tables[r]
 

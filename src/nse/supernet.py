@@ -168,15 +168,14 @@ class ToyDataset:
                 class_centers.append(v)
                 class_centers.append(-v)
             centers.append(class_centers[: cfg.clusters_per_class])
+        centers = np.array(centers)  # (classes, clusters_per_class, input_dim)
 
         def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
             counts = [n // cfg.classes + (1 if c < n % cfg.classes else 0) for c in range(cfg.classes)]
             labels = np.repeat(np.arange(cfg.classes), counts)
             labels = labels[rng.permutation(n)]
             cluster_pick = rng.integers(0, cfg.clusters_per_class, size=n)
-            x = np.empty((n, cfg.input_dim))
-            for i in range(n):
-                x[i] = centers[labels[i]][cluster_pick[i]]
+            x = centers[labels, cluster_pick]
             x += cfg.noise * rng.normal(size=(n, cfg.input_dim))
             return x, labels
 

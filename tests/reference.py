@@ -6,6 +6,7 @@
   pass is checked against it bit for bit.
 - ``train_architecture``: train one fixed architecture from scratch and
   score it, the retrained baseline of acceptance criterion 7.
+- ``reference_toy_dataset``: the toy dataset built row by row.
 - The oracle's exact baselines: every architecture of a subset
   (``enumerate_architectures``), the brute-force Pareto front, and the exact
   constrained optimum by per-layer dominance merging.
@@ -13,9 +14,9 @@
   enumerated cross-entropy indicator gradient of one layer.
 - ``dominates``, the pairwise Pareto order.
 - ``sample_space_architecture``, a second sampler of the K-bounded space;
-  ``reference_keep_draws``, the retrieval keep loop that looks at every draw
-  one at a time; and ``reference_retrieve_pareto``, retrieval with one
-  evaluated record per kept draw.
+  ``reference_keep_draws``, the retrieval keep loop that draws, prices and
+  looks at every draw one at a time; and ``reference_retrieve_pareto``,
+  retrieval with one evaluated record per kept draw.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from nse.engine import BLOCK_DOUBLES, edging_filter
+from nse.engine import edging_filter
 from nse.indicators import SlotProbabilities, config_probability_grads, rescaled_pair_grads
 from nse.nn import SGD, Tensor, add, affine, cosine_warmup_lr, normalize, relu, scale, tanh
 from nse.oracle import SyntheticBenchmark, _layer_score, _saturate, oracle_score
@@ -45,6 +46,7 @@ from nse.space import (
 )
 from nse.supernet import (
     BatchStream,
+    DatasetConfig,
     NetworkGeometry,
     SharedWeights,
     ToyDataset,
@@ -177,6 +179,40 @@ def train_architecture(
         dataset, recal_count, training.batch_size, make_rng(seed, "retrain-recal")
     )
     return evaluate(weights, architecture, dataset, recal)
+
+
+# ---------------------------------------------------------------------------
+# The toy dataset
+
+
+def reference_toy_dataset(cfg: DatasetConfig) -> ToyDataset:
+    """``ToyDataset.generate`` with every input row copied from its cluster
+    center in a Python loop, reading the generator in the same order."""
+    rng = make_rng(cfg.seed, "dataset")
+    centers = []
+    for _ in range(cfg.classes):
+        class_centers = []
+        for pair in range(math.ceil(cfg.clusters_per_class / 2)):
+            v = rng.normal(size=cfg.input_dim)
+            v = v / np.linalg.norm(v) * cfg.radius
+            class_centers.append(v)
+            class_centers.append(-v)
+        centers.append(class_centers[: cfg.clusters_per_class])
+
+    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
+        counts = [n // cfg.classes + (1 if c < n % cfg.classes else 0) for c in range(cfg.classes)]
+        labels = np.repeat(np.arange(cfg.classes), counts)
+        labels = labels[rng.permutation(n)]
+        cluster_pick = rng.integers(0, cfg.clusters_per_class, size=n)
+        x = np.empty((n, cfg.input_dim))
+        for i in range(n):
+            x[i] = centers[labels[i]][cluster_pick[i]]
+        x += cfg.noise * rng.normal(size=(n, cfg.input_dim))
+        return x, labels
+
+    x_train, y_train = draw(cfg.train_size)
+    x_val, y_val = draw(cfg.val_size)
+    return ToyDataset(x_train, y_train, x_val, y_val)
 
 
 # ---------------------------------------------------------------------------
@@ -363,32 +399,29 @@ def sample_space_architecture(
 
 
 def reference_keep_draws(sampler, table, retrieval, constraint, rng):
-    """``engine._keep_draws`` as a loop over every draw in order: the same
-    blocks are drawn and priced, and every row is looked at one by one."""
+    """``engine._keep_draws`` as a loop over every draw in order, each drawn
+    by its own ``sampler.draw(rng, 1)`` call and priced on its own."""
     limit = constraint.upper_bound
     band_hi = limit * (1.0 + constraint.edging_margin)
     cost_of = MaskCost(sampler, table)
-    seen, in_budget, auxiliary, draws = set(), [], [], 0
-    left = retrieval.stall_factor * retrieval.samples
-    size = max(1, BLOCK_DOUBLES // max(1, sampler.width))
-    while left > 0:
-        block = sampler.draw(rng, min(size, left))
-        left -= len(block)
-        for row, cost in zip(block.tolist(), cost_of(block).tolist()):
-            draws += 1
-            key = tuple(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            if cost <= limit and len(in_budget) < retrieval.samples:
-                in_budget.append((key, cost))
-            elif limit < cost <= band_hi and len(auxiliary) < retrieval.auxiliary:
-                auxiliary.append((key, cost))
-            else:
-                continue
-            if len(in_budget) == retrieval.samples and len(auxiliary) == retrieval.auxiliary:
-                return in_budget, auxiliary, draws
-    return in_budget, auxiliary, draws
+    seen, in_budget, auxiliary = set(), [], []
+    max_draws = retrieval.stall_factor * retrieval.samples
+    for draws in range(1, max_draws + 1):
+        row = sampler.draw(rng, 1)
+        key = tuple(row[0].tolist())
+        cost = float(cost_of(row)[0])
+        if key in seen:
+            continue
+        seen.add(key)
+        if cost <= limit and len(in_budget) < retrieval.samples:
+            in_budget.append((key, cost))
+        elif limit < cost <= band_hi and len(auxiliary) < retrieval.auxiliary:
+            auxiliary.append((key, cost))
+        else:
+            continue
+        if len(in_budget) == retrieval.samples and len(auxiliary) == retrieval.auxiliary:
+            return in_budget, auxiliary, draws
+    return in_budget, auxiliary, max_draws
 
 
 def reference_pareto_front(records):

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from nse import engine
 from nse.cli import main
 from nse.config import ConfigError, config_hash, parse_config, resolved_dict
+from nse.space import GateSampler
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -348,6 +350,23 @@ def test_pinned_oracle_artifacts_are_byte_identical(tmp_path, monkeypatch):
         for r in (1, 2, 3)
     ]
     assert draws == [569, 879, 877]
+
+
+@pytest.mark.parametrize("block_doubles", [64, 1 << 20])
+def test_pinned_oracle_artifacts_do_not_depend_on_the_block_size(
+    tmp_path, monkeypatch, block_doubles
+):
+    monkeypatch.setattr(engine, "BLOCK_DOUBLES", block_doubles)
+    doubles = []
+    draw = GateSampler.draw
+    monkeypatch.setattr(
+        GateSampler,
+        "draw",
+        lambda self, rng, n: doubles.append(n * self.width) or draw(self, rng, n),
+    )
+    test_pinned_oracle_artifacts_are_byte_identical(tmp_path, monkeypatch)
+    # the patched cap reached every block: 64 doubles cut them to a few rows
+    assert max(doubles) <= block_doubles
 
 
 # sha256 of each artifact of a small supernet run with its config hash cut

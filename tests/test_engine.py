@@ -10,7 +10,6 @@ from reference import (
 )
 from nse.rng import make_rng
 from nse.engine import (
-    BLOCK_DOUBLES,
     Engine,
     EngineError,
     RetrievalConfig,
@@ -320,7 +319,7 @@ def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
 @pytest.mark.parametrize(
     "retrieval, tau, margin, stop",
     [
-        # both lists fill inside the first block
+        # both lists fill inside a doubled block, short of its last row
         (RetrievalConfig(samples=20, auxiliary=3), 500.0, 0.1, "mid-block"),
         # more draws are asked for in both lists than the draw cap allows
         (RetrievalConfig(samples=400, auxiliary=100, stall_factor=2), 500.0, 0.1, "stall"),
@@ -328,21 +327,37 @@ def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
         (RetrievalConfig(samples=40, auxiliary=10, stall_factor=3), 300.0, 1.0, "auxiliary"),
     ],
 )
-def test_keep_draws_equals_the_every_draw_loop(retrieval, tau, margin, stop):
+def test_keep_draws_equals_the_every_draw_loop(retrieval, tau, margin, stop, monkeypatch):
     # draw costs run from about 215 to 1000, with a median near 740
     pool = opaque_pool(("normal", "reduction", "normal"), 6, seed=2)
     bench = SyntheticBenchmark.generate(pool, seed=5)
     sampler = GateSampler.uniform(full_subset(pool))
     constraint = ConstraintConfig(tau=tau, edging_margin=margin)
+    sizes, priced = [], []
+    draw, price = GateSampler.draw, MaskCost.__call__
+    monkeypatch.setattr(
+        GateSampler, "draw", lambda self, rng, n: sizes.append(n) or draw(self, rng, n)
+    )
+    monkeypatch.setattr(
+        MaskCost, "__call__", lambda self, masks: priced.append(len(masks)) or price(self, masks)
+    )
     kept = _keep_draws(sampler, bench.cost_table(), retrieval, constraint, make_rng("keep", 0))
+    monkeypatch.undo()
     ref = reference_keep_draws(
         sampler, bench.cost_table(), retrieval, constraint, make_rng("keep", 0)
     )
     assert kept == ref
+    # blocks start at samples + auxiliary rows and double, cut to the draws left
+    blocks = {"mid-block": [23, 46, 92, 184], "stall": [500, 300], "auxiliary": [50, 70]}
+    assert sizes == blocks[stop]
+    # and are priced in pieces of at most samples + auxiliary rows, up to the stop
+    first = retrieval.samples + retrieval.auxiliary
+    assert max(priced) <= first
     in_budget, auxiliary, draws = kept
+    assert draws <= sum(priced) < draws + first
     cap = retrieval.stall_factor * retrieval.samples
     if stop == "mid-block":
-        assert draws < BLOCK_DOUBLES // sampler.width
+        assert sum(sizes[:-1]) < draws < sum(sizes)
         assert (len(in_budget), len(auxiliary)) == (retrieval.samples, retrieval.auxiliary)
     else:
         assert draws == cap and len(in_budget) < retrieval.samples

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
-from reference import branch_forward, forward, forward_collect, layer_forward, tape_grads, train_architecture
+from reference import (
+    branch_forward,
+    forward,
+    forward_collect,
+    layer_forward,
+    reference_toy_dataset,
+    tape_grads,
+    train_architecture,
+)
 from nse.rng import make_rng
 from nse.nn import (
     SGD,
@@ -309,6 +317,23 @@ def test_dataset_generation_is_deterministic_and_balanced():
     # val rows never collide with train rows
     train_keys = {row.tobytes() for row in a.x_train}
     assert not any(row.tobytes() in train_keys for row in a.x_val)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        DatasetConfig(),
+        DatasetConfig(clusters_per_class=1),
+        DatasetConfig(classes=5, clusters_per_class=3),
+    ],
+    ids=["default", "one-cluster", "odd-clusters"],
+)
+def test_dataset_gather_equals_the_row_loop(cfg):
+    got, ref = ToyDataset.generate(cfg), reference_toy_dataset(cfg)
+    for name in ("x_train", "y_train", "x_val", "y_val"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_cost_model_reference_values():
