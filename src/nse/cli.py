@@ -143,6 +143,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise ConfigError(f"-n must be >= 0, got {args.n}")
+    if not args.lo <= args.hi:
+        raise ConfigError(f"--lo must be <= --hi, got {args.lo} and {args.hi}")
     cfg = load_config(args.config)
     if cfg.evaluator != "oracle":
         raise ConfigError("distribution sampling requires an oracle config")

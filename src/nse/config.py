@@ -116,33 +116,15 @@ class PoolSettings:
 
 
 @dataclass
-class ConstraintSettings:
-    """The budget and penalty shape that ``build`` hands to the engine, plus
-    the cost label, an optional cost-table file and the pruning threshold."""
+class ConstraintSettings(ConstraintConfig):
+    """The engine's constraint, whose ``__post_init__`` resolves
+    ``upper_bound`` so that the config hash sees the cutoff in use, plus the
+    cost label, an optional cost-table file and the pruning threshold."""
 
+    tau: float = 300.0
     kind: str = "flops"
     cost_table: str | None = None
-    tau: float = 300.0
-    alpha: float = 1e-5
-    beta: float = 2.0
-    upper_bound: float | None = None
-    edging_margin: float = 0.1
-    one_sided: bool = False
     prune_threshold: float = -2.0
-
-    def __post_init__(self) -> None:
-        # resolved here so that the config hash sees the cutoff in use
-        self.upper_bound = self.build().upper_bound
-
-    def build(self) -> ConstraintConfig:
-        return ConstraintConfig(
-            tau=self.tau,
-            alpha=self.alpha,
-            beta=self.beta,
-            upper_bound=self.upper_bound,
-            edging_margin=self.edging_margin,
-            one_sided=self.one_sided,
-        )
 
 
 @dataclass
@@ -273,7 +255,7 @@ def build_engine(cfg: RunConfig) -> Engine:
         pool=pool,
         capacity=cfg.k_per_layer,
         max_rounds=cfg.max_rounds,
-        constraint=cfg.constraint.build(),
+        constraint=cfg.constraint,
         retrieval=cfg.retrieval,
         master_seed=cfg.master_seed,
         evaluator_kind=cfg.evaluator,
@@ -289,6 +271,14 @@ def build_engine(cfg: RunConfig) -> Engine:
             table = CostTable.load(path)
         except FileNotFoundError as exc:
             raise ConfigError(f"cost table file not found: {path}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cost table file {path} is not valid JSON: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cost table file {path}: {exc}") from exc
+        missing = sorted({op.key for layer in pool.layers for op in layer.pool} - table.cost.keys())
+        if missing:
+            layer, slot = missing[0]
+            raise ConfigError(f"cost table file {path} has no entry for layer {layer} slot {slot}")
     else:
         table = build_cost_table(pool, geometry, cfg.network.unit_scale)
     return Engine(

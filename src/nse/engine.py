@@ -31,7 +31,7 @@ from .indicators import (
 )
 from .oracle import Evaluator, OracleEvaluator, SyntheticBenchmark
 from .pareto import EvaluationRecord, pareto_front
-from .resources import ConstraintConfig, CostTable, MaskCost, architecture_cost
+from .resources import ConstraintConfig, CostTable, MaskCost
 from .rng import derive_seed, make_rng
 from .space import (
     Architecture,
@@ -128,10 +128,11 @@ class RunSummary:
 
 
 class SupernetEvaluator:
-    """Scores architectures on shared weights with private recalibration.
+    """Scores a sampler's draws on shared weights with private recalibration.
 
-    Built once per round after training; its ``InferenceCache`` shares the
-    stem and layer-0 work across every architecture it scores.
+    Built once per round after training.  Each draw is decoded and scored
+    on its own; the ``InferenceCache`` shares the stem and layer-0 work
+    across every architecture scored.
     """
 
     def __init__(
@@ -149,24 +150,20 @@ class SupernetEvaluator:
         self.batch_size = batch_size
         self.cache = InferenceCache(weights, dataset, recal_batches, batch_size)
 
-    def cost(self, architecture: Architecture) -> float:
-        return architecture_cost(architecture, self.table)
-
-    def evaluate(self, architecture: Architecture, cost: float) -> EvaluationRecord:
-        accuracy = evaluate_on_supernet(
-            self.weights,
-            architecture,
-            self.dataset,
-            self.recal_batches,
-            self.batch_size,
-            cache=self.cache,
-        )
-        return EvaluationRecord(architecture, accuracy, cost)
-
-    def accuracies(
+    def evaluate(
         self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
     ) -> list[float]:
-        return [self.evaluate(sampler.decode(row), cost).accuracy for row, cost in draws]
+        return [
+            evaluate_on_supernet(
+                self.weights,
+                sampler.decode(row),
+                self.dataset,
+                self.recal_batches,
+                self.batch_size,
+                cache=self.cache,
+            )
+            for row, _ in draws
+        ]
 
 
 def edging_filter(
@@ -228,7 +225,7 @@ def _draw_blocks(
 
 def _keep_draws(
     sampler: GateSampler,
-    table: CostTable,
+    cost_of: MaskCost,
     retrieval: RetrievalConfig,
     constraint: ConstraintConfig,
     rng: np.random.Generator,
@@ -245,7 +242,6 @@ def _keep_draws(
     """
     limit = constraint.upper_bound
     band_hi = limit * (1.0 + constraint.edging_margin)
-    cost_of = MaskCost(sampler, table)
     seen: set[tuple[int, ...]] = set()
     in_budget: list[tuple[tuple[int, ...], float]] = []
     auxiliary: list[tuple[tuple[int, ...], float]] = []
@@ -272,7 +268,7 @@ def _keep_draws(
 
 
 class _Scored(NamedTuple):
-    """A kept draw with its score, decoded to an architecture only on demand."""
+    """A scored candidate row, decoded to an architecture only on demand."""
 
     accuracy: float
     cost: float
@@ -287,7 +283,7 @@ class _Scored(NamedTuple):
 def _score(
     sampler: GateSampler, evaluator: Evaluator, draws: list[tuple[tuple[int, ...], float]]
 ) -> list[_Scored]:
-    accuracies = evaluator.accuracies(sampler, draws)
+    accuracies = evaluator.evaluate(sampler, draws)
     return [_Scored(a, cost, row, sampler) for (row, cost), a in zip(draws, accuracies)]
 
 
@@ -302,11 +298,13 @@ def retrieve_pareto(
 ) -> tuple[list[EvaluationRecord], list[EvaluationRecord], EvaluationRecord | None, dict]:
     """Sample, evaluate, rehearse, and dominance-filter one round's models.
 
-    Each kept draw stays a (mask row, cost) pair: it is priced once, on its
-    layer masks (see ``_keep_draws``), scored with ``evaluator.accuracies``,
-    and a previous-front member is rehearsed unless its mask row was kept.
-    Only the records that leave retrieval are built as architectures: the
-    fronts and the rehearsed previous front.
+    Every candidate is a (mask row, cost) pair priced on its layer masks by
+    the round's one ``MaskCost`` and scored with ``evaluator.evaluate``.
+    The draws are kept by ``_keep_draws``.  A previous-front member is
+    rehearsed as its ``sampler.row`` unless that row was kept; rehearsed
+    rows within ``upper_bound`` are scored with the in-budget draws.  Only
+    the records that leave retrieval, the fronts, are built as
+    architectures.
 
     Returns (corrected front, raw front, best in-budget record, diagnostics).
     Both fronts only contain in-budget points; the corrected front is the raw
@@ -315,22 +313,29 @@ def retrieve_pareto(
     ties among them, which is the raw front's last point; it is None when
     nothing is in budget.  ``timings``, if given, receives the seconds spent
     on ``sample_draws`` (drawing and keeping), ``evaluation`` and ``front``.
+    Raises ``EngineError`` for a previous-front member that gates a slot or
+    layer the sampler does not.
     """
     clock = time.perf_counter
     start = clock()
     limit = constraint.upper_bound
-    in_budget, auxiliary, draws = _keep_draws(
-        sampler, evaluator.table, retrieval, constraint, rng
-    )
+    cost_of = MaskCost(sampler, evaluator.table)
+    in_budget, auxiliary, draws = _keep_draws(sampler, cost_of, retrieval, constraint, rng)
     drawn = clock()
     sampled = {row for row, _ in in_budget}
-    rehearse = [
-        rec.architecture
-        for rec in previous_front
-        if sampler.row(rec.architecture) not in sampled
-    ]
-    in_scored = _score(sampler, evaluator, in_budget)
-    rehearsed = [evaluator.evaluate(a, evaluator.cost(a)) for a in rehearse]
+    rehearse = []
+    for rec in previous_front:
+        row = sampler.row(rec.architecture)
+        if row is None:
+            raise EngineError(
+                f"previous-front architecture {rec.architecture.encoding()} gates a slot"
+                " or layer this round's sampler does not"
+            )
+        if row not in sampled:
+            rehearse.append(row)
+    costs = cost_of(np.array(rehearse, dtype=np.int64).reshape(len(rehearse), len(sampler.slots)))
+    candidates = in_budget + [(row, c) for row, c in zip(rehearse, costs.tolist()) if c <= limit]
+    in_scored = _score(sampler, evaluator, candidates)
     beyond = _score(sampler, evaluator, auxiliary)
     evaluated = clock()
 
@@ -341,8 +346,7 @@ def retrieve_pareto(
         "auxiliary": len(auxiliary),
         "rehearsed": len(rehearse),
     }
-    candidates = in_scored + [r for r in rehearsed if r.cost <= limit]
-    raw = [EvaluationRecord(r.architecture, r.accuracy, r.cost) for r in pareto_front(candidates)]
+    raw = [EvaluationRecord(r.architecture, r.accuracy, r.cost) for r in pareto_front(in_scored)]
     corrected = edging_filter(raw, beyond, constraint, diagnostics)
     if timings is not None:
         timings.update(
@@ -379,7 +383,7 @@ def distribution_estimate(
         )
     return [
         EvaluationRecord(sampler.decode(row), accuracy, cost)
-        for (row, cost), accuracy in zip(kept, evaluator.accuracies(sampler, kept))
+        for (row, cost), accuracy in zip(kept, evaluator.evaluate(sampler, kept))
     ]
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from .indicators import op_probability as sigmoid  # the package's one sigmoid
-from .pareto import EvaluationRecord
 from .resources import CostTable, architecture_cost
 from .rng import make_rng
 from .space import Architecture, GateSampler, GateVector, SearchSpacePool
@@ -26,20 +25,14 @@ from .space import Architecture, GateSampler, GateVector, SearchSpacePool
 class Evaluator(Protocol):
     """Uniform scoring interface shared by oracle- and supernet-backed paths.
 
-    ``table`` prices the architectures.  ``evaluate`` scores an architecture
-    and records the ``cost`` its caller priced it at on ``table``, so each
-    architecture is priced once.  ``accuracies`` scores a sampler's draws,
-    given as (mask row, cost) pairs, to what ``evaluate`` gives their
-    decoded architectures.
+    ``table`` prices the architectures.  ``evaluate`` scores a sampler's
+    draws, given as (mask row, cost) pairs priced on ``table``, and returns
+    one accuracy per draw, the accuracy of its decoded architecture.
     """
 
     table: CostTable
 
-    def cost(self, architecture: Architecture) -> float: ...
-
-    def evaluate(self, architecture: Architecture, cost: float) -> EvaluationRecord: ...
-
-    def accuracies(
+    def evaluate(
         self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
     ) -> list[float]: ...
 
@@ -168,40 +161,26 @@ def oracle_score(arch: Architecture, bench: SyntheticBenchmark) -> tuple[float, 
 
 
 class OracleEvaluator:
-    """``oracle_score`` with each layer's saturated score memoised.
+    """``oracle_score`` on mask rows, each layer's saturated score memoised.
 
-    ``evaluate`` looks the values up per gate vector, ``accuracies`` per
-    layer mask of a sampler's rows, in tables filled from the gate vectors'
-    values.  Both fold a row's values with ``_accuracy``, so every accuracy
-    equals ``oracle_score``'s.
+    ``evaluate`` looks the values up per layer mask of a sampler's rows, in
+    tables filled from the masks' gate vectors as they occur, and folds a
+    row's values with ``_accuracy``, so every accuracy equals
+    ``oracle_score``'s.
     """
 
     def __init__(self, benchmark: SyntheticBenchmark):
         self.benchmark = benchmark
         self.table = benchmark.cost_table()
-        self._values: dict[GateVector, float] = {}
         # per sampler slot layout: one table of mask -> value per layer
         self._masks: dict[tuple[tuple[int, ...], ...], list[dict[int, float]]] = {}
 
-    def cost(self, architecture: Architecture) -> float:
-        return architecture_cost(architecture, self.table)
-
-    def _value(self, gate: GateVector) -> float:
-        value = self._values.get(gate)
-        if value is None:
-            value = self._values[gate] = _layer_value(self.benchmark, gate)
-        return value
-
-    def evaluate(self, architecture: Architecture, cost: float) -> EvaluationRecord:
-        accuracy = _accuracy(self.benchmark, map(self._value, architecture.gate_vectors))
-        return EvaluationRecord(architecture, accuracy, cost)
-
-    def accuracies(
+    def evaluate(
         self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
     ) -> list[float]:
         tables = self._masks.setdefault(sampler.slots, [{} for _ in sampler.slots])
         rows = [row for row, _ in draws]
         for li, (table, masks) in enumerate(zip(tables, zip(*rows))):
             for mask in set(masks).difference(table):
-                table[mask] = self._value(sampler.selection(li, mask))
+                table[mask] = _layer_value(self.benchmark, sampler.selection(li, mask))
         return [_accuracy(self.benchmark, map(dict.__getitem__, tables, row)) for row in rows]

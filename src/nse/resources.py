@@ -54,6 +54,8 @@ class CostTable:
 
     @staticmethod
     def from_json(data: Mapping) -> "CostTable":
+        if not isinstance(data, Mapping):
+            raise ResourceError("a cost table must be a JSON object")
         cost = {}
         for key, value in data.items():
             if key == "_overhead" or key == "unit":

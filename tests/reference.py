@@ -435,27 +435,30 @@ def reference_pareto_front(records):
     return front
 
 
-def reference_retrieve_pareto(sampler, evaluator, previous_front, retrieval, constraint, rng):
+def reference_retrieve_pareto(sampler, bench, previous_front, retrieval, constraint, rng):
     """``engine.retrieve_pareto`` with one record per kept draw: every kept
-    row is decoded and evaluated as an architecture, rehearsal compares
-    encodings, and the best pick sorts every in-budget record.
+    row is decoded, rehearsal compares encodings, every record is priced and
+    scored by ``oracle_score``, and the best pick sorts every in-budget
+    record.
 
     Returns (corrected front, raw front, best in-budget record, in-budget
     records, diagnostics).
     """
     limit = constraint.upper_bound
     in_budget, auxiliary, draws = reference_keep_draws(
-        sampler, evaluator.table, retrieval, constraint, rng
+        sampler, bench.cost_table(), retrieval, constraint, rng
     )
-    sampled = [(sampler.decode(key), cost) for key, cost in in_budget]
-    sampled_set = {a.encoding() for a, _ in sampled}
+    sampled = [sampler.decode(key) for key, _ in in_budget]
+    sampled_set = {a.encoding() for a in sampled}
     rehearse = [
-        (rec.architecture, evaluator.cost(rec.architecture))
+        rec.architecture
         for rec in previous_front
         if rec.architecture.encoding() not in sampled_set
     ]
-    beyond = [(sampler.decode(key), cost) for key, cost in auxiliary]
-    records = [evaluator.evaluate(a, cost) for a, cost in sampled + rehearse + beyond]
+    beyond = [sampler.decode(key) for key, _ in auxiliary]
+    records = [
+        EvaluationRecord(a, *oracle_score(a, bench)) for a in sampled + rehearse + beyond
+    ]
     n_in = len(sampled) + len(rehearse)
     in_records = [r for r in records[:n_in] if r.cost <= limit]
     diagnostics = {

@@ -136,6 +136,18 @@ def test_distribution_row_counts(tmp_path, capsys):
     assert lines == ["arch_id,cost,accuracy"]
 
 
+def test_distribution_rejects_bad_arguments(tmp_path, capsys):
+    path = write_config(tmp_path)
+    for args, message in (
+        (["--lo", "0", "--hi", "1e9", "-n", "-5"], "-n must be >= 0"),
+        (["--lo", "500", "--hi", "100", "-n", "3"], "--lo must be <= --hi"),
+    ):
+        assert main(["distribution", str(path), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and message in captured.err
+
+
 def test_distribution_to_file_and_supernet_rejected(tmp_path, capsys):
     path = write_config(tmp_path)
     out_csv = tmp_path / "dist.csv"
@@ -252,7 +264,7 @@ def test_constraint_kind_recorded_and_cost_table_rules(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
-def test_supernet_run_with_file_cost_table(tmp_path):
+def test_supernet_run_with_file_cost_table(tmp_path, capsys):
     from nse.config import load_config, build_engine
 
     base = write_config(
@@ -269,12 +281,29 @@ def test_supernet_run_with_file_cost_table(tmp_path):
     )
     # missing table file is a config error
     assert main(["run", str(base)]) == 2
-    # write a synthetic latency table covering the pool and rerun
+    capsys.readouterr()
     cfg = load_config(base)
     pool = cfg.pool.build()
     table = {f"{op.layer_index}.{op.slot_index}": 3.0 for layer in pool.layers for op in layer.pool}
     table["_overhead"] = 1.0
     table["unit"] = "ms"
+    # so is a malformed file, a bad key, a negative cost and a missing slot,
+    # each reported before training starts
+    first = f"{pool.layers[0].pool[0].layer_index}.{pool.layers[0].pool[0].slot_index}"
+    bad = {
+        "{not json": "is not valid JSON",
+        "[1, 2]": "must be a JSON object",
+        json.dumps({**table, "0.x": 1.0}): "invalid literal",
+        json.dumps({**table, first: -1.0}): "finite and nonnegative",
+        json.dumps({**table, first: None}): "not 'NoneType'",
+        json.dumps({"0.11": 3.0}): "no entry for layer 0 slot 0",
+    }
+    for text, message in bad.items():
+        (tmp_path / "latency.json").write_text(text)
+        assert main(["run", str(base)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cost table file") and message in err, err
+    # a synthetic latency table covering the pool runs
     (tmp_path / "latency.json").write_text(json.dumps(table))
     assert main(["run", str(base)]) == 0
     engine = build_engine(load_config(base))

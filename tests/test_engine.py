@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,14 +78,8 @@ class StubEvaluator:
         self.scores = scores
         self.table = CostTable({(0, enc[0][0]): cost for enc, (_, cost) in scores.items()})
 
-    def cost(self, arch):
-        return self.scores[arch.encoding()][1]
-
-    def evaluate(self, arch, cost):
-        return EvaluationRecord(arch, self.scores[arch.encoding()][0], cost)
-
-    def accuracies(self, sampler, draws):
-        return [self.evaluate(sampler.decode(row), cost).accuracy for row, cost in draws]
+    def evaluate(self, sampler, draws):
+        return [self.scores[sampler.decode(row).encoding()][0] for row, _ in draws]
 
 
 class CyclingSampler(GateSampler):
@@ -274,16 +270,11 @@ def reference_retrieval(subset, table, retrieval, constraint, rng):
 class CountingEvaluator(OracleEvaluator):
     def __init__(self, bench):
         super().__init__(bench)
-        self.cost_calls = 0
         self.scored = []  # per call, the decoded draws scored
 
-    def cost(self, arch):
-        self.cost_calls += 1
-        return super().cost(arch)
-
-    def accuracies(self, sampler, draws):
+    def evaluate(self, sampler, draws):
         self.scored.append([(sampler.decode(row), cost) for row, cost in draws])
-        return super().accuracies(sampler, draws)
+        return super().evaluate(sampler, draws)
 
 
 @pytest.mark.parametrize(
@@ -312,8 +303,6 @@ def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
     assert (diag["in_budget"], diag["auxiliary"]) == (len(in_budget), len(auxiliary))
     # the first draws scored are the in-budget ones
     assert [(arch.encoding(), cost) for arch, cost in evaluator.scored[0]] == in_budget
-    # every kept draw was priced once, on its masks
-    assert evaluator.cost_calls == 0
 
 
 @pytest.mark.parametrize(
@@ -341,7 +330,8 @@ def test_keep_draws_equals_the_every_draw_loop(retrieval, tau, margin, stop, mon
     monkeypatch.setattr(
         MaskCost, "__call__", lambda self, masks: priced.append(len(masks)) or price(self, masks)
     )
-    kept = _keep_draws(sampler, bench.cost_table(), retrieval, constraint, make_rng("keep", 0))
+    cost_of = MaskCost(sampler, bench.cost_table())
+    kept = _keep_draws(sampler, cost_of, retrieval, constraint, make_rng("keep", 0))
     monkeypatch.undo()
     ref = reference_keep_draws(
         sampler, bench.cost_table(), retrieval, constraint, make_rng("keep", 0)
@@ -371,17 +361,16 @@ def check_retrieval_equals_reference(sampler, bench, previous, retrieval, constr
         sampler, OracleEvaluator(bench), previous, retrieval, constraint, make_rng("rows", seed)
     )
     corrected, raw, best, in_records, diag = reference_retrieve_pareto(
-        sampler, OracleEvaluator(bench), previous, retrieval, constraint, make_rng("rows", seed)
+        sampler, bench, previous, retrieval, constraint, make_rng("rows", seed)
     )
     assert got[0] == corrected
     assert got[1] == raw
     assert got[2] == best
     assert got[3] == diag
-    in_budget, _, _ = _keep_draws(
-        sampler, bench.cost_table(), retrieval, constraint, make_rng("rows", seed)
-    )
+    cost_of = MaskCost(sampler, bench.cost_table())
+    in_budget, _, _ = _keep_draws(sampler, cost_of, retrieval, constraint, make_rng("rows", seed))
     # the sampled records come first, all of them in budget
-    assert OracleEvaluator(bench).accuracies(sampler, in_budget) == [
+    assert OracleEvaluator(bench).evaluate(sampler, in_budget) == [
         r.accuracy for r in in_records[: len(in_budget)]
     ]
     for rec in in_records:
@@ -419,20 +408,39 @@ def test_retrieval_on_mask_rows_equals_the_record_per_draw_reference(case):
         edging_margin=float(rng.uniform(0.05, 0.5)),
     )
     # a previous front partly among this round's kept rows and partly not:
-    # half a front of the same draws, a front of other draws, and an
-    # architecture that gates slots outside the subset
+    # half a front of the same draws, a front of other draws, and the
+    # architecture that gates every active slot, which is over budget
     fronts = [
         reference_retrieve_pareto(
-            sampler, OracleEvaluator(bench), [], retrieval, constraint, make_rng(name, case)
+            sampler, bench, [], retrieval, constraint, make_rng(name, case)
         )[1]
         for name in ("rows", "other")
     ]
-    outside = outside_architecture(pool, subset)
-    previous = fronts[0][::2] + fronts[1] + [EvaluationRecord(outside, 0.5, 1.0)]
+    everything = Architecture.from_encoding(
+        [subset.active_slots(li) for li in range(subset.num_layers)]
+    )
+    assert oracle_score(everything, bench)[1] > constraint.upper_bound
+    previous = fronts[0][::2] + fronts[1] + [EvaluationRecord(everything, 0.5, 1.0)]
     diag, _, _ = check_retrieval_equals_reference(
         sampler, bench, previous, retrieval, constraint, case
     )
     assert 1 <= diag["rehearsed"] <= len(previous) - len(fronts[0][::2])
+
+
+def test_rehearsing_a_record_outside_the_sampler_is_an_error():
+    pool = opaque_pool(("normal", "reduction"), 6, seed=1)
+    bench = SyntheticBenchmark.generate(pool, seed=3)
+    subset = init_subset(pool, 3, 0, TraversalLedger())
+    outside = outside_architecture(pool, subset)
+    with pytest.raises(EngineError, match=re.escape(f"architecture {outside.encoding()} gates")):
+        retrieve_pareto(
+            GateSampler.uniform(subset),
+            OracleEvaluator(bench),
+            [EvaluationRecord(outside, 0.5, 1.0)],
+            RetrievalConfig(samples=5),
+            ConstraintConfig(tau=bench.overhead + 200.0),
+            make_rng("outside", 0),
+        )
 
 
 @pytest.mark.parametrize("kind", ["stall", "auxiliary only", "edging fallback"])
@@ -492,7 +500,7 @@ def test_retrieval_breaks_exact_ties_like_the_reference(seed):
     # the tie partners of another draw order's front arrive by rehearsal,
     # after the sampled rows; each seed draws the tied rows in another order
     other = reference_retrieve_pareto(
-        sampler, OracleEvaluator(bench), [], retrieval, constraint, make_rng("tie", seed)
+        sampler, bench, [], retrieval, constraint, make_rng("tie", seed)
     )[1]
     previous = [
         EvaluationRecord(swap_first_slots(r.architecture), r.accuracy, r.cost) for r in other

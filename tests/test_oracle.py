@@ -212,11 +212,12 @@ def test_oracle_evaluator_matches_score():
     pool = small_pool()
     bench = SyntheticBenchmark.generate(pool, seed=4)
     ev = OracleEvaluator(bench)
+    sampler = GateSampler.uniform(full_subset(pool))
     arch = Architecture.from_encoding([[0], [1]])
-    rec = ev.evaluate(arch, ev.cost(arch))
+    row = sampler.row(arch)
     acc, cost = oracle_score(arch, bench)
-    assert (rec.accuracy, rec.cost) == (acc, cost)
-    assert ev.cost(arch) == cost
+    assert ev.evaluate(sampler, [(row, cost)]) == [acc]
+    assert MaskCost(sampler, ev.table)(np.array([row])).tolist() == [cost]
 
 
 def test_memoised_scores_and_mask_costs_equal_the_closed_form():
@@ -231,7 +232,6 @@ def test_memoised_scores_and_mask_costs_equal_the_closed_form():
     draws, accuracies = [], []
     for arch in archs:
         acc, cost = oracle_score(arch, bench)
-        assert ev.evaluate(arch, cost).accuracy == acc
         row = [
             sum(1 << sampler.slots[li].index(s) for s in arch.selected(li))
             for li in range(arch.num_layers)
@@ -242,8 +242,8 @@ def test_memoised_scores_and_mask_costs_equal_the_closed_form():
         draws.append((row, cost))
         accuracies.append(acc)
     # the mask-row scorer, on filled tables and on fresh ones
-    assert ev.accuracies(sampler, draws) == accuracies
-    assert OracleEvaluator(bench).accuracies(sampler, draws[::-1]) == accuracies[::-1]
+    assert ev.evaluate(sampler, draws) == accuracies
+    assert OracleEvaluator(bench).evaluate(sampler, draws[::-1]) == accuracies[::-1]
     # an architecture the sampler cannot draw has no row
     assert sampler.row(Architecture.from_encoding([[0], [4], [1]])) is None
     assert sampler.row(Architecture.from_encoding([[0], [1]])) is None
