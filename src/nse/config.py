@@ -115,6 +115,9 @@ class PoolSettings:
         return shuffle_pool(declared, self.shuffle_seed)
 
 
+COST_KINDS = ("flops", "latency")
+
+
 @dataclass
 class ConstraintSettings(ConstraintConfig):
     """The engine's constraint, whose ``__post_init__`` resolves
@@ -125,6 +128,11 @@ class ConstraintSettings(ConstraintConfig):
     kind: str = "flops"
     cost_table: str | None = None
     prune_threshold: float = -2.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.kind not in COST_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(COST_KINDS)}, got {self.kind!r}")
 
 
 @dataclass
@@ -222,10 +230,15 @@ def config_hash(cfg: RunConfig) -> str:
     """sha256 of the settings that change results.
 
     ``output_dir`` only says where a run is written, so it is left out: the
-    same experiment written to two directories keeps one hash.
+    same experiment written to two directories keeps one hash.  A
+    ``constraint.cost_table`` file is hashed by its loaded table's canonical
+    JSON, not its path, so the hash names the costs a run uses.
     """
     science = resolved_dict(cfg)
     del science["output_dir"]
+    path = cfg.constraint.cost_table
+    if path is not None:
+        science["constraint"]["cost_table"] = load_cost_table(path).to_json()
     canonical = json.dumps(science, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -249,6 +262,18 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
+def load_cost_table(path: str) -> CostTable:
+    """The cost table in the file at ``path``; a failure is a ``ConfigError``."""
+    try:
+        return CostTable.load(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"cost table file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cost table file {path} is not valid JSON: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cost table file {path}: {exc}") from exc
+
+
 def build_engine(cfg: RunConfig) -> Engine:
     pool = cfg.pool.build()
     common = dict(
@@ -267,14 +292,7 @@ def build_engine(cfg: RunConfig) -> Engine:
     geometry = cfg.geometry()
     path = cfg.constraint.cost_table
     if path is not None:
-        try:
-            table = CostTable.load(path)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"cost table file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cost table file {path} is not valid JSON: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cost table file {path}: {exc}") from exc
+        table = load_cost_table(path)
         missing = sorted({op.key for layer in pool.layers for op in layer.pool} - table.cost.keys())
         if missing:
             layer, slot = missing[0]

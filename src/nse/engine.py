@@ -103,7 +103,6 @@ class EvolutionState:
     ledger: TraversalLedger
     previous_front: list[EvaluationRecord] = field(default_factory=list)
     best_archive: list[EvaluationRecord] = field(default_factory=list)
-    master_seed: int = 0
 
 
 @dataclass
@@ -592,12 +591,7 @@ class Engine:
         subset = init_subset(
             self.pool, self.capacity, derive_seed(self.master_seed, "subset"), ledger
         )
-        return EvolutionState(
-            round_index=1,
-            subset=subset,
-            ledger=ledger,
-            master_seed=self.master_seed,
-        )
+        return EvolutionState(round_index=1, subset=subset, ledger=ledger)
 
     def run(
         self,

@@ -26,7 +26,6 @@ from . import nn
 from .resources import (
     ConstraintConfig,
     CostTable,
-    expected_pair_cost,
     layer_cost,
     penalty,
     penalty_gradient_wrt_r,
@@ -296,7 +295,7 @@ def indicator_update_step(
         d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], probs)
         c_a = layer_cost(gates_a[li], cost_table)
         c_b = layer_cost(gates_b[li], cost_table)
-        expected_cost += expected_pair_cost(gates_a[li], gates_b[li], pt_a, pt_b, cost_table)
+        expected_cost += pt_a * c_a + pt_b * c_b
         per_layer.append((li, s_a, s_b, d_tilde, c_a, c_b))
 
     r_value = cost_table.fixed_overhead - constraint_cfg.tau + expected_cost

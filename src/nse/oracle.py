@@ -144,7 +144,7 @@ def _saturate(x: float) -> float:
 
 
 def _layer_value(bench: SyntheticBenchmark, gate: GateVector) -> float:
-    return _saturate(_layer_score(bench, gate.layer_index, sorted(gate.selected)))
+    return _saturate(_layer_score(bench, gate.layer_index, gate.selected))
 
 
 def _accuracy(bench: SyntheticBenchmark, layer_values: Iterable[float]) -> float:

@@ -105,7 +105,8 @@ class ConstraintConfig:
 
 
 def layer_cost(gate_vector: GateVector, table: CostTable) -> float:
-    """Summed cost of one layer's selected branches (identity adds nothing)."""
+    """Summed cost of one layer's selected branches in ascending slot order
+    (identity adds nothing)."""
     total = 0.0
     for slot in gate_vector.selected:
         total += table.lookup(gate_vector.layer_index, slot)
@@ -128,42 +129,31 @@ def architecture_cost(arch: Architecture, table: CostTable) -> float:
 class MaskCost:
     """Architecture costs of rows of layer masks drawn by a GateSampler.
 
-    Each layer's cost is memoised per mask from ``layer_cost`` of the decoded
-    gate vector, filled only for masks that occur, and the layers add up as
-    in ``architecture_cost``, so a row costs exactly what its decoded
-    architecture does.
+    Bit ``j`` of a layer's mask gates the layer's ``j``-th slot, and a
+    sampler's slots ascend, so each layer holds its slot costs in slot
+    order, read from the table once.  A layer's cost adds bit times cost
+    over the whole array, one slot after another, which is ``layer_cost``'s
+    sum: adding 0.0 for an unset bit is exact because costs are
+    nonnegative.  The layers then add up as in ``architecture_cost``, so a
+    row costs exactly what its decoded architecture does.
     """
 
     def __init__(self, sampler: GateSampler, table: CostTable):
-        # not ``sampler.gate``: most priced masks are never decoded again,
-        # so their gate vectors are not worth keeping
-        self._gate = sampler.selection
-        self._table = table
-        self._layers: list[dict[int, float]] = [{} for _ in sampler.slots]
+        self._overhead = table.fixed_overhead
+        self._columns = [
+            [table.lookup(li, s) for s in slots] for li, slots in enumerate(sampler.slots)
+        ]
 
     def __call__(self, masks: np.ndarray) -> np.ndarray:
         """Costs of an ``(n, num_layers)`` mask array, one per row."""
         total = np.zeros(len(masks))
-        for li, costs in enumerate(self._layers):
-            occurring, index = np.unique(masks[:, li], return_inverse=True)
-            for mask in occurring.tolist():
-                if mask not in costs:
-                    costs[mask] = layer_cost(self._gate(li, mask), self._table)
-            total += np.array([costs[mask] for mask in occurring.tolist()])[index]
-        return self._table.fixed_overhead + total
-
-
-def expected_pair_cost(
-    config_a: GateVector,
-    config_b: GateVector,
-    p_a: float,
-    p_b: float,
-    table: CostTable,
-) -> float:
-    """Probability-weighted layer cost of a rescaled two-configuration pair."""
-    if abs(p_a + p_b - 1.0) > 1e-9:
-        raise ResourceError("pair probabilities must sum to 1")
-    return p_a * layer_cost(config_a, table) + p_b * layer_cost(config_b, table)
+        for li, column in enumerate(self._columns):
+            # one pass per slot, not ``np.sum``, which adds 8 or more terms pairwise
+            layer = np.zeros(len(masks))
+            for j, cost in enumerate(column):
+                layer += (masks[:, li] >> j & 1) * cost
+            total += layer
+        return self._overhead + total
 
 
 def penalty(r_value: float, cfg: ConstraintConfig) -> float:

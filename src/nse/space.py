@@ -166,10 +166,18 @@ class SubsetState:
 
 @dataclass(frozen=True)
 class GateVector:
-    """Selected slot indices of one layer (the set bits of the gate mask)."""
+    """Selected slot indices of one layer (the set bits of the gate mask).
+
+    ``selected`` is normalized to the ascending tuple of distinct slots,
+    whatever iterable it is built from, so equal selections are equal gate
+    vectors and every reader walks a layer's slots in one order.
+    """
 
     layer_index: int
-    selected: frozenset[int]
+    selected: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "selected", tuple(sorted(set(self.selected))))
 
 
 @dataclass(frozen=True)
@@ -180,17 +188,12 @@ class Architecture:
     def num_layers(self) -> int:
         return len(self.gate_vectors)
 
-    def selected(self, layer_index: int) -> frozenset[int]:
+    def selected(self, layer_index: int) -> tuple[int, ...]:
         return self.gate_vectors[layer_index].selected
 
     def encoding(self) -> tuple[tuple[int, ...], ...]:
         """Canonical hashable form: sorted slot tuples per layer."""
-        return self._encoding
-
-    @functools.cached_property
-    def _encoding(self) -> tuple[tuple[int, ...], ...]:
-        # kept in the instance dict, outside the fields that eq and hash use
-        return tuple(tuple(sorted(gv.selected)) for gv in self.gate_vectors)
+        return tuple(gv.selected for gv in self.gate_vectors)
 
     def compact_id(self) -> str:
         return ";".join("+".join(str(s) for s in layer) for layer in self.encoding())
@@ -199,7 +202,7 @@ class Architecture:
     def from_encoding(encoding: Sequence[Sequence[int]]) -> "Architecture":
         return Architecture(
             tuple(
-                GateVector(li, frozenset(int(s) for s in slots))
+                GateVector(li, tuple(int(s) for s in slots))
                 for li, slots in enumerate(encoding)
             )
         )
@@ -226,7 +229,7 @@ def validate_architecture(arch: Architecture, subset: SubsetState) -> None:
         raise SpaceError("architecture/subset layer count mismatch")
     for li, gv in enumerate(arch.gate_vectors):
         active = set(subset.active_slots(li))
-        if not gv.selected <= active:
+        if not active.issuperset(gv.selected):
             raise SpaceError(f"gates reference inactive slots in layer {li}")
         if subset.roles[li] == REDUCTION and not gv.selected:
             raise SpaceError(f"reduction layer {li} has no gate set")
@@ -401,6 +404,8 @@ class GateSampler:
         for li, (layer, role, p) in enumerate(zip(self.slots, self.roles, self._probs)):
             if role == REDUCTION and not layer:
                 raise SpaceError(f"reduction layer {li} has no active entries")
+            if list(layer) != sorted(set(layer)):
+                raise SpaceError(f"layer {li} slots must be distinct and ascending")
             if len(p) != len(layer):
                 raise SpaceError(f"layer {li} needs one probability per slot")
             if len(layer) > 63:
@@ -574,9 +579,7 @@ class GateSampler:
     def selection(self, layer_index: int, mask: int) -> GateVector:
         """The gate vector of the slots a layer mask selects."""
         slots = self.slots[layer_index]
-        return GateVector(
-            layer_index, frozenset(s for j, s in enumerate(slots) if mask >> j & 1)
-        )
+        return GateVector(layer_index, tuple(s for j, s in enumerate(slots) if mask >> j & 1))
 
     def gate(self, layer_index: int, mask: int) -> GateVector:
         """``selection``, kept and shared by every decoded row that uses it."""
@@ -644,10 +647,7 @@ def aggregate(
         validate_architecture(arch, subset)
     unions = []
     for li in range(subset.num_layers):
-        merged: frozenset[int] = frozenset()
-        for arch in architectures:
-            merged |= arch.selected(li)
-        unions.append(merged)
+        unions.append(frozenset().union(*(arch.selected(li) for arch in architectures)))
     return tuple(unions)
 
 

@@ -255,7 +255,7 @@ class LayerTrace:
     """What one layer's backward needs from the train-mode forward."""
 
     x: np.ndarray  # the layer input
-    slots: list[int]  # selected slots, sorted
+    slots: tuple[int, ...]  # selected slots, ascending
     hidden: list[np.ndarray]  # each branch's activation output
     centered: np.ndarray | None  # (n, B, W) centered second-affine outputs
     inv: np.ndarray | None  # (n, 1, W) inverse batch deviations
@@ -345,12 +345,12 @@ class SharedWeights:
         h = affine_array(x, p["stem.w"], p["stem.b"])
         layers = []
         for li, gate in enumerate(gates):
-            layers.append(self._layer_train_forward(li, sorted(gate.selected), h))
+            layers.append(self._layer_train_forward(li, gate.selected, h))
             h = layers[-1].out
         logits = affine_array(h, p["head.w"], p["head.b"])
         return TrainRecord(x, layers, h, logits)
 
-    def _layer_train_forward(self, li: int, slots: list[int], x: np.ndarray) -> LayerTrace:
+    def _layer_train_forward(self, li: int, slots: tuple[int, ...], x: np.ndarray) -> LayerTrace:
         if not slots:
             return LayerTrace(x, slots, [], None, None, None, self.layer_mix(li, x, []))
         p = self.params
@@ -496,7 +496,7 @@ class SharedWeights:
         known = known or {}
         branches = [
             known[slot] if slot in known else self.branch_output(layer_index, slot, x, None)
-            for slot in sorted(gate.selected)
+            for slot in gate.selected
         ]
         return self.layer_mix(layer_index, x, branches)
 
@@ -615,7 +615,7 @@ class InferenceCache:
         for li, gate in enumerate(gates):
             last = li == len(gates) - 1
             outs = []
-            for slot in sorted(gate.selected):
+            for slot in gate.selected:
                 if li == 0:
                     if slot not in self._layer0:
                         self._layer0[slot] = self._branch(0, slot, recal, val, last)

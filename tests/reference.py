@@ -93,7 +93,7 @@ def layer_forward(
 ) -> Tensor:
     leaves = tape_leaves(weights) if leaves is None else leaves
     branches = [
-        branch_forward(weights, layer_index, slot, x, leaves) for slot in sorted(gate.selected)
+        branch_forward(weights, layer_index, slot, x, leaves) for slot in gate.selected
     ]
     parts = weights._layer_parts(layer_index, x, branches)
     if len(parts) == 1:
@@ -142,7 +142,7 @@ def subset_for_architecture(arch: Architecture, pool: SearchSpacePool) -> Subset
         layers.append(
             [
                 SubsetEntry(pool.descriptor(li, slot), ORIGIN_FRESH)
-                for slot in sorted(gv.selected)
+                for slot in gv.selected
             ]
         )
     capacity = max(1, max(len(entries) for entries in layers))
@@ -349,7 +349,7 @@ def exhaustive_ce_grads(
     low = 0 if role == NORMAL else 1
     for k in range(low, len(slots) + 1):
         for sel in itertools.combinations(slots, k):
-            gate = GateVector(layer_index, frozenset(sel))
+            gate = GateVector(layer_index, sel)
             parts = [branch_outputs[s] for s in sel]
             if role == NORMAL:
                 parts = [identity_input] + parts

@@ -295,9 +295,9 @@ def test_criterion_4_two_config_estimator_direction():
 
         mix_cache = {}
         for bits in itertools.product([0, 1], repeat=layer_k):
-            sel = frozenset(s for s in range(layer_k) if bits[s])
+            sel = tuple(s for s in range(layer_k) if bits[s])
             mix_cache[sel] = float(
-                np.sum(upstream * _mixture(outputs, identity_input, sorted(sel)))
+                np.sum(upstream * _mixture(outputs, identity_input, sel))
             )
         acc = np.zeros(layer_k)
         for _ in range(resamples):

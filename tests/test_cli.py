@@ -353,6 +353,25 @@ PINNED_DIGESTS = {
 }
 
 
+def test_config_hash_names_the_cost_table_contents_not_its_path(tmp_path):
+    def hashed(path):
+        return config_hash(
+            parse_config({"evaluator": "supernet", "constraint": {"cost_table": str(path)}})
+        )
+
+    table = {"0.0": 3.0, "0.1": 4.0, "_overhead": 1.0, "unit": "ms"}
+    (tmp_path / "a.json").write_text(json.dumps(table))
+    # the same costs, written with other spacing and key order
+    (tmp_path / "b.json").write_text(json.dumps(dict(reversed(table.items())), indent=2))
+    assert hashed(tmp_path / "a.json") == hashed(tmp_path / "b.json")
+    before = hashed(tmp_path / "a.json")
+    (tmp_path / "a.json").write_text(json.dumps({**table, "0.1": 5.0}))
+    assert hashed(tmp_path / "a.json") != before
+    # a table that cannot be loaded cannot be hashed: a config error, exit 2
+    with pytest.raises(ConfigError, match="cost table file not found"):
+        hashed(tmp_path / "missing.json")
+
+
 def test_pinned_oracle_artifacts_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("NSE_SEED", raising=False)
     started = time.perf_counter()
@@ -548,6 +567,8 @@ REJECTED = [
     ({"training": {"weight_decay": -1e-4}}, ["config.training", "weight_decay"]),
     ({"benchmark": {"cost_low": -50}}, ["config.benchmark", "cost_low"]),
     ({"benchmark": {"cost_low": 200, "cost_high": 10}}, ["config.benchmark", "cost_low"]),
+    # a cost label nothing would read
+    ({"constraint": {"kind": "energy"}}, ["config.constraint", "kind", "flops", "latency"]),
 ]
 
 

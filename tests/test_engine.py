@@ -76,7 +76,9 @@ class StubEvaluator:
 
     def __init__(self, scores):
         self.scores = scores
-        self.table = CostTable({(0, enc[0][0]): cost for enc, (_, cost) in scores.items()})
+        # every slot of ``CyclingSampler``, which ``MaskCost`` prices at construction
+        costs = {(0, s): 0.0 for s in range(8)}
+        self.table = CostTable(costs | {(0, enc[0][0]): cost for enc, (_, cost) in scores.items()})
 
     def evaluate(self, sampler, draws):
         return [self.scores[sampler.decode(row).encoding()][0] for row, _ in draws]

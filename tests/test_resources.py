@@ -6,14 +6,14 @@ from nse.rng import make_rng
 from nse.resources import (
     ConstraintConfig,
     CostTable,
+    MaskCost,
     ResourceError,
     architecture_cost,
-    expected_pair_cost,
     layer_cost,
     penalty,
     penalty_gradient_wrt_r,
 )
-from nse.space import Architecture, GateVector
+from nse.space import Architecture, GateSampler, GateVector
 
 
 def table_for(num_layers, num_slots, rng, overhead=0.0):
@@ -71,38 +71,40 @@ def test_cost_missing_entry_raises():
         architecture_cost(arch, table)
 
 
-def test_expected_pair_cost_degenerate_and_midpoint():
-    table = CostTable(cost={(0, 0): 100.0, (0, 1): 300.0})
-    a = GateVector(0, frozenset({0}))
-    b = GateVector(0, frozenset({1}))
-    assert expected_pair_cost(a, b, 1.0, 0.0, table) == 100.0
-    assert expected_pair_cost(a, b, 0.5, 0.5, table) == 200.0
+def test_equal_gate_vectors_built_in_any_order_cost_the_same():
+    # slots 1 and 9 share a bucket of a small set's hash table, so the two
+    # frozensets iterate in different orders; added in that order, the
+    # costs differ in the last ulp
+    table = CostTable(cost={(0, 1): 0.1, (0, 2): 0.2, (0, 9): 0.7})
+    a = GateVector(0, frozenset([1, 9, 2]))
+    b = GateVector(0, frozenset([9, 2, 1]))
+    assert a == b
+    assert layer_cost(a, table) == layer_cost(b, table) == 1.0
+    assert architecture_cost(Architecture((b,)), table) == 1.0
 
 
-def test_expected_pair_cost_matches_direct_formula():
-    rng = make_rng(47)
-    table = table_for(1, 8, rng)
-    for _ in range(100):
-        sel_a = frozenset(int(s) for s in rng.choice(8, size=3, replace=False))
-        sel_b = frozenset(int(s) for s in rng.choice(8, size=2, replace=False))
-        a, b = GateVector(0, sel_a), GateVector(0, sel_b)
-        pa = float(rng.uniform(0.01, 0.99))
-        direct = pa * sum(table.cost[(0, s)] for s in sel_a) + (1 - pa) * sum(
-            table.cost[(0, s)] for s in sel_b
-        )
-        assert expected_pair_cost(a, b, pa, 1 - pa, table) == pytest.approx(
-            direct, abs=1e-12
-        )
-        lo = min(layer_cost(a, table), layer_cost(b, table))
-        hi = max(layer_cost(a, table), layer_cost(b, table))
-        assert lo - 1e-12 <= expected_pair_cost(a, b, pa, 1 - pa, table) <= hi + 1e-12
-
-
-def test_expected_pair_cost_rejects_unnormalized():
-    table = CostTable(cost={(0, 0): 1.0})
-    a = GateVector(0, frozenset({0}))
-    with pytest.raises(ResourceError):
-        expected_pair_cost(a, a, 0.6, 0.6, table)
+def test_mask_cost_equals_the_decoded_architecture_cost_bit_for_bit():
+    rng = make_rng(59)
+    # a 12-slot layer, where a pairwise sum adds in another order than a
+    # left-to-right one, and an empty layer
+    slots = [list(range(12)), [0, 1, 2, 3, 5, 7, 9, 14], [], [0, 3, 4]]
+    table = CostTable(
+        {(li, s): float(rng.uniform(0.0, 50.0)) for li, ss in enumerate(slots) for s in ss}
+    )
+    sampler = GateSampler(slots, ["normal"] * 4, [[0.5] * len(s) for s in slots])
+    masks = np.stack([rng.integers(0, 1 << len(s), size=2000) for s in slots], axis=1)
+    cost_of = MaskCost(sampler, table)
+    want = [architecture_cost(sampler.decode(row), table) for row in masks.tolist()]
+    assert cost_of(masks).tolist() == want
+    # each layer alone, where no other layer's cost can round a difference away
+    for li in range(len(slots)):
+        alone = np.zeros_like(masks)
+        alone[:, li] = masks[:, li]
+        want = [layer_cost(sampler.selection(li, m), table) for m in masks[:, li].tolist()]
+        assert cost_of(alone).tolist() == want
+        if li == 0:  # the masks are ones on which a pairwise sum differs
+            column = np.array([table.cost[(0, s)] for s in slots[0]])
+            assert np.sum((masks[:, :1] >> np.arange(12) & 1) * column, axis=1).tolist() != want
 
 
 def test_penalty_reference_values():

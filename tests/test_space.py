@@ -105,7 +105,7 @@ def test_uniform_sampling_single_op_reduction_always_on():
     rng = make_rng(5)
     for _ in range(50):
         arch = sample_uniform_architecture(subset, rng)
-        assert arch.selected(0) == frozenset({0})
+        assert arch.selected(0) == (0,)
 
 
 def test_uniform_sampling_rates_are_half():
@@ -127,7 +127,7 @@ def test_uniform_sampling_reduction_conditional_distribution():
     subset = init_subset(pool, capacity=2, seed=0, ledger=TraversalLedger())
     rng = make_rng(23)
     n = 100_000
-    freq = {frozenset({0}): 0, frozenset({1}): 0, frozenset({0, 1}): 0}
+    freq = {(0,): 0, (1,): 0, (0, 1): 0}
     for _ in range(n):
         arch = sample_uniform_architecture(subset, rng)
         freq[arch.selected(0)] += 1
@@ -317,6 +317,13 @@ def test_full_subset_and_architecture_validation():
         validate_architecture(bad, subset)
 
 
+def test_gate_vector_holds_its_slots_in_ascending_order():
+    gate = GateVector(0, frozenset({9, 2, 1}))
+    assert gate.selected == (1, 2, 9)
+    assert gate == GateVector(0, (1, 2, 9)) == GateVector(0, [9, 1, 2])
+    assert hash(gate) == hash(GateVector(0, (1, 2, 9)))
+
+
 def test_architecture_encoding_and_ids():
     arch = Architecture.from_encoding([[0, 3], [1], [], [2]])
     assert arch.encoding() == ((0, 3), (1,), (), (2,))
@@ -377,6 +384,13 @@ def test_gate_sampler_redraw_cap_still_raises():
 def test_gate_sampler_rejects_reduction_layer_without_slots():
     with pytest.raises(space.SpaceError):
         GateSampler([[0], []], ["normal", "reduction"], [[0.5], []])
+
+
+@pytest.mark.parametrize("slots", [[2, 1], [1, 1]])
+def test_gate_sampler_rejects_slots_out_of_order(slots):
+    # bit j of a mask gates the j-th slot, and costs add in slot order
+    with pytest.raises(space.SpaceError, match="distinct and ascending"):
+        GateSampler([slots], ["normal"], [[0.5] * len(slots)])
 
 
 def random_sampler_config(rng):
