@@ -42,7 +42,10 @@ def _record_json(rec: EvaluationRecord) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``<name>.tmp`` and rename it over ``path``, so no file is ever torn."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
 
 
 def scientific(n: int, digits: int = 1) -> str:

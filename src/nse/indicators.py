@@ -181,9 +181,12 @@ def rescale_pair(p_a: float, p_b: float) -> tuple[float, float]:
     return p_a / total, p_b / total
 
 
-def config_probability_grads(gate: GateVector, thetas: SlotProbabilities) -> dict[int, float]:
-    """d p_hat / d theta_n for every slot: p_hat * (g_n - p_n)."""
-    p_hat = config_probability(gate, thetas)
+def config_probability_grads(
+    gate: GateVector, thetas: SlotProbabilities, p_hat: float | None = None
+) -> dict[int, float]:
+    """d p_hat / d theta_n for every slot: p_hat * (g_n - p_n).  ``p_hat``,
+    when given, is ``config_probability(gate, thetas)``, already computed."""
+    p_hat = config_probability(gate, thetas) if p_hat is None else p_hat
     return {
         slot: p_hat
         * (
@@ -195,16 +198,16 @@ def config_probability_grads(gate: GateVector, thetas: SlotProbabilities) -> dic
 
 
 def rescaled_pair_grads(
-    g_a: GateVector, g_b: GateVector, thetas: SlotProbabilities
+    g_a: GateVector, g_b: GateVector, thetas: SlotProbabilities, pair: tuple | None = None
 ) -> dict[int, float]:
     """d p_tilde_a / d theta_n through the pair rescale (quotient rule).
 
     The companion derivative d p_tilde_b / d theta_n is the negation.
+    ``pair``, when given, is the two configurations' ``config_probability``.
     """
-    p_a = config_probability(g_a, thetas)
-    p_b = config_probability(g_b, thetas)
-    d_a = config_probability_grads(g_a, thetas)
-    d_b = config_probability_grads(g_b, thetas)
+    p_a, p_b = pair or (config_probability(g_a, thetas), config_probability(g_b, thetas))
+    d_a = config_probability_grads(g_a, thetas, p_a)
+    d_b = config_probability_grads(g_b, thetas, p_b)
     total_sq = (p_a + p_b) ** 2
     return {
         slot: (d_a[slot] * p_b - p_a * d_b[slot]) / total_sq
@@ -292,7 +295,7 @@ def indicator_update_step(
         p_a = config_probability(gates_a[li], probs)
         p_b = config_probability(gates_b[li], probs)
         pt_a, pt_b = rescale_pair(p_a, p_b)
-        d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], probs)
+        d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], probs, (p_a, p_b))
         c_a = layer_cost(gates_a[li], cost_table)
         c_b = layer_cost(gates_b[li], cost_table)
         expected_cost += pt_a * c_a + pt_b * c_b

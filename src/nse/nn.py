@@ -2,10 +2,11 @@
 
 Small on purpose: float64 numpy arrays and a handful of ops.  Every op
 validates shapes and rejects non-finite outputs immediately, which keeps
-failures close to their cause in long training loops.  Runs use the array
-ops and hold parameters as plain arrays.  The ``Tensor`` tape (each tensor
-keeps its parents and a backward closure) is on no run path: the tests use
-it as the reference the array ops are checked against.
+failures close to their cause in long training loops; an array op skips only
+a check that cannot fire.  Runs use the array ops and hold parameters as
+plain arrays.  The ``Tensor`` tape (each tensor keeps its parents and a
+backward closure) is on no run path: the tests use it as the reference the
+array ops are checked against.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 EPS_NORM = 1e-5
+NORM_MOMENTUM = 0.1
 
 
 class NotFiniteError(FloatingPointError):
@@ -185,7 +187,7 @@ class NormStats:
     variance of everything forwarded since it began.
     """
 
-    def __init__(self, width: int, momentum: float = 0.1):
+    def __init__(self, width: int, momentum: float = NORM_MOMENTUM):
         if not 0.0 < momentum <= 1.0:
             raise ValueError("momentum must be in (0, 1]")
         self.width = width
@@ -229,8 +231,8 @@ class NormStats:
         if self._count == 0:
             raise ValueError("no batches forwarded during recalibration")
         mean = self._sum / self._count
-        self.running_mean = mean
-        self.running_var = np.maximum(self._sumsq / self._count - mean * mean, 0.0)
+        self.running_mean[...] = mean
+        np.maximum(self._sumsq / self._count - mean * mean, 0.0, out=self.running_var)
         self.mode = "eval"
 
 
@@ -261,12 +263,12 @@ def _fold_moments(
     sums: np.ndarray | None = None,
 ) -> None:
     """Fold the batches of the (R, B, W) stack ``x``, with their (R, 1, W)
-    moments and sums, into ``stats`` in batch order as its mode says."""
+    moments and sums, into ``stats`` in batch order, in place, as its mode says."""
     if stats.mode == "train":
         m = stats.momentum
         for bm, bv in zip(mean[:, 0], var[:, 0]):
-            stats.running_mean = (1.0 - m) * stats.running_mean + m * bm
-            stats.running_var = (1.0 - m) * stats.running_var + m * bv
+            stats.running_mean[...] = (1.0 - m) * stats.running_mean + m * bm
+            stats.running_var[...] = (1.0 - m) * stats.running_var + m * bv
     elif stats.mode == "recalibrate":
         stats.accumulate(x, sums)
     else:
@@ -298,13 +300,16 @@ def normalize_train_grad(g: np.ndarray, centered: np.ndarray, inv: np.ndarray) -
     ``centered`` is one (B, W) batch or a (n, B, W) stack; ``g`` and ``inv``
     broadcast against it.  Summing a stack over axis -2 gives each batch's
     axis-0 sum bit for bit, so the stacked and the per-batch results agree.
+    ``g * inv`` also gives the ``-g * inv`` sum; terms add in place in order.
     """
     batch = centered.shape[-2]
+    g_inv = g * inv
     dvar = np.sum(g * centered, axis=-2, keepdims=True) * (-0.5) * inv**3
-    dmean = np.sum(-g * inv, axis=-2, keepdims=True) + dvar * (-2.0 / batch) * centered.sum(
+    dmean = -np.sum(g_inv, axis=-2, keepdims=True) + dvar * (-2.0 / batch) * centered.sum(
         axis=-2, keepdims=True
     )
-    return g * inv + dvar * 2.0 * centered / batch + dmean / batch
+    g_inv += dvar * 2.0 * centered / batch
+    return np.add(g_inv, dmean / batch, out=g_inv)
 
 
 def normalize(x: Tensor, stats: NormStats) -> Tensor:
@@ -375,13 +380,13 @@ def affine_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def relu_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``relu``; ``out=x`` overwrites a fresh input in place."""
-    return _check_finite(np.multiply(x, x > 0, out=out), "relu")
+    """``relu`` of a checked ``x``, so finite; ``out=x`` overwrites it in place."""
+    return np.multiply(x, x > 0, out=out)
 
 
 def tanh_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``tanh``; ``out=x`` overwrites a fresh input in place."""
-    return _check_finite(np.tanh(x, out=out), "tanh")
+    """``tanh`` of a checked ``x``, so finite; ``out=x`` overwrites it in place."""
+    return np.tanh(x, out=out)
 
 
 def normalize_array(x: np.ndarray, stats: NormStats | None) -> np.ndarray:
@@ -427,25 +432,22 @@ def affine_stack(
 
 
 def normalize_train_stack(
-    y: np.ndarray, stats: Sequence[NormStats]
+    y: np.ndarray, running: tuple[np.ndarray, ...], rows: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Train-mode ``normalize`` of a (n, B, W) stack, batch k with ``stats[k]``.
+    """Train-mode ``normalize`` of a (n, B, W) stack, batch k folded into row
+    ``rows[k]`` of the (S, W) running mean and variance ``running``.
 
     Returns the output and what the backward needs: the centered stack and
     the (n, 1, W) inverse deviations.  Each batch's moments equal its own
-    axis-0 moments bit for bit, and each batch is folded into its statistics
-    as ``normalize`` would fold it.
+    axis-0 moments bit for bit.  The rows are distinct, so one gather and one
+    scatter fold every batch as ``normalize`` folds it into a default ``NormStats`` on its row.
     """
-    if y.ndim != 3 or y.shape[0] != len(stats):
-        raise ShapeError(f"normalize stack expects ({len(stats)},B,W), got {y.shape}")
-    for st in stats:
-        if st.width != y.shape[2]:
-            raise ShapeError(f"normalize expects (B,{st.width}), got {y.shape[1:]}")
-        if st.mode != "train":
-            raise ValueError(f"a normalize stack runs in train mode, not {st.mode!r}")
+    m, (means, variances) = NORM_MOMENTUM, running
+    if y.ndim != 3 or y.shape[0] != len(rows) or y.shape[2] != means.shape[1]:
+        raise ShapeError(f"normalize stack expects ({len(rows)},B,{means.shape[1]}), got {y.shape}")
     _, mean, centered, var = batch_moments(y)
-    for k, st in enumerate(stats):
-        _fold_moments(st, y[k : k + 1], mean[k : k + 1], var[k : k + 1])
+    means[rows] = (1.0 - m) * means[rows] + m * mean[:, 0]
+    variances[rows] = (1.0 - m) * variances[rows] + m * var[:, 0]
     inv = 1.0 / np.sqrt(var + EPS_NORM)
     return _check_finite(centered * inv, "normalize"), centered, inv
 
@@ -462,13 +464,13 @@ def softmax_cross_entropy_array(
 
 
 def average_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``scale(add(*arrays), 1 / len(arrays))`` without the graph."""
+    """``scale(add(*arrays), 1 / len(arrays))`` without the graph; only the sum can overflow."""
     _check_add_shapes(arrays)
     data = arrays[0].copy()
     for a in arrays[1:]:
         data += a
     _check_finite(data, "add")
-    return _check_finite(data * (1.0 / len(arrays)), "scale")
+    return np.multiply(data, 1.0 / len(arrays), out=data)
 
 
 # ---------------------------------------------------------------------------
@@ -494,18 +496,22 @@ class SGD:
         self.weight_decay = weight_decay
         self._velocity: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
-        """Replace each array of ``params`` named in ``grads`` by its step."""
+    def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
+        """Step each array of ``params`` named in ``grads`` in place, elementwise
+        ``g + wd*p``, ``m*buf + g``, ``g + m*buf``, ``p - lr*g``: a flat block steps
+        to its parts' floats.  The velocity copies ``g``, whose buffer may be reused."""
         for name, g in grads.items():
             p = params[name]
-            if self.weight_decay:
-                g = g + self.weight_decay * p
+            d = g + self.weight_decay * p if self.weight_decay else g
             if self.momentum:
                 buf = self._velocity.get(name)
-                buf = g if buf is None else self.momentum * buf + g
-                self._velocity[name] = buf
-                g = g + self.momentum * buf if self.nesterov else buf
-            params[name] = p - self.lr * g
+                if buf is None:
+                    buf = self._velocity[name] = d.copy()
+                else:
+                    buf *= self.momentum
+                    buf += d
+                d = d + self.momentum * buf if self.nesterov else buf
+            p -= self.lr * d
 
 
 def cosine_warmup_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int) -> float:

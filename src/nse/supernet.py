@@ -5,10 +5,10 @@ bottleneck, a nonlinearity, and a per-branch normalization) so branches have
 genuinely different capacity and cost without any convolution machinery.
 A multi-branch layer averages its selected branch outputs; normal layers
 average the identity path in as well.  Training samples one architecture per
-batch uniformly, so only the touched branches receive gradient.  Parameters
-are plain arrays, and a step runs one explicit backward per layer that
-repeats the float order of the ``Tensor`` autodiff tape in ``nn``; the tests
-build the tape forward over these arrays as the reference.  Evaluation
+batch uniformly, so only the touched branches receive gradient.  A step runs
+one explicit backward per layer in the float order of the ``Tensor`` tape in
+``nn`` and steps each touched branch's flat parameter block in place; the
+tests build the tape forward over the blocks' named views.  Evaluation
 recalibrates private copies of the selected branches' normalization
 statistics on training batches before scoring validation accuracy.  It runs
 on a no-grad path over plain arrays, and an ``InferenceCache`` shares the
@@ -242,12 +242,24 @@ def build_cost_table(
 
 
 _ARRAY_ACTS = {"relu": relu_array, "tanh": tanh_array}
-# d(act)/d(input) times g, from the activation's output: relu's output is
-# positive exactly where its input is, and tanh' = 1 - tanh^2
+# d(act)/d(input) times a fresh g, written over g, from the activation's output:
+# relu's output is positive exactly where its input is, and tanh' = 1 - tanh^2
 _ACT_GRADS = {
-    "relu": lambda g, out: g * (out > 0),
-    "tanh": lambda g, out: g * (1.0 - out * out),
+    "relu": lambda g, out: np.multiply(g, out > 0, out=g),
+    "tanh": lambda g, out: np.multiply(g, 1.0 - out * out, out=g),
 }
+
+
+@dataclass
+class Branch:
+    """One candidate operation, resolved once: its block, activation, running
+    statistics row, and parameter and gradient views in w1, b1, w2, b2 order."""
+
+    key: str
+    act: str
+    row: int
+    params: tuple[np.ndarray, ...]
+    grads: dict[str, np.ndarray]  # by parameter name
 
 
 @dataclass
@@ -256,6 +268,7 @@ class LayerTrace:
 
     x: np.ndarray  # the layer input
     slots: tuple[int, ...]  # selected slots, ascending
+    ops: list[Branch]  # the selected branches, in slot order
     hidden: list[np.ndarray]  # each branch's activation output
     centered: np.ndarray | None  # (n, B, W) centered second-affine outputs
     inv: np.ndarray | None  # (n, 1, W) inverse batch deviations
@@ -274,7 +287,12 @@ class TrainRecord:
 
 
 class SharedWeights:
-    """Parameter blocks and normalization statistics for one round's subset."""
+    """Parameter blocks and normalization statistics for one round's subset.
+
+    ``blocks`` holds "stem", "head" and each "L<li>.S<slot>" branch as one flat
+    array that ``params`` views by name (write into those views, never rebind
+    them); ``grad_blocks``/``grad_views`` match.  ``stats`` view rows of ``norms``.
+    """
 
     def __init__(self, subset: SubsetState, geometry: NetworkGeometry, seed: int):
         geometry.validate_roles(subset.roles)
@@ -287,40 +305,45 @@ class SharedWeights:
                 op = entry.descriptor
                 self.kinds[(li, op.slot_index)] = (op.kind, dict(op.params))
         self.params: dict[str, np.ndarray] = {}
+        self.blocks: dict[str, np.ndarray] = {}
+        self.grad_views: dict[str, np.ndarray] = {}
+        self.grad_blocks: dict[str, np.ndarray] = {}
+        self.branches: dict[tuple[int, int], Branch] = {}
         self.stats: dict[tuple[int, int], NormStats] = {}
+        self.norms: list[tuple[np.ndarray, np.ndarray]] = []
         self._build()
 
-    def _param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        g = self.geometry
-        shapes: list[tuple[str, tuple[int, ...]]] = [
-            ("stem.w", (g.input_dim, g.stem_width)),
-            ("stem.b", (g.stem_width,)),
-            ("head.w", (g.layer_widths[-1], g.classes)),
-            ("head.b", (g.classes,)),
-        ]
-        for (li, slot), (kind, params) in sorted(self.kinds.items()):
-            w_in, w_out = g.w_in(li), g.w_out(li)
-            h = _hidden_width(kind, params, w_out)
-            prefix = f"L{li}.S{slot}"
-            shapes += [
-                (f"{prefix}.w1", (w_in, h)),
-                (f"{prefix}.b1", (h,)),
-                (f"{prefix}.w2", (h, w_out)),
-                (f"{prefix}.b2", (w_out,)),
-            ]
-        return shapes
-
     def _build(self) -> None:
-        for name, shape in self._param_shapes():
-            rng = make_rng(self.seed, "init", name)
-            if name.endswith(".b") or name.endswith(".b1") or name.endswith(".b2"):
-                data = np.zeros(shape)
-            else:
-                fan_in = shape[0]
-                data = rng.normal(size=shape) * math.sqrt(2.0 / fan_in)
-            self.params[name] = data
-        for (li, slot) in self.kinds:
-            self.stats[(li, slot)] = NormStats(self.geometry.w_out(li))
+        g = self.geometry
+        self._block("stem", [("w", (g.input_dim, g.stem_width)), ("b", (g.stem_width,))])
+        self._block("head", [("w", (g.layer_widths[-1], g.classes)), ("b", (g.classes,))])
+        for li in range(len(self.roles)):
+            slots = [slot for layer, slot in self.kinds if layer == li]
+            w_in, w_out = g.w_in(li), g.w_out(li)
+            self.norms.append((np.zeros((len(slots), w_out)), np.ones((len(slots), w_out))))
+            for row, slot in enumerate(slots):
+                kind, params = self.kinds[(li, slot)]
+                h = _hidden_width(kind, params, w_out)
+                key = f"L{li}.S{slot}"
+                shapes = [(w_in, h), (h,), (h, w_out), (w_out,)]
+                views = self._block(key, zip(("w1", "b1", "w2", "b2"), shapes))
+                stats = self.stats[(li, slot)] = NormStats(w_out)
+                stats.running_mean, stats.running_var = (a[row] for a in self.norms[li])
+                self.branches[(li, slot)] = Branch(key, kind.rsplit("_", 1)[1], row, *views)
+
+    def _block(self, key: str, parts) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
+        """Block ``key``, its gradient block and their ``key.part`` views of the
+        (part, shape) ``parts``; weights are drawn by name, biases start at 0."""
+        names, shapes = zip(*[(f"{key}.{part}", shape) for part, shape in parts])
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        self.blocks[key], self.grad_blocks[key] = np.zeros(ends[-1]), np.empty(ends[-1])
+        for name, shape, start, end in zip(names, shapes, [0] + ends, ends):
+            self.params[name] = self.blocks[key][start:end].reshape(shape)
+            self.grad_views[name] = self.grad_blocks[key][start:end].reshape(shape)
+            if len(shape) == 2:
+                rng = make_rng(self.seed, "init", name)
+                self.params[name][...] = rng.normal(size=shape) * math.sqrt(2.0 / shape[0])
+        return tuple(self.params[n] for n in names), {n: self.grad_views[n] for n in names}
 
     def set_mode(self, mode: str) -> None:
         for st in self.stats.values():
@@ -352,16 +375,12 @@ class SharedWeights:
 
     def _layer_train_forward(self, li: int, slots: tuple[int, ...], x: np.ndarray) -> LayerTrace:
         if not slots:
-            return LayerTrace(x, slots, [], None, None, None, self.layer_mix(li, x, []))
-        p = self.params
-        hidden = [self._hidden(li, slot, x) for slot in slots]
-        ys = affine_stack(
-            hidden,
-            [p[f"L{li}.S{slot}.w2"] for slot in slots],
-            [p[f"L{li}.S{slot}.b2"] for slot in slots],
-        )
-        out, centered, inv = normalize_train_stack(ys, [self.stats[(li, s)] for s in slots])
-        return LayerTrace(x, slots, hidden, centered, inv, out, self.layer_mix(li, x, list(out)))
+            return LayerTrace(x, slots, [], [], None, None, None, self.layer_mix(li, x, []))
+        ops = [self.branches[(li, slot)] for slot in slots]
+        hidden, ys = self._stack_affines(ops, x)
+        out, centered, inv = normalize_train_stack(ys, self.norms[li], [op.row for op in ops])
+        mixed = self.layer_mix(li, x, list(out))
+        return LayerTrace(x, slots, ops, hidden, centered, inv, out, mixed)
 
     def train_backward(
         self, record: TrainRecord, dlogits: np.ndarray, param_grads: bool = True
@@ -370,43 +389,37 @@ class SharedWeights:
 
         Returns the gradients of the parameters the forward touched, by name
         (none without ``param_grads``), and the gradient of every layer's
-        output.  The float operations follow the autodiff tape's order, so
-        the results equal the tape forward plus ``Tensor.backward`` bit for
-        bit.
+        output.  The parameter gradients are views into ``grad_blocks``, which
+        the next backward overwrites.  The float operations follow the tape's
+        order, so the results equal ``Tensor.backward`` bit for bit.
         """
-        p = self.params
+        p, gv = self.params, self.grad_views
         grads: dict[str, np.ndarray] = {}
         if param_grads:
-            grads["head.w"] = record.features.T @ dlogits
-            grads["head.b"] = dlogits.sum(axis=0)
+            grads["head.w"] = np.matmul(record.features.T, dlogits, out=gv["head.w"])
+            grads["head.b"] = dlogits.sum(axis=0, out=gv["head.b"])
         g = dlogits @ p["head.w"].T
         out_grads = []
         for li in reversed(range(len(record.layers))):
             out_grads.append(g)
-            # layer 0's input gradient feeds only the stem's weights
-            need_input = param_grads or li > 0
-            g = self._layer_backward(
-                li, record.layers[li], g, grads if param_grads else None, need_input
-            )
+            if li == 0 and not param_grads:
+                break  # layer 0's backward feeds only parameter gradients
+            g = self._layer_backward(li, record.layers[li], g, grads if param_grads else None)
         if param_grads:
-            grads["stem.w"] = record.x.T @ g
-            grads["stem.b"] = g.sum(axis=0)
+            grads["stem.w"] = np.matmul(record.x.T, g, out=gv["stem.w"])
+            grads["stem.b"] = g.sum(axis=0, out=gv["stem.b"])
         return grads, out_grads[::-1]
 
     def _layer_backward(
-        self,
-        li: int,
-        trace: LayerTrace,
-        g: np.ndarray,
-        grads: dict[str, np.ndarray] | None,
-        need_input: bool,
-    ) -> np.ndarray | None:
+        self, li: int, trace: LayerTrace, g: np.ndarray, grads: dict[str, np.ndarray] | None
+    ) -> np.ndarray:
         """Gradient of the layer input given ``g`` at its output; branch
-        parameter gradients go into ``grads`` unless it is None.
+        parameter gradients are written into their views, named in ``grads``,
+        unless it is None.
 
         The tape's order: the identity part's ``g * alpha`` comes first, then
-        each branch's ``da @ w1.T`` in sorted-slot order as a left fold; a
-        one-part layer has no scale.
+        each branch's ``da @ w1.T`` in sorted-slot order as a left fold, in
+        place; a one-part layer has no scale, so a normal layer's ``g`` is fresh.
         """
         if not trace.slots:
             return g
@@ -418,20 +431,18 @@ class SharedWeights:
         if grads is not None:
             db2 = dy.sum(axis=1)
         dx = g if normal else None
-        p = self.params
-        for k, slot in enumerate(trace.slots):
-            kind, _ = self.kinds[(li, slot)]
-            prefix = f"L{li}.S{slot}"
+        for k, op in enumerate(trace.ops):
+            w1, _, w2, _ = op.params
             r = trace.hidden[k]
-            da = _ACT_GRADS[kind.rsplit("_", 1)[1]](dy[k] @ p[f"{prefix}.w2"].T, r)
+            da = _ACT_GRADS[op.act](dy[k] @ w2.T, r)
             if grads is not None:
-                grads[f"{prefix}.w1"] = trace.x.T @ da
-                grads[f"{prefix}.b1"] = da.sum(axis=0)
-                grads[f"{prefix}.w2"] = r.T @ dy[k]
-                grads[f"{prefix}.b2"] = db2[k]
-            if need_input:
-                dx_k = da @ p[f"{prefix}.w1"].T
-                dx = dx_k if dx is None else dx + dx_k
+                gw1, gb1, gw2, gb2 = op.grads.values()
+                np.matmul(trace.x.T, da, out=gw1)
+                da.sum(axis=0, out=gb1)
+                np.matmul(r.T, dy[k], out=gw2)
+                gb2[...] = db2[k]
+                grads.update(op.grads)
+            dx = da @ w1.T if dx is None else np.add(dx, da @ w1.T, out=dx)
         return dx
 
     def _layer_parts(self, layer_index: int, x, branches: list) -> list:
@@ -446,20 +457,23 @@ class SharedWeights:
 
     # -- no-grad machinery (plain arrays, for inference)
 
-    def _hidden(self, layer_index: int, slot: int, x: np.ndarray) -> np.ndarray:
+    def _hidden(self, op: Branch, x: np.ndarray) -> np.ndarray:
         """A branch's first affine and activation, on a batch or a stack; the
         activation overwrites the fresh affine output."""
-        kind, _ = self.kinds[(layer_index, slot)]
-        prefix = f"L{layer_index}.S{slot}"
-        h = affine_array(x, self.params[f"{prefix}.w1"], self.params[f"{prefix}.b1"])
-        return _ARRAY_ACTS[kind.rsplit("_", 1)[1]](h, out=h)
+        h = affine_array(x, op.params[0], op.params[1])
+        return _ARRAY_ACTS[op.act](h, out=h)
+
+    def _stack_affines(self, ops: list[Branch], x: np.ndarray) -> tuple[list, np.ndarray]:
+        """The branches' activation outputs on one (B, I) input, and their
+        second affines as one (n, B, W) stack, each slice a separate gemm."""
+        hidden = [self._hidden(op, x) for op in ops]
+        w2s, b2s = zip(*(op.params[2:] for op in ops))
+        return hidden, affine_stack(hidden, w2s, b2s)
 
     def branch_affines(self, layer_index: int, slot: int, x: np.ndarray) -> np.ndarray:
         """A branch's output before its normalization."""
-        prefix = f"L{layer_index}.S{slot}"
-        p = self.params
-        h = self._hidden(layer_index, slot, x)
-        return affine_array(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+        op = self.branches[(layer_index, slot)]
+        return affine_array(self._hidden(op, x), op.params[2], op.params[3])
 
     def branch_output(
         self, layer_index: int, slot: int, x: np.ndarray, stats: NormStats | None
@@ -490,15 +504,16 @@ class SharedWeights:
 
         ``known`` maps slots to branch outputs already computed on this input
         in train mode.  A train-mode branch output depends only on its input
-        and weights, so those are mixed in as they are.
+        and weights, so those are mixed in as they are; the others are
+        computed as one stack.
         """
         x = np.asarray(x_data, dtype=np.float64)
-        known = known or {}
-        branches = [
-            known[slot] if slot in known else self.branch_output(layer_index, slot, x, None)
-            for slot in gate.selected
-        ]
-        return self.layer_mix(layer_index, x, branches)
+        known = dict(known or {})
+        fresh = [slot for slot in gate.selected if slot not in known]
+        if fresh:
+            _, ys = self._stack_affines([self.branches[(layer_index, s)] for s in fresh], x)
+            known.update(zip(fresh, normalize_array(ys, None)))
+        return self.layer_mix(layer_index, x, [known[slot] for slot in gate.selected])
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +544,14 @@ def train_step_fixed(
     batch: tuple[np.ndarray, np.ndarray],
     optimizer: SGD,
 ) -> float:
+    """One step of ``arch``'s branches, stem and head, each stepped as one block."""
     x, y = batch
     weights.set_mode("train")
     record = weights.train_forward(arch.gate_vectors, x)
     loss, dlogits = softmax_cross_entropy_array(record.logits, y)
-    grads, _ = weights.train_backward(record, dlogits)
-    optimizer.step(weights.params, grads)
+    weights.train_backward(record, dlogits)
+    touched = ["stem", "head"] + [op.key for trace in record.layers for op in trace.ops]
+    optimizer.step(weights.blocks, {key: weights.grad_blocks[key] for key in touched})
     return loss
 
 

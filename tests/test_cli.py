@@ -77,6 +77,36 @@ def test_oracle_smoke_run_completes_quickly_with_artifacts(tmp_path):
     assert all(t >= 0.0 for t in timings.values())
 
 
+def test_a_write_failing_partway_leaves_every_json_artifact_whole(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path)
+    run_dir = tmp_path / "run"
+    assert main(["run", str(path)]) == 0
+    assert list(run_dir.rglob("*.tmp")) == []  # a normal run leaves no temporaries
+    before = {p: p.read_bytes() for p in run_dir.rglob("*.json")}
+
+    # rerun into the same directory; the sixth artifact write (round 2's
+    # second file) stops halfway through its text, as a full disk would
+    write_text = Path.write_text
+    targets = []
+
+    def failing_write(self, text, *args, **kwargs):
+        targets.append(self)
+        if len(targets) == 6:
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    assert main(["run", str(path)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(targets) == 6
+    for artifact in run_dir.rglob("*.json"):
+        json.loads(artifact.read_text())
+    # the file whose write failed still holds the previous run's bytes
+    torn = targets[-1].with_name(targets[-1].name.removesuffix(".tmp"))
+    assert torn != targets[-1] and torn.read_bytes() == before[torn]
+
+
 def test_rerun_produces_byte_identical_pareto(tmp_path):
     path = write_config(tmp_path)
     assert main(["run", str(path)]) == 0

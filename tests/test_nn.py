@@ -194,6 +194,63 @@ def test_sgd_skips_parameters_without_grad():
     assert np.array_equal(params["p"], before)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"momentum": 0.9, "nesterov": True, "weight_decay": 4e-5},
+        {"momentum": 0.9, "nesterov": False, "weight_decay": 4e-5},
+        {"momentum": 0.9, "nesterov": True, "weight_decay": 0.0},
+        {"momentum": 0.0, "weight_decay": 4e-5},
+    ],
+)
+def test_sgd_on_packed_blocks_equals_per_name_steps_bit_for_bit(settings):
+    # two blocks of two parameters each; the names view the blocks' memory
+    layout = {"a": [("a.w", (3, 4)), ("a.b", (4,))], "b": [("b.w", (5, 2)), ("b.b", (2,))]}
+    rng = make_rng("sgd-blocks", 0)
+    sizes = {key: sum(math.prod(shape) for _, shape in parts) for key, parts in layout.items()}
+    blocks = {key: rng.normal(size=size) for key, size in sizes.items()}
+    grad_blocks = {key: np.empty_like(block) for key, block in blocks.items()}
+    views, grad_views = {}, {}
+    for key, parts in layout.items():
+        start = 0
+        for name, shape in parts:
+            end = start + math.prod(shape)
+            views[name] = blocks[key][start:end].reshape(shape)
+            grad_views[name] = grad_blocks[key][start:end].reshape(shape)
+            start = end
+    params = {name: view.copy() for name, view in views.items()}
+    packed, per_name = SGD(lr=0.1, **settings), SGD(lr=0.1, **settings)
+    # a first touch of both, "a" alone while "b" is skipped for three steps,
+    # then both again and "b" alone; the learning rate moves as a schedule's
+    schedule = [("a", "b"), ("a",), ("a",), ("a",), ("a", "b"), ("b",), ("a", "b")]
+    for step, touched in enumerate(schedule):
+        packed.lr = per_name.lr = 0.1 / (step + 1)
+        grads = {}
+        for key in touched:
+            for name, _ in layout[key]:
+                # the packed side reuses one gradient buffer, overwritten per step
+                grad_views[name][...] = rng.normal(size=grad_views[name].shape)
+                grads[name] = grad_views[name].copy()
+        packed.step(blocks, {key: grad_blocks[key] for key in touched})
+        per_name.step(params, grads)
+        for name, value in params.items():
+            assert np.array_equal(views[name], value), (step, name)
+
+
+def test_sgd_velocity_does_not_alias_a_reused_gradient_buffer():
+    # without weight decay the step's gradient is the caller's own array; a
+    # velocity that aliased it would change when the caller reuses the buffer
+    params, reference = {"p": np.array([0.5, -1.0])}, {"p": np.array([0.5, -1.0])}
+    opt, fresh = SGD(lr=0.1, momentum=0.9), SGD(lr=0.1, momentum=0.9)
+    buffer = np.empty(2)
+    for values in ([1.0, 2.0], [5.0, 5.0], [-3.0, 0.25]):
+        buffer[...] = values
+        opt.step(params, {"p": buffer})
+        fresh.step(reference, {"p": np.array(values)})
+        buffer[...] = [1e6, -1e6]  # overwritten between steps
+        assert np.array_equal(params["p"], reference["p"])
+
+
 def test_optimizers_reject_nonpositive_lr():
     with pytest.raises(ValueError):
         SGD(lr=0.0)

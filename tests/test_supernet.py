@@ -11,6 +11,8 @@ from reference import (
     tape_grads,
     train_architecture,
 )
+from nse.indicators import FitnessIndicators, ThetaAdam, indicator_update_step
+from nse.resources import ConstraintConfig
 from nse.rng import make_rng
 from nse.nn import (
     SGD,
@@ -623,6 +625,45 @@ def test_nan_in_deeper_layer_w2_raises_from_train_step():
             stream.next(),
             _rng_selecting(subset, 1, slots[1][2]),
             opt,
+        )
+
+
+@pytest.mark.parametrize("layer", [1, 2])
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+def test_nan_in_deeper_layer_w1_raises_from_both_steps(act, layer):
+    # activations and layer averages are not checked for finite values: a NaN
+    # in a branch's first weights must still surface, at its affine
+    pool, subset, geometry, weights = build_net(
+        roles=("normal", "normal", "reduction"), ops=4, seed=13
+    )
+    slot = next(s for s in subset.active_slots(layer) if weights.kinds[(layer, s)][0].endswith(act))
+    weights.params[f"L{layer}.S{slot}.w1"][0, 0] = np.nan
+    data = ToyDataset.generate(
+        DatasetConfig(seed=1, input_dim=5, classes=3, train_size=64, val_size=32)
+    )
+    stream = BatchStream(data.x_train, data.y_train, 16, make_rng("pass-nan-w1", 0))
+    with pytest.raises(NotFiniteError, match="affine"):
+        train_step(
+            weights,
+            GateSampler.uniform(subset),
+            stream.next(),
+            _rng_selecting(subset, layer, slot),
+            SGD(lr=0.05),
+        )
+    thetas = FitnessIndicators.for_subset(subset)
+    for li in range(3):
+        for s in thetas.slots(li):
+            thetas.set(li, s, 40.0)  # both gates of every layer select every slot
+    with pytest.raises(NotFiniteError, match="affine"):
+        indicator_update_step(
+            thetas,
+            weights,
+            subset,
+            (data.x_val[:16], data.y_val[:16]),
+            build_cost_table(pool, geometry),
+            ConstraintConfig(tau=1.0),
+            ThetaAdam(),
+            make_rng("pass-nan-w1-indicator", 0),
         )
 
 
