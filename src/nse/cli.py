@@ -235,12 +235,11 @@ def cmd_dump_benchmark(args: argparse.Namespace) -> int:
         "benchmark": bench.to_json(),
         "cost_table": bench.cost_table().to_json(),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        _write_json(Path(args.output), payload)
         print(f"wrote {args.output}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

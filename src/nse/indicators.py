@@ -216,7 +216,11 @@ def rescaled_pair_grads(
 
 
 class ThetaAdam:
-    """Adam over the scalar indicator table."""
+    """Adam over the scalar indicator table.
+
+    One step count serves every slot, so every slot of the table must be
+    stepped on every call, as ``indicator_update_step`` does.
+    """
 
     def __init__(
         self,
@@ -231,20 +235,21 @@ class ThetaAdam:
         self.eps = eps
         self._m: dict[tuple[int, int], float] = {}
         self._v: dict[tuple[int, int], float] = {}
-        self._t: dict[tuple[int, int], int] = {}
+        self._t = 0
 
     def step(
         self, thetas: FitnessIndicators, grads: Mapping[tuple[int, int], float]
     ) -> None:
+        self._t += 1
+        c1, c2 = 1 - self.b1**self._t, 1 - self.b2**self._t
         for (li, slot), g in grads.items():
             if not math.isfinite(g):
                 raise nn.NotFiniteError("non-finite indicator gradient")
-            t = self._t.get((li, slot), 0) + 1
             m = self.b1 * self._m.get((li, slot), 0.0) + (1 - self.b1) * g
             v = self.b2 * self._v.get((li, slot), 0.0) + (1 - self.b2) * g * g
-            self._t[(li, slot)], self._m[(li, slot)], self._v[(li, slot)] = t, m, v
-            m_hat = m / (1 - self.b1**t)
-            v_hat = v / (1 - self.b2**t)
+            self._m[(li, slot)], self._v[(li, slot)] = m, v
+            m_hat = m / c1
+            v_hat = v / c2
             value = thetas.theta(li, slot) - self.lr * m_hat / (
                 math.sqrt(v_hat) + self.eps
             )
@@ -280,7 +285,6 @@ def indicator_update_step(
         gates_a.append(draw_config(sampler, rng))
         gates_b.append(draw_config(sampler, rng))
 
-    weights.set_mode("train")
     record = weights.train_forward(gates_a, x)
     loss, dlogits = nn.softmax_cross_entropy_array(record.logits, y)
     _, upstreams = weights.train_backward(record, dlogits, param_grads=False)

@@ -11,7 +11,6 @@ array ops are checked against.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -199,13 +198,6 @@ class NormStats:
         self._sumsq = np.zeros(width)
         self._count = 0
 
-    def copy(self) -> "NormStats":
-        dup = NormStats(self.width, self.momentum)
-        dup.running_mean = self.running_mean.copy()
-        dup.running_var = self.running_var.copy()
-        dup.mode = self.mode
-        return dup
-
     def begin_recalibration(self) -> None:
         self._sum = np.zeros(self.width)
         self._sumsq = np.zeros(self.width)
@@ -389,27 +381,24 @@ def tanh_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.tanh(x, out=out)
 
 
-def normalize_array(x: np.ndarray, stats: NormStats | None) -> np.ndarray:
+def normalize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
     """``normalize`` on one (B, W) batch or an (R, B, W) stack of batches
     that share ``stats``.
 
     Eval mode applies the running values.  Train and recalibrate modes
     normalize every batch with its own moments and fold the batches into
-    ``stats`` in order, as R separate calls would.  With ``stats`` None each
-    batch uses its own moments and nothing is folded: train mode's output
-    without its bookkeeping.
+    ``stats`` in order, as R separate calls would.
     """
-    width = x.shape[-1] if stats is None else stats.width
+    width = stats.width
     if x.ndim not in (2, 3) or x.shape[-1] != width:
         raise ShapeError(f"normalize expects (B,{width}) or (R,B,{width}), got {x.shape}")
-    if stats is not None and stats.mode == "eval":
+    if stats.mode == "eval":
         out = x - stats.running_mean
         out *= 1.0 / np.sqrt(stats.running_var + EPS_NORM)
         return _check_finite(out, "normalize")
     stack = x.reshape((-1,) + x.shape[-2:])
     sums, mean, centered, var = batch_moments(stack)
-    if stats is not None:
-        _fold_moments(stats, stack, mean, var, sums)
+    _fold_moments(stats, stack, mean, var, sums)
     centered *= 1.0 / np.sqrt(var + EPS_NORM)
     return _check_finite(centered.reshape(x.shape), "normalize")
 
@@ -431,23 +420,18 @@ def affine_stack(
     return _check_finite(out, "affine")
 
 
-def normalize_train_stack(
-    y: np.ndarray, running: tuple[np.ndarray, ...], rows: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Train-mode ``normalize`` of a (n, B, W) stack, batch k folded into row
-    ``rows[k]`` of the (S, W) running mean and variance ``running``.
+def normalize_train_stack(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train-mode ``normalize`` of a (n, B, W) stack, each batch with its own
+    moments, folded into no running statistics: evaluation recalibrates them
+    from scratch, so no run would read a fold.
 
     Returns the output and what the backward needs: the centered stack and
     the (n, 1, W) inverse deviations.  Each batch's moments equal its own
-    axis-0 moments bit for bit.  The rows are distinct, so one gather and one
-    scatter fold every batch as ``normalize`` folds it into a default ``NormStats`` on its row.
+    axis-0 moments bit for bit.
     """
-    m, (means, variances) = NORM_MOMENTUM, running
-    if y.ndim != 3 or y.shape[0] != len(rows) or y.shape[2] != means.shape[1]:
-        raise ShapeError(f"normalize stack expects ({len(rows)},B,{means.shape[1]}), got {y.shape}")
-    _, mean, centered, var = batch_moments(y)
-    means[rows] = (1.0 - m) * means[rows] + m * mean[:, 0]
-    variances[rows] = (1.0 - m) * variances[rows] + m * var[:, 0]
+    if y.ndim != 3:
+        raise ShapeError(f"normalize stack expects (n,B,W), got {y.shape}")
+    _, _, centered, var = batch_moments(y)
     inv = 1.0 / np.sqrt(var + EPS_NORM)
     return _check_finite(centered * inv, "normalize"), centered, inv
 
@@ -521,12 +505,3 @@ def cosine_warmup_lr(step: int, total_steps: int, base_lr: float, warmup_steps: 
     span = max(1, total_steps - warmup_steps)
     progress = min(1.0, (step - warmup_steps) / span)
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * progress))
-
-
-def state_hash(params: Mapping[str, np.ndarray]) -> str:
-    h = hashlib.sha256()
-    for name in sorted(params):
-        h.update(name.encode())
-        h.update(str(params[name].shape).encode())
-        h.update(params[name].astype("<f8").tobytes())
-    return h.hexdigest()

@@ -9,13 +9,15 @@ batch uniformly, so only the touched branches receive gradient.  A step runs
 one explicit backward per layer in the float order of the ``Tensor`` tape in
 ``nn`` and steps each touched branch's flat parameter block in place; the
 tests build the tape forward over the blocks' named views.  Evaluation
-recalibrates private copies of the selected branches' normalization
-statistics on training batches before scoring validation accuracy.  It runs
-on a no-grad path over plain arrays, and an ``InferenceCache`` shares the
-stem and layer-0 work of one set of trained weights across architectures.
+recalibrates fresh normalization statistics of the selected branches on
+training batches before scoring validation accuracy.  It runs on a no-grad
+path over plain arrays, and an ``InferenceCache`` shares the stem and
+layer-0 work of one set of trained weights across architectures.
 The recalibration batches form one (R, B, W) stack, so each branch runs once
 over all of them and its statistics fold the batches in order; the last
 layer folds only their sums, since nothing reads its recalibrated outputs.
+Recalibration starts from scratch, so training normalizes with each batch's
+moments and keeps no running statistics.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# affine, normalize and sample_uniform_architecture are on no path of this
-# module: the tape ops are the tests' reference, and a one-row call of
-# GateSampler is no longer how training draws.  They stay importable here
-# because bench/child.py wraps them by this path.
+# affine and normalize, the tape ops that the tests use as their reference,
+# are on no path of this module; they stay importable here because
+# bench/child.py wraps them by this path.
 from .nn import (
     NormStats,
     SGD,
@@ -43,7 +44,6 @@ from .nn import (
     normalize_train_stack,
     relu_array,
     softmax_cross_entropy_array,
-    state_hash,
     tanh_array,
 )
 from .resources import CostTable
@@ -58,7 +58,6 @@ from .space import (
     SearchSpacePool,
     SpaceError,
     SubsetState,
-    sample_uniform_architecture,  # noqa: F401
 )
 
 
@@ -252,12 +251,11 @@ _ACT_GRADS = {
 
 @dataclass
 class Branch:
-    """One candidate operation, resolved once: its block, activation, running
-    statistics row, and parameter and gradient views in w1, b1, w2, b2 order."""
+    """One candidate operation, resolved once: its block, activation, and
+    parameter and gradient views in w1, b1, w2, b2 order."""
 
     key: str
     act: str
-    row: int
     params: tuple[np.ndarray, ...]
     grads: dict[str, np.ndarray]  # by parameter name
 
@@ -287,11 +285,11 @@ class TrainRecord:
 
 
 class SharedWeights:
-    """Parameter blocks and normalization statistics for one round's subset.
+    """Parameter blocks for one round's subset.
 
     ``blocks`` holds "stem", "head" and each "L<li>.S<slot>" branch as one flat
     array that ``params`` views by name (write into those views, never rebind
-    them); ``grad_blocks``/``grad_views`` match.  ``stats`` view rows of ``norms``.
+    them); ``grad_blocks``/``grad_views`` match.
     """
 
     def __init__(self, subset: SubsetState, geometry: NetworkGeometry, seed: int):
@@ -309,27 +307,19 @@ class SharedWeights:
         self.grad_views: dict[str, np.ndarray] = {}
         self.grad_blocks: dict[str, np.ndarray] = {}
         self.branches: dict[tuple[int, int], Branch] = {}
-        self.stats: dict[tuple[int, int], NormStats] = {}
-        self.norms: list[tuple[np.ndarray, np.ndarray]] = []
         self._build()
 
     def _build(self) -> None:
         g = self.geometry
         self._block("stem", [("w", (g.input_dim, g.stem_width)), ("b", (g.stem_width,))])
         self._block("head", [("w", (g.layer_widths[-1], g.classes)), ("b", (g.classes,))])
-        for li in range(len(self.roles)):
-            slots = [slot for layer, slot in self.kinds if layer == li]
+        for (li, slot), (kind, params) in self.kinds.items():
             w_in, w_out = g.w_in(li), g.w_out(li)
-            self.norms.append((np.zeros((len(slots), w_out)), np.ones((len(slots), w_out))))
-            for row, slot in enumerate(slots):
-                kind, params = self.kinds[(li, slot)]
-                h = _hidden_width(kind, params, w_out)
-                key = f"L{li}.S{slot}"
-                shapes = [(w_in, h), (h,), (h, w_out), (w_out,)]
-                views = self._block(key, zip(("w1", "b1", "w2", "b2"), shapes))
-                stats = self.stats[(li, slot)] = NormStats(w_out)
-                stats.running_mean, stats.running_var = (a[row] for a in self.norms[li])
-                self.branches[(li, slot)] = Branch(key, kind.rsplit("_", 1)[1], row, *views)
+            h = _hidden_width(kind, params, w_out)
+            key = f"L{li}.S{slot}"
+            shapes = [(w_in, h), (h,), (h, w_out), (w_out,)]
+            views = self._block(key, zip(("w1", "b1", "w2", "b2"), shapes))
+            self.branches[(li, slot)] = Branch(key, kind.rsplit("_", 1)[1], *views)
 
     def _block(self, key: str, parts) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
         """Block ``key``, its gradient block and their ``key.part`` views of the
@@ -345,23 +335,15 @@ class SharedWeights:
                 self.params[name][...] = rng.normal(size=shape) * math.sqrt(2.0 / shape[0])
         return tuple(self.params[n] for n in names), {n: self.grad_views[n] for n in names}
 
-    def set_mode(self, mode: str) -> None:
-        for st in self.stats.values():
-            st.mode = mode
-
-    def state_hash(self) -> str:
-        return state_hash(self.params)
-
     # -- training pass (plain arrays, one explicit backward per layer)
 
     def train_forward(self, gates: Sequence[GateVector], x: np.ndarray) -> TrainRecord:
         """Train-mode forward that records what ``train_backward`` needs.
 
-        Gives the tape forward's logits bit for bit and folds the same batch
-        moments into the selected branches' statistics.  A layer's branches
-        share its input and output width, so their second affines are written
-        into one (n, B, W) stack that is normalized in one call; the matmuls
-        stay per branch, which keeps BLAS's summation order.
+        Gives the tape forward's logits bit for bit.  A layer's branches share
+        its input and output width, so their second affines are written into
+        one (n, B, W) stack that is normalized in one call; the matmuls stay
+        per branch, which keeps BLAS's summation order.
         """
         p = self.params
         x = np.asarray(x, dtype=np.float64)
@@ -378,7 +360,7 @@ class SharedWeights:
             return LayerTrace(x, slots, [], [], None, None, None, self.layer_mix(li, x, []))
         ops = [self.branches[(li, slot)] for slot in slots]
         hidden, ys = self._stack_affines(ops, x)
-        out, centered, inv = normalize_train_stack(ys, self.norms[li], [op.row for op in ops])
+        out, centered, inv = normalize_train_stack(ys)
         mixed = self.layer_mix(li, x, list(out))
         return LayerTrace(x, slots, ops, hidden, centered, inv, out, mixed)
 
@@ -476,7 +458,7 @@ class SharedWeights:
         return affine_array(self._hidden(op, x), op.params[2], op.params[3])
 
     def branch_output(
-        self, layer_index: int, slot: int, x: np.ndarray, stats: NormStats | None
+        self, layer_index: int, slot: int, x: np.ndarray, stats: NormStats
     ) -> np.ndarray:
         """A branch's output on a batch or a stack, normalized as
         ``normalize_array`` does with ``stats``."""
@@ -498,9 +480,8 @@ class SharedWeights:
         x_data: np.ndarray,
         known: Mapping[int, np.ndarray] | None = None,
     ) -> np.ndarray:
-        """A configuration's train-mode layer output on a fixed layer input,
-        without touching running statistics: each branch normalizes with its
-        batch's own moments, as in train mode, and folds them nowhere.
+        """A configuration's train-mode layer output on a fixed layer input:
+        each branch normalizes with its batch's own moments.
 
         ``known`` maps slots to branch outputs already computed on this input
         in train mode.  A train-mode branch output depends only on its input
@@ -512,7 +493,7 @@ class SharedWeights:
         fresh = [slot for slot in gate.selected if slot not in known]
         if fresh:
             _, ys = self._stack_affines([self.branches[(layer_index, s)] for s in fresh], x)
-            known.update(zip(fresh, normalize_array(ys, None)))
+            known.update(zip(fresh, normalize_train_stack(ys)[0]))
         return self.layer_mix(layer_index, x, [known[slot] for slot in gate.selected])
 
 
@@ -546,7 +527,6 @@ def train_step_fixed(
 ) -> float:
     """One step of ``arch``'s branches, stem and head, each stepped as one block."""
     x, y = batch
-    weights.set_mode("train")
     record = weights.train_forward(arch.gate_vectors, x)
     loss, dlogits = softmax_cross_entropy_array(record.logits, y)
     weights.train_backward(record, dlogits)
@@ -607,11 +587,11 @@ class InferenceCache:
     def _branch(
         self, layer_index: int, slot: int, recal: np.ndarray, val: list[np.ndarray], last: bool
     ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-        """One branch on every batch: recalibrate a private copy of its
-        statistics on the recal stack in one pass, then apply them to the val
-        inputs.  The last layer's recal outputs feed nothing, so there only
-        the sums are folded and the outputs are not formed."""
-        stats = self.weights.stats[(layer_index, slot)].copy()
+        """One branch on every batch: recalibrate fresh statistics on the
+        recal stack in one pass, then apply them to the val inputs.  The last
+        layer's recal outputs feed nothing, so there only the sums are folded
+        and the outputs are not formed."""
+        stats = NormStats(self.weights.geometry.w_out(layer_index))
         stats.begin_recalibration()
         if last:
             stats.accumulate(self.weights.branch_affines(layer_index, slot, recal))
@@ -665,10 +645,10 @@ def evaluate(
 ) -> float:
     """Top-1 validation accuracy with recalibrated normalization statistics.
 
-    Statistics are recalibrated on private copies, so repeated evaluations
-    leave the shared weights bit-identical.  ``cache``, when given, must have
-    been built from these same arguments; without one a fresh cache serves
-    this single call.
+    Statistics are recalibrated from scratch and the weights are only read,
+    so repeated evaluations leave them bit-identical.  ``cache``, when
+    given, must have been built from these same arguments; without one a
+    fresh cache serves this single call.
     """
     if cache is None:
         cache = InferenceCache(weights, dataset, recal_batches, batch_size)

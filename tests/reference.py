@@ -3,7 +3,10 @@
 - The tape forward: the supernet's forward pass on the ``Tensor`` autodiff
   tape, over ``Tensor`` leaves that wrap the parameter arrays, so a test can
   read every parameter's gradient after ``backward``.  The explicit training
-  pass is checked against it bit for bit.
+  pass is checked against it bit for bit.  The tape normalizes each branch
+  with its own ``NormStats`` (``tape_stats``, switched by ``set_mode``),
+  which the supernet itself does not keep.
+- ``state_hash``: a digest of a supernet's parameters.
 - ``train_architecture``: train one fixed architecture from scratch and
   score it, the retrained baseline of acceptance criterion 7.
 - ``reference_toy_dataset``: the toy dataset built row by row.
@@ -21,15 +24,28 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from nse.engine import edging_filter
 from nse.indicators import SlotProbabilities, config_probability_grads, rescaled_pair_grads
-from nse.nn import SGD, Tensor, add, affine, cosine_warmup_lr, normalize, relu, scale, tanh
+from nse.nn import (
+    SGD,
+    NormStats,
+    Tensor,
+    add,
+    affine,
+    cosine_warmup_lr,
+    normalize,
+    relu,
+    scale,
+    tanh,
+)
 from nse.oracle import SyntheticBenchmark, _layer_score, _saturate, oracle_score
 from nse.pareto import EvaluationRecord, pareto_front
 from nse.resources import MaskCost
@@ -60,6 +76,33 @@ from nse.supernet import (
 # The tape forward of the supernet
 
 _ACTS = {"relu": relu, "tanh": tanh}
+_TAPE_STATS: "weakref.WeakKeyDictionary[SharedWeights, dict]" = weakref.WeakKeyDictionary()
+
+
+def tape_stats(weights: SharedWeights) -> dict[tuple[int, int], NormStats]:
+    """The tape's normalization statistics of every branch of ``weights``,
+    by (layer, slot): default ``NormStats`` in train mode at first use."""
+    if weights not in _TAPE_STATS:
+        _TAPE_STATS[weights] = {
+            (li, slot): NormStats(weights.geometry.w_out(li)) for li, slot in weights.kinds
+        }
+    return _TAPE_STATS[weights]
+
+
+def set_mode(weights: SharedWeights, mode: str) -> None:
+    """Put every tape statistic of ``weights`` in ``mode``."""
+    for stats in tape_stats(weights).values():
+        stats.mode = mode
+
+
+def state_hash(weights: SharedWeights) -> str:
+    """sha256 over every parameter's name, shape and little-endian bytes."""
+    h = hashlib.sha256()
+    for name in sorted(weights.params):
+        h.update(name.encode())
+        h.update(str(weights.params[name].shape).encode())
+        h.update(weights.params[name].astype("<f8").tobytes())
+    return h.hexdigest()
 
 
 def tape_leaves(weights: SharedWeights) -> dict[str, Tensor]:
@@ -81,7 +124,7 @@ def branch_forward(
     prefix = f"L{layer_index}.S{slot}"
     h = act(affine(x, leaves[f"{prefix}.w1"], leaves[f"{prefix}.b1"]))
     y = affine(h, leaves[f"{prefix}.w2"], leaves[f"{prefix}.b2"])
-    return normalize(y, weights.stats[(layer_index, slot)])
+    return normalize(y, tape_stats(weights)[(layer_index, slot)])
 
 
 def layer_forward(

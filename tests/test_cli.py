@@ -243,6 +243,31 @@ def test_dump_benchmark_writes_tables(tmp_path):
     assert payload["cost_table"]["_overhead"] == 10.0
 
 
+def test_a_dump_benchmark_write_failing_partway_leaves_the_file_whole(
+    tmp_path, monkeypatch, capsys
+):
+    path = write_config(tmp_path)
+    out = tmp_path / "bench.json"
+    assert main(["dump-benchmark", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["dump-benchmark", str(path), "-o", str(out)]) == 0
+    before = out.read_bytes()
+    assert before == printed.encode()  # -o writes the bytes that stdout gets
+    assert list(tmp_path.glob("*.tmp")) == []
+
+    # rewrite it; the write stops halfway through its text, as a full disk would
+    write_text = Path.write_text
+
+    def failing_write(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    assert main(["dump-benchmark", str(path), "-o", str(out)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 def test_supernet_config_validation(tmp_path):
     bad = write_config(
         tmp_path,

@@ -1,15 +1,20 @@
-"""Every module-level function and class in ``src/nse`` has a caller there.
+"""Every module-level function and class in ``src/nse``, and every method
+and property of its classes, has a caller there.
 
 A definition counts as called when some other module-level statement of the
 package names it: as a name, in an import, or as an attribute of a package
 module imported with ``from . import X``, like ``nn`` in ``indicators.py``.
-Code that only tests reach belongs in ``tests/reference.py``, not in the
-library.  The allowlist holds the few exceptions, each with the ROADMAP item
-that clears it, and a test below keeps the allowlist from outliving its
-reasons.
+A method or property (dunders aside) counts as called when some package code
+outside its own body uses its name as an attribute.  Names are matched as
+text, so a method that shares its name with an attribute of another object
+(``copy``, ``shape``) passes unseen.  Code that only tests reach belongs in
+``tests/reference.py``, not in the library.  The allowlists hold the few
+exceptions, each with the ROADMAP item that clears it, and tests below keep
+them from outliving their reasons.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nse"
@@ -24,12 +29,21 @@ ALLOWLIST = {
     "scale": "item 1: tape op",
     "softmax_cross_entropy": "item 1: tape op",
     "clear_grads": "item 1: tape op",
-    # ROADMAP item 3: `nse run --resume` reads the round artifacts back
-    "subset_from_json": "item 3: resume",
-    "ledger_from_json": "item 3: resume",
-    # ROADMAP item 4: bench/run.py's closed-form check calls it until
+    # ROADMAP item 6: `nse run --resume` reads the round artifacts back
+    "subset_from_json": "item 6: resume",
+    "ledger_from_json": "item 6: resume",
+    # ROADMAP item 5: bench/run.py's closed-form check calls it until
     # `nse inspect --check` takes that check over
-    "oracle_score": "item 4: inspect --check",
+    "oracle_score": "item 5: inspect --check",
+}
+
+# Class.method -> why it stays without a caller in the package
+METHOD_ALLOWLIST = {
+    # ROADMAP item 1: the tape's backward sweep, which bench/child.py wraps
+    "Tensor.backward": "item 1: tape",
+    # ROADMAP item 6: bench/run.py's closed-form check calls it, and resume
+    # will read architectures back with it
+    "Architecture.from_encoding": "item 6: resume",
 }
 
 
@@ -90,3 +104,40 @@ def test_every_library_definition_has_a_caller_in_the_package():
 def test_the_allowlist_names_only_uncalled_definitions():
     uncalled = {q.rsplit(".", 1)[1] for q in uncalled_definitions()}
     assert sorted(set(ALLOWLIST) - uncalled) == []
+
+
+def _attributes(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unused_methods() -> list[str]:
+    """``Class.name`` of every method or property of a module-level class,
+    dunders aside, whose name no package code outside its own body uses as
+    an attribute."""
+    modules = _modules()
+    used = sum((_attributes(tree) for tree in modules.values()), Counter())
+    unused = []
+    for tree in modules.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if used[node.name] == _attributes(node)[node.name]:
+                    unused.append(f"{cls.name}.{node.name}")
+    return unused
+
+
+def test_every_library_method_has_a_caller_in_the_package():
+    missing = [q for q in unused_methods() if q not in METHOD_ALLOWLIST]
+    assert missing == [], (
+        f"{missing} are used as an attribute by no other code in src/nse: give "
+        "each a caller or move it to tests/reference.py"
+    )
+
+
+def test_the_method_allowlist_names_only_unused_methods():
+    assert sorted(set(METHOD_ALLOWLIST) - set(unused_methods())) == []

@@ -165,6 +165,28 @@ def test_recalibrate_empty_raises():
         recalibrate(NormStats(2), [])
 
 
+@pytest.mark.parametrize("fold", ["normalize", "sums"])
+def test_recalibration_does_not_depend_on_prior_running_values(fold):
+    # a recalibration overwrites whatever running values came before, so
+    # evaluation recalibrating fresh statistics matches recalibrating trained ones
+    rng = make_rng("recal-prior", 0)
+    stack = rng.normal(size=(3, 32, 6)) * 2.0 + 1.0
+    fresh, trained = NormStats(6), NormStats(6)
+    for _ in range(4):
+        nn.normalize_array(rng.normal(size=(16, 6)) * 3.0 - 2.0, trained)
+    assert not np.array_equal(trained.running_mean, fresh.running_mean)
+    assert not np.array_equal(trained.running_var, fresh.running_var)
+    for stats in (fresh, trained):
+        stats.begin_recalibration()
+        if fold == "normalize":
+            nn.normalize_array(stack, stats)
+        else:  # the last layer folds only the sums
+            stats.accumulate(stack)
+        stats.finish_recalibration()
+    assert np.array_equal(trained.running_mean, fresh.running_mean)
+    assert np.array_equal(trained.running_var, fresh.running_var)
+
+
 def test_sgd_basic_step():
     params = {"p": np.array([0.0])}
     SGD(lr=0.1).step(params, {"p": np.array([1.0])})

@@ -8,7 +8,10 @@ from reference import (
     forward_collect,
     layer_forward,
     reference_toy_dataset,
+    set_mode,
+    state_hash,
     tape_grads,
+    tape_stats,
     train_architecture,
 )
 from nse.indicators import FitnessIndicators, ThetaAdam, indicator_update_step
@@ -16,6 +19,7 @@ from nse.resources import ConstraintConfig
 from nse.rng import make_rng
 from nse.nn import (
     SGD,
+    NormStats,
     NotFiniteError,
     Tensor,
     softmax_cross_entropy,
@@ -87,7 +91,7 @@ def test_toy_family_has_twelve_distinct_kinds():
 
 def test_forward_normal_layer_all_gates_zero_is_identity():
     _, subset, _, weights = build_net()
-    weights.set_mode("eval")
+    set_mode(weights, "eval")
     x = Tensor(make_rng("fx", 0).normal(size=(4, 6)))
     out = layer_forward(weights, 0, GateVector(0, frozenset()), x)
     assert out is x
@@ -95,7 +99,7 @@ def test_forward_normal_layer_all_gates_zero_is_identity():
 
 def test_forward_normal_layer_averages_identity_and_branches():
     _, subset, _, weights = build_net()
-    weights.set_mode("eval")
+    set_mode(weights, "eval")
     slots = subset.active_slots(0)[:2]
     x = Tensor(make_rng("fx", 1).normal(size=(4, 6)))
     b0 = branch_forward(weights, 0, slots[0], x)
@@ -107,7 +111,7 @@ def test_forward_normal_layer_averages_identity_and_branches():
 
 def test_forward_reduction_layer_averages_selected_branches():
     _, subset, _, weights = build_net()
-    weights.set_mode("eval")
+    set_mode(weights, "eval")
     slots = subset.active_slots(1)
     x = Tensor(make_rng("fx", 2).normal(size=(4, 6)))
     picked = [slots[0], slots[2]]
@@ -126,7 +130,7 @@ def test_forward_reduction_layer_rejects_empty_gates():
 
 def test_forward_linearity_of_disjoint_gate_unions():
     _, subset, _, weights = build_net(roles=("reduction",), ops=4, width=6)
-    weights.set_mode("eval")
+    set_mode(weights, "eval")
     slots = subset.active_slots(0)
     g1, g2 = slots[:2], slots[2:]
     x = Tensor(make_rng("fx", 3).normal(size=(4, 6)))
@@ -145,7 +149,7 @@ def test_weight_sharing_between_architectures():
     a2 = Architecture.from_encoding([sorted(slots[:2]), [subset.active_slots(1)[0]]])
     # both architectures resolve the branch to the same parameter array
     before = weights.params[name].copy()
-    weights.set_mode("eval")
+    set_mode(weights, "eval")
     for arch in (a1, a2):
         forward(weights, arch.gate_vectors, Tensor(np.zeros((2, 5))))
     assert np.array_equal(weights.params[name], before)
@@ -164,13 +168,13 @@ def test_gradient_flow_through_two_layer_stack():
     def loss_with(name, values):
         saved = weights.params[name]
         weights.params[name] = values
-        weights.set_mode("train")
+        set_mode(weights, "train")
         logits, _ = forward(weights, gates, Tensor(x))
         out = float(softmax_cross_entropy(logits, y).data)
         weights.params[name] = saved
         return out
 
-    weights.set_mode("train")
+    set_mode(weights, "train")
     logits, leaves = forward(weights, gates, Tensor(x))
     loss = softmax_cross_entropy(logits, y)
     loss.backward()
@@ -219,7 +223,7 @@ def test_identical_branches_get_identical_gradients():
     rng = make_rng("twin", 0)
     x = rng.normal(size=(6, 5))
     y = rng.integers(0, 3, size=6)
-    weights.set_mode("train")
+    set_mode(weights, "train")
     gates = [GateVector(0, frozenset(slots))]
     logits, leaves = forward(weights, gates, Tensor(x))
     softmax_cross_entropy(logits, y).backward()
@@ -275,26 +279,20 @@ def test_evaluate_is_deterministic_and_pure():
     arch = Architecture.from_encoding(
         [subset.active_slots(0)[:2], subset.active_slots(1)[:1]]
     )
-    before_hash = weights.state_hash()
-    stats_before = {
-        k: (s.running_mean.copy(), s.running_var.copy()) for k, s in weights.stats.items()
-    }
+    before_hash = state_hash(weights)
     acc1 = evaluate(weights, arch, data, recal)
     acc2 = evaluate(weights, arch, data, recal)
     assert acc1 == acc2
-    assert weights.state_hash() == before_hash
-    for k, s in weights.stats.items():
-        assert np.array_equal(s.running_mean, stats_before[k][0])
-        assert np.array_equal(s.running_var, stats_before[k][1])
+    assert state_hash(weights) == before_hash
 
 
 def test_reinitialize_determinism_and_init_law():
     _, subset, geometry, weights = build_net(seed=2)
     w1 = SharedWeights(subset, geometry, 42)
     w2 = SharedWeights(subset, geometry, 42)
-    assert w1.state_hash() == w2.state_hash()
+    assert state_hash(w1) == state_hash(w2)
     w3 = SharedWeights(subset, geometry, 43)
-    assert w3.state_hash() != w1.state_hash()
+    assert state_hash(w3) != state_hash(w1)
     # per-block sample mean within 3 sigma of the zero-mean init law
     for name, p in w1.params.items():
         if not name.endswith("w") and ".w" not in name:
@@ -371,37 +369,31 @@ def test_train_architecture_runs_and_scores():
 
 
 def graph_evaluation(weights, arch, data, recal, batch_size=256):
-    """Reference: recalibrate and score through the Tensor graph; returns the
-    accuracy and the validation logits of every batch.
-
-    Private statistic copies are swapped into ``weights.stats`` for the
-    duration, so the shared statistics are left as they were.
-    """
+    """Reference: recalibrate fresh tape statistics of the selected branches
+    and score through the Tensor graph; returns the accuracy and the
+    validation logits of every batch."""
     keys = {(li, s) for li, gv in enumerate(arch.gate_vectors) for s in gv.selected}
-    saved = {k: weights.stats[k] for k in keys}
-    weights.stats.update({k: weights.stats[k].copy() for k in keys})
-    try:
-        if keys:
-            for k in keys:
-                weights.stats[k].begin_recalibration()
-            for xb in recal:
-                forward(weights, arch.gate_vectors, Tensor(xb))
-            for k in keys:
-                weights.stats[k].finish_recalibration()
-        correct = 0
-        all_logits = []
-        for start in range(0, len(data.x_val), batch_size):
-            logits, _ = forward(
-                weights, arch.gate_vectors, Tensor(data.x_val[start : start + batch_size])
-            )
-            logits = logits.data
-            all_logits.append(logits)
-            correct += int(
-                np.sum(np.argmax(logits, axis=1) == data.y_val[start : start + batch_size])
-            )
-        return correct / len(data.x_val), all_logits
-    finally:
-        weights.stats.update(saved)
+    stats = tape_stats(weights)
+    stats.update({k: NormStats(stats[k].width) for k in keys})
+    if keys:
+        for k in keys:
+            stats[k].begin_recalibration()
+        for xb in recal:
+            forward(weights, arch.gate_vectors, Tensor(xb))
+        for k in keys:
+            stats[k].finish_recalibration()
+    correct = 0
+    all_logits = []
+    for start in range(0, len(data.x_val), batch_size):
+        logits, _ = forward(
+            weights, arch.gate_vectors, Tensor(data.x_val[start : start + batch_size])
+        )
+        logits = logits.data
+        all_logits.append(logits)
+        correct += int(
+            np.sum(np.argmax(logits, axis=1) == data.y_val[start : start + batch_size])
+        )
+    return correct / len(data.x_val), all_logits
 
 
 def trained_net(seed=4):
@@ -460,19 +452,12 @@ def test_cached_evaluation_does_not_depend_on_order():
 
 def test_cached_evaluation_leaves_weights_and_stats_untouched():
     subset, weights, data, recal = trained_net(seed=6)
-    before_hash = weights.state_hash()
-    before = {
-        k: (s.running_mean.copy(), s.running_var.copy(), s.mode) for k, s in weights.stats.items()
-    }
+    before_hash = state_hash(weights)
     cache = InferenceCache(weights, data, recal)
     rng = make_rng("nograd-pure", 0)
     for _ in range(5):
         evaluate(weights, sample_uniform_architecture(subset, rng), data, recal, cache=cache)
-    assert weights.state_hash() == before_hash
-    for k, s in weights.stats.items():
-        assert np.array_equal(s.running_mean, before[k][0])
-        assert np.array_equal(s.running_var, before[k][1])
-        assert s.mode == before[k][2]
+    assert state_hash(weights) == before_hash
 
 
 def test_nan_in_layer0_weight_raises_through_cache():
@@ -504,14 +489,11 @@ def test_cache_rejects_recal_batches_of_unequal_size():
 def test_layer_output_nograd_matches_train_mode_graph_on_copies():
     subset, weights, data, _ = trained_net(seed=10)
     x = make_rng("nograd-layer", 0).normal(size=(16, 6))
-    weights.set_mode("train")
+    set_mode(weights, "train")
     for li in range(2):
         gate = GateVector(li, frozenset(subset.active_slots(li)[:3]))
-        before = {k: s.running_mean.copy() for k, s in weights.stats.items()}
         got = weights.layer_output_nograd(li, gate, x)
-        for k, s in weights.stats.items():
-            assert np.array_equal(s.running_mean, before[k])
-        expected = layer_forward(weights, li, gate, Tensor(x)).data  # moves the shared stats
+        expected = layer_forward(weights, li, gate, Tensor(x)).data
         assert np.array_equal(got, expected)
 
 
@@ -522,7 +504,7 @@ def test_layer_output_nograd_matches_train_mode_graph_on_copies():
 def tape_train_step_fixed(weights, arch, batch, optimizer):
     """Reference: one weight step through the Tensor graph and its backward."""
     x, y = batch
-    weights.set_mode("train")
+    set_mode(weights, "train")
     logits, leaves = forward(weights, arch.gate_vectors, Tensor(np.asarray(x)))
     loss = softmax_cross_entropy(logits, np.asarray(y))
     loss.backward()
@@ -568,11 +550,9 @@ def test_train_step_matches_the_tape_bit_for_bit():
     fast, tape = nets[0][3], nets[1][3]
     assert losses[0] == losses[1]
     assert len(set(losses[0])) > 20
-    assert fast.state_hash() == tape.state_hash()
-    for key, stats in tape.stats.items():
-        assert np.array_equal(fast.stats[key].running_mean, stats.running_mean), key
-        assert np.array_equal(fast.stats[key].running_var, stats.running_var), key
-        assert stats.running_mean.any()  # every branch was trained
+    assert state_hash(fast) == state_hash(tape)
+    # the tape's own statistics fold every branch it trained
+    assert all(stats.running_mean.any() for stats in tape_stats(tape).values())
 
 
 def test_train_backward_matches_tape_gradients():
@@ -582,8 +562,7 @@ def test_train_backward_matches_tape_gradients():
     x = rng.normal(size=(24, 5))
     y = rng.integers(0, 3, size=24)
     for arch in training_archs(subset, rng, 8):
-        fast.set_mode("train")
-        tape.set_mode("train")
+        set_mode(tape, "train")
         record = fast.train_forward(arch.gate_vectors, x)
         loss, dlogits = softmax_cross_entropy_array(record.logits, y)
         grads, out_grads = fast.train_backward(record, dlogits)
