@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -72,7 +73,12 @@ def _value(kind, value, where: str):
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{where} must be {_KIND_NAMES[kind]}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    # json.loads reads NaN, Infinity and integers past the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number")
+    return float(value)
 
 
 @dataclass

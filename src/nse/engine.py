@@ -134,35 +134,14 @@ class SupernetEvaluator:
     across every architecture scored.
     """
 
-    def __init__(
-        self,
-        weights: SharedWeights,
-        dataset: ToyDataset,
-        table: CostTable,
-        recal_batches: Sequence[np.ndarray],
-        batch_size: int = 256,
-    ):
-        self.weights = weights
-        self.dataset = dataset
+    def __init__(self, cache: InferenceCache, table: CostTable):
+        self.cache = cache
         self.table = table
-        self.recal_batches = recal_batches
-        self.batch_size = batch_size
-        self.cache = InferenceCache(weights, dataset, recal_batches, batch_size)
 
     def evaluate(
         self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
     ) -> list[float]:
-        return [
-            evaluate_on_supernet(
-                self.weights,
-                sampler.decode(row),
-                self.dataset,
-                self.recal_batches,
-                self.batch_size,
-                cache=self.cache,
-            )
-            for row, _ in draws
-        ]
+        return [evaluate_on_supernet(self.cache, sampler.decode(row)) for row, _ in draws]
 
 
 def edging_filter(
@@ -521,9 +500,8 @@ class Engine:
             self.retrieval.recal_batch_size,
             make_rng(self.master_seed, "recal", r),
         )
-        evaluator = SupernetEvaluator(
-            weights, self.dataset, self.cost_table, recal, self.retrieval.eval_batch_size
-        )
+        cache = InferenceCache(weights, self.dataset, recal, self.retrieval.eval_batch_size)
+        evaluator = SupernetEvaluator(cache, self.cost_table)
         sampler = indicator_sampler(thetas, state.subset.roles)
         extras = {
             "mean_train_loss": float(np.mean(losses)) if losses else None,

@@ -66,10 +66,6 @@ class FitnessIndicators:
             ]
         )
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.values)
-
     def slots(self, layer_index: int) -> list[int]:
         return sorted(self.values[layer_index])
 
@@ -98,15 +94,6 @@ class FitnessIndicators:
                 for layer in self.values
             ]
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "FitnessIndicators":
-        return FitnessIndicators(
-            values=[
-                {int(slot): float(v) for slot, v in layer.items()}
-                for layer in data["layers"]
-            ]
-        )
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Small on purpose: float64 numpy arrays and a handful of ops.  Every op
 validates shapes and rejects non-finite outputs immediately, which keeps
 failures close to their cause in long training loops; an array op skips only
 a check that cannot fire.  Runs use the array ops and hold parameters as
-plain arrays.  The ``Tensor`` tape (each tensor keeps its parents and a
-backward closure) is on no run path: the tests use it as the reference the
-array ops are checked against.
+plain arrays.  Normalization statistics are plain values too: a batch's own
+moments, or the (mean, inv) pair that ``recalibrate`` computes from scratch;
+nothing keeps running statistics.  The ``Tensor`` tape (each tensor keeps
+its parents and a backward closure) is on no run path: the tests use it as
+the reference the array ops are checked against.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 EPS_NORM = 1e-5
-NORM_MOMENTUM = 0.1
 
 
 class NotFiniteError(FloatingPointError):
@@ -176,65 +177,13 @@ def scale(x: Tensor, alpha: float) -> Tensor:
     return _node(x.data * alpha, (x,), backward, "scale")
 
 
-class NormStats:
-    """Per-feature running statistics with train/eval/recalibrate modes.
-
-    Train mode normalizes with batch statistics and folds them into the
-    running values with ``momentum``.  Eval mode uses the stored running
-    values and never mutates.  Recalibrate mode accumulates raw sums so that
-    finishing recalibration leaves the exact aggregate mean and population
-    variance of everything forwarded since it began.
-    """
-
-    def __init__(self, width: int, momentum: float = NORM_MOMENTUM):
-        if not 0.0 < momentum <= 1.0:
-            raise ValueError("momentum must be in (0, 1]")
-        self.width = width
-        self.momentum = momentum
-        self.running_mean = np.zeros(width)
-        self.running_var = np.ones(width)
-        self.mode = "train"
-        self._sum = np.zeros(width)
-        self._sumsq = np.zeros(width)
-        self._count = 0
-
-    def begin_recalibration(self) -> None:
-        self._sum = np.zeros(self.width)
-        self._sumsq = np.zeros(self.width)
-        self._count = 0
-        self.mode = "recalibrate"
-
-    def accumulate(self, x: np.ndarray, sums: np.ndarray | None = None) -> None:
-        """Recalibrate mode: fold the raw sums of every batch of the
-        (R, B, W) stack ``x`` in batch order.  ``sums``, when given, are its
-        (R, 1, W) sums over axis 1, already taken."""
-        if self.mode != "recalibrate":
-            raise ValueError(f"accumulate runs in recalibrate mode, not {self.mode!r}")
-        if x.ndim != 3 or x.shape[2] != self.width:
-            raise ShapeError(f"recalibration expects (R,B,{self.width}), got {x.shape}")
-        if sums is None:
-            sums = x.sum(axis=1, keepdims=True)
-        for s, q in zip(sums[:, 0], (x * x).sum(axis=1)):
-            self._sum += s
-            self._sumsq += q
-        self._count += x.shape[0] * x.shape[1]
-
-    def finish_recalibration(self) -> None:
-        if self._count == 0:
-            raise ValueError("no batches forwarded during recalibration")
-        mean = self._sum / self._count
-        self.running_mean[...] = mean
-        np.maximum(self._sumsq / self._count - mean * mean, 0.0, out=self.running_var)
-        self.mode = "eval"
-
-
 def batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sum, mean, centered values and population variance of every batch of
     ``x`` over axis -2, with that axis kept.
 
     ``x`` is one (B, W) batch or an (R, B, W) stack.  One sum serves the mean
-    and the recalibration fold, and the centered array serves the variance
-    and the normalized output.  The results equal ``x.sum``, ``x.mean`` and
+    and ``recalibrate``, and the centered array serves the variance and the
+    normalized output.  The results equal ``x.sum``, ``x.mean`` and
     ``x.var`` over axis -2 bit for bit: numpy divides that same sum by the
     batch size, and squares the same centered values.
     """
@@ -247,43 +196,31 @@ def batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return sums, mean, centered, var
 
 
-def _fold_moments(
-    stats: NormStats,
-    x: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
-    sums: np.ndarray | None = None,
-) -> None:
-    """Fold the batches of the (R, B, W) stack ``x``, with their (R, 1, W)
-    moments and sums, into ``stats`` in batch order, in place, as its mode says."""
-    if stats.mode == "train":
-        m = stats.momentum
-        for bm, bv in zip(mean[:, 0], var[:, 0]):
-            stats.running_mean[...] = (1.0 - m) * stats.running_mean + m * bm
-            stats.running_var[...] = (1.0 - m) * stats.running_var + m * bv
-    elif stats.mode == "recalibrate":
-        stats.accumulate(x, sums)
-    else:
-        raise ValueError(f"unknown NormStats mode {stats.mode!r}")
+def recalibrate(
+    y: np.ndarray, sums: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (mean, inv) normalization statistics of every row of the (R, B, W)
+    stack ``y``: its aggregate mean and ``1 / sqrt(var + EPS_NORM)`` of its
+    population variance.
 
-
-def _norm_moments(x: np.ndarray, stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
-    """The (mean, var) that the tape's ``normalize`` applies, after the
-    mode's bookkeeping.
-
-    Eval mode reads the running values.  Train and recalibrate modes use the
-    batch's own moments, from ``np.mean``/``np.var`` so that the tape stays
-    an independent reference for ``batch_moments``, and fold them into
-    ``stats`` as the mode prescribes.
+    The per-batch sums and sums of squares are folded left to right from
+    zeros, so the stack gives what folding its batches one at a time does.
+    ``sums``, when given, are the (R, 1, W) sums over axis 1, already taken.
     """
-    if x.ndim != 2 or x.shape[1] != stats.width:
-        raise ShapeError(f"normalize expects (B,{stats.width}), got {x.shape}")
-    if stats.mode == "eval":
-        return stats.running_mean, stats.running_var
-    bm = x.mean(axis=0)
-    bv = x.var(axis=0)
-    _fold_moments(stats, x[None], bm[None, None], bv[None, None])
-    return bm, bv
+    if y.ndim != 3:
+        raise ShapeError(f"recalibration expects (R,B,W), got {y.shape}")
+    count = y.shape[0] * y.shape[1]
+    if count == 0:
+        raise ValueError("no rows to recalibrate on")
+    if sums is None:
+        sums = y.sum(axis=1, keepdims=True)
+    total, sq = np.zeros(y.shape[2]), np.zeros(y.shape[2])
+    for s, q in zip(sums[:, 0], (y * y).sum(axis=1)):
+        total += s
+        sq += q
+    mean = total / count
+    var = np.maximum(sq / count - mean * mean, 0.0)
+    return mean, 1.0 / np.sqrt(var + EPS_NORM)
 
 
 def normalize_train_grad(g: np.ndarray, centered: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -304,12 +241,25 @@ def normalize_train_grad(g: np.ndarray, centered: np.ndarray, inv: np.ndarray) -
     return np.add(g_inv, dmean / batch, out=g_inv)
 
 
-def normalize(x: Tensor, stats: NormStats) -> Tensor:
-    mean, var = _norm_moments(x.data, stats)
-    inv = 1.0 / np.sqrt(var + EPS_NORM)
+def normalize(x: Tensor, fixed: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+    """Normalize each feature of a (B, W) batch.
+
+    Without ``fixed`` the batch's own moments are used, from
+    ``np.mean``/``np.var`` so that the tape stays an independent reference
+    for ``batch_moments``.  ``fixed`` is a (mean, inv) pair, as
+    ``recalibrate`` returns, applied as constants.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"normalize expects (B,W), got {x.shape}")
+    if fixed is None:
+        mean = x.data.mean(axis=0)
+        inv = 1.0 / np.sqrt(x.data.var(axis=0) + EPS_NORM)
+    else:
+        mean, inv = fixed
+        _check_fixed_shapes(x.data, mean, inv)
     centered = x.data - mean
     data = centered * inv
-    if stats.mode == "eval":
+    if fixed is not None:
 
         def backward(g: np.ndarray) -> None:
             if x.requires_grad:
@@ -381,26 +331,24 @@ def tanh_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.tanh(x, out=out)
 
 
-def normalize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
-    """``normalize`` on one (B, W) batch or an (R, B, W) stack of batches
-    that share ``stats``.
+def _check_fixed_shapes(x: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> None:
+    width = x.shape[-1]
+    if mean.shape != (width,) or inv.shape != (width,):
+        raise ShapeError(
+            f"normalize of (...,{width}) needs ({width},) statistics, "
+            f"got {mean.shape} and {inv.shape}"
+        )
 
-    Eval mode applies the running values.  Train and recalibrate modes
-    normalize every batch with its own moments and fold the batches into
-    ``stats`` in order, as R separate calls would.
-    """
-    width = stats.width
-    if x.ndim not in (2, 3) or x.shape[-1] != width:
-        raise ShapeError(f"normalize expects (B,{width}) or (R,B,{width}), got {x.shape}")
-    if stats.mode == "eval":
-        out = x - stats.running_mean
-        out *= 1.0 / np.sqrt(stats.running_var + EPS_NORM)
-        return _check_finite(out, "normalize")
-    stack = x.reshape((-1,) + x.shape[-2:])
-    sums, mean, centered, var = batch_moments(stack)
-    _fold_moments(stats, stack, mean, var, sums)
-    centered *= 1.0 / np.sqrt(var + EPS_NORM)
-    return _check_finite(centered.reshape(x.shape), "normalize")
+
+def normalize_fixed(x: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """``normalize`` with ``fixed=(mean, inv)`` on one (B, W) batch or an
+    (R, B, W) stack of batches."""
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"normalize expects (B,W) or (R,B,W), got {x.shape}")
+    _check_fixed_shapes(x, mean, inv)
+    out = x - mean
+    out *= inv
+    return _check_finite(out, "normalize")
 
 
 def affine_stack(
@@ -420,20 +368,21 @@ def affine_stack(
     return _check_finite(out, "affine")
 
 
-def normalize_train_stack(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Train-mode ``normalize`` of a (n, B, W) stack, each batch with its own
-    moments, folded into no running statistics: evaluation recalibrates them
-    from scratch, so no run would read a fold.
+def normalize_train_stack(
+    y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``normalize`` of a (n, B, W) stack, each batch with its own moments.
 
-    Returns the output and what the backward needs: the centered stack and
-    the (n, 1, W) inverse deviations.  Each batch's moments equal its own
-    axis-0 moments bit for bit.
+    Returns the output, what the backward needs (the centered stack and the
+    (n, 1, W) inverse deviations) and the (n, 1, W) batch sums, which
+    ``recalibrate`` can reuse.  Each batch's moments equal its own axis-0
+    moments bit for bit.
     """
     if y.ndim != 3:
         raise ShapeError(f"normalize stack expects (n,B,W), got {y.shape}")
-    _, _, centered, var = batch_moments(y)
+    sums, _, centered, var = batch_moments(y)
     inv = 1.0 / np.sqrt(var + EPS_NORM)
-    return _check_finite(centered * inv, "normalize"), centered, inv
+    return _check_finite(centered * inv, "normalize"), centered, inv, sums
 
 
 def softmax_cross_entropy_array(

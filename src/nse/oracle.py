@@ -113,19 +113,6 @@ class SyntheticBenchmark:
             "costs": [[l, s, v] for (l, s), v in sorted(self.costs.items())],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "SyntheticBenchmark":
-        return SyntheticBenchmark(
-            seed=data["seed"],
-            utilities={(l, s): v for l, s, v in data["utilities"]},
-            synergies={(l, a, b): v for l, a, b, v in data["synergies"]},
-            costs={(l, s): v for l, s, v in data["costs"]},
-            overhead=data["overhead"],
-            c0=data["c0"],
-            c1=data["c1"],
-            unit=data.get("unit", "units"),
-        )
-
 
 def _layer_score(bench: SyntheticBenchmark, layer_index: int, slots: Sequence[int]) -> float:
     if not slots:

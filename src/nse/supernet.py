@@ -11,13 +11,13 @@ one explicit backward per layer in the float order of the ``Tensor`` tape in
 tests build the tape forward over the blocks' named views.  Evaluation
 recalibrates fresh normalization statistics of the selected branches on
 training batches before scoring validation accuracy.  It runs on a no-grad
-path over plain arrays, and an ``InferenceCache`` shares the stem and
-layer-0 work of one set of trained weights across architectures.
-The recalibration batches form one (R, B, W) stack, so each branch runs once
-over all of them and its statistics fold the batches in order; the last
-layer folds only their sums, since nothing reads its recalibrated outputs.
-Recalibration starts from scratch, so training normalizes with each batch's
-moments and keeps no running statistics.
+path over plain arrays: ``evaluate(cache, architecture)``, where an
+``InferenceCache`` shares the stem and layer-0 work of one set of trained
+weights across architectures.  The recalibration batches form one (R, B, W)
+stack, so each branch runs once over all of them; ``recalibrate`` turns the
+stack into a (mean, inv) pair that ``normalize_fixed`` applies to the
+validation batches.  Since recalibration starts from scratch, training
+normalizes with each batch's moments and keeps no running statistics.
 """
 
 from __future__ import annotations
@@ -32,16 +32,16 @@ import numpy as np
 # are on no path of this module; they stay importable here because
 # bench/child.py wraps them by this path.
 from .nn import (
-    NormStats,
     SGD,
     affine,  # noqa: F401
     affine_array,
     affine_stack,
     average_arrays,
     normalize,  # noqa: F401
-    normalize_array,
+    normalize_fixed,
     normalize_train_grad,
     normalize_train_stack,
+    recalibrate,
     relu_array,
     softmax_cross_entropy_array,
     tanh_array,
@@ -360,7 +360,7 @@ class SharedWeights:
             return LayerTrace(x, slots, [], [], None, None, None, self.layer_mix(li, x, []))
         ops = [self.branches[(li, slot)] for slot in slots]
         hidden, ys = self._stack_affines(ops, x)
-        out, centered, inv = normalize_train_stack(ys)
+        out, centered, inv, _ = normalize_train_stack(ys)
         mixed = self.layer_mix(li, x, list(out))
         return LayerTrace(x, slots, ops, hidden, centered, inv, out, mixed)
 
@@ -456,13 +456,6 @@ class SharedWeights:
         """A branch's output before its normalization."""
         op = self.branches[(layer_index, slot)]
         return affine_array(self._hidden(op, x), op.params[2], op.params[3])
-
-    def branch_output(
-        self, layer_index: int, slot: int, x: np.ndarray, stats: NormStats
-    ) -> np.ndarray:
-        """A branch's output on a batch or a stack, normalized as
-        ``normalize_array`` does with ``stats``."""
-        return normalize_array(self.branch_affines(layer_index, slot, x), stats)
 
     def layer_mix(
         self, layer_index: int, x: np.ndarray, branches: list[np.ndarray]
@@ -588,18 +581,20 @@ class InferenceCache:
         self, layer_index: int, slot: int, recal: np.ndarray, val: list[np.ndarray], last: bool
     ) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """One branch on every batch: recalibrate fresh statistics on the
-        recal stack in one pass, then apply them to the val inputs.  The last
-        layer's recal outputs feed nothing, so there only the sums are folded
-        and the outputs are not formed."""
-        stats = NormStats(self.weights.geometry.w_out(layer_index))
-        stats.begin_recalibration()
+        recal stack, then apply them to the val inputs.  A recal output, fed
+        to the next layer, is normalized with each batch's own moments, whose
+        sums the statistics reuse; the last layer's feeds nothing, so it is
+        not formed."""
+        y = self.weights.branch_affines(layer_index, slot, recal)
         if last:
-            stats.accumulate(self.weights.branch_affines(layer_index, slot, recal))
-            recal_out = None
+            recal_out, sums = None, None
         else:
-            recal_out = self.weights.branch_output(layer_index, slot, recal, stats)
-        stats.finish_recalibration()
-        val_out = [self.weights.branch_output(layer_index, slot, x, stats) for x in val]
+            recal_out, _, _, sums = normalize_train_stack(y)
+        stats = recalibrate(y, sums)
+        val_out = [
+            normalize_fixed(self.weights.branch_affines(layer_index, slot, x), *stats)
+            for x in val
+        ]
         return recal_out, val_out
 
     def val_logits(self, architecture: Architecture) -> list[np.ndarray]:
@@ -628,30 +623,15 @@ class InferenceCache:
         w, b = self.weights.params["head.w"], self.weights.params["head.b"]
         return [affine_array(h, w, b) for h in val]
 
-    def accuracy(self, architecture: Architecture) -> float:
-        correct = 0
-        for logits, y in zip(self.val_logits(architecture), self.labels):
-            correct += int(np.sum(np.argmax(logits, axis=1) == y))
-        return correct / self.val_size
 
-
-def evaluate(
-    weights: SharedWeights,
-    architecture: Architecture,
-    dataset: ToyDataset,
-    recal_batches: Sequence[np.ndarray],
-    batch_size: int = 256,
-    cache: InferenceCache | None = None,
-) -> float:
-    """Top-1 validation accuracy with recalibrated normalization statistics.
+def evaluate(cache: InferenceCache, architecture: Architecture) -> float:
+    """Top-1 validation accuracy of ``architecture`` on the weights ``cache``
+    was built from, with recalibrated normalization statistics.
 
     Statistics are recalibrated from scratch and the weights are only read,
-    so repeated evaluations leave them bit-identical.  ``cache``, when
-    given, must have been built from these same arguments; without one a
-    fresh cache serves this single call.
+    so repeated evaluations leave them bit-identical.
     """
-    if cache is None:
-        cache = InferenceCache(weights, dataset, recal_batches, batch_size)
-    elif cache.weights is not weights:
-        raise ValueError("the inference cache was built for other weights")
-    return cache.accuracy(architecture)
+    correct = 0
+    for logits, y in zip(cache.val_logits(architecture), cache.labels):
+        correct += int(np.sum(np.argmax(logits, axis=1) == y))
+    return correct / cache.val_size

@@ -4,9 +4,11 @@
   tape, over ``Tensor`` leaves that wrap the parameter arrays, so a test can
   read every parameter's gradient after ``backward``.  The explicit training
   pass is checked against it bit for bit.  The tape normalizes each branch
-  with its own ``NormStats`` (``tape_stats``, switched by ``set_mode``),
-  which the supernet itself does not keep.
+  as ``tape_stats`` says, switched by ``set_mode``: with the batch's own
+  moments, with fixed statistics, or with the batch's own moments while
+  collecting its inputs for ``recalibrate``.
 - ``state_hash``: a digest of a supernet's parameters.
+- ``benchmark_from_json``: a ``SyntheticBenchmark`` read back from its JSON.
 - ``train_architecture``: train one fixed architecture from scratch and
   score it, the retrained baseline of acceptance criterion 7.
 - ``reference_toy_dataset``: the toy dataset built row by row.
@@ -35,8 +37,8 @@ import numpy as np
 from nse.engine import edging_filter
 from nse.indicators import SlotProbabilities, config_probability_grads, rescaled_pair_grads
 from nse.nn import (
+    EPS_NORM,
     SGD,
-    NormStats,
     Tensor,
     add,
     affine,
@@ -63,6 +65,7 @@ from nse.space import (
 from nse.supernet import (
     BatchStream,
     DatasetConfig,
+    InferenceCache,
     NetworkGeometry,
     SharedWeights,
     ToyDataset,
@@ -79,20 +82,29 @@ _ACTS = {"relu": relu, "tanh": tanh}
 _TAPE_STATS: "weakref.WeakKeyDictionary[SharedWeights, dict]" = weakref.WeakKeyDictionary()
 
 
-def tape_stats(weights: SharedWeights) -> dict[tuple[int, int], NormStats]:
-    """The tape's normalization statistics of every branch of ``weights``,
-    by (layer, slot): default ``NormStats`` in train mode at first use."""
+def tape_stats(weights: SharedWeights) -> dict[tuple[int, int], object]:
+    """How the tape normalizes every branch of ``weights``, by (layer, slot):
+    ``None`` for the batch's own moments (the default), a (mean, inv) pair
+    of fixed statistics, or a list that each forwarded input is appended to,
+    normalized with its own moments, while recalibrating."""
     if weights not in _TAPE_STATS:
-        _TAPE_STATS[weights] = {
-            (li, slot): NormStats(weights.geometry.w_out(li)) for li, slot in weights.kinds
-        }
+        _TAPE_STATS[weights] = {key: None for key in weights.kinds}
     return _TAPE_STATS[weights]
 
 
 def set_mode(weights: SharedWeights, mode: str) -> None:
-    """Put every tape statistic of ``weights`` in ``mode``."""
-    for stats in tape_stats(weights).values():
-        stats.mode = mode
+    """Normalize every branch of the tape over ``weights`` as ``mode`` says:
+    "train" with the batch's own moments, "eval" with the statistics of a
+    fresh branch (zero mean, unit variance)."""
+    stats = tape_stats(weights)
+    for li, slot in stats:
+        width = weights.geometry.w_out(li)
+        if mode == "train":
+            stats[(li, slot)] = None
+        elif mode == "eval":
+            stats[(li, slot)] = (np.zeros(width), np.full(width, 1.0 / np.sqrt(1.0 + EPS_NORM)))
+        else:
+            raise ValueError(f"unknown tape mode {mode!r}")
 
 
 def state_hash(weights: SharedWeights) -> str:
@@ -124,7 +136,11 @@ def branch_forward(
     prefix = f"L{layer_index}.S{slot}"
     h = act(affine(x, leaves[f"{prefix}.w1"], leaves[f"{prefix}.b1"]))
     y = affine(h, leaves[f"{prefix}.w2"], leaves[f"{prefix}.b2"])
-    return normalize(y, tape_stats(weights)[(layer_index, slot)])
+    stats = tape_stats(weights)[(layer_index, slot)]
+    if isinstance(stats, list):
+        stats.append(y.data)
+        return normalize(y)
+    return normalize(y, stats)
 
 
 def layer_forward(
@@ -221,7 +237,25 @@ def train_architecture(
     recal = make_recal_batches(
         dataset, recal_count, training.batch_size, make_rng(seed, "retrain-recal")
     )
-    return evaluate(weights, architecture, dataset, recal)
+    return evaluate(InferenceCache(weights, dataset, recal), architecture)
+
+
+# ---------------------------------------------------------------------------
+# The synthetic benchmark read back
+
+
+def benchmark_from_json(data: dict) -> SyntheticBenchmark:
+    """The inverse of ``SyntheticBenchmark.to_json``."""
+    return SyntheticBenchmark(
+        seed=data["seed"],
+        utilities={(l, s): v for l, s, v in data["utilities"]},
+        synergies={(l, a, b): v for l, a, b, v in data["synergies"]},
+        costs={(l, s): v for l, s, v in data["costs"]},
+        overhead=data["overhead"],
+        c0=data["c0"],
+        c1=data["c1"],
+        unit=data.get("unit", "units"),
+    )
 
 
 # ---------------------------------------------------------------------------

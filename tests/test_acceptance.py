@@ -38,7 +38,7 @@ from nse.indicators import (
     rescale_pair,
     rescaled_pair_grads,
 )
-from nse.nn import NormStats, Tensor, affine, normalize, relu, softmax_cross_entropy, tanh
+from nse.nn import Tensor, affine, normalize, relu, softmax_cross_entropy, tanh
 from nse.oracle import OracleEvaluator, SyntheticBenchmark, oracle_score
 from nse.resources import (
     ConstraintConfig,
@@ -64,6 +64,7 @@ from nse.space import (
 )
 from nse.supernet import (
     DatasetConfig,
+    InferenceCache,
     NetworkGeometry,
     SharedWeights,
     ToyDataset,
@@ -194,11 +195,10 @@ def test_criterion_3b_autodiff_graph_gradients():
         }
 
         def forward(values):
-            stats = NormStats(d_h)
             t = {k: Tensor(v, requires_grad=True) for k, v in values.items()}
             h = affine(Tensor(x), t["w1"], t["b1"])
             h = relu(h) if seed % 2 == 0 else tanh(h)
-            h = normalize(h, stats)
+            h = normalize(h)
             logits = affine(h, t["w2"], t["b2"])
             return softmax_cross_entropy(logits, labels), t
 
@@ -597,7 +597,7 @@ def test_criterion_9_structural_invariants(tmp_path):
         [tsubset.active_slots(0)[:1], tsubset.active_slots(1)[:1]]
     )
     before = state_hash(weights)
-    supernet_evaluate(weights, arch, data, recal)
+    supernet_evaluate(InferenceCache(weights, data, recal), arch)
     assert state_hash(weights) == before
 
     # bitwise run determinism through the CLI

@@ -268,6 +268,18 @@ def test_a_dump_benchmark_write_failing_partway_leaves_the_file_whole(
     assert out.read_bytes() == before
 
 
+def test_non_finite_number_in_the_file_exits_with_config_code(tmp_path, capsys):
+    # json.loads reads the literal NaN; it is refused before any work starts
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace('"tau": 250.0', '"tau": NaN'))
+    assert "NaN" in path.read_text()
+    assert main(["run", str(path)]) == 2
+    assert "config.constraint.tau must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(ConfigError, match="finite number"):  # past the float range
+        parse_config({"constraint": {"tau": 10**400}})
+
+
 def test_supernet_config_validation(tmp_path):
     bad = write_config(
         tmp_path,
@@ -622,6 +634,18 @@ REJECTED = [
     ({"training": {"weight_decay": -1e-4}}, ["config.training", "weight_decay"]),
     ({"benchmark": {"cost_low": -50}}, ["config.benchmark", "cost_low"]),
     ({"benchmark": {"cost_low": 200, "cost_high": 10}}, ["config.benchmark", "cost_low"]),
+    # non-finite numbers, which json.loads reads from NaN and Infinity
+    *[
+        ({section: {key: value}}, [f"config.{section}", key, "finite number"])
+        for section, key, value in [
+            ("constraint", "edging_margin", float("nan")),
+            ("constraint", "prune_threshold", float("-inf")),
+            ("constraint", "beta", float("nan")),
+            ("network", "unit_scale", float("nan")),
+            ("dataset", "noise", float("inf")),
+            ("training", "lr", float("inf")),
+        ]
+    ],
     # a cost label nothing would read
     ({"constraint": {"kind": "energy"}}, ["config.constraint", "kind", "flops", "latency"]),
 ]

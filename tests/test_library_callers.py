@@ -5,12 +5,13 @@ A definition counts as called when some other module-level statement of the
 package names it: as a name, in an import, or as an attribute of a package
 module imported with ``from . import X``, like ``nn`` in ``indicators.py``.
 A method or property (dunders aside) counts as called when some package code
-outside its own body uses its name as an attribute.  Names are matched as
-text, so a method that shares its name with an attribute of another object
-(``copy``, ``shape``) passes unseen.  Code that only tests reach belongs in
-``tests/reference.py``, not in the library.  The allowlists hold the few
-exceptions, each with the ROADMAP item that clears it, and tests below keep
-them from outliving their reasons.
+outside its own body uses its name as an attribute.  An attribute read off a
+package class name (``CostTable.from_json``) counts for that class alone.
+Other names are matched as text, so a method that shares its name with an
+attribute of another object (``copy``, ``shape``) passes unseen.  Code that
+only tests reach belongs in ``tests/reference.py``, not in the library.  The
+allowlists hold the few exceptions, each with the ROADMAP item that clears
+it, and tests below keep them from outliving their reasons.
 """
 
 import ast
@@ -106,16 +107,27 @@ def test_the_allowlist_names_only_uncalled_definitions():
     assert sorted(set(ALLOWLIST) - uncalled) == []
 
 
-def _attributes(node: ast.AST) -> Counter:
-    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+def _attributes(node: ast.AST, classes: set[str]) -> Counter:
+    """Every attribute name used in ``node``, as ``Class.name`` when it is
+    read off the name of a package class in ``classes``."""
+    return Counter(
+        f"{sub.value.id}.{sub.attr}"
+        if isinstance(sub.value, ast.Name) and sub.value.id in classes
+        else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+    )
 
 
 def unused_methods() -> list[str]:
     """``Class.name`` of every method or property of a module-level class,
-    dunders aside, whose name no package code outside its own body uses as
-    an attribute."""
+    dunders aside, that no package code outside its own body uses as an
+    attribute, either bare or read off ``Class``."""
     modules = _modules()
-    used = sum((_attributes(tree) for tree in modules.values()), Counter())
+    classes = {
+        cls.name for tree in modules.values() for cls in tree.body if isinstance(cls, ast.ClassDef)
+    }
+    used = sum((_attributes(tree, classes) for tree in modules.values()), Counter())
     unused = []
     for tree in modules.values():
         for cls in tree.body:
@@ -126,7 +138,8 @@ def unused_methods() -> list[str]:
                     continue
                 if node.name.startswith("__") and node.name.endswith("__"):
                     continue
-                if used[node.name] == _attributes(node)[node.name]:
+                own = _attributes(node, classes)
+                if all(used[k] == own[k] for k in (node.name, f"{cls.name}.{node.name}")):
                     unused.append(f"{cls.name}.{node.name}")
     return unused
 

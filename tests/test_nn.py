@@ -7,7 +7,7 @@ from conftest import central_difference
 from nse.rng import make_rng
 from nse import nn
 from nse.nn import (
-    NormStats,
+    EPS_NORM,
     SGD,
     Tensor,
     affine,
@@ -64,11 +64,10 @@ def _random_net(seed):
     }
 
     def forward(values):
-        stats = NormStats(d_h)
         t = {k: Tensor(v, requires_grad=True) for k, v in values.items()}
         h = affine(Tensor(x), t["w1"], t["b1"])
         h = relu(h) if seed % 2 == 0 else tanh(h)
-        h = normalize(h, stats)
+        h = normalize(h)
         logits = affine(h, t["w2"], t["b2"])
         loss = softmax_cross_entropy(logits, labels)
         return loss, t
@@ -104,87 +103,75 @@ def test_backward_is_deterministic():
         assert np.array_equal(t1[name].grad, t2[name].grad)
 
 
-def test_eval_mode_never_mutates_stats():
-    stats = NormStats(4)
-    stats.mode = "eval"
-    before_mean = stats.running_mean.copy()
-    before_var = stats.running_var.copy()
-    rng = make_rng("eval", 0)
-    for _ in range(5):
-        normalize(Tensor(rng.normal(size=(8, 4))), stats)
-    assert np.array_equal(stats.running_mean, before_mean)
-    assert np.array_equal(stats.running_var, before_var)
-
-
-def test_train_mode_updates_running_stats():
-    stats = NormStats(2, momentum=0.5)
-    x = np.array([[1.0, 2.0], [3.0, 6.0]])
-    normalize(Tensor(x), stats)
-    assert stats.running_mean == pytest.approx([0.5 * 2.0, 0.5 * 4.0])
-
-
-def recalibrate(stats, batches):
-    """Recalibrate ``stats`` on ``batches`` with the calls evaluation makes."""
-    stats.begin_recalibration()
-    for batch in batches:
-        nn.normalize_array(batch, stats)
-    stats.finish_recalibration()
+def _var(inv):
+    """The variance behind ``recalibrate``'s inverse deviation."""
+    return 1.0 / (inv * inv) - EPS_NORM
 
 
 def test_recalibrate_constant_batch():
-    stats = NormStats(3)
-    recalibrate(stats, [np.full((10, 3), 2.5)])
-    assert stats.running_mean == pytest.approx([2.5] * 3)
-    assert stats.running_var == pytest.approx([0.0] * 3, abs=1e-12)
-    assert stats.mode == "eval"
+    mean, inv = nn.recalibrate(np.full((1, 10, 3), 2.5))
+    assert mean == pytest.approx([2.5] * 3)
+    assert _var(inv) == pytest.approx([0.0] * 3, abs=1e-12)
 
 
 def test_recalibrate_idempotent_for_duplicate_batches():
     rng = make_rng("recal", 1)
     batch = rng.normal(size=(16, 4))
-    one = NormStats(4)
-    two = NormStats(4)
-    recalibrate(one, [batch])
-    recalibrate(two, [batch, batch])
-    assert one.running_mean == pytest.approx(two.running_mean, abs=1e-12)
-    assert one.running_var == pytest.approx(two.running_var, abs=1e-12)
+    one = nn.recalibrate(batch[None])
+    two = nn.recalibrate(np.stack([batch, batch]))
+    assert one[0] == pytest.approx(two[0], abs=1e-12)
+    assert _var(one[1]) == pytest.approx(_var(two[1]), abs=1e-12)
 
 
 def test_recalibrate_matches_whole_dataset_oracle():
+    # one batch size: evaluation stacks the recalibration batches, so they share it
     rng = make_rng("recal", 2)
     batches = [rng.normal(size=(int(rng.integers(4, 20)), 5)) for _ in range(7)]
-    stats = NormStats(5)
-    recalibrate(stats, batches)
+    size = min(len(b) for b in batches)
+    batches = [b[:size] for b in batches]
+    mean, inv = nn.recalibrate(np.stack(batches))
     everything = np.concatenate(batches, axis=0)
-    assert np.max(np.abs(stats.running_mean - everything.mean(axis=0))) < 1e-10
-    assert np.max(np.abs(stats.running_var - everything.var(axis=0))) < 1e-10
+    assert np.max(np.abs(mean - everything.mean(axis=0))) < 1e-10
+    assert np.max(np.abs(_var(inv) - everything.var(axis=0))) < 1e-10
 
 
 def test_recalibrate_empty_raises():
     with pytest.raises(ValueError):
-        recalibrate(NormStats(2), [])
+        nn.recalibrate(np.zeros((0, 8, 2)))
+    with pytest.raises(ValueError):
+        nn.recalibrate(np.zeros((3, 0, 2)))
+
+
+def fold_batches(batches):
+    """Reference recalibration: each batch's sums and sums of squares folded
+    in a Python loop."""
+    total, sq = np.zeros(batches[0].shape[1]), np.zeros(batches[0].shape[1])
+    for batch in batches:
+        total += batch.sum(axis=0)
+        sq += (batch * batch).sum(axis=0)
+    count = sum(len(batch) for batch in batches)
+    mean = total / count
+    return mean, 1.0 / np.sqrt(np.maximum(sq / count - mean * mean, 0.0) + EPS_NORM)
 
 
 @pytest.mark.parametrize("fold", ["normalize", "sums"])
 def test_recalibration_does_not_depend_on_prior_running_values(fold):
-    # a recalibration overwrites whatever running values came before, so
-    # evaluation recalibrating fresh statistics matches recalibrating trained ones
+    # statistics are plain values: recalibrating after training normalizations
+    # gives what recalibrating with none before does
     rng = make_rng("recal-prior", 0)
     stack = rng.normal(size=(3, 32, 6)) * 2.0 + 1.0
-    fresh, trained = NormStats(6), NormStats(6)
+
+    def stats():
+        if fold == "normalize":  # a non-last layer reuses its output's sums
+            return nn.recalibrate(stack, nn.normalize_train_stack(stack)[3])
+        return nn.recalibrate(stack)  # the last layer folds only the sums
+
+    fresh = stats()
     for _ in range(4):
-        nn.normalize_array(rng.normal(size=(16, 6)) * 3.0 - 2.0, trained)
-    assert not np.array_equal(trained.running_mean, fresh.running_mean)
-    assert not np.array_equal(trained.running_var, fresh.running_var)
-    for stats in (fresh, trained):
-        stats.begin_recalibration()
-        if fold == "normalize":
-            nn.normalize_array(stack, stats)
-        else:  # the last layer folds only the sums
-            stats.accumulate(stack)
-        stats.finish_recalibration()
-    assert np.array_equal(trained.running_mean, fresh.running_mean)
-    assert np.array_equal(trained.running_var, fresh.running_var)
+        nn.normalize_train_stack(rng.normal(size=(2, 16, 6)) * 3.0 - 2.0)
+    trained = stats()
+    assert np.array_equal(trained[0], fresh[0])
+    assert np.array_equal(trained[1], fresh[1])
 
 
 def test_sgd_basic_step():
@@ -328,33 +315,36 @@ def test_batch_moments_equal_numpy_reductions_bit_for_bit(batch, width):
 def test_stacked_recalibration_equals_folding_batches_one_at_a_time(count):
     rng = make_rng("recal-stack", count)
     batches = [rng.normal(size=(32, 6)) * 2.0 + 1.0 for _ in range(count)]
-    one_by_one, stacked = NormStats(6), NormStats(6)
-    one_by_one.begin_recalibration()
-    outs = [nn.normalize_array(batch, one_by_one) for batch in batches]
-    one_by_one.finish_recalibration()
-    stacked.begin_recalibration()
-    out = nn.normalize_array(np.stack(batches), stacked)
-    stacked.finish_recalibration()
-    assert np.array_equal(out, np.stack(outs))
-    assert np.array_equal(stacked.running_mean, one_by_one.running_mean)
-    assert np.array_equal(stacked.running_var, one_by_one.running_var)
-    folded = NormStats(6)  # folding the sums alone, as the last layer does
-    folded.begin_recalibration()
-    folded.accumulate(np.stack(batches))
-    folded.finish_recalibration()
-    assert np.array_equal(folded.running_mean, one_by_one.running_mean)
-    assert np.array_equal(folded.running_var, one_by_one.running_var)
+    expected = fold_batches(batches)
+    stack = np.stack(batches)
+    for sums in (None, nn.batch_moments(stack)[0]):
+        mean, inv = nn.recalibrate(stack, sums)
+        assert np.array_equal(mean, expected[0])
+        assert np.array_equal(inv, expected[1])
+
+
+def test_fixed_normalize_equals_the_tape_and_checks_shapes():
+    rng = make_rng("fixed-norm", 0)
+    stack = rng.normal(size=(3, 16, 5)) * 2.0 + 1.0
+    mean, inv = nn.recalibrate(stack)
+    out = nn.normalize_fixed(stack, mean, inv)
+    for k in range(len(stack)):
+        assert np.array_equal(out[k], normalize(Tensor(stack[k]), (mean, inv)).data)
+    with pytest.raises(nn.ShapeError):
+        nn.normalize_fixed(stack, mean[:4], inv[:4])
+    with pytest.raises(nn.ShapeError):
+        normalize(Tensor(stack[0]), (mean, inv[:4]))
+    with pytest.raises(nn.ShapeError):
+        nn.recalibrate(stack[0])
 
 
 @pytest.mark.parametrize("count", [1, 3, 8])
 def test_stacked_train_mode_folds_batches_in_order(count):
     rng = make_rng("train-stack", count)
     batches = [rng.normal(size=(32, 6)) * 2.0 + 1.0 for _ in range(count)]
-    one_by_one, stacked = NormStats(6), NormStats(6)
-    outs = [nn.normalize_array(batch, one_by_one) for batch in batches]
-    assert np.array_equal(nn.normalize_array(np.stack(batches), stacked), np.stack(outs))
-    assert np.array_equal(stacked.running_mean, one_by_one.running_mean)
-    assert np.array_equal(stacked.running_var, one_by_one.running_var)
+    out, _, _, sums = nn.normalize_train_stack(np.stack(batches))
+    assert np.array_equal(out, np.stack([normalize(Tensor(b)).data for b in batches]))
+    assert np.array_equal(sums[:, 0], np.stack([b.sum(axis=0) for b in batches]))
 
 
 def test_stacked_affine_equals_each_batch_bit_for_bit():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reference import (
+    benchmark_from_json,
     brute_force_pareto,
     constrained_optimum,
     dominates,
@@ -48,7 +49,7 @@ def test_benchmark_regeneration_is_identical():
 def test_benchmark_json_roundtrip():
     pool = small_pool()
     bench = SyntheticBenchmark.generate(pool, seed=5)
-    back = SyntheticBenchmark.from_json(bench.to_json())
+    back = benchmark_from_json(bench.to_json())
     assert back.to_json() == bench.to_json()
     arch = Architecture.from_encoding([[0, 1], [2]])
     assert oracle_score(arch, back) == oracle_score(arch, bench)

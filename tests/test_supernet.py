@@ -19,9 +19,9 @@ from nse.resources import ConstraintConfig
 from nse.rng import make_rng
 from nse.nn import (
     SGD,
-    NormStats,
     NotFiniteError,
     Tensor,
+    recalibrate,
     softmax_cross_entropy,
     softmax_cross_entropy_array,
 )
@@ -266,7 +266,7 @@ def test_evaluate_untrained_is_chance_level_over_seeds():
         arch = Architecture.from_encoding(
             [subset.active_slots(0)[:1], subset.active_slots(1)[:1]]
         )
-        accs.append(evaluate(weights, arch, data, recal))
+        accs.append(evaluate(InferenceCache(weights, data, recal), arch))
     assert abs(np.mean(accs) - 1.0 / 3.0) < 0.05
 
 
@@ -280,8 +280,8 @@ def test_evaluate_is_deterministic_and_pure():
         [subset.active_slots(0)[:2], subset.active_slots(1)[:1]]
     )
     before_hash = state_hash(weights)
-    acc1 = evaluate(weights, arch, data, recal)
-    acc2 = evaluate(weights, arch, data, recal)
+    acc1 = evaluate(InferenceCache(weights, data, recal), arch)
+    acc2 = evaluate(InferenceCache(weights, data, recal), arch)
     assert acc1 == acc2
     assert state_hash(weights) == before_hash
 
@@ -374,14 +374,11 @@ def graph_evaluation(weights, arch, data, recal, batch_size=256):
     validation logits of every batch."""
     keys = {(li, s) for li, gv in enumerate(arch.gate_vectors) for s in gv.selected}
     stats = tape_stats(weights)
-    stats.update({k: NormStats(stats[k].width) for k in keys})
+    stats.update({k: [] for k in keys})
     if keys:
-        for k in keys:
-            stats[k].begin_recalibration()
         for xb in recal:
             forward(weights, arch.gate_vectors, Tensor(xb))
-        for k in keys:
-            stats[k].finish_recalibration()
+        stats.update({k: recalibrate(np.stack(stats[k])) for k in keys})
     correct = 0
     all_logits = []
     for start in range(0, len(data.x_val), batch_size):
@@ -426,7 +423,7 @@ def test_nograd_accuracy_equals_graph_accuracy_exactly():
     assert any(len(gv.selected) == 1 for gv in gates)  # single-branch layers
     assert any(len(gv.selected) > 1 for gv in gates)  # multi-branch layers
     cache = InferenceCache(weights, data, recal, 128)
-    got = [evaluate(weights, a, data, recal, 128, cache=cache) for a in archs]
+    got = [evaluate(cache, a) for a in archs]
     expected = [graph_evaluation(weights, a, data, recal, 128) for a in archs]
     assert got == [acc for acc, _ in expected]
     assert len(set(got)) > 3  # the architectures really differ
@@ -443,11 +440,11 @@ def test_cached_evaluation_does_not_depend_on_order():
     rng = make_rng("nograd-order", 0)
     a, b = (sample_uniform_architecture(subset, rng) for _ in range(2))
     cache = InferenceCache(weights, data, recal)
-    first = evaluate(weights, a, data, recal, cache=cache)
-    other = evaluate(weights, b, data, recal, cache=cache)
-    assert evaluate(weights, a, data, recal, cache=cache) == first
-    assert evaluate(weights, a, data, recal) == first  # a fresh cache agrees
-    assert evaluate(weights, b, data, recal) == other
+    first = evaluate(cache, a)
+    other = evaluate(cache, b)
+    assert evaluate(cache, a) == first
+    assert evaluate(InferenceCache(weights, data, recal), a) == first  # a fresh cache agrees
+    assert evaluate(InferenceCache(weights, data, recal), b) == other
 
 
 def test_cached_evaluation_leaves_weights_and_stats_untouched():
@@ -456,7 +453,7 @@ def test_cached_evaluation_leaves_weights_and_stats_untouched():
     cache = InferenceCache(weights, data, recal)
     rng = make_rng("nograd-pure", 0)
     for _ in range(5):
-        evaluate(weights, sample_uniform_architecture(subset, rng), data, recal, cache=cache)
+        evaluate(cache, sample_uniform_architecture(subset, rng))
     assert state_hash(weights) == before_hash
 
 
@@ -465,19 +462,11 @@ def test_nan_in_layer0_weight_raises_through_cache():
     slots = subset.active_slots(0)
     cache = InferenceCache(weights, data, recal)
     arch_other = Architecture.from_encoding([slots[:1], [], subset.active_slots(2)[:1]])
-    evaluate(weights, arch_other, data, recal, cache=cache)
+    evaluate(cache, arch_other)
     weights.params[f"L0.S{slots[1]}.w1"][0, 0] = np.nan
     arch = Architecture.from_encoding([slots[1:2], [], subset.active_slots(2)[:1]])
     with pytest.raises(NotFiniteError):
-        evaluate(weights, arch, data, recal, cache=cache)
-
-
-def test_cache_rejects_other_weights():
-    subset, weights, data, recal = trained_net(seed=8)
-    _, _, _, other = build_net(roles=("normal", "normal", "reduction"), ops=4, seed=9)
-    arch = sample_uniform_architecture(subset, make_rng("nograd-other", 0))
-    with pytest.raises(ValueError):
-        evaluate(other, arch, data, recal, cache=InferenceCache(weights, data, recal))
+        evaluate(cache, arch)
 
 
 def test_cache_rejects_recal_batches_of_unequal_size():
@@ -551,8 +540,9 @@ def test_train_step_matches_the_tape_bit_for_bit():
     assert losses[0] == losses[1]
     assert len(set(losses[0])) > 20
     assert state_hash(fast) == state_hash(tape)
-    # the tape's own statistics fold every branch it trained
-    assert all(stats.running_mean.any() for stats in tape_stats(tape).values())
+    # every branch was trained: each block differs from a fresh init
+    fresh = SharedWeights(subset, tape.geometry, seed)
+    assert all(not np.array_equal(tape.blocks[k], fresh.blocks[k]) for k in fresh.blocks)
 
 
 def test_train_backward_matches_tape_gradients():
