@@ -158,6 +158,8 @@ class BenchmarkSettings:
             raise ValueError("cost_low must be >= 0")
         if not self.cost_low <= self.cost_high:
             raise ValueError("cost_low must be <= cost_high")
+        if not self.overhead >= 0:
+            raise ValueError("overhead must be >= 0")
 
     def build(self, pool: SearchSpacePool) -> SyntheticBenchmark:
         return SyntheticBenchmark.generate(
@@ -180,6 +182,8 @@ class NetworkSettings:
     def __post_init__(self) -> None:
         if any(w < 1 for w in self.layer_widths):
             raise ValueError("layer_widths must be positive integers")
+        if not self.unit_scale >= 0:
+            raise ValueError("unit_scale must be >= 0")
 
 
 @dataclass
@@ -255,7 +259,9 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     cfg = parse_config(data)

@@ -475,7 +475,6 @@ class Engine:
                 )
                 for name, curve in curves.items():
                     curve.append(stepped[name])
-                values = [dict(layer) for layer in thetas.values]
                 removed = prune(
                     thetas,
                     state.subset,
@@ -487,9 +486,9 @@ class Engine:
                         "step": len(curves["loss"]) - 1,
                         "layer": li,
                         "slot": slot,
-                        "indicator": values[li][slot],
+                        "indicator": value,
                     }
-                    for li, slot in removed
+                    for li, slot, value in removed
                 ]
                 if removed:
                     train_sampler = GateSampler.uniform(state.subset)
@@ -502,7 +501,7 @@ class Engine:
         )
         cache = InferenceCache(weights, self.dataset, recal, self.retrieval.eval_batch_size)
         evaluator = SupernetEvaluator(cache, self.cost_table)
-        sampler = indicator_sampler(thetas, state.subset.roles)
+        sampler = indicator_sampler(thetas.probabilities(), state.subset.roles)
         extras = {
             "mean_train_loss": float(np.mean(losses)) if losses else None,
             "pruned": len(prune_log),

@@ -2,12 +2,14 @@
 
 Each active, non-identity operation carries a real indicator; its sigmoid is
 the operation's Bernoulli selection probability, and a layer configuration's
-probability is the product over its gates.  Indicators are trained with a
-two-configuration simulated gradient: the network is forwarded under one
-sampled configuration per layer, a second configuration is scored on the
-same layer inputs without gradients, and the pair probabilities are rescaled
-to sum to one.  A resource regularizer pushes the expected pair cost toward
-the target demand.
+probability is the product over its gates.  Indicators and probabilities
+are plain per-layer ``{slot: value}`` dicts.  Each indicator step draws
+every layer's configuration pair from one sampler of the probabilities and
+trains the indicators with a two-configuration simulated gradient: the
+network is forwarded under one sampled configuration per layer, a second
+configuration is scored on the same layer inputs without gradients, and the
+pair probabilities are rescaled to sum to one.  A resource regularizer
+pushes the expected pair cost toward the target demand.
 
 Threshold pruning deactivates operations whose indicator falls below the
 pruning threshold, except inherited operations (locked) and the last active
@@ -31,7 +33,6 @@ from .resources import (
     penalty_gradient_wrt_r,
 )
 from .space import (
-    NORMAL,
     REDUCTION,
     Architecture,
     GateSampler,
@@ -51,6 +52,9 @@ def op_probability(theta: float) -> float:
     return z / (1.0 + z)
 
 
+Probabilities = tuple[dict[int, float], ...]  # per layer, {slot: p} by slot
+
+
 @dataclass
 class FitnessIndicators:
     """Per-layer maps of slot index to indicator value."""
@@ -66,25 +70,13 @@ class FitnessIndicators:
             ]
         )
 
-    def slots(self, layer_index: int) -> list[int]:
-        return sorted(self.values[layer_index])
-
-    def theta(self, layer_index: int, slot: int) -> float:
-        return self.values[layer_index][slot]
-
-    def set(self, layer_index: int, slot: int, value: float) -> None:
-        self.values[layer_index][slot] = value
-
-    def remove(self, layer_index: int, slot: int) -> None:
-        del self.values[layer_index][slot]
-
-    def probabilities(self) -> "SlotProbabilities":
-        """Every slot's probability now, each computed once."""
-        return SlotProbabilities(
-            tuple(
-                {slot: op_probability(value) for slot, value in sorted(layer.items())}
-                for layer in self.values
-            )
+    def probabilities(self) -> Probabilities:
+        """Every slot's probability now, each computed once, per layer as
+        ``{slot: p}`` in ascending slot order; the functions below read
+        probabilities only from such a snapshot."""
+        return tuple(
+            {slot: op_probability(value) for slot, value in sorted(layer.items())}
+            for layer in self.values
         )
 
     def to_json(self) -> dict:
@@ -96,60 +88,21 @@ class FitnessIndicators:
         }
 
 
-@dataclass(frozen=True)
-class SlotProbabilities:
-    """Every slot's ``op_probability`` at one moment, per layer in slot order.
-
-    ``FitnessIndicators.probabilities`` takes it; the functions below read
-    probabilities only from it, so each is computed once per snapshot.
-    """
-
-    layers: tuple[dict[int, float], ...]
-
-    def slots(self, layer_index: int) -> list[int]:
-        return list(self.layers[layer_index])
-
-    def probability(self, layer_index: int, slot: int) -> float:
-        return self.layers[layer_index][slot]
-
-
-def config_probability(gate: GateVector, thetas: SlotProbabilities) -> float:
+def config_probability(gate: GateVector, probs: Probabilities) -> float:
     """Joint Bernoulli probability of one layer configuration.
 
     Identity paths are structural with probability fixed to 1, so they never
     appear here; only indicator-carrying slots contribute factors.
     """
     prob = 1.0
-    for slot in thetas.slots(gate.layer_index):
-        p = thetas.probability(gate.layer_index, slot)
+    for slot, p in probs[gate.layer_index].items():
         prob *= p if slot in gate.selected else (1.0 - p)
     return prob
 
 
-def indicator_sampler(
-    thetas: FitnessIndicators, roles: Sequence[str]
-) -> GateSampler:
-    """Gate each slot independently by its indicator probability."""
-    probs = thetas.probabilities().layers
+def indicator_sampler(probs: Probabilities, roles: Sequence[str]) -> GateSampler:
+    """Gate each slot independently by its probability in ``probs``."""
     return GateSampler([list(p) for p in probs], roles, [list(p.values()) for p in probs])
-
-
-def layer_sampler(thetas: SlotProbabilities, layer_index: int, role: str) -> GateSampler:
-    """A sampler of one layer's configurations by its indicator probabilities.
-
-    The layers before it are left empty, so a draw reads only this layer's
-    doubles and its gate vector and errors carry the real layer index.
-    """
-    slots = thetas.slots(layer_index)
-    probs = [thetas.probability(layer_index, s) for s in slots]
-    empty = [()] * layer_index
-    return GateSampler(empty + [slots], [NORMAL] * layer_index + [role], empty + [probs])
-
-
-def draw_config(sampler: GateSampler, rng: np.random.Generator) -> GateVector:
-    """One draw of a ``layer_sampler``'s layer."""
-    li = len(sampler.slots) - 1
-    return sampler.gate(li, int(sampler.draw(rng, 1)[0, li]))
 
 
 def sample_architecture(
@@ -157,7 +110,7 @@ def sample_architecture(
     subset: SubsetState,
     rng: np.random.Generator,
 ) -> Architecture:
-    sampler = indicator_sampler(thetas, subset.roles)
+    sampler = indicator_sampler(thetas.probabilities(), subset.roles)
     return sampler.decode(sampler.draw(rng, 1)[0])
 
 
@@ -169,37 +122,36 @@ def rescale_pair(p_a: float, p_b: float) -> tuple[float, float]:
 
 
 def config_probability_grads(
-    gate: GateVector, thetas: SlotProbabilities, p_hat: float | None = None
+    gate: GateVector, probs: Probabilities, p_hat: float | None = None
 ) -> dict[int, float]:
     """d p_hat / d theta_n for every slot: p_hat * (g_n - p_n).  ``p_hat``,
-    when given, is ``config_probability(gate, thetas)``, already computed."""
-    p_hat = config_probability(gate, thetas) if p_hat is None else p_hat
+    when given, is ``config_probability(gate, probs)``, already computed."""
+    p_hat = config_probability(gate, probs) if p_hat is None else p_hat
     return {
-        slot: p_hat
-        * (
-            (1.0 if slot in gate.selected else 0.0)
-            - thetas.probability(gate.layer_index, slot)
-        )
-        for slot in thetas.slots(gate.layer_index)
+        slot: p_hat * ((1.0 if slot in gate.selected else 0.0) - p)
+        for slot, p in probs[gate.layer_index].items()
     }
 
 
 def rescaled_pair_grads(
-    g_a: GateVector, g_b: GateVector, thetas: SlotProbabilities, pair: tuple | None = None
+    g_a: GateVector, g_b: GateVector, probs: Probabilities, pair: tuple | None = None
 ) -> dict[int, float]:
     """d p_tilde_a / d theta_n through the pair rescale (quotient rule).
 
     The companion derivative d p_tilde_b / d theta_n is the negation.
     ``pair``, when given, is the two configurations' ``config_probability``.
     """
-    p_a, p_b = pair or (config_probability(g_a, thetas), config_probability(g_b, thetas))
-    d_a = config_probability_grads(g_a, thetas, p_a)
-    d_b = config_probability_grads(g_b, thetas, p_b)
+    p_a, p_b = pair or (config_probability(g_a, probs), config_probability(g_b, probs))
+    d_a = config_probability_grads(g_a, probs, p_a)
+    d_b = config_probability_grads(g_b, probs, p_b)
     total_sq = (p_a + p_b) ** 2
     return {
         slot: (d_a[slot] * p_b - p_a * d_b[slot]) / total_sq
-        for slot in thetas.slots(g_a.layer_index)
+        for slot in probs[g_a.layer_index]
     }
+
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # ThetaAdam's decay rates and guard
 
 
 class ThetaAdam:
@@ -209,17 +161,10 @@ class ThetaAdam:
     stepped on every call, as ``indicator_update_step`` does.
     """
 
-    def __init__(
-        self,
-        lr: float = 0.1,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, lr: float = 0.1):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self._m: dict[tuple[int, int], float] = {}
         self._v: dict[tuple[int, int], float] = {}
         self._t = 0
@@ -228,19 +173,16 @@ class ThetaAdam:
         self, thetas: FitnessIndicators, grads: Mapping[tuple[int, int], float]
     ) -> None:
         self._t += 1
-        c1, c2 = 1 - self.b1**self._t, 1 - self.b2**self._t
+        c1, c2 = 1 - BETA1**self._t, 1 - BETA2**self._t
         for (li, slot), g in grads.items():
             if not math.isfinite(g):
                 raise nn.NotFiniteError("non-finite indicator gradient")
-            m = self.b1 * self._m.get((li, slot), 0.0) + (1 - self.b1) * g
-            v = self.b2 * self._v.get((li, slot), 0.0) + (1 - self.b2) * g * g
+            m = BETA1 * self._m.get((li, slot), 0.0) + (1 - BETA1) * g
+            v = BETA2 * self._v.get((li, slot), 0.0) + (1 - BETA2) * g * g
             self._m[(li, slot)], self._v[(li, slot)] = m, v
             m_hat = m / c1
             v_hat = v / c2
-            value = thetas.theta(li, slot) - self.lr * m_hat / (
-                math.sqrt(v_hat) + self.eps
-            )
-            thetas.set(li, slot, value)
+            thetas.values[li][slot] -= self.lr * m_hat / (math.sqrt(v_hat) + EPS)
 
 
 def indicator_update_step(
@@ -255,26 +197,26 @@ def indicator_update_step(
 ) -> dict:
     """One simulated-gradient update of the indicator table.
 
-    Samples a configuration pair per layer, forwards the first configuration
-    through the whole network on a validation batch, reads each layer
-    output's gradient from the backward pass (no weight gradients are
-    formed), scores the second configuration on the same layer inputs
-    without gradients, reusing the branch outputs the two share, and applies
-    the rescaled-pair chain rule plus the resource penalty.  Shared weights
-    are not updated.
+    Draws every layer's configuration pair from one sampler of the table's
+    probabilities, forwards the first configuration through the whole
+    network on a validation batch, reads each layer output's gradient from
+    the backward pass (no weight gradients are formed), scores the second
+    configuration on the same layer inputs without gradients, reusing the
+    branch outputs the two share, and applies the rescaled-pair chain rule
+    plus the resource penalty.  Shared weights are not updated.
     """
     x, y = val_batch
     probs = thetas.probabilities()
+    sampler = indicator_sampler(probs, subset.roles)
     gates_a = []
     gates_b = []
     for li in range(subset.num_layers):
-        sampler = layer_sampler(probs, li, subset.roles[li])
-        gates_a.append(draw_config(sampler, rng))
-        gates_b.append(draw_config(sampler, rng))
+        gates_a.append(sampler.draw_gate(rng, li))
+        gates_b.append(sampler.draw_gate(rng, li))
 
     record = weights.train_forward(gates_a, x)
     loss, dlogits = nn.softmax_cross_entropy_array(record.logits, y)
-    _, upstreams = weights.train_backward(record, dlogits, param_grads=False)
+    upstreams = weights.train_backward(record, dlogits, param_grads=False)
 
     per_layer = []
     expected_cost = 0.0
@@ -313,29 +255,31 @@ def prune(
     subset: SubsetState,
     threshold: float,
     lock_inherited: bool = True,
-) -> list[tuple[int, int]]:
+) -> list[tuple[int, int, float]]:
     """Deactivate operations whose indicator fell below the threshold.
 
     Inherited operations are exempt while the lock is on, and a reduction
     layer always keeps its last active path.  Weakest candidates go first so
-    the survivor of a reduction layer is its best-scored path.
+    the survivor of a reduction layer is its best-scored path.  Returns a
+    ``(layer, slot, indicator)`` triple per pruned operation, in pruning
+    order, with the indicator value it was pruned at.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    removed: list[tuple[int, int]] = []
+    removed: list[tuple[int, int, float]] = []
     for li in range(subset.num_layers):
         candidates = []
         for entry in subset.active_entries(li):
             slot = entry.descriptor.slot_index
             if lock_inherited and entry.origin == "inherited":
                 continue
-            value = thetas.theta(li, slot)
+            value = thetas.values[li][slot]
             if value < threshold:
                 candidates.append((value, slot))
-        for _, slot in sorted(candidates):
+        for value, slot in sorted(candidates):
             if subset.roles[li] == REDUCTION and len(subset.active_entries(li)) == 1:
                 break
             subset.deactivate(li, slot)
-            thetas.remove(li, slot)
-            removed.append((li, slot))
+            del thetas.values[li][slot]
+            removed.append((li, slot, value))
     return removed

@@ -30,8 +30,8 @@ class CostTable:
     unit: str = "units"
 
     def __post_init__(self) -> None:
-        if self.fixed_overhead < 0:
-            raise ResourceError("fixed_overhead must be nonnegative")
+        if not (math.isfinite(self.fixed_overhead) and self.fixed_overhead >= 0):
+            raise ResourceError("fixed_overhead must be finite and nonnegative")
         for key, value in self.cost.items():
             if not (math.isfinite(value) and value >= 0):
                 raise ResourceError(f"cost for {key} must be finite and nonnegative")

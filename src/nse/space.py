@@ -86,7 +86,6 @@ class LayerSpec:
 @dataclass
 class SearchSpacePool:
     layers: list[LayerSpec]
-    shuffle_seed: int
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -275,7 +274,7 @@ def shuffle_pool(declared_layers: Sequence[DeclaredLayer], seed: int) -> SearchS
             for slot, src in enumerate(order)
         ]
         layers.append(LayerSpec(layer_index=li, role=decl.role, pool=pool))
-    return SearchSpacePool(layers=layers, shuffle_seed=seed)
+    return SearchSpacePool(layers=layers)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +441,7 @@ class GateSampler:
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws as an ``(n, num_layers)`` array of layer masks."""
         if n == 1:  # a lone row is cheaper to resolve in Python
-            row, _ = self._finish_row(rng, rng.random(self.width), [], 0)
+            row, _ = self._finish_row(rng, rng.random(self.width))
             return np.array([row], dtype=np.int64)
         out = np.zeros((n, len(self.slots)), dtype=np.int64)
         if not self.width:  # every layer is empty: nothing to read
@@ -548,33 +547,42 @@ class GateSampler:
             bits = buf[: rows * width].reshape(rows, width) < probs
         out[first:row] = bits @ pack
         if crossed:
-            out[row], rest = self._finish_row(rng, buf[pos:], [], 0)
+            out[row], rest = self._finish_row(rng, buf[pos:])
             return row + 1, rest
         return row, buf[pos:]
 
-    def _finish_row(
-        self, rng: np.random.Generator, buf: np.ndarray, row: list[int], start: int
-    ) -> tuple[list[int], np.ndarray]:
-        """Complete a draw from layer ``start`` on, layer by layer.
-
-        ``row`` holds the masks of the layers before ``start``, and ``buf``
-        starts at the doubles of layer ``start``; they are read first, then
-        ``rng``.  Returns the row and the unused rest of ``buf``.
-        """
-        for li in range(start, len(self.slots)):
-            probs, role = self._probs[li], self.roles[li]
-            for _ in range(MAX_REDRAWS):
-                if buf.size < len(probs):
-                    buf = np.concatenate((buf, rng.random(len(probs) - buf.size)))
-                chunk = buf[: len(probs)].tolist()
-                buf = buf[len(probs) :]
-                mask = sum(1 << j for j, (u, p) in enumerate(zip(chunk, probs)) if u < p)
-                if mask or role == NORMAL:
-                    break
-            else:
-                raise RuntimeError(f"redraw cap exceeded in layer {li}")
+    def _finish_row(self, rng: np.random.Generator, buf: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """One draw, layer by layer, from the doubles of ``buf`` and then
+        ``rng``.  Returns the row and the unused rest of ``buf``."""
+        row = []
+        for li in range(len(self.slots)):
+            mask, buf = self._layer_mask(rng, buf, li)
             row.append(mask)
         return row, buf
+
+    def _layer_mask(
+        self, rng: np.random.Generator, buf: np.ndarray, li: int
+    ) -> tuple[int, np.ndarray]:
+        """Layer ``li``'s mask from ``buf`` and then ``rng``: one double per
+        slot per attempt, redrawing an empty reduction chunk.  Returns the
+        mask and the unused rest of ``buf``."""
+        probs, role = self._probs[li], self.roles[li]
+        for _ in range(MAX_REDRAWS):
+            if buf.size < len(probs):
+                buf = np.concatenate((buf, rng.random(len(probs) - buf.size)))
+            chunk = buf[: len(probs)].tolist()
+            buf = buf[len(probs) :]
+            mask = sum(1 << j for j, (u, p) in enumerate(zip(chunk, probs)) if u < p)
+            if mask or role == NORMAL:
+                return mask, buf
+        raise RuntimeError(f"redraw cap exceeded in layer {li}")
+
+    def draw_gate(self, rng: np.random.Generator, layer_index: int) -> GateVector:
+        """One draw of layer ``layer_index`` alone, reading from ``rng`` only
+        that layer's doubles, as a draw of a sampler whose other layers are
+        empty would."""
+        mask, _ = self._layer_mask(rng, np.empty(0), layer_index)
+        return self.gate(layer_index, mask)
 
     def selection(self, layer_index: int, mask: int) -> GateVector:
         """The gate vector of the slots a layer mask selects."""

@@ -257,7 +257,7 @@ class Branch:
     key: str
     act: str
     params: tuple[np.ndarray, ...]
-    grads: dict[str, np.ndarray]  # by parameter name
+    grads: tuple[np.ndarray, ...]
 
 
 @dataclass
@@ -321,7 +321,7 @@ class SharedWeights:
             views = self._block(key, zip(("w1", "b1", "w2", "b2"), shapes))
             self.branches[(li, slot)] = Branch(key, kind.rsplit("_", 1)[1], *views)
 
-    def _block(self, key: str, parts) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
+    def _block(self, key: str, parts) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Block ``key``, its gradient block and their ``key.part`` views of the
         (part, shape) ``parts``; weights are drawn by name, biases start at 0."""
         names, shapes = zip(*[(f"{key}.{part}", shape) for part, shape in parts])
@@ -333,7 +333,7 @@ class SharedWeights:
             if len(shape) == 2:
                 rng = make_rng(self.seed, "init", name)
                 self.params[name][...] = rng.normal(size=shape) * math.sqrt(2.0 / shape[0])
-        return tuple(self.params[n] for n in names), {n: self.grad_views[n] for n in names}
+        return tuple(self.params[n] for n in names), tuple(self.grad_views[n] for n in names)
 
     # -- training pass (plain arrays, one explicit backward per layer)
 
@@ -366,38 +366,37 @@ class SharedWeights:
 
     def train_backward(
         self, record: TrainRecord, dlogits: np.ndarray, param_grads: bool = True
-    ) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
+    ) -> list[np.ndarray]:
         """Backward of ``record`` from d(loss)/d(logits).
 
-        Returns the gradients of the parameters the forward touched, by name
-        (none without ``param_grads``), and the gradient of every layer's
-        output.  The parameter gradients are views into ``grad_blocks``, which
-        the next backward overwrites.  The float operations follow the tape's
-        order, so the results equal ``Tensor.backward`` bit for bit.
+        Returns the gradient of every layer's output.  With ``param_grads``,
+        the gradients of the parameters the forward touched are written into
+        their ``grad_views`` (so into ``grad_blocks``), which the next backward
+        overwrites.  The float operations follow the tape's order, so the
+        results equal ``Tensor.backward`` bit for bit.
         """
         p, gv = self.params, self.grad_views
-        grads: dict[str, np.ndarray] = {}
         if param_grads:
-            grads["head.w"] = np.matmul(record.features.T, dlogits, out=gv["head.w"])
-            grads["head.b"] = dlogits.sum(axis=0, out=gv["head.b"])
+            np.matmul(record.features.T, dlogits, out=gv["head.w"])
+            dlogits.sum(axis=0, out=gv["head.b"])
         g = dlogits @ p["head.w"].T
         out_grads = []
         for li in reversed(range(len(record.layers))):
             out_grads.append(g)
             if li == 0 and not param_grads:
                 break  # layer 0's backward feeds only parameter gradients
-            g = self._layer_backward(li, record.layers[li], g, grads if param_grads else None)
+            g = self._layer_backward(li, record.layers[li], g, param_grads)
         if param_grads:
-            grads["stem.w"] = np.matmul(record.x.T, g, out=gv["stem.w"])
-            grads["stem.b"] = g.sum(axis=0, out=gv["stem.b"])
-        return grads, out_grads[::-1]
+            np.matmul(record.x.T, g, out=gv["stem.w"])
+            g.sum(axis=0, out=gv["stem.b"])
+        return out_grads[::-1]
 
     def _layer_backward(
-        self, li: int, trace: LayerTrace, g: np.ndarray, grads: dict[str, np.ndarray] | None
+        self, li: int, trace: LayerTrace, g: np.ndarray, param_grads: bool
     ) -> np.ndarray:
-        """Gradient of the layer input given ``g`` at its output; branch
-        parameter gradients are written into their views, named in ``grads``,
-        unless it is None.
+        """Gradient of the layer input given ``g`` at its output; with
+        ``param_grads``, branch parameter gradients are written into their
+        views.
 
         The tape's order: the identity part's ``g * alpha`` comes first, then
         each branch's ``da @ w1.T`` in sorted-slot order as a left fold, in
@@ -410,20 +409,19 @@ class SharedWeights:
         if parts > 1:
             g = g * (1.0 / parts)
         dy = normalize_train_grad(g, trace.centered, trace.inv)
-        if grads is not None:
+        if param_grads:
             db2 = dy.sum(axis=1)
         dx = g if normal else None
         for k, op in enumerate(trace.ops):
             w1, _, w2, _ = op.params
             r = trace.hidden[k]
             da = _ACT_GRADS[op.act](dy[k] @ w2.T, r)
-            if grads is not None:
-                gw1, gb1, gw2, gb2 = op.grads.values()
+            if param_grads:
+                gw1, gb1, gw2, gb2 = op.grads
                 np.matmul(trace.x.T, da, out=gw1)
                 da.sum(axis=0, out=gb1)
                 np.matmul(r.T, dy[k], out=gw2)
                 gb2[...] = db2[k]
-                grads.update(op.grads)
             dx = da @ w1.T if dx is None else np.add(dx, da @ w1.T, out=dx)
         return dx
 

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from nse.engine import edging_filter
-from nse.indicators import SlotProbabilities, config_probability_grads, rescaled_pair_grads
+from nse.indicators import Probabilities, config_probability_grads, rescaled_pair_grads
 from nse.nn import (
     EPS_NORM,
     SGD,
@@ -399,7 +399,7 @@ def two_config_ce_grads(
     s_b: float,
     g_a: GateVector,
     g_b: GateVector,
-    thetas: SlotProbabilities,
+    thetas: Probabilities,
 ) -> dict[int, float]:
     """Two-configuration cross-entropy term: (s_a - s_b) * d p_tilde_a."""
     d_tilde = rescaled_pair_grads(g_a, g_b, thetas)
@@ -409,7 +409,7 @@ def two_config_ce_grads(
 def exhaustive_ce_grads(
     layer_index: int,
     role: str,
-    thetas: SlotProbabilities,
+    thetas: Probabilities,
     branch_outputs: Mapping[int, np.ndarray],
     upstream: np.ndarray,
     identity_input: np.ndarray | None,
@@ -419,7 +419,7 @@ def exhaustive_ce_grads(
     Sums over every configuration of the layer; only feasible for a handful
     of slots, and used as a verification baseline rather than in training.
     """
-    slots = thetas.slots(layer_index)
+    slots = list(thetas[layer_index])
     if len(slots) > 16:
         raise ValueError("exhaustive gradient is limited to small layers")
     grads = {slot: 0.0 for slot in slots}

@@ -32,8 +32,7 @@ from nse.indicators import (
     FitnessIndicators,
     config_probability,
     config_probability_grads,
-    draw_config,
-    layer_sampler,
+    indicator_sampler,
     prune,
     rescale_pair,
     rescaled_pair_grads,
@@ -302,9 +301,10 @@ def test_criterion_4_two_config_estimator_direction():
                 np.sum(upstream * _mixture(outputs, identity_input, sel))
             )
         acc = np.zeros(layer_k)
+        sampler = indicator_sampler(thetas, ["normal"])
         for _ in range(resamples):
-            g_a = draw_config(layer_sampler(thetas, 0, "normal"), rng)
-            g_b = draw_config(layer_sampler(thetas, 0, "normal"), rng)
+            g_a = sampler.draw_gate(rng, 0)
+            g_b = sampler.draw_gate(rng, 0)
             grads = two_config_ce_grads(
                 mix_cache[g_a.selected], mix_cache[g_b.selected], g_a, g_b, thetas
             )
@@ -547,9 +547,9 @@ def test_criterion_9_structural_invariants(tmp_path):
     slots0 = subset.active_slots(0)
     subset.entry(0, slots0[0]).origin = "inherited"
     thetas = FitnessIndicators.for_subset(subset)
-    thetas.set(0, slots0[0], -9.0)
+    thetas.values[0][slots0[0]] = -9.0
     for slot in subset.active_slots(1):
-        thetas.set(1, slot, -9.0)
+        thetas.values[1][slot] = -9.0
     prune(thetas, subset, threshold=-2.0)
     assert slots0[0] in subset.active_slots(0)
     assert len(subset.active_slots(1)) == 1

@@ -378,6 +378,34 @@ def test_supernet_run_with_file_cost_table(tmp_path, capsys):
     assert engine.cost_table.fixed_overhead == 1.0
 
 
+@pytest.mark.parametrize("overhead", ["NaN", "Infinity"])
+def test_non_finite_cost_table_overhead_exits_with_config_code(tmp_path, capsys, overhead):
+    # json.loads reads the literal; the table is refused before training starts
+    path = write_config(
+        tmp_path,
+        evaluator="supernet",
+        max_rounds=1,
+        pool={"num_layers": 2, "ops_per_layer": 6, "reduction_layers": [1], "preset": "toy"},
+        constraint={"tau": 200.0, "cost_table": str(tmp_path / "table.json")},
+        network={"stem_width": 8, "layer_widths": [8, 10]},
+    )
+    (tmp_path / "table.json").write_text(
+        "{" + ", ".join(f'"{li}.{s}": 3.0' for li in range(2) for s in range(6))
+        + f', "_overhead": {overhead}}}'
+    )
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cost table file") and "fixed_overhead" in err, err
+    assert not (tmp_path / "run" / "round_001").exists()
+
+
+def test_config_file_that_is_not_utf8_exits_with_config_code(tmp_path, capsys):
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"oracle", b"or\xe9cle"))  # Latin-1 bytes
+    assert main(["run", str(path)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_auxiliary_one_no_longer_empties_the_front(tmp_path, monkeypatch):
     # every raw-front point of round 1 sits near tau and the single
     # auxiliary sample beats them all; the edging filter used to empty the
@@ -634,6 +662,8 @@ REJECTED = [
     ({"training": {"weight_decay": -1e-4}}, ["config.training", "weight_decay"]),
     ({"benchmark": {"cost_low": -50}}, ["config.benchmark", "cost_low"]),
     ({"benchmark": {"cost_low": 200, "cost_high": 10}}, ["config.benchmark", "cost_low"]),
+    ({"benchmark": {"overhead": -5}}, ["config.benchmark", "overhead"]),
+    ({"evaluator": "supernet", "network": {"unit_scale": -1}}, ["config.network", "unit_scale"]),
     # non-finite numbers, which json.loads reads from NaN and Infinity
     *[
         ({section: {key: value}}, [f"config.{section}", key, "finite number"])

@@ -18,9 +18,8 @@ from nse.indicators import (
     ThetaAdam,
     config_probability,
     config_probability_grads,
-    draw_config,
+    indicator_sampler,
     indicator_update_step,
-    layer_sampler,
     op_probability,
     prune,
     rescale_pair,
@@ -78,8 +77,9 @@ def test_config_probabilities_sum_to_one():
 def test_sample_config_saturated_indicator():
     thetas = make_probs([{0: 20.0, 1: -20.0}])
     rng = make_rng("sat", 0)
+    sampler = indicator_sampler(thetas, ["normal"])
     for _ in range(200):
-        gate = draw_config(layer_sampler(thetas, 0, "normal"), rng)
+        gate = sampler.draw_gate(rng, 0)
         assert 0 in gate.selected
         assert 1 not in gate.selected
 
@@ -90,8 +90,9 @@ def test_sample_config_monte_carlo_frequencies():
     rng = make_rng("freq", 1)
     n = 100_000
     counts = np.zeros(3)
+    sampler = indicator_sampler(thetas, ["normal"])
     for _ in range(n):
-        gate = draw_config(layer_sampler(thetas, 0, "normal"), rng)
+        gate = sampler.draw_gate(rng, 0)
         for s in gate.selected:
             counts[s] += 1
     for s in range(3):
@@ -103,8 +104,9 @@ def test_sample_config_zero_thetas_matches_uniform_law():
     rng = make_rng("unif", 2)
     n = 60_000
     freq: dict = {}
+    sampler = indicator_sampler(thetas, ["reduction"])
     for _ in range(n):
-        gate = draw_config(layer_sampler(thetas, 0, "reduction"), rng)
+        gate = sampler.draw_gate(rng, 0)
         freq[gate.selected] = freq.get(gate.selected, 0) + 1
     for key in ((0,), (1,), (0, 1)):
         assert abs(freq.get(key, 0) / n - 1 / 3) < 0.012
@@ -262,11 +264,11 @@ def test_penalty_only_update_pushes_costly_ops_down():
         opt = ThetaAdam(lr=0.1)
         # replay the step's per-layer draw order: g_a then g_b per layer
         probe = make_rng("pair", attempt)
-        probs = thetas.probabilities()
+        sampler = indicator_sampler(thetas.probabilities(), subset.roles)
         g_as, g_bs = [], []
         for li in range(3):
-            g_as.append(draw_config(layer_sampler(probs, li, "normal"), probe))
-            g_bs.append(draw_config(layer_sampler(probs, li, "normal"), probe))
+            g_as.append(sampler.draw_gate(probe, li))
+            g_bs.append(sampler.draw_gate(probe, li))
         if all(a.selected != b.selected for a, b in zip(g_as, g_bs)):
             step_rng = make_rng("pair", attempt)
             indicator_update_step(
@@ -274,7 +276,7 @@ def test_penalty_only_update_pushes_costly_ops_down():
             )
             slot = subset.active_slots(0)[0]
             assert all(
-                thetas.theta(li, subset.active_slots(li)[0]) < 0.0 for li in range(3)
+                thetas.values[li][subset.active_slots(li)[0]] < 0.0 for li in range(3)
             )
             return
     pytest.fail("no sampling seed produced differing configuration pairs")
@@ -324,11 +326,11 @@ def test_prune_drops_fresh_below_threshold():
     subset = _pruning_subset()
     thetas = FitnessIndicators.for_subset(subset)
     slots = subset.active_slots(0)
-    thetas.set(0, slots[0], -2.5)
+    thetas.values[0][slots[0]] = -2.5
     removed = prune(thetas, subset, threshold=-2.0)
-    assert (0, slots[0]) in removed
+    assert (0, slots[0], -2.5) in removed
     assert slots[0] not in subset.active_slots(0)
-    assert slots[0] not in thetas.slots(0)
+    assert slots[0] not in thetas.values[0]
 
 
 def test_prune_keeps_inherited_ops():
@@ -336,7 +338,7 @@ def test_prune_keeps_inherited_ops():
     slots = subset.active_slots(0)
     subset.entry(0, slots[0]).origin = "inherited"
     thetas = FitnessIndicators.for_subset(subset)
-    thetas.set(0, slots[0], -2.5)
+    thetas.values[0][slots[0]] = -2.5
     removed = prune(thetas, subset, threshold=-2.0)
     assert removed == []
     assert slots[0] in subset.active_slots(0)
@@ -347,9 +349,9 @@ def test_prune_unlocked_when_rehearsal_disabled():
     slots = subset.active_slots(0)
     subset.entry(0, slots[0]).origin = "inherited"
     thetas = FitnessIndicators.for_subset(subset)
-    thetas.set(0, slots[0], -2.5)
+    thetas.values[0][slots[0]] = -2.5
     removed = prune(thetas, subset, threshold=-2.0, lock_inherited=False)
-    assert (0, slots[0]) in removed
+    assert (0, slots[0], -2.5) in removed
 
 
 def test_prune_never_empties_reduction_layer():
@@ -357,7 +359,7 @@ def test_prune_never_empties_reduction_layer():
     thetas = FitnessIndicators.for_subset(subset)
     red_slots = subset.active_slots(1)
     for rank, slot in enumerate(red_slots):
-        thetas.set(1, slot, -5.0 - rank)
+        thetas.values[1][slot] = -5.0 - rank
     prune(thetas, subset, threshold=-2.0)
     survivors = subset.active_slots(1)
     assert len(survivors) == 1
@@ -370,7 +372,7 @@ def test_prune_shrinks_active_set_strictly_when_it_fires():
     thetas = FitnessIndicators.for_subset(subset)
     before = sum(len(subset.active_slots(li)) for li in range(2))
     slots = subset.active_slots(0)
-    thetas.set(0, slots[1], -3.0)
+    thetas.values[0][slots[1]] = -3.0
     removed = prune(thetas, subset, threshold=-2.0)
     after = sum(len(subset.active_slots(li)) for li in range(2))
     assert removed and after == before - len(removed)
@@ -410,7 +412,7 @@ def test_theta_adam_equals_per_slot_adam_bit_for_bit():
             moments[key] = m, v, t
             m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
             expected[key] -= 0.05 * m_hat / (math.sqrt(v_hat) + eps)
-        assert {key: thetas.theta(*key) for key in keys} == expected
+        assert {(li, slot): thetas.values[li][slot] for li, slot in keys} == expected
 
 
 def tape_indicator_update_step(
@@ -424,10 +426,11 @@ def tape_indicator_update_step(
 
     x, y = val_batch
     probs = thetas.probabilities()
+    sampler = indicator_sampler(probs, subset.roles)
     gates_a, gates_b = [], []
     for li in range(subset.num_layers):
-        gates_a.append(draw_config(layer_sampler(probs, li, subset.roles[li]), rng))
-        gates_b.append(draw_config(layer_sampler(probs, li, subset.roles[li]), rng))
+        gates_a.append(sampler.draw_gate(rng, li))
+        gates_b.append(sampler.draw_gate(rng, li))
     set_mode(weights, "train")
     logits, layer_inputs, layer_outputs, _ = forward_collect(weights, gates_a, nn.Tensor(x))
     loss = nn.softmax_cross_entropy(logits, y)
@@ -485,18 +488,17 @@ def test_indicator_step_matches_the_tape_bit_for_bit():
         thetas = FitnessIndicators.for_subset(subset)
         vals = make_rng("tape-thetas", 0).normal(size=15)
         for li in range(3):
-            for k, slot in enumerate(thetas.slots(li)):
-                thetas.set(li, slot, float(vals[li * 5 + k]))
+            for k, slot in enumerate(sorted(thetas.values[li])):
+                thetas.values[li][slot] = float(vals[li * 5 + k])
         return thetas
 
     # a sampling seed whose gate-b configurations both share branches with
     # gate a and select branches gate a left out
     for attempt in range(100):
         probe = make_rng("tape-pair", attempt)
-        probs = fresh_thetas().probabilities()
+        sampler = indicator_sampler(fresh_thetas().probabilities(), roles)
         pairs = [
-            (draw_config(layer_sampler(probs, li, roles[li]), probe).selected,
-             draw_config(layer_sampler(probs, li, roles[li]), probe).selected)
+            (sampler.draw_gate(probe, li).selected, sampler.draw_gate(probe, li).selected)
             for li in range(3)
         ]
         if any(set(a) & set(b) for a, b in pairs) and any(set(b) - set(a) for a, b in pairs):

@@ -437,3 +437,20 @@ def test_gate_sampler_fetches_mid_row_when_redraws_outrun_the_buffer(monkeypatch
         assert rng.bit_generator.state == ref.bit_generator.state
     # in a multi-row draw only a row that outruns the buffer is handed over
     assert finished
+
+
+def test_draw_gate_reads_one_layer_of_doubles_per_attempt():
+    # a layer drawn alone reads its own slots' doubles per attempt, redrawing
+    # an empty reduction chunk, as a plain one-layer draw does; never the
+    # whole row's width
+    slots = [[], [1, 4], [0, 2, 5], [3], [], [2, 7, 9]]
+    roles = ["normal", "normal", "reduction", "reduction", "normal", "reduction"]
+    probs = [[], [0.4, 0.7], [0.3, 0.5, 0.6], [0.01], [], [0.02, 0.03, 0.01]]
+    sampler = GateSampler(slots, roles, probs)
+    for li in range(len(slots)):
+        for seed in range(20):
+            rng, ref = make_rng("draw-gate", li, seed), make_rng("draw-gate", li, seed)
+            gate = sampler.draw_gate(rng, li)
+            mask = reference_draw([slots[li]], [roles[li]], [probs[li]], ref)[0]
+            assert gate == sampler.selection(li, mask)
+            assert rng.random() == ref.random()

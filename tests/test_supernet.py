@@ -555,8 +555,8 @@ def test_train_backward_matches_tape_gradients():
         set_mode(tape, "train")
         record = fast.train_forward(arch.gate_vectors, x)
         loss, dlogits = softmax_cross_entropy_array(record.logits, y)
-        grads, out_grads = fast.train_backward(record, dlogits)
-        _, no_params = fast.train_backward(record, dlogits, param_grads=False)
+        out_grads = fast.train_backward(record, dlogits)
+        no_params = fast.train_backward(record, dlogits, param_grads=False)
 
         logits, inputs, outputs, leaves = forward_collect(tape, arch.gate_vectors, Tensor(x))
         tape_loss = softmax_cross_entropy(logits, y)
@@ -569,9 +569,8 @@ def test_train_backward_matches_tape_gradients():
             assert np.array_equal(out_grads[li], outputs[li].grad)
             assert np.array_equal(no_params[li], outputs[li].grad)
         touched = tape_grads(leaves)
-        assert set(grads) == set(touched)
         for name, grad in touched.items():
-            assert np.array_equal(grads[name], grad), name
+            assert np.array_equal(fast.grad_views[name], grad), name
 
 
 def test_nan_in_deeper_layer_w2_raises_from_train_step():
@@ -621,8 +620,8 @@ def test_nan_in_deeper_layer_w1_raises_from_both_steps(act, layer):
         )
     thetas = FitnessIndicators.for_subset(subset)
     for li in range(3):
-        for s in thetas.slots(li):
-            thetas.set(li, s, 40.0)  # both gates of every layer select every slot
+        for s in thetas.values[li]:
+            thetas.values[li][s] = 40.0  # both gates of every layer select every slot
     with pytest.raises(NotFiniteError, match="affine"):
         indicator_update_step(
             thetas,
