@@ -66,43 +66,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     def sink(result: RoundResult, state: EvolutionState) -> None:
         round_dir = out / f"round_{result.round_index:03d}"
         round_dir.mkdir(exist_ok=True)
-        _write_json(
-            round_dir / "pareto.json",
-            {
-                "config_hash": chash,
-                "round": result.round_index,
+        artifacts = {
+            "pareto": {
                 "corrected": [_record_json(r) for r in result.front],
                 "raw": [_record_json(r) for r in result.raw_front],
                 "indicators": result.indicator_snapshot,
             },
-        )
-        _write_json(
-            round_dir / "subset.json",
-            {
-                "config_hash": chash,
-                "round": result.round_index,
-                "subset": result.subset_snapshot,
-            },
-        )
-        _write_json(
-            round_dir / "ledger.json",
-            {
-                "config_hash": chash,
-                "round": result.round_index,
-                "ledger": ledger_to_json(state.ledger),
-            },
-        )
-        _write_json(
-            round_dir / "manifest.json",
-            {
-                "config_hash": chash,
-                "round": result.round_index,
+            "subset": {"subset": result.subset_snapshot},
+            "ledger": {"ledger": ledger_to_json(state.ledger)},
+            "manifest": {
                 "master_seed": cfg.master_seed,
                 "duration_seconds": result.duration,
                 "diagnostics": result.diagnostics,
                 "timings": result.timings,
             },
-        )
+        }
+        stamp = {"config_hash": chash, "round": result.round_index}
+        for name, payload in artifacts.items():
+            _write_json(round_dir / f"{name}.json", {**stamp, **payload})
         top = max(result.front, key=lambda r: r.accuracy) if result.front else None
         print(
             f"round {result.round_index}: front {len(result.front)}"

@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 from .engine import Engine, RetrievalConfig
 from .oracle import SyntheticBenchmark
 from .resources import ConstraintConfig, CostTable
-from .space import DeclaredLayer, DeclaredOp, SearchSpacePool, shuffle_pool
+from .space import MAX_LAYER_SLOTS, REDUCTION, DeclaredLayer, DeclaredOp, SearchSpacePool, shuffle_pool
 from .supernet import (
     DatasetConfig,
     NetworkGeometry,
@@ -207,6 +207,9 @@ class RunConfig:
             raise ValueError("evaluator must be 'oracle' or 'supernet'")
         if self.max_rounds < 1 or self.k_per_layer < 1:
             raise ValueError("max_rounds, k_per_layer must be >= 1")
+        active = min(self.k_per_layer, self.pool.ops_per_layer)
+        if active > MAX_LAYER_SLOTS:
+            raise ValueError(f"{active} active slots in a layer; at most {MAX_LAYER_SLOTS} fit a mask")
 
     def geometry(self) -> NetworkGeometry:
         return NetworkGeometry(
@@ -280,6 +283,8 @@ def load_cost_table(path: str) -> CostTable:
         return CostTable.load(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"cost table file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cost table file {path} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"cost table file {path} is not valid JSON: {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -299,21 +304,35 @@ def build_engine(cfg: RunConfig) -> Engine:
         prune_threshold=cfg.constraint.prune_threshold,
         lock_and_rehearse=cfg.lock_and_rehearse,
     )
-    if cfg.evaluator == "oracle":
-        return Engine(benchmark=cfg.benchmark.build(pool), **common)
-    geometry = cfg.geometry()
     path = cfg.constraint.cost_table
-    if path is not None:
+    if cfg.evaluator == "oracle":
+        benchmark = cfg.benchmark.build(pool)
+        table = benchmark.cost_table()
+    elif path is not None:
         table = load_cost_table(path)
         missing = sorted({op.key for layer in pool.layers for op in layer.pool} - table.cost.keys())
         if missing:
             layer, slot = missing[0]
             raise ConfigError(f"cost table file {path} has no entry for layer {layer} slot {slot}")
     else:
-        table = build_cost_table(pool, geometry, cfg.network.unit_scale)
+        table = build_cost_table(pool, cfg.geometry(), cfg.network.unit_scale)
+    # the cheapest architecture selects each reduction layer's cheapest slot
+    # and nothing else; its cost adds up as ``architecture_cost`` adds it
+    total = 0.0
+    for layer in pool.layers:
+        if layer.role == REDUCTION:
+            total += min(table.lookup(layer.layer_index, op.slot_index) for op in layer.pool)
+    cheapest = table.fixed_overhead + total
+    if cfg.constraint.upper_bound < cheapest:
+        raise ConfigError(
+            f"config.constraint.upper_bound {cfg.constraint.upper_bound} is below {cheapest},"
+            " the cost of the pool's cheapest architecture"
+        )
+    if cfg.evaluator == "oracle":
+        return Engine(benchmark=benchmark, **common)
     return Engine(
         dataset=ToyDataset.generate(cfg.dataset),
-        geometry=geometry,
+        geometry=cfg.geometry(),
         training=cfg.training,
         cost_table=table,
         **common,

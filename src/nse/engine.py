@@ -464,30 +464,15 @@ class Engine:
             if (step + 1) % 2 == 0:
                 started = clock()
                 stepped = indicator_update_step(
-                    thetas,
-                    weights,
-                    state.subset,
-                    val_stream.next(),
-                    self.cost_table,
-                    self.constraint,
-                    t_opt,
-                    ind_rng,
+                    thetas, weights, state.subset, val_stream.next(), self.cost_table,
+                    self.constraint, t_opt, ind_rng,
                 )
                 for name, curve in curves.items():
                     curve.append(stepped[name])
-                removed = prune(
-                    thetas,
-                    state.subset,
-                    self.prune_threshold,
-                    lock_inherited=self.lock_and_rehearse,
-                )
+                removed = prune(thetas, state.subset, self.prune_threshold, self.lock_and_rehearse)
+                at = len(curves["loss"]) - 1
                 prune_log += [
-                    {
-                        "step": len(curves["loss"]) - 1,
-                        "layer": li,
-                        "slot": slot,
-                        "indicator": value,
-                    }
+                    {"step": at, "layer": li, "slot": slot, "indicator": value}
                     for li, slot, value in removed
                 ]
                 if removed:
@@ -501,7 +486,7 @@ class Engine:
         )
         cache = InferenceCache(weights, self.dataset, recal, self.retrieval.eval_batch_size)
         evaluator = SupernetEvaluator(cache, self.cost_table)
-        sampler = indicator_sampler(thetas.probabilities(), state.subset.roles)
+        sampler = indicator_sampler(thetas, state.subset.roles)
         extras = {
             "mean_train_loss": float(np.mean(losses)) if losses else None,
             "pruned": len(prune_log),

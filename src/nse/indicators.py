@@ -2,14 +2,16 @@
 
 Each active, non-identity operation carries a real indicator; its sigmoid is
 the operation's Bernoulli selection probability, and a layer configuration's
-probability is the product over its gates.  Indicators and probabilities
-are plain per-layer ``{slot: value}`` dicts.  Each indicator step draws
-every layer's configuration pair from one sampler of the probabilities and
-trains the indicators with a two-configuration simulated gradient: the
-network is forwarded under one sampled configuration per layer, a second
-configuration is scored on the same layer inputs without gradients, and the
-pair probabilities are rescaled to sum to one.  A resource regularizer
-pushes the expected pair cost toward the target demand.
+probability is the product over its gates.  The indicator table is one
+flat array with a column per active slot, in a ``GateSampler``'s gate-bit
+order; probabilities, gradients and Adam moments are arrays in that order.
+Each indicator step draws every layer's configuration pair from one sampler
+of the probabilities and trains the indicators with a two-configuration
+simulated gradient: the network is forwarded under one sampled
+configuration per layer, a second configuration is scored on the same layer
+inputs without gradients, and the pair probabilities are rescaled to sum to
+one.  A resource regularizer pushes the expected pair cost toward the
+target demand.
 
 Threshold pruning deactivates operations whose indicator falls below the
 pruning threshold, except inherited operations (locked) and the last active
@@ -18,27 +20,15 @@ path of a reduction layer.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import nn
-from .resources import (
-    ConstraintConfig,
-    CostTable,
-    layer_cost,
-    penalty,
-    penalty_gradient_wrt_r,
-)
-from .space import (
-    REDUCTION,
-    Architecture,
-    GateSampler,
-    GateVector,
-    SubsetState,
-)
+from .resources import ConstraintConfig, CostTable, MaskCost, penalty, penalty_gradient_wrt_r
+from .space import ORIGIN_INHERITED, REDUCTION, Architecture, GateSampler, SubsetState
 
 
 def op_probability(theta: float) -> float:
@@ -52,57 +42,80 @@ def op_probability(theta: float) -> float:
     return z / (1.0 + z)
 
 
-Probabilities = tuple[dict[int, float], ...]  # per layer, {slot: p} by slot
-
-
-@dataclass
 class FitnessIndicators:
-    """Per-layer maps of slot index to indicator value."""
+    """The indicator table, one column per active slot, and Adam's moments
+    ``m`` and ``v`` for it.
 
-    values: list[dict[int, float]] = field(default_factory=list)
+    Layer ``l`` holds columns ``bounds[l]:bounds[l + 1]``, one per slot of
+    ``slots[l]`` in ascending order: the gate-bit order of the layer masks
+    of ``indicator_sampler``'s GateSampler.  ``inherited`` marks the columns
+    of inherited operations, which pruning leaves alone while they are
+    locked.
+    """
+
+    def __init__(self, slots: Sequence[Sequence[int]], values: np.ndarray, inherited: np.ndarray):
+        self.slots = tuple(tuple(layer) for layer in slots)
+        self.values, self.inherited = values, inherited
+        self.m, self.v = np.zeros(len(values)), np.zeros(len(values))
+
+    @property
+    def bounds(self) -> list[int]:
+        return list(itertools.accumulate(map(len, self.slots), initial=0))
 
     @staticmethod
     def for_subset(subset: SubsetState) -> "FitnessIndicators":
-        return FitnessIndicators(
-            values=[
-                {slot: 0.0 for slot in subset.active_slots(li)}
-                for li in range(subset.num_layers)
-            ]
-        )
+        """Every active slot of ``subset`` at indicator 0."""
+        slots = [subset.active_slots(li) for li in range(subset.num_layers)]
+        inherited = [
+            subset.entry(li, s).origin == ORIGIN_INHERITED for li, layer in enumerate(slots) for s in layer
+        ]
+        return FitnessIndicators(slots, np.zeros(len(inherited)), np.array(inherited, dtype=bool))
 
-    def probabilities(self) -> Probabilities:
-        """Every slot's probability now, each computed once, per layer as
-        ``{slot: p}`` in ascending slot order; the functions below read
-        probabilities only from such a snapshot."""
-        return tuple(
-            {slot: op_probability(value) for slot, value in sorted(layer.items())}
-            for layer in self.values
+    def probabilities(self) -> np.ndarray:
+        """Every column's probability now, each computed once by the scalar
+        ``op_probability``; the functions below read probabilities only from
+        such a snapshot."""
+        return np.array([op_probability(value) for value in self.values.tolist()])
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep only the columns where the bool vector ``mask`` is True, in
+        the slots, the values and the moments alike."""
+        kept = mask.tolist()
+        self.slots = tuple(
+            tuple(slot for c, slot in enumerate(slots, lo) if kept[c])
+            for slots, lo in zip(self.slots, self.bounds)
         )
+        self.values, self.inherited = self.values[mask], self.inherited[mask]
+        self.m, self.v = self.m[mask], self.v[mask]
 
     def to_json(self) -> dict:
+        values = self.values.tolist()
         return {
             "layers": [
-                {str(slot): value for slot, value in sorted(layer.items())}
-                for layer in self.values
+                {str(slot): values[c] for c, slot in enumerate(slots, lo)}
+                for slots, lo in zip(self.slots, self.bounds)
             ]
         }
 
 
-def config_probability(gate: GateVector, probs: Probabilities) -> float:
-    """Joint Bernoulli probability of one layer configuration.
+def config_probability(bits: np.ndarray, probs: np.ndarray) -> float:
+    """Joint Bernoulli probability of one layer configuration, given as the
+    bool vector of the layer's gate bits beside its slots' probabilities.
 
     Identity paths are structural with probability fixed to 1, so they never
-    appear here; only indicator-carrying slots contribute factors.
+    appear here; only indicator-carrying slots contribute factors, multiplied
+    in slot order.
     """
-    prob = 1.0
-    for slot, p in probs[gate.layer_index].items():
-        prob *= p if slot in gate.selected else (1.0 - p)
-    return prob
+    return float(np.multiply.reduce(np.where(bits, probs, 1.0 - probs)))
 
 
-def indicator_sampler(probs: Probabilities, roles: Sequence[str]) -> GateSampler:
-    """Gate each slot independently by its probability in ``probs``."""
-    return GateSampler([list(p) for p in probs], roles, [list(p.values()) for p in probs])
+def indicator_sampler(
+    thetas: FitnessIndicators, roles: Sequence[str], probs: np.ndarray | None = None
+) -> GateSampler:
+    """Gate each slot independently by its indicator's probability.
+    ``probs``, when given, is ``thetas.probabilities()``, already computed."""
+    probs = thetas.probabilities() if probs is None else probs
+    return GateSampler(thetas.slots, roles, np.split(probs, thetas.bounds[1:-1]))
 
 
 def sample_architecture(
@@ -110,7 +123,7 @@ def sample_architecture(
     subset: SubsetState,
     rng: np.random.Generator,
 ) -> Architecture:
-    sampler = indicator_sampler(thetas.probabilities(), subset.roles)
+    sampler = indicator_sampler(thetas, subset.roles)
     return sampler.decode(sampler.draw(rng, 1)[0])
 
 
@@ -122,67 +135,55 @@ def rescale_pair(p_a: float, p_b: float) -> tuple[float, float]:
 
 
 def config_probability_grads(
-    gate: GateVector, probs: Probabilities, p_hat: float | None = None
-) -> dict[int, float]:
-    """d p_hat / d theta_n for every slot: p_hat * (g_n - p_n).  ``p_hat``,
-    when given, is ``config_probability(gate, probs)``, already computed."""
-    p_hat = config_probability(gate, probs) if p_hat is None else p_hat
-    return {
-        slot: p_hat * ((1.0 if slot in gate.selected else 0.0) - p)
-        for slot, p in probs[gate.layer_index].items()
-    }
+    bits: np.ndarray, probs: np.ndarray, p_hat: float | np.ndarray
+) -> np.ndarray:
+    """d p_hat / d theta_n for every column: p_hat * (g_n - p_n).  ``p_hat``
+    is ``config_probability(bits, probs)``: a float for one layer, or per
+    column its layer's float for a table."""
+    return p_hat * (bits - probs)
 
 
 def rescaled_pair_grads(
-    g_a: GateVector, g_b: GateVector, probs: Probabilities, pair: tuple | None = None
-) -> dict[int, float]:
+    bits_a: np.ndarray, bits_b: np.ndarray, probs: np.ndarray, pair: tuple
+) -> np.ndarray:
     """d p_tilde_a / d theta_n through the pair rescale (quotient rule).
 
     The companion derivative d p_tilde_b / d theta_n is the negation.
-    ``pair``, when given, is the two configurations' ``config_probability``.
+    ``pair`` is the two configurations' ``config_probability`` and the
+    square of their sum: floats for one layer, or per column its layer's
+    floats for a table.
     """
-    p_a, p_b = pair or (config_probability(g_a, probs), config_probability(g_b, probs))
-    d_a = config_probability_grads(g_a, probs, p_a)
-    d_b = config_probability_grads(g_b, probs, p_b)
-    total_sq = (p_a + p_b) ** 2
-    return {
-        slot: (d_a[slot] * p_b - p_a * d_b[slot]) / total_sq
-        for slot in probs[g_a.layer_index]
-    }
+    p_a, p_b, total_sq = pair
+    d_a = config_probability_grads(bits_a, probs, p_a)
+    d_b = config_probability_grads(bits_b, probs, p_b)
+    return (d_a * p_b - p_a * d_b) / total_sq
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # ThetaAdam's decay rates and guard
 
 
 class ThetaAdam:
-    """Adam over the scalar indicator table.
+    """Adam over an indicator table, which holds the moments.
 
-    One step count serves every slot, so every slot of the table must be
-    stepped on every call, as ``indicator_update_step`` does.
+    One step count serves every column, so every column of the table must
+    be stepped on every call, as ``indicator_update_step`` does.
     """
 
     def __init__(self, lr: float = 0.1):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.lr = lr
-        self._m: dict[tuple[int, int], float] = {}
-        self._v: dict[tuple[int, int], float] = {}
         self._t = 0
 
-    def step(
-        self, thetas: FitnessIndicators, grads: Mapping[tuple[int, int], float]
-    ) -> None:
+    def step(self, thetas: FitnessIndicators, grads: np.ndarray) -> None:
+        """One update from ``grads``, one per column of ``thetas``."""
+        if not np.isfinite(grads).all():
+            raise nn.NotFiniteError("non-finite indicator gradient")
         self._t += 1
         c1, c2 = 1 - BETA1**self._t, 1 - BETA2**self._t
-        for (li, slot), g in grads.items():
-            if not math.isfinite(g):
-                raise nn.NotFiniteError("non-finite indicator gradient")
-            m = BETA1 * self._m.get((li, slot), 0.0) + (1 - BETA1) * g
-            v = BETA2 * self._v.get((li, slot), 0.0) + (1 - BETA2) * g * g
-            self._m[(li, slot)], self._v[(li, slot)] = m, v
-            m_hat = m / c1
-            v_hat = v / c2
-            thetas.values[li][slot] -= self.lr * m_hat / (math.sqrt(v_hat) + EPS)
+        thetas.m = BETA1 * thetas.m + (1 - BETA1) * grads
+        thetas.v = BETA2 * thetas.v + (1 - BETA2) * grads * grads
+        thetas.values -= self.lr * (thetas.m / c1) / (np.sqrt(thetas.v / c2) + EPS)
 
 
 def indicator_update_step(
@@ -204,45 +205,49 @@ def indicator_update_step(
     configuration on the same layer inputs without gradients, reusing the
     branch outputs the two share, and applies the rescaled-pair chain rule
     plus the resource penalty.  Shared weights are not updated.
+
+    Each layer's scalars (its scores, pair probabilities and costs) are
+    Python floats; every per-column expression is an array expression over
+    the whole table, with each layer's scalars repeated over its columns.
     """
     x, y = val_batch
     probs = thetas.probabilities()
-    sampler = indicator_sampler(probs, subset.roles)
-    gates_a = []
-    gates_b = []
-    for li in range(subset.num_layers):
-        gates_a.append(sampler.draw_gate(rng, li))
-        gates_b.append(sampler.draw_gate(rng, li))
+    sampler = indicator_sampler(thetas, subset.roles, probs)
+    pairs = [(sampler.draw_mask(rng, li), sampler.draw_mask(rng, li)) for li in range(subset.num_layers)]
+    row_a, row_b = zip(*pairs)
+    bits_a, bits_b = sampler.bits(row_a), sampler.bits(row_b)
 
+    gates_a = [sampler.gate(li, mask) for li, mask in enumerate(row_a)]
     record = weights.train_forward(gates_a, x)
     loss, dlogits = nn.softmax_cross_entropy_array(record.logits, y)
     upstreams = weights.train_backward(record, dlogits, param_grads=False)
 
+    columns = MaskCost(sampler, cost_table).columns
+    bounds = thetas.bounds
     per_layer = []
     expected_cost = 0.0
     for li, (trace, upstream) in enumerate(zip(record.layers, upstreams)):
         shared = dict(zip(trace.slots, trace.branches if trace.slots else ()))
-        o_b = weights.layer_output_nograd(li, gates_b[li], trace.x, shared)
+        o_b = weights.layer_output_nograd(li, sampler.gate(li, row_b[li]), trace.x, shared)
         s_a = float(np.sum(upstream * trace.out))
         s_b = float(np.sum(upstream * o_b))
-        p_a = config_probability(gates_a[li], probs)
-        p_b = config_probability(gates_b[li], probs)
+        lo, hi = bounds[li], bounds[li + 1]
+        p_a = config_probability(bits_a[lo:hi], probs[lo:hi])
+        p_b = config_probability(bits_b[lo:hi], probs[lo:hi])
         pt_a, pt_b = rescale_pair(p_a, p_b)
-        d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], probs, (p_a, p_b))
-        c_a = layer_cost(gates_a[li], cost_table)
-        c_b = layer_cost(gates_b[li], cost_table)
+        c_a = c_b = 0.0  # the layer costs, added in slot order as MaskCost does
+        for a, b, cost in zip(bits_a[lo:hi].tolist(), bits_b[lo:hi].tolist(), columns[li]):
+            c_a += a * cost
+            c_b += b * cost
         expected_cost += pt_a * c_a + pt_b * c_b
-        per_layer.append((li, s_a, s_b, d_tilde, c_a, c_b))
+        per_layer.append((s_a - s_b, p_a, p_b, (p_a + p_b) ** 2, c_a - c_b))
 
     r_value = cost_table.fixed_overhead - constraint_cfg.tau + expected_cost
     pg = penalty_gradient_wrt_r(r_value, constraint_cfg)
 
-    grads: dict[tuple[int, int], float] = {}
-    for li, s_a, s_b, d_tilde, c_a, c_b in per_layer:
-        for slot, d in d_tilde.items():
-            grads[(li, slot)] = (s_a - s_b) * d + pg * d * (c_a - c_b)
-
-    optimizer.step(thetas, grads)
+    s_gap, p_a, p_b, total_sq, c_gap = (np.repeat(col, np.diff(bounds)) for col in zip(*per_layer))
+    d = rescaled_pair_grads(bits_a, bits_b, probs, (p_a, p_b, total_sq))
+    optimizer.step(thetas, s_gap * d + pg * d * c_gap)
     return {
         "loss": loss,
         "expected_cost_gap": r_value,
@@ -266,20 +271,21 @@ def prune(
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
+    below = thetas.values < threshold
+    if lock_inherited:
+        below &= ~thetas.inherited
+    if not below.any():
+        return []
+    values, below = thetas.values.tolist(), below.tolist()
+    keep = np.ones(len(values), dtype=bool)
     removed: list[tuple[int, int, float]] = []
-    for li in range(subset.num_layers):
-        candidates = []
-        for entry in subset.active_entries(li):
-            slot = entry.descriptor.slot_index
-            if lock_inherited and entry.origin == "inherited":
-                continue
-            value = thetas.values[li][slot]
-            if value < threshold:
-                candidates.append((value, slot))
-        for value, slot in sorted(candidates):
+    for li, (slots, lo) in enumerate(zip(thetas.slots, thetas.bounds)):
+        candidates = [(values[c], slot, c) for c, slot in enumerate(slots, lo) if below[c]]
+        for value, slot, c in sorted(candidates):
             if subset.roles[li] == REDUCTION and len(subset.active_entries(li)) == 1:
                 break
             subset.deactivate(li, slot)
-            del thetas.values[li][slot]
+            keep[c] = False
             removed.append((li, slot, value))
+    thetas.keep(keep)
     return removed

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .space import Architecture, GateSampler, GateVector
+from .space import Architecture, GateSampler
 
 
 class ResourceError(ValueError):
@@ -70,7 +70,7 @@ class CostTable:
 
     @staticmethod
     def load(path: str) -> "CostTable":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return CostTable.from_json(json.load(fh))
 
 
@@ -104,17 +104,10 @@ class ConstraintConfig:
             self.upper_bound = self.tau
 
 
-def layer_cost(gate_vector: GateVector, table: CostTable) -> float:
-    """Summed cost of one layer's selected branches in ascending slot order
-    (identity adds nothing)."""
-    total = 0.0
-    for slot in gate_vector.selected:
-        total += table.lookup(gate_vector.layer_index, slot)
-    return total
-
-
 def architecture_cost(arch: Architecture, table: CostTable) -> float:
-    """Overhead plus the layer costs, summed left to right first.
+    """Overhead plus the layer costs, each layer's selected branches added
+    in ascending slot order (identity adds nothing), and the layers added
+    left to right first.
 
     Explicit loops rather than ``sum()``, whose float result is compensated
     from Python 3.12 on, so this and ``MaskCost`` give the same float on
@@ -122,7 +115,10 @@ def architecture_cost(arch: Architecture, table: CostTable) -> float:
     """
     total = 0.0
     for gv in arch.gate_vectors:
-        total += layer_cost(gv, table)
+        layer = 0.0
+        for slot in gv.selected:
+            layer += table.lookup(gv.layer_index, slot)
+        total += layer
     return table.fixed_overhead + total
 
 
@@ -131,23 +127,24 @@ class MaskCost:
 
     Bit ``j`` of a layer's mask gates the layer's ``j``-th slot, and a
     sampler's slots ascend, so each layer holds its slot costs in slot
-    order, read from the table once.  A layer's cost adds bit times cost
-    over the whole array, one slot after another, which is ``layer_cost``'s
-    sum: adding 0.0 for an unset bit is exact because costs are
-    nonnegative.  The layers then add up as in ``architecture_cost``, so a
-    row costs exactly what its decoded architecture does.
+    order, read from the table once, as ``columns``.  A layer's cost adds
+    bit times cost from 0.0, one slot after another, which is
+    ``architecture_cost``'s layer sum: adding 0.0 for an unset bit is exact
+    because costs are nonnegative.  The layers then add up as in
+    ``architecture_cost``, so a row costs exactly what its decoded
+    architecture does.
     """
 
     def __init__(self, sampler: GateSampler, table: CostTable):
         self._overhead = table.fixed_overhead
-        self._columns = [
+        self.columns = [
             [table.lookup(li, s) for s in slots] for li, slots in enumerate(sampler.slots)
         ]
 
     def __call__(self, masks: np.ndarray) -> np.ndarray:
         """Costs of an ``(n, num_layers)`` mask array, one per row."""
         total = np.zeros(len(masks))
-        for li, column in enumerate(self._columns):
+        for li, column in enumerate(self.columns):
             # one pass per slot, not ``np.sum``, which adds 8 or more terms pairwise
             layer = np.zeros(len(masks))
             for j, cost in enumerate(column):

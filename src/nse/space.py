@@ -34,6 +34,8 @@ ORIGIN_INHERITED = "inherited"
 # a defect, not bad luck (each redraw fails with probability 2^-n_active).
 MAX_REDRAWS = 10_000
 
+MAX_LAYER_SLOTS = 63  # active slots per layer: a layer's gates are one int64 mask
+
 
 class SpaceError(ValueError):
     pass
@@ -407,8 +409,8 @@ class GateSampler:
                 raise SpaceError(f"layer {li} slots must be distinct and ascending")
             if len(p) != len(layer):
                 raise SpaceError(f"layer {li} needs one probability per slot")
-            if len(layer) > 63:
-                raise SpaceError(f"layer {li} has more than 63 active slots")
+            if len(layer) > MAX_LAYER_SLOTS:
+                raise SpaceError(f"layer {li} has more than {MAX_LAYER_SLOTS} active slots")
         self._bounds = list(itertools.accumulate(map(len, self.slots), initial=0))
         self.width = self._bounds[-1]
         self._gates: list[dict[int, GateVector]] = [{} for _ in self.slots]
@@ -577,12 +579,19 @@ class GateSampler:
                 return mask, buf
         raise RuntimeError(f"redraw cap exceeded in layer {li}")
 
-    def draw_gate(self, rng: np.random.Generator, layer_index: int) -> GateVector:
-        """One draw of layer ``layer_index`` alone, reading from ``rng`` only
-        that layer's doubles, as a draw of a sampler whose other layers are
-        empty would."""
+    def draw_mask(self, rng: np.random.Generator, layer_index: int) -> int:
+        """One draw of layer ``layer_index``'s mask alone, reading from
+        ``rng`` only that layer's doubles, as a draw of a sampler whose other
+        layers are empty would."""
         mask, _ = self._layer_mask(rng, np.empty(0), layer_index)
-        return self.gate(layer_index, mask)
+        return mask
+
+    def bits(self, row: Sequence[int]) -> np.ndarray:
+        """The gate bits of a mask row as one flat bool vector, one column
+        per active slot in layer order: bit ``j`` of layer ``l``'s mask is
+        column ``j`` of the layer's columns."""
+        _, pack, columns, _ = self._arrays
+        return (np.asarray(row, dtype=np.int64)[columns] & pack.sum(axis=1)) != 0
 
     def selection(self, layer_index: int, mask: int) -> GateVector:
         """The gate vector of the slots a layer mask selects."""

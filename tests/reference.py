@@ -17,6 +17,14 @@
   constrained optimum by per-layer dominance merging.
 - ``two_config_ce_grads`` and ``exhaustive_ce_grads``: the sampled and the
   enumerated cross-entropy indicator gradient of one layer.
+- The indicator table as the program held it before it became one flat
+  array: ``dict_probabilities`` gives per-layer ``{slot: p}`` dicts, which
+  ``dict_config_probability``, ``dict_config_probability_grads`` and
+  ``dict_rescaled_pair_grads`` read by membership in a gate vector, and
+  ``DictThetaAdam`` steps the values slot by slot; ``layer_cost`` prices
+  one gate vector.  Beside them, the helpers that move between the two
+  forms: ``indicator_table``, ``column``, ``gate_bits``, ``draw_gate`` and
+  ``pair_of``.
 - ``dominates``, the pairwise Pareto order.
 - ``sample_space_architecture``, a second sampler of the K-bounded space;
   ``reference_keep_draws``, the retrieval keep loop that draws, prices and
@@ -35,7 +43,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from nse.engine import edging_filter
-from nse.indicators import Probabilities, config_probability_grads, rescaled_pair_grads
+from nse.indicators import (
+    FitnessIndicators,
+    config_probability,
+    config_probability_grads,
+    op_probability,
+    rescaled_pair_grads,
+)
 from nse.nn import (
     EPS_NORM,
     SGD,
@@ -50,12 +64,13 @@ from nse.nn import (
 )
 from nse.oracle import SyntheticBenchmark, _layer_score, _saturate, oracle_score
 from nse.pareto import EvaluationRecord, pareto_front
-from nse.resources import MaskCost
+from nse.resources import CostTable, MaskCost
 from nse.rng import make_rng
 from nse.space import (
     NORMAL,
     ORIGIN_FRESH,
     Architecture,
+    GateSampler,
     GateVector,
     SearchSpacePool,
     SpaceError,
@@ -391,6 +406,106 @@ def constrained_optimum(
 
 
 # ---------------------------------------------------------------------------
+# The indicator table, flat and as per-layer dicts
+
+
+def indicator_table(layer_values: Sequence[Mapping[int, float]]) -> FitnessIndicators:
+    """The table holding ``layer_values[l][slot]`` in each layer's column for
+    ``slot``, with no inherited operation."""
+    slots = tuple(tuple(sorted(layer)) for layer in layer_values)
+    values = [float(layer[s]) for layer, layer_slots in zip(layer_values, slots) for s in layer_slots]
+    return FitnessIndicators(slots, np.array(values), np.zeros(len(values), dtype=bool))
+
+
+def column(thetas: FitnessIndicators, layer_index: int, slot: int) -> int:
+    """The table column of ``slot`` in layer ``layer_index``."""
+    return thetas.bounds[layer_index] + thetas.slots[layer_index].index(slot)
+
+
+def gate_bits(gate: GateVector, slots: Sequence[int]) -> np.ndarray:
+    """Which of the layer's ``slots`` the gate vector selects, as bools."""
+    return np.array([slot in gate.selected for slot in slots], dtype=bool)
+
+
+def draw_gate(sampler: GateSampler, rng: np.random.Generator, layer_index: int) -> GateVector:
+    """One layer drawn alone, as a gate vector."""
+    return sampler.gate(layer_index, sampler.draw_mask(rng, layer_index))
+
+
+def pair_of(bits_a: np.ndarray, bits_b: np.ndarray, probs: np.ndarray) -> tuple:
+    """The ``pair`` argument of ``rescaled_pair_grads`` for one layer."""
+    p_a, p_b = config_probability(bits_a, probs), config_probability(bits_b, probs)
+    return p_a, p_b, (p_a + p_b) ** 2
+
+
+def dict_probabilities(thetas: FitnessIndicators) -> tuple[dict[int, float], ...]:
+    """Every slot's probability as per-layer ``{slot: p}`` dicts."""
+    values = thetas.values.tolist()
+    return tuple(
+        {slot: op_probability(values[lo + j]) for j, slot in enumerate(slots)}
+        for slots, lo in zip(thetas.slots, thetas.bounds)
+    )
+
+
+def dict_config_probability(gate: GateVector, probs: Sequence[Mapping[int, float]]) -> float:
+    prob = 1.0
+    for slot, p in probs[gate.layer_index].items():
+        prob *= p if slot in gate.selected else (1.0 - p)
+    return prob
+
+
+def dict_config_probability_grads(
+    gate: GateVector, probs: Sequence[Mapping[int, float]], p_hat: float | None = None
+) -> dict[int, float]:
+    p_hat = dict_config_probability(gate, probs) if p_hat is None else p_hat
+    return {
+        slot: p_hat * ((1.0 if slot in gate.selected else 0.0) - p)
+        for slot, p in probs[gate.layer_index].items()
+    }
+
+
+def dict_rescaled_pair_grads(
+    g_a: GateVector, g_b: GateVector, probs: Sequence[Mapping[int, float]]
+) -> dict[int, float]:
+    p_a, p_b = dict_config_probability(g_a, probs), dict_config_probability(g_b, probs)
+    d_a = dict_config_probability_grads(g_a, probs, p_a)
+    d_b = dict_config_probability_grads(g_b, probs, p_b)
+    total_sq = (p_a + p_b) ** 2
+    return {
+        slot: (d_a[slot] * p_b - p_a * d_b[slot]) / total_sq for slot in probs[g_a.layer_index]
+    }
+
+
+class DictThetaAdam:
+    """Adam over per-layer ``{slot: value}`` dicts, one slot at a time, with
+    one step count for every slot."""
+
+    def __init__(self, lr: float):
+        self.lr = lr
+        self._m: dict[tuple[int, int], float] = {}
+        self._v: dict[tuple[int, int], float] = {}
+        self._t = 0
+
+    def step(self, values: list[dict[int, float]], grads: Mapping[tuple[int, int], float]) -> None:
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        self._t += 1
+        c1, c2 = 1 - b1**self._t, 1 - b2**self._t
+        for (li, slot), g in grads.items():
+            m = b1 * self._m.get((li, slot), 0.0) + (1 - b1) * g
+            v = b2 * self._v.get((li, slot), 0.0) + (1 - b2) * g * g
+            self._m[(li, slot)], self._v[(li, slot)] = m, v
+            values[li][slot] -= self.lr * (m / c1) / (math.sqrt(v / c2) + eps)
+
+
+def layer_cost(gate: GateVector, table: CostTable) -> float:
+    """Summed cost of one layer's selected branches in ascending slot order."""
+    total = 0.0
+    for slot in gate.selected:
+        total += table.lookup(gate.layer_index, slot)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Indicator gradients of one layer
 
 
@@ -399,27 +514,32 @@ def two_config_ce_grads(
     s_b: float,
     g_a: GateVector,
     g_b: GateVector,
-    thetas: Probabilities,
+    slots: Sequence[int],
+    probs: np.ndarray,
 ) -> dict[int, float]:
-    """Two-configuration cross-entropy term: (s_a - s_b) * d p_tilde_a."""
-    d_tilde = rescaled_pair_grads(g_a, g_b, thetas)
-    return {slot: (s_a - s_b) * d for slot, d in d_tilde.items()}
+    """Two-configuration cross-entropy term: (s_a - s_b) * d p_tilde_a, for
+    a layer whose ``slots`` have probabilities ``probs``."""
+    b_a, b_b = gate_bits(g_a, slots), gate_bits(g_b, slots)
+    d_tilde = rescaled_pair_grads(b_a, b_b, probs, pair_of(b_a, b_b, probs))
+    return {slot: (s_a - s_b) * d for slot, d in zip(slots, d_tilde.tolist())}
 
 
 def exhaustive_ce_grads(
     layer_index: int,
     role: str,
-    thetas: Probabilities,
+    slots: Sequence[int],
+    probs: np.ndarray,
     branch_outputs: Mapping[int, np.ndarray],
     upstream: np.ndarray,
     identity_input: np.ndarray | None,
 ) -> dict[int, float]:
-    """Enumeration-based reference for the cross-entropy indicator gradient.
+    """Enumeration-based reference for the cross-entropy indicator gradient
+    of a layer whose ``slots`` have probabilities ``probs``.
 
     Sums over every configuration of the layer; only feasible for a handful
     of slots, and used as a verification baseline rather than in training.
     """
-    slots = list(thetas[layer_index])
+    slots = list(slots)
     if len(slots) > 16:
         raise ValueError("exhaustive gradient is limited to small layers")
     grads = {slot: 0.0 for slot in slots}
@@ -432,8 +552,10 @@ def exhaustive_ce_grads(
                 parts = [identity_input] + parts
             mix = sum(parts) / len(parts)
             s_g = float(np.sum(upstream * mix))
-            for slot, d in config_probability_grads(gate, thetas).items():
-                grads[slot] += s_g * d
+            bits = gate_bits(gate, slots)
+            d = config_probability_grads(bits, probs, config_probability(bits, probs))
+            for slot, d_slot in zip(slots, d.tolist()):
+                grads[slot] += s_g * d_slot
     return grads
 
 

@@ -16,10 +16,15 @@ from conftest import central_difference
 from reference import (
     branch_forward,
     brute_force_pareto,
+    column,
     constrained_optimum,
+    draw_gate,
     enumerate_architectures,
     exhaustive_ce_grads,
+    gate_bits,
+    indicator_table,
     layer_forward,
+    pair_of,
     sample_space_architecture,
     set_mode,
     state_hash,
@@ -123,13 +128,13 @@ def test_criterion_2_probability_normalization():
     worst = 0.0
     for case in range(100):
         k = int(rng.integers(1, 13))
-        thetas = FitnessIndicators(
-            values=[{s: float(rng.uniform(-4, 4)) for s in range(k)}]
+        thetas = indicator_table(
+            [{s: float(rng.uniform(-4, 4)) for s in range(k)}]
         ).probabilities()
         total = 0.0
         for bits in itertools.product([0, 1], repeat=k):
             gate = GateVector(0, frozenset(s for s in range(k) if bits[s]))
-            total += config_probability(gate, thetas)
+            total += config_probability(gate_bits(gate, range(k)), thetas)
         worst = max(worst, abs(total - 1.0))
     assert worst < 1e-9
     elapsed = time.perf_counter() - started
@@ -154,19 +159,18 @@ def test_criterion_3a_probability_chain_gradients():
         g_a, g_b = GateVector(0, sel_a), GateVector(0, sel_b)
 
         def at(vec):
-            return FitnessIndicators(
-                values=[{s: vec[i] for i, s in enumerate(slots)}]
-            ).probabilities()
+            return indicator_table([{s: vec[i] for i, s in enumerate(slots)}]).probabilities()
 
         thetas = at(base)
-        d_hat = config_probability_grads(g_a, thetas)
-        d_tilde = rescaled_pair_grads(g_a, g_b, thetas)
+        b_a, b_b = gate_bits(g_a, slots), gate_bits(g_b, slots)
+        d_hat = config_probability_grads(b_a, thetas, config_probability(b_a, thetas))
+        d_tilde = rescaled_pair_grads(b_a, b_b, thetas, pair_of(b_a, b_b, thetas))
         # step 1e-5 keeps central-difference roundoff (~1e-11) below the
         # absolute floor that guards exactly-zero coordinates
-        fd_hat = central_difference(lambda v: config_probability(g_a, at(v)), base, step=1e-5)
+        fd_hat = central_difference(lambda v: config_probability(b_a, at(v)), base, step=1e-5)
         fd_tilde = central_difference(
             lambda v: rescale_pair(
-                config_probability(g_a, at(v)), config_probability(g_b, at(v))
+                config_probability(b_a, at(v)), config_probability(b_b, at(v))
             )[0],
             base,
             step=1e-5,
@@ -235,15 +239,19 @@ def test_criterion_3c_penalty_path_gradients():
             pairs.append((GateVector(li, sel_a), GateVector(li, sel_b)))
 
         def at(vec):
-            return FitnessIndicators(
-                values=[{s: vec[li * k + s] for s in range(k)} for li in range(num_layers)]
+            return indicator_table(
+                [{s: vec[li * k + s] for s in range(k)} for li in range(num_layers)]
             ).probabilities()
+
+        def layer(thetas, li):
+            return thetas[li * k : (li + 1) * k]
 
         def r_of(thetas):
             r = table.fixed_overhead - cfg.tau
             for li, (g_a, g_b) in enumerate(pairs):
                 ta, tb = rescale_pair(
-                    config_probability(g_a, thetas), config_probability(g_b, thetas)
+                    config_probability(gate_bits(g_a, range(k)), layer(thetas, li)),
+                    config_probability(gate_bits(g_b, range(k)), layer(thetas, li)),
                 )
                 r += ta * sum(table.cost[(li, s)] for s in g_a.selected)
                 r += tb * sum(table.cost[(li, s)] for s in g_b.selected)
@@ -255,7 +263,11 @@ def test_criterion_3c_penalty_path_gradients():
         for li, (g_a, g_b) in enumerate(pairs):
             ca = sum(table.cost[(li, s)] for s in g_a.selected)
             cb = sum(table.cost[(li, s)] for s in g_b.selected)
-            for s, d in rescaled_pair_grads(g_a, g_b, thetas).items():
+            b_a, b_b = gate_bits(g_a, range(k)), gate_bits(g_b, range(k))
+            d_tilde = rescaled_pair_grads(
+                b_a, b_b, layer(thetas, li), pair_of(b_a, b_b, layer(thetas, li))
+            )
+            for s, d in enumerate(d_tilde.tolist()):
                 analytic[li * k + s] = pg * d * (ca - cb)
         fd = central_difference(lambda v: penalty(r_of(at(v)), cfg), base, step=1e-5)
         assert np.all(np.abs(analytic - fd) <= 1e-5 * np.abs(fd) + 1e-9)
@@ -287,10 +299,11 @@ def test_criterion_4_two_config_estimator_direction():
         identity_input = rng.normal(size=features)
         outputs = {s: rng.normal(size=features) for s in range(layer_k)}
         upstream = rng.normal(size=features)
-        thetas = FitnessIndicators(values=[{s: 0.0 for s in range(layer_k)}]).probabilities()
+        table = indicator_table([{s: 0.0 for s in range(layer_k)}])
+        slots, thetas = table.slots[0], table.probabilities()
 
         exact = exhaustive_ce_grads(
-            0, "normal", thetas, outputs, upstream, identity_input
+            0, "normal", slots, thetas, outputs, upstream, identity_input
         )
         exact_vec = np.array([exact[s] for s in range(layer_k)])
 
@@ -301,12 +314,12 @@ def test_criterion_4_two_config_estimator_direction():
                 np.sum(upstream * _mixture(outputs, identity_input, sel))
             )
         acc = np.zeros(layer_k)
-        sampler = indicator_sampler(thetas, ["normal"])
+        sampler = indicator_sampler(table, ["normal"])
         for _ in range(resamples):
-            g_a = sampler.draw_gate(rng, 0)
-            g_b = sampler.draw_gate(rng, 0)
+            g_a = draw_gate(sampler, rng, 0)
+            g_b = draw_gate(sampler, rng, 0)
             grads = two_config_ce_grads(
-                mix_cache[g_a.selected], mix_cache[g_b.selected], g_a, g_b, thetas
+                mix_cache[g_a.selected], mix_cache[g_b.selected], g_a, g_b, slots, thetas
             )
             for s, g in grads.items():
                 acc[s] += g
@@ -547,9 +560,9 @@ def test_criterion_9_structural_invariants(tmp_path):
     slots0 = subset.active_slots(0)
     subset.entry(0, slots0[0]).origin = "inherited"
     thetas = FitnessIndicators.for_subset(subset)
-    thetas.values[0][slots0[0]] = -9.0
+    thetas.values[column(thetas, 0, slots0[0])] = -9.0
     for slot in subset.active_slots(1):
-        thetas.values[1][slot] = -9.0
+        thetas.values[column(thetas, 1, slot)] = -9.0
     prune(thetas, subset, threshold=-2.0)
     assert slots0[0] in subset.active_slots(0)
     assert len(subset.active_slots(1)) == 1

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nse import engine
@@ -397,6 +398,82 @@ def test_non_finite_cost_table_overhead_exits_with_config_code(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: cost table file") and "fixed_overhead" in err, err
     assert not (tmp_path / "run" / "round_001").exists()
+
+
+def test_unreadable_cost_table_exits_with_config_code(tmp_path, capsys):
+    # a path that names a directory, and a file that is not UTF-8 text
+    path = write_config(
+        tmp_path,
+        evaluator="supernet",
+        max_rounds=1,
+        pool={"num_layers": 2, "ops_per_layer": 6, "reduction_layers": [1], "preset": "toy"},
+        constraint={"tau": 200.0, "cost_table": str(tmp_path / "table")},
+        network={"stem_width": 8, "layer_widths": [8, 10]},
+    )
+    (tmp_path / "table").mkdir()
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cost table file") and "cannot be read" in err, err
+    (tmp_path / "table").rmdir()
+    (tmp_path / "table").write_bytes(b'{"0.0": 1.0, "unit": "\xff"}')
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cost table file") and "can't decode" in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_more_active_slots_than_a_layer_mask_holds_exits_with_config_code(tmp_path, capsys):
+    path = write_config(
+        tmp_path, k_per_layer=64, pool={"ops_per_layer": 70, "preset": "opaque"}
+    )
+    assert main(["run", str(path)]) == 2
+    assert "64 active slots in a layer; at most 63" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    # the limit counts the slots a layer can hold, not k_per_layer alone
+    parse_config({"k_per_layer": 64, "pool": {"ops_per_layer": 63, "preset": "opaque"}})
+    parse_config({"k_per_layer": 63, "pool": {"ops_per_layer": 70, "preset": "opaque"}})
+
+
+@pytest.mark.parametrize("evaluator, rounds", [("oracle", 2), ("supernet", 1)])
+def test_budget_below_the_cheapest_architecture_exits_with_config_code(
+    tmp_path, capsys, evaluator, rounds
+):
+    path = write_config(
+        tmp_path, evaluator=evaluator, max_rounds=rounds, constraint={"tau": 0.0},
+        pool={"num_layers": 3, "ops_per_layer": 6, "reduction_layers": [2], "preset": "toy"},
+        network={"stem_width": 8, "layer_widths": [8, 8, 10]},
+    )
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"upper_bound 0\.0 is below \d+\.\d+, the cost of the pool's cheapest", err), err
+    assert not (tmp_path / "run").exists()
+
+
+def test_budget_at_the_cheapest_architecture_is_accepted():
+    # the cheapest architecture selects each reduction layer's cheapest slot
+    # and nothing else; a bound one ulp below its cost is refused
+    from nse.config import build_engine
+    from nse.resources import architecture_cost
+    from nse.space import Architecture
+
+    base = {"pool": {"num_layers": 4, "reduction_layers": [1, 3], "preset": "opaque"}}
+    table = build_engine(parse_config(base)).cost_table
+    pool = parse_config(base).pool.build()
+    cheapest = architecture_cost(
+        Architecture.from_encoding(
+            [
+                [min((op.slot_index for op in layer.pool), key=lambda s: table.cost[(li, s)])]
+                if layer.role == "reduction"
+                else []
+                for li, layer in enumerate(pool.layers)
+            ]
+        ),
+        table,
+    )
+    build_engine(parse_config({**base, "constraint": {"upper_bound": cheapest}}))
+    below = float(np.nextafter(cheapest, -np.inf))
+    with pytest.raises(ConfigError, match="cheapest architecture"):
+        build_engine(parse_config({**base, "constraint": {"upper_bound": below}}))
 
 
 def test_config_file_that_is_not_utf8_exits_with_config_code(tmp_path, capsys):

@@ -6,8 +6,18 @@ import pytest
 
 from conftest import central_difference
 from reference import (
+    DictThetaAdam,
+    column,
+    dict_config_probability,
+    dict_probabilities,
+    dict_rescaled_pair_grads,
+    draw_gate,
     exhaustive_ce_grads,
     forward_collect,
+    gate_bits,
+    indicator_table,
+    layer_cost,
+    pair_of,
     set_mode,
     state_hash,
     two_config_ce_grads,
@@ -39,7 +49,7 @@ from nse.supernet import NetworkGeometry, SharedWeights, toy_op_family
 
 
 def make_thetas(layer_values):
-    return FitnessIndicators(values=[dict(v) for v in layer_values])
+    return indicator_table(layer_values)
 
 
 def make_probs(layer_values):
@@ -57,9 +67,10 @@ def test_op_probability_reference_points():
 
 def test_config_probability_examples():
     thetas = make_probs([{0: 0.0, 1: 0.0}])
-    assert config_probability(GateVector(0, frozenset({0})), thetas) == pytest.approx(0.25)
+    bits = gate_bits(GateVector(0, frozenset({0})), [0, 1])
+    assert config_probability(bits, thetas) == pytest.approx(0.25)
     thetas = make_probs([{0: 0.0, 1: 2.0, 2: -2.0}])
-    got = config_probability(GateVector(0, frozenset({0, 1})), thetas)
+    got = config_probability(gate_bits(GateVector(0, frozenset({0, 1})), [0, 1, 2]), thetas)
     assert got == pytest.approx(0.5 * 0.880797 * 0.880797, abs=1e-5)
 
 
@@ -70,29 +81,29 @@ def test_config_probabilities_sum_to_one():
         total = 0.0
         for bits in itertools.product([0, 1], repeat=k):
             gate = GateVector(0, frozenset(s for s in range(k) if bits[s]))
-            total += config_probability(gate, thetas)
+            total += config_probability(gate_bits(gate, range(k)), thetas)
         assert abs(total - 1.0) < 1e-9
 
 
 def test_sample_config_saturated_indicator():
-    thetas = make_probs([{0: 20.0, 1: -20.0}])
+    thetas = make_thetas([{0: 20.0, 1: -20.0}])
     rng = make_rng("sat", 0)
     sampler = indicator_sampler(thetas, ["normal"])
     for _ in range(200):
-        gate = sampler.draw_gate(rng, 0)
+        gate = draw_gate(sampler, rng, 0)
         assert 0 in gate.selected
         assert 1 not in gate.selected
 
 
 def test_sample_config_monte_carlo_frequencies():
-    thetas = make_probs([{0: 0.7, 1: -1.1, 2: 0.0}])
+    thetas = make_thetas([{0: 0.7, 1: -1.1, 2: 0.0}])
     probs = [op_probability(0.7), op_probability(-1.1), 0.5]
     rng = make_rng("freq", 1)
     n = 100_000
     counts = np.zeros(3)
     sampler = indicator_sampler(thetas, ["normal"])
     for _ in range(n):
-        gate = sampler.draw_gate(rng, 0)
+        gate = draw_gate(sampler, rng, 0)
         for s in gate.selected:
             counts[s] += 1
     for s in range(3):
@@ -100,13 +111,13 @@ def test_sample_config_monte_carlo_frequencies():
 
 
 def test_sample_config_zero_thetas_matches_uniform_law():
-    thetas = make_probs([{0: 0.0, 1: 0.0}])
+    thetas = make_thetas([{0: 0.0, 1: 0.0}])
     rng = make_rng("unif", 2)
     n = 60_000
     freq: dict = {}
     sampler = indicator_sampler(thetas, ["reduction"])
     for _ in range(n):
-        gate = sampler.draw_gate(rng, 0)
+        gate = draw_gate(sampler, rng, 0)
         freq[gate.selected] = freq.get(gate.selected, 0) + 1
     for key in ((0,), (1,), (0, 1)):
         assert abs(freq.get(key, 0) / n - 1 / 3) < 0.012
@@ -123,7 +134,8 @@ def test_rescale_pair():
 
 def test_probability_gradient_reference_case():
     thetas = make_probs([{0: 0.0}])
-    grads = config_probability_grads(GateVector(0, frozenset({0})), thetas)
+    bits = gate_bits(GateVector(0, frozenset({0})), [0])
+    grads = config_probability_grads(bits, thetas, config_probability(bits, thetas))
     assert grads[0] == pytest.approx(0.25)
 
 
@@ -142,14 +154,15 @@ def test_probability_gradients_match_finite_differences():
 
         base = np.array([values[s] for s in slots])
         thetas = at(base)
-        d_hat = config_probability_grads(g_a, thetas)
-        d_tilde = rescaled_pair_grads(g_a, g_b, thetas)
+        b_a, b_b = gate_bits(g_a, slots), gate_bits(g_b, slots)
+        d_hat = config_probability_grads(b_a, thetas, config_probability(b_a, thetas))
+        d_tilde = rescaled_pair_grads(b_a, b_b, thetas, pair_of(b_a, b_b, thetas))
         fd_hat = central_difference(
-            lambda v: config_probability(g_a, at(v)), base, step=1e-6
+            lambda v: config_probability(b_a, at(v)), base, step=1e-6
         )
         fd_tilde = central_difference(
             lambda v: rescale_pair(
-                config_probability(g_a, at(v)), config_probability(g_b, at(v))
+                config_probability(b_a, at(v)), config_probability(b_b, at(v))
             )[0],
             base,
             step=1e-6,
@@ -162,10 +175,11 @@ def test_probability_gradients_match_finite_differences():
 def test_identical_configs_give_zero_ce_gradient():
     thetas = make_probs([{0: 0.3, 1: -0.7}])
     g = GateVector(0, frozenset({0}))
-    grads = two_config_ce_grads(1.7, -0.4, g, g, thetas)
+    grads = two_config_ce_grads(1.7, -0.4, g, g, [0, 1], thetas)
     assert all(v == pytest.approx(0.0, abs=1e-15) for v in grads.values())
-    d_tilde = rescaled_pair_grads(g, g, thetas)
-    assert all(v == pytest.approx(0.0, abs=1e-15) for v in d_tilde.values())
+    bits = gate_bits(g, [0, 1])
+    d_tilde = rescaled_pair_grads(bits, bits, thetas, pair_of(bits, bits, thetas))
+    assert all(v == pytest.approx(0.0, abs=1e-15) for v in d_tilde.tolist())
 
 
 def test_penalty_chain_matches_finite_differences():
@@ -195,12 +209,15 @@ def test_penalty_chain_matches_finite_differences():
                 ]
             )
 
+        def layer(thetas, li):
+            return thetas[li * k : (li + 1) * k]
+
         def objective(vec):
             thetas = at(vec)
             r = table.fixed_overhead - cfg.tau
             for li, (g_a, g_b) in enumerate(pairs):
-                pa = config_probability(g_a, thetas)
-                pb = config_probability(g_b, thetas)
+                pa = config_probability(gate_bits(g_a, range(k)), layer(thetas, li))
+                pb = config_probability(gate_bits(g_b, range(k)), layer(thetas, li))
                 ta, tb = rescale_pair(pa, pb)
                 ca = sum(table.cost[(li, s)] for s in g_a.selected)
                 cb = sum(table.cost[(li, s)] for s in g_b.selected)
@@ -211,8 +228,8 @@ def test_penalty_chain_matches_finite_differences():
         r_val = table.fixed_overhead - cfg.tau
         layer_data = []
         for li, (g_a, g_b) in enumerate(pairs):
-            pa = config_probability(g_a, thetas)
-            pb = config_probability(g_b, thetas)
+            pa = config_probability(gate_bits(g_a, range(k)), layer(thetas, li))
+            pb = config_probability(gate_bits(g_b, range(k)), layer(thetas, li))
             ta, tb = rescale_pair(pa, pb)
             ca = sum(table.cost[(li, s)] for s in g_a.selected)
             cb = sum(table.cost[(li, s)] for s in g_b.selected)
@@ -223,8 +240,11 @@ def test_penalty_chain_matches_finite_differences():
         pg = penalty_gradient_wrt_r(r_val, cfg)
         analytic = np.zeros(num_layers * k)
         for li, (g_a, g_b, ca, cb) in enumerate(layer_data):
-            d_tilde = rescaled_pair_grads(g_a, g_b, thetas)
-            for s, d in d_tilde.items():
+            b_a, b_b = gate_bits(g_a, range(k)), gate_bits(g_b, range(k))
+            d_tilde = rescaled_pair_grads(
+                b_a, b_b, layer(thetas, li), pair_of(b_a, b_b, layer(thetas, li))
+            )
+            for s, d in enumerate(d_tilde.tolist()):
                 analytic[li * k + s] = pg * d * (ca - cb)
         fd = central_difference(objective, base, step=1e-5)
         # absolute floor guards coordinates whose true gradient is ~0
@@ -264,11 +284,11 @@ def test_penalty_only_update_pushes_costly_ops_down():
         opt = ThetaAdam(lr=0.1)
         # replay the step's per-layer draw order: g_a then g_b per layer
         probe = make_rng("pair", attempt)
-        sampler = indicator_sampler(thetas.probabilities(), subset.roles)
+        sampler = indicator_sampler(thetas, subset.roles)
         g_as, g_bs = [], []
         for li in range(3):
-            g_as.append(sampler.draw_gate(probe, li))
-            g_bs.append(sampler.draw_gate(probe, li))
+            g_as.append(draw_gate(sampler, probe, li))
+            g_bs.append(draw_gate(sampler, probe, li))
         if all(a.selected != b.selected for a, b in zip(g_as, g_bs)):
             step_rng = make_rng("pair", attempt)
             indicator_update_step(
@@ -276,7 +296,8 @@ def test_penalty_only_update_pushes_costly_ops_down():
             )
             slot = subset.active_slots(0)[0]
             assert all(
-                thetas.values[li][subset.active_slots(li)[0]] < 0.0 for li in range(3)
+                thetas.values[column(thetas, li, subset.active_slots(li)[0])] < 0.0
+                for li in range(3)
             )
             return
     pytest.fail("no sampling seed produced differing configuration pairs")
@@ -304,7 +325,7 @@ def test_exhaustive_gradient_single_op_matches_direct_formula():
     x = rng.normal(size=(3, 4))
     out0 = rng.normal(size=(3, 4))
     u = rng.normal(size=(3, 4))
-    grads = exhaustive_ce_grads(0, "normal", thetas, {0: out0}, u, x)
+    grads = exhaustive_ce_grads(0, "normal", [0], thetas, {0: out0}, u, x)
     p = op_probability(0.4)
     s_off = float(np.sum(u * x))
     s_on = float(np.sum(u * (x + out0) / 2.0))
@@ -326,11 +347,11 @@ def test_prune_drops_fresh_below_threshold():
     subset = _pruning_subset()
     thetas = FitnessIndicators.for_subset(subset)
     slots = subset.active_slots(0)
-    thetas.values[0][slots[0]] = -2.5
+    thetas.values[column(thetas, 0, slots[0])] = -2.5
     removed = prune(thetas, subset, threshold=-2.0)
     assert (0, slots[0], -2.5) in removed
     assert slots[0] not in subset.active_slots(0)
-    assert slots[0] not in thetas.values[0]
+    assert slots[0] not in thetas.slots[0]
 
 
 def test_prune_keeps_inherited_ops():
@@ -338,7 +359,7 @@ def test_prune_keeps_inherited_ops():
     slots = subset.active_slots(0)
     subset.entry(0, slots[0]).origin = "inherited"
     thetas = FitnessIndicators.for_subset(subset)
-    thetas.values[0][slots[0]] = -2.5
+    thetas.values[column(thetas, 0, slots[0])] = -2.5
     removed = prune(thetas, subset, threshold=-2.0)
     assert removed == []
     assert slots[0] in subset.active_slots(0)
@@ -349,7 +370,7 @@ def test_prune_unlocked_when_rehearsal_disabled():
     slots = subset.active_slots(0)
     subset.entry(0, slots[0]).origin = "inherited"
     thetas = FitnessIndicators.for_subset(subset)
-    thetas.values[0][slots[0]] = -2.5
+    thetas.values[column(thetas, 0, slots[0])] = -2.5
     removed = prune(thetas, subset, threshold=-2.0, lock_inherited=False)
     assert (0, slots[0], -2.5) in removed
 
@@ -359,7 +380,7 @@ def test_prune_never_empties_reduction_layer():
     thetas = FitnessIndicators.for_subset(subset)
     red_slots = subset.active_slots(1)
     for rank, slot in enumerate(red_slots):
-        thetas.values[1][slot] = -5.0 - rank
+        thetas.values[column(thetas, 1, slot)] = -5.0 - rank
     prune(thetas, subset, threshold=-2.0)
     survivors = subset.active_slots(1)
     assert len(survivors) == 1
@@ -372,7 +393,7 @@ def test_prune_shrinks_active_set_strictly_when_it_fires():
     thetas = FitnessIndicators.for_subset(subset)
     before = sum(len(subset.active_slots(li)) for li in range(2))
     slots = subset.active_slots(0)
-    thetas.values[0][slots[1]] = -3.0
+    thetas.values[column(thetas, 0, slots[1])] = -3.0
     removed = prune(thetas, subset, threshold=-2.0)
     after = sum(len(subset.active_slots(li)) for li in range(2))
     assert removed and after == before - len(removed)
@@ -390,7 +411,7 @@ def test_theta_adam_rejects_non_finite_gradient():
     thetas = make_thetas([{0: 0.0}])
     opt = ThetaAdam(lr=0.1)
     with pytest.raises(FloatingPointError):
-        opt.step(thetas, {(0, 0): float("nan")})
+        opt.step(thetas, np.array([float("nan")]))
 
 
 def test_theta_adam_equals_per_slot_adam_bit_for_bit():
@@ -405,14 +426,14 @@ def test_theta_adam_equals_per_slot_adam_bit_for_bit():
     rng = make_rng("theta-adam", 0)
     for _ in range(12):
         grads = {key: float(g) for key, g in zip(keys, rng.normal(size=len(keys)))}
-        opt.step(thetas, grads)
+        opt.step(thetas, np.array([grads[key] for key in keys]))
         for key, g in grads.items():
             m, v, t = moments[key]
             m, v, t = b1 * m + (1 - b1) * g, b2 * v + (1 - b2) * g * g, t + 1
             moments[key] = m, v, t
             m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
             expected[key] -= 0.05 * m_hat / (math.sqrt(v_hat) + eps)
-        assert {(li, slot): thetas.values[li][slot] for li, slot in keys} == expected
+        assert dict(zip(keys, thetas.values.tolist())) == expected
 
 
 def tape_indicator_update_step(
@@ -420,17 +441,18 @@ def tape_indicator_update_step(
 ):
     """Reference: the indicator step on the Tensor graph, as it was written
     before the explicit training pass (weight gradients formed and dropped,
-    every gate-b branch recomputed)."""
+    every gate-b branch recomputed), on the per-layer dict form of the
+    table."""
     from nse import nn
-    from nse.resources import layer_cost, penalty, penalty_gradient_wrt_r
+    from nse.resources import penalty, penalty_gradient_wrt_r
 
     x, y = val_batch
-    probs = thetas.probabilities()
-    sampler = indicator_sampler(probs, subset.roles)
+    probs = dict_probabilities(thetas)
+    sampler = indicator_sampler(thetas, subset.roles)
     gates_a, gates_b = [], []
     for li in range(subset.num_layers):
-        gates_a.append(sampler.draw_gate(rng, li))
-        gates_b.append(sampler.draw_gate(rng, li))
+        gates_a.append(draw_gate(sampler, rng, li))
+        gates_b.append(draw_gate(sampler, rng, li))
     set_mode(weights, "train")
     logits, layer_inputs, layer_outputs, _ = forward_collect(weights, gates_a, nn.Tensor(x))
     loss = nn.softmax_cross_entropy(logits, y)
@@ -442,9 +464,10 @@ def tape_indicator_update_step(
         s_a = float(np.sum(out.grad * out.data))
         s_b = float(np.sum(out.grad * o_b))
         pt_a, pt_b = rescale_pair(
-            config_probability(gates_a[li], probs), config_probability(gates_b[li], probs)
+            dict_config_probability(gates_a[li], probs),
+            dict_config_probability(gates_b[li], probs),
         )
-        d_tilde = rescaled_pair_grads(gates_a[li], gates_b[li], probs)
+        d_tilde = dict_rescaled_pair_grads(gates_a[li], gates_b[li], probs)
         c_a = layer_cost(gates_a[li], cost_table)
         c_b = layer_cost(gates_b[li], cost_table)
         per_layer.append((li, s_a, s_b, pt_a, pt_b, d_tilde, c_a, c_b))
@@ -458,7 +481,12 @@ def tape_indicator_update_step(
     for li, s_a, s_b, _, _, d_tilde, c_a, c_b in per_layer:
         for slot, d in d_tilde.items():
             grads[(li, slot)] = (s_a - s_b) * d + pg * d * (c_a - c_b)
-    optimizer.step(thetas, grads)
+    values = [
+        dict(zip(slots, thetas.values[lo : lo + len(slots)].tolist()))
+        for slots, lo in zip(thetas.slots, thetas.bounds)
+    ]
+    optimizer.step(values, grads)
+    thetas.values[:] = [v for layer in values for v in layer.values()]
     return {
         "loss": float(loss.data),
         "expected_cost_gap": r_value,
@@ -486,19 +514,16 @@ def test_indicator_step_matches_the_tape_bit_for_bit():
 
     def fresh_thetas():
         thetas = FitnessIndicators.for_subset(subset)
-        vals = make_rng("tape-thetas", 0).normal(size=15)
-        for li in range(3):
-            for k, slot in enumerate(sorted(thetas.values[li])):
-                thetas.values[li][slot] = float(vals[li * 5 + k])
+        thetas.values[:] = make_rng("tape-thetas", 0).normal(size=15)
         return thetas
 
     # a sampling seed whose gate-b configurations both share branches with
     # gate a and select branches gate a left out
     for attempt in range(100):
         probe = make_rng("tape-pair", attempt)
-        sampler = indicator_sampler(fresh_thetas().probabilities(), roles)
+        sampler = indicator_sampler(fresh_thetas(), roles)
         pairs = [
-            (sampler.draw_gate(probe, li).selected, sampler.draw_gate(probe, li).selected)
+            (draw_gate(sampler, probe, li).selected, draw_gate(sampler, probe, li).selected)
             for li in range(3)
         ]
         if any(set(a) & set(b) for a, b in pairs) and any(set(b) - set(a) for a, b in pairs):
@@ -507,18 +532,116 @@ def test_indicator_step_matches_the_tape_bit_for_bit():
         pytest.fail("no sampling seed mixes shared and unshared gate-b branches")
 
     results = []
-    for step in (indicator_update_step, tape_indicator_update_step):
+    for step, optimizer in (
+        (indicator_update_step, ThetaAdam(lr=0.1)),
+        (tape_indicator_update_step, DictThetaAdam(lr=0.1)),
+    ):
         weights = SharedWeights(subset, geometry, seed=21)
         thetas = fresh_thetas()
         before = state_hash(weights)
         out = step(
-            thetas, weights, subset, (x, y), table, cfg, ThetaAdam(lr=0.1),
+            thetas, weights, subset, (x, y), table, cfg, optimizer,
             make_rng("tape-pair", attempt),
         )
         assert state_hash(weights) == before
         assert all(type(p) is np.ndarray for p in weights.params.values())
-        results.append((out, thetas.values))
+        results.append((out, thetas.values.tolist()))
     (fast, fast_thetas), (tape, tape_thetas) = results
     assert fast == tape
     assert fast_thetas == tape_thetas
-    assert fast_thetas != fresh_thetas().values  # the step moved the indicators
+    assert fast_thetas != fresh_thetas().values.tolist()  # the step moved the indicators
+
+
+def _random_table(rng, max_slots=63):
+    """A table of 1-3 layers of 1-``max_slots`` slots each, at random
+    indicator values, and two random gate-bit vectors over it."""
+    layers = []
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(1, max_slots + 1))
+        slots = sorted(rng.choice(80, size=k, replace=False).tolist())
+        layers.append({s: float(rng.uniform(-6, 6)) for s in slots})
+    thetas = make_thetas(layers)
+    bits_a, bits_b = (rng.random(thetas.bounds[-1]) < 0.5 for _ in range(2))
+    return thetas, bits_a, bits_b
+
+
+def test_table_arithmetic_equals_the_dict_forms_bit_for_bit():
+    # the configuration product, the pair gradients of one layer and of the
+    # whole table, and Adam, against the per-slot dict forms they replaced
+    rng = make_rng("table-vs-dict", 0)
+    for _ in range(400):
+        thetas, bits_a, bits_b = _random_table(rng)
+        probs, dict_probs = thetas.probabilities(), dict_probabilities(thetas)
+        pairs, want = [], []
+        for li, (slots, lo) in enumerate(zip(thetas.slots, thetas.bounds)):
+            cols = slice(lo, lo + len(slots))
+            g_a = GateVector(li, [s for s, b in zip(slots, bits_a[cols]) if b])
+            g_b = GateVector(li, [s for s, b in zip(slots, bits_b[cols]) if b])
+            p_a = config_probability(bits_a[cols], probs[cols])
+            p_b = config_probability(bits_b[cols], probs[cols])
+            assert p_a == dict_config_probability(g_a, dict_probs)
+            assert p_b == dict_config_probability(g_b, dict_probs)
+            layer = list(dict_rescaled_pair_grads(g_a, g_b, dict_probs).values())
+            pair = pair_of(bits_a[cols], bits_b[cols], probs[cols])
+            got = rescaled_pair_grads(bits_a[cols], bits_b[cols], probs[cols], pair)
+            assert got.tolist() == layer
+            pairs.append(pair)
+            want += layer
+        pair = tuple(np.repeat(col, np.diff(thetas.bounds)) for col in zip(*pairs))
+        assert rescaled_pair_grads(bits_a, bits_b, probs, pair).tolist() == want
+
+        keys = [(li, s) for li, slots in enumerate(thetas.slots) for s in slots]
+        values = [
+            dict(zip(slots, thetas.values[lo : lo + len(slots)].tolist()))
+            for slots, lo in zip(thetas.slots, thetas.bounds)
+        ]
+        opt, ref = ThetaAdam(lr=0.3), DictThetaAdam(lr=0.3)
+        for _ in range(3):
+            grads = rng.normal(size=len(keys)) * 10.0 ** rng.integers(-8, 3)
+            opt.step(thetas, grads)
+            ref.step(values, dict(zip(keys, grads.tolist())))
+            assert thetas.values.tolist() == [values[li][s] for li, s in keys]
+
+
+def test_probabilities_are_the_scalar_sigmoid_bit_for_bit():
+    # numpy's exp differs from the C library's in the last bit on some of
+    # these values, so a table sigmoid built on np.exp fails here
+    rng = make_rng("table-sigmoid", 0)
+    values = np.concatenate([rng.uniform(-40, 40, 10_000), rng.normal(0, 2, 10_000)])
+    thetas = make_thetas([{s: v for s, v in enumerate(values.tolist())}])
+    assert thetas.probabilities().tolist() == [op_probability(v) for v in values.tolist()]
+
+
+def test_prune_between_adam_steps_keeps_each_slot_its_own_moments():
+    decl = [
+        DeclaredLayer(role=role, ops=[DeclaredOp(f"op{i}") for i in range(8)])
+        for role in ("normal", "reduction", "normal")
+    ]
+    subset = init_subset(shuffle_pool(decl, seed=3), capacity=6, seed=1, ledger=TraversalLedger())
+    thetas = FitnessIndicators.for_subset(subset)
+    rng = make_rng("prune-adam", 0)
+    thetas.values[:] = rng.uniform(-0.4, 0.4, size=thetas.bounds[-1])
+    keys = [(li, s) for li, slots in enumerate(thetas.slots) for s in slots]
+    expected = dict(zip(keys, thetas.values.tolist()))
+    moments = {key: (0.0, 0.0) for key in keys}
+    opt, lr, b1, b2, eps = ThetaAdam(lr=0.5), 0.5, 0.9, 0.999, 1e-8
+
+    def step(t):
+        live = [(li, s) for li, slots in enumerate(thetas.slots) for s in slots]
+        grads = dict(zip(live, rng.normal(size=len(live)).tolist()))
+        opt.step(thetas, np.array(list(grads.values())))
+        for key, g in grads.items():
+            m, v = moments[key]
+            m, v = b1 * m + (1 - b1) * g, b2 * v + (1 - b2) * g * g
+            moments[key] = m, v
+            expected[key] -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
+        return live
+
+    step(1)
+    removed = prune(thetas, subset, threshold=0.0)
+    assert removed and len(removed) < len(keys) - 3  # some pruned, some kept
+    live = step(2)
+    assert [key for key in keys if key not in live] == sorted((li, s) for li, s, _ in removed)
+    assert thetas.values.tolist() == [expected[key] for key in live]
+    assert thetas.m.tolist() == [moments[key][0] for key in live]
+    assert thetas.v.tolist() == [moments[key][1] for key in live]

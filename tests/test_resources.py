@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
+from reference import layer_cost
 from nse.rng import make_rng
 from nse.resources import (
     ConstraintConfig,
@@ -9,7 +10,6 @@ from nse.resources import (
     MaskCost,
     ResourceError,
     architecture_cost,
-    layer_cost,
     penalty,
     penalty_gradient_wrt_r,
 )

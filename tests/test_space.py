@@ -450,7 +450,16 @@ def test_draw_gate_reads_one_layer_of_doubles_per_attempt():
     for li in range(len(slots)):
         for seed in range(20):
             rng, ref = make_rng("draw-gate", li, seed), make_rng("draw-gate", li, seed)
-            gate = sampler.draw_gate(rng, li)
-            mask = reference_draw([slots[li]], [roles[li]], [probs[li]], ref)[0]
-            assert gate == sampler.selection(li, mask)
+            mask = sampler.draw_mask(rng, li)
+            assert mask == reference_draw([slots[li]], [roles[li]], [probs[li]], ref)[0]
             assert rng.random() == ref.random()
+
+
+def test_bits_are_the_selected_slots_in_column_order():
+    slots = [[], [1, 4], [0, 2, 5], [3], [2, 7, 9]]
+    roles = ["normal", "normal", "reduction", "reduction", "normal"]
+    sampler = GateSampler(slots, roles, [[0.5] * len(s) for s in slots])
+    for row in sampler.draw(make_rng("bits", 0), 50).tolist():
+        arch = sampler.decode(row)
+        want = [slot in arch.selected(li) for li, layer in enumerate(slots) for slot in layer]
+        assert sampler.bits(row).tolist() == want

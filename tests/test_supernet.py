@@ -619,9 +619,7 @@ def test_nan_in_deeper_layer_w1_raises_from_both_steps(act, layer):
             SGD(lr=0.05),
         )
     thetas = FitnessIndicators.for_subset(subset)
-    for li in range(3):
-        for s in thetas.values[li]:
-            thetas.values[li][s] = 40.0  # both gates of every layer select every slot
+    thetas.values[:] = 40.0  # both gates of every layer select every slot
     with pytest.raises(NotFiniteError, match="affine"):
         indicator_update_step(
             thetas,
