@@ -165,10 +165,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     chash = manifest["config_hash"]
 
     if args.round is None:
-        rounds = sorted(p.name for p in run_dir.glob("round_*") if p.is_dir())
+        # by number, not by name: round_1000 comes after round_999
+        rounds = [p for p in run_dir.glob("round_*") if p.is_dir() and p.name[6:].isdecimal()]
         if not rounds:
             raise ArtifactError(f"no round artifacts in {run_dir}")
-        round_dir = run_dir / rounds[-1]
+        round_dir = max(rounds, key=lambda p: int(p.name[6:]))
     else:
         round_dir = run_dir / f"round_{args.round:03d}"
         if not round_dir.is_dir():

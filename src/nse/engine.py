@@ -84,12 +84,10 @@ class RetrievalConfig:
     auxiliary: int = 0
     recal_batches: int = 16
     recal_batch_size: int = 128
-    eval_batch_size: int = 256
     stall_factor: int = 100
 
     def __post_init__(self) -> None:
-        sizes = ("samples", "recal_batches", "recal_batch_size", "eval_batch_size", "stall_factor")
-        for name in sizes:
+        for name in ("samples", "recal_batches", "recal_batch_size", "stall_factor"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.auxiliary < 0:
@@ -484,7 +482,7 @@ class Engine:
             self.retrieval.recal_batch_size,
             make_rng(self.master_seed, "recal", r),
         )
-        cache = InferenceCache(weights, self.dataset, recal, self.retrieval.eval_batch_size)
+        cache = InferenceCache(weights, self.dataset, recal)
         evaluator = SupernetEvaluator(cache, self.cost_table)
         sampler = indicator_sampler(thetas, state.subset.roles)
         extras = {

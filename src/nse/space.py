@@ -477,20 +477,17 @@ class GateSampler:
             mark = marks[li] = buf[:starts] >= probs[lo]
             for j in range(1, w):
                 mark &= buf[j : j + starts] >= probs[lo + j]
-        tables: dict[int, tuple[list[int], dict[int, np.ndarray]]] = {}
+        tables: dict[int, list[int]] = {}
 
-        def table(r: int) -> tuple[list[int], dict[int, np.ndarray]]:
-            """For the whole rows of ``buf`` that start at ``r + k * width``:
-            the sorted ``k`` whose row has an empty reduction chunk, and per
-            reduction layer whether its chunk in row ``k`` is empty."""
+        def table(r: int) -> list[int]:
+            """For the whole rows of ``buf`` that start at ``r + k * width``,
+            the sorted ``k`` whose row has an empty reduction chunk."""
             if r not in tables:
                 whole = (size - r) // width
                 failing = np.zeros(whole, dtype=bool)
-                empty = {}
                 for li, lo, _ in reductions:
-                    empty[li] = marks[li][r + lo :: width][:whole]
-                    failing |= empty[li]
-                tables[r] = (np.flatnonzero(failing).tolist(), empty)
+                    failing |= marks[li][r + lo :: width][:whole]
+                tables[r] = np.flatnonzero(failing).tolist()
             return tables[r]
 
         def shifts(pos: int) -> list[int] | None:
@@ -502,11 +499,9 @@ class GateSampler:
                 c = pos + lo + late[li]
                 for _ in range(MAX_REDRAWS):
                     # the chunk at ``c`` is layer ``li``'s in a row at ``c - lo``
-                    empty = table((c - lo) % width)[1][li]
-                    k = (c - lo) // width
-                    if k >= len(empty):  # that row is not whole, so this one is not
+                    if c - lo + width > size:  # that row is not whole, so this one is not
                         return None
-                    if not empty[k]:
+                    if not marks[li][c]:
                         break
                     c += w
                 else:
@@ -517,7 +512,7 @@ class GateSampler:
 
         first, pos, fixes, crossed = row, 0, [], False
         while row < n and pos + width <= size:
-            failing = table(pos % width)[0]
+            failing = table(pos % width)
             k = pos // width
             i = bisect.bisect_left(failing, k)
             stop = failing[i] if i < len(failing) else (size - pos % width) // width

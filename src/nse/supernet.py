@@ -15,9 +15,10 @@ path over plain arrays: ``evaluate(cache, architecture)``, where an
 ``InferenceCache`` shares the stem and layer-0 work of one set of trained
 weights across architectures.  The recalibration batches form one (R, B, W)
 stack, so each branch runs once over all of them; ``recalibrate`` turns the
-stack into a (mean, inv) pair that ``normalize_fixed`` applies to the
-validation batches.  Since recalibration starts from scratch, training
-normalizes with each batch's moments and keeps no running statistics.
+stack into a (mean, inv) pair that ``normalize_fixed`` applies to the whole
+validation split in one pass.  Since recalibration starts from scratch,
+training normalizes with each batch's moments and keeps no running
+statistics.
 """
 
 from __future__ import annotations
@@ -542,20 +543,17 @@ class InferenceCache:
     """Architecture-independent evaluation work for one set of trained weights.
 
     Holds the stem outputs of the recalibration batches, as one (R, B, W)
-    stack, and of the validation batches, and, filled the first time an
-    architecture selects a layer-0 slot, that branch's recalibrated outputs
-    on both.  Layer 0 reads the stem output and a branch's recalibrated
-    statistics depend only on its own input, so these are the same for every
-    architecture.  Deeper layers are computed per architecture.  The cache is
-    valid only while the weights do not change: build it after training.
+    stack, and of the whole validation split, as one (V, W) array with its
+    labels, and, filled the first time an architecture selects a layer-0
+    slot, that branch's recalibrated outputs on both.  Layer 0 reads the stem
+    output and a branch's recalibrated statistics depend only on its own
+    input, so these are the same for every architecture.  Deeper layers are
+    computed per architecture.  The cache is valid only while the weights do
+    not change: build it after training.
     """
 
     def __init__(
-        self,
-        weights: SharedWeights,
-        dataset: ToyDataset,
-        recal_batches: Sequence[np.ndarray],
-        batch_size: int = 256,
+        self, weights: SharedWeights, dataset: ToyDataset, recal_batches: Sequence[np.ndarray]
     ):
         self.weights = weights
         w, b = weights.params["stem.w"], weights.params["stem.b"]
@@ -568,35 +566,29 @@ class InferenceCache:
             raise ValueError(
                 f"recalibration batches must all have one size to be stacked, got sizes {sizes}"
             )
-        self.val_size = len(dataset.x_val)
-        starts = range(0, self.val_size, batch_size)
         self.recal = stem(np.stack(recal_batches)) if sizes else None
-        self.val = [stem(dataset.x_val[s : s + batch_size]) for s in starts]
-        self.labels = [dataset.y_val[s : s + batch_size] for s in starts]
-        self._layer0: dict[int, tuple[np.ndarray | None, list[np.ndarray]]] = {}
+        self.val = stem(dataset.x_val)
+        self.labels = dataset.y_val
+        self._layer0: dict[int, tuple[np.ndarray | None, np.ndarray]] = {}
 
     def _branch(
-        self, layer_index: int, slot: int, recal: np.ndarray, val: list[np.ndarray], last: bool
-    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-        """One branch on every batch: recalibrate fresh statistics on the
-        recal stack, then apply them to the val inputs.  A recal output, fed
-        to the next layer, is normalized with each batch's own moments, whose
-        sums the statistics reuse; the last layer's feeds nothing, so it is
-        not formed."""
+        self, layer_index: int, slot: int, recal: np.ndarray, val: np.ndarray, last: bool
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """One branch: recalibrate fresh statistics on the recal stack, then
+        apply them to the val input.  A recal output, fed to the next layer,
+        is normalized with each batch's own moments, whose sums the statistics
+        reuse; the last layer's feeds nothing, so it is not formed."""
         y = self.weights.branch_affines(layer_index, slot, recal)
         if last:
             recal_out, sums = None, None
         else:
             recal_out, _, _, sums = normalize_train_stack(y)
         stats = recalibrate(y, sums)
-        val_out = [
-            normalize_fixed(self.weights.branch_affines(layer_index, slot, x), *stats)
-            for x in val
-        ]
+        val_out = normalize_fixed(self.weights.branch_affines(layer_index, slot, val), *stats)
         return recal_out, val_out
 
-    def val_logits(self, architecture: Architecture) -> list[np.ndarray]:
-        """Logits of every validation batch, with the selected branches'
+    def val_logits(self, architecture: Architecture) -> np.ndarray:
+        """Logits of the validation split, with the selected branches'
         statistics recalibrated first."""
         gates = architecture.gate_vectors
         if self.recal is None and any(gv.selected for gv in gates):
@@ -614,12 +606,8 @@ class InferenceCache:
                     outs.append(self._branch(li, slot, recal, val, last))
             if not last:
                 recal = self.weights.layer_mix(li, recal, [r for r, _ in outs])
-            val = [
-                self.weights.layer_mix(li, x, [v[i] for _, v in outs])
-                for i, x in enumerate(val)
-            ]
-        w, b = self.weights.params["head.w"], self.weights.params["head.b"]
-        return [affine_array(h, w, b) for h in val]
+            val = self.weights.layer_mix(li, val, [v for _, v in outs])
+        return affine_array(val, self.weights.params["head.w"], self.weights.params["head.b"])
 
 
 def evaluate(cache: InferenceCache, architecture: Architecture) -> float:
@@ -629,7 +617,5 @@ def evaluate(cache: InferenceCache, architecture: Architecture) -> float:
     Statistics are recalibrated from scratch and the weights are only read,
     so repeated evaluations leave them bit-identical.
     """
-    correct = 0
-    for logits, y in zip(cache.val_logits(architecture), cache.labels):
-        correct += int(np.sum(np.argmax(logits, axis=1) == y))
-    return correct / cache.val_size
+    correct = np.argmax(cache.val_logits(architecture), axis=1) == cache.labels
+    return int(np.sum(correct)) / len(cache.labels)

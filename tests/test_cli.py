@@ -58,6 +58,15 @@ def test_workers_key_is_rejected(tmp_path, capsys):
     assert "workers" in capsys.readouterr().err
 
 
+def test_eval_batch_size_key_is_rejected(tmp_path, capsys):
+    # evaluation scores the validation split in one pass, so nothing is left
+    # for the key to set
+    path = write_config(tmp_path, evaluator="supernet", retrieval={"eval_batch_size": 256})
+    assert main(["run", str(path)]) == 2
+    assert "eval_batch_size" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_oracle_smoke_run_completes_quickly_with_artifacts(tmp_path):
     path = write_config(tmp_path)
     started = time.perf_counter()
@@ -212,6 +221,18 @@ def test_inspect_missing_round_is_config_code(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", str(path)]) == 0
     assert main(["inspect", str(tmp_path / "run"), "--round", "9"]) == 2
+
+
+def test_inspect_shows_the_last_round_by_number(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["run", str(path)]) == 0
+    run = tmp_path / "run"
+    for old, new in (("round_001", 999), ("round_002", 1000)):
+        (run / old).rename(run / f"round_{new}")
+        pareto = run / f"round_{new}" / "pareto.json"
+        pareto.write_text(json.dumps({**json.loads(pareto.read_text()), "round": new}))
+    assert main(["inspect", str(run)]) == 0
+    assert "round 1000" in capsys.readouterr().out
 
 
 def test_inspect_into_a_closed_pipe_exits_141_silently(tmp_path):
@@ -619,8 +640,7 @@ def test_pinned_supernet_artifacts_are_byte_identical(tmp_path, monkeypatch):
         network={"stem_width": 8, "layer_widths": [8, 8, 12]},
         constraint={"tau": 1.5, "alpha": 0.05},
         retrieval={
-            "samples": 6, "auxiliary": 2, "recal_batches": 2,
-            "recal_batch_size": 32, "eval_batch_size": 128,
+            "samples": 6, "auxiliary": 2, "recal_batches": 2, "recal_batch_size": 32,
         },
         dataset={"seed": 1, "input_dim": 6, "classes": 3, "train_size": 400, "val_size": 200},
         training={"steps": 60, "batch_size": 40, "warmup_steps": 4, "indicator_lr": 0.5},
@@ -663,10 +683,10 @@ def test_pinned_supernet_artifacts_are_byte_identical(tmp_path, monkeypatch):
 # sha256 of the resolved config of the default and of each benchmark workload;
 # a change to a key name, a default or the float/int form of a value shows here
 PINNED_CONFIG_HASHES = {
-    None: "034957a8674eaa996c484d6b299230147dd8eff2dae1fba9f0017d792acbcdbb",
-    "oracle-sample": "d5d324800f702ab9a46dae23690b2b5cc14004def3627c932db16e0fef593c54",
-    "supernet-eval": "6f884a0b27a83237e86d922d014c2aa0b224218a8eb1c81be20f4c653fdf524e",
-    "supernet-train": "27e6b97312fd399e06675a7319def0536cb0d3bf45478f5e9e2d51f0ef3883e5",
+    None: "7c0669a4ed0ede164b962bda8162c181836f74f443777f069f32efdab7d0a422",
+    "oracle-sample": "3a667e26e0be8b7951abcbf70577a6c633e073139a24dfd767f03e82a43e685f",
+    "supernet-eval": "dd0e1f04f23bf1d6b21978de8892cf2680eb9968a39dab28afc30d64dc4ee473",
+    "supernet-train": "5beb0f82d855304876bda748d58e5caf6112606a6a058b0b45a8473fb394203c",
 }
 
 
@@ -693,7 +713,6 @@ SIZES = [
     ("training", "warmup_steps", -1),
     ("retrieval", "recal_batches", 0),
     ("retrieval", "recal_batch_size", 0),
-    ("retrieval", "eval_batch_size", 0),
     ("retrieval", "stall_factor", 0),
 ]
 

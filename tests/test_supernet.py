@@ -368,7 +368,7 @@ def test_train_architecture_runs_and_scores():
 # The no-grad inference path against the autodiff graph
 
 
-def graph_evaluation(weights, arch, data, recal, batch_size=256):
+def graph_evaluation(weights, arch, data, recal, batch_size):
     """Reference: recalibrate fresh tape statistics of the selected branches
     and score through the Tensor graph; returns the accuracy and the
     validation logits of every batch."""
@@ -409,7 +409,10 @@ def trained_net(seed=4):
     return subset, weights, data, recal
 
 
-def test_nograd_accuracy_equals_graph_accuracy_exactly():
+@pytest.mark.parametrize("batch_size", [7, 128, 300])
+def test_nograd_accuracy_equals_graph_accuracy_exactly(batch_size):
+    # one-pass scoring equals the graph's batched scoring at several splits
+    # of the 300 validation rows, the last one the whole split
     subset, weights, data, recal = trained_net()
     rng = make_rng("nograd-archs", 0)
     slots = [subset.active_slots(li) for li in range(3)]
@@ -422,17 +425,15 @@ def test_nograd_accuracy_equals_graph_accuracy_exactly():
     assert any(not gv.selected for gv in gates)  # empty normal-layer gates
     assert any(len(gv.selected) == 1 for gv in gates)  # single-branch layers
     assert any(len(gv.selected) > 1 for gv in gates)  # multi-branch layers
-    cache = InferenceCache(weights, data, recal, 128)
+    cache = InferenceCache(weights, data, recal)
     got = [evaluate(cache, a) for a in archs]
-    expected = [graph_evaluation(weights, a, data, recal, 128) for a in archs]
+    expected = [graph_evaluation(weights, a, data, recal, batch_size) for a in archs]
     assert got == [acc for acc, _ in expected]
     assert len(set(got)) > 3  # the architectures really differ
     # bit-identical logits, not just the same argmax
     for arch, (_, logits) in zip(archs, expected):
-        nograd = cache.val_logits(arch)
-        assert len(nograd) == len(logits)
-        for a, b in zip(nograd, logits):
-            assert np.array_equal(a, b)
+        assert len(logits) == -(-len(data.x_val) // batch_size)
+        assert np.array_equal(cache.val_logits(arch), np.concatenate(logits))
 
 
 def test_cached_evaluation_does_not_depend_on_order():
