@@ -2,9 +2,13 @@
 
 One config file fully determines a run.  The section dataclasses are the
 schema: every JSON key is a field name, checked against the field's
-annotation, and an absent key takes the field's default.  Unknown keys are
-rejected so typos fail loudly, and the resolved config (all defaults
-applied) is hashed into every artifact the run emits.
+annotation, and an absent key takes the field's default.  A numeric field's
+range is part of its annotation, as an interval string such as
+``Annotated[int, "[1, inf)"]``, and a field with fixed choices is a
+``Literal``; ``_value`` checks both, so each bound is stated once.  Only
+checks that relate two fields live in a section's ``__post_init__``.
+Unknown keys are rejected so typos fail loudly, and the resolved config (all
+defaults applied) is hashed into every artifact the run emits.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 from .engine import Engine, RetrievalConfig
 from .oracle import SyntheticBenchmark
@@ -41,16 +45,17 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 def _section(cls, data, where: str):
     """Build the dataclass ``cls`` from the JSON object ``data``.
 
-    Every key must name a field and match its annotation; absent fields keep
-    their defaults.  A ``ValueError`` from ``__post_init__`` (a range or
-    cross-field check) becomes a ``ConfigError`` naming the section.
+    Every key must name a field and match its annotation, bounds and
+    choices included; absent fields keep their defaults.  A ``ValueError``
+    from ``__post_init__`` (a check across fields) becomes a ``ConfigError``
+    naming the section.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = data.keys() - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
     values = {key: _value(hints[key], value, f"{where}.{key}") for key, value in data.items()}
     try:
         return cls(**values)
@@ -64,6 +69,20 @@ def _value(kind, value, where: str):
     if is_dataclass(kind):
         return _section(kind, value, where)
     args = get_args(kind)
+    if get_origin(kind) is Annotated:  # ``Annotated[X, "[lo, hi)"]``
+        value = _value(args[0], value, where)
+        interval = args[1]
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        above = lo <= value if interval[0] == "[" else lo < value
+        below = value <= hi if interval[-1] == "]" else value < hi
+        if not (above and below):
+            raise ConfigError(f"{where} must be in {interval}, got {value}")
+        return value
+    if get_origin(kind) is Literal:
+        if not (isinstance(value, str) and value in args):
+            choices = ", ".join(repr(choice) for choice in args)
+            raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
+        return value
     if type(None) in args:  # ``X | None``: null is allowed
         return None if value is None else _value(args[0], value, where)
     if get_origin(kind) is tuple:  # ``tuple[X, ...]``
@@ -83,17 +102,15 @@ def _value(kind, value, where: str):
 
 @dataclass
 class PoolSettings:
-    num_layers: int = 4
-    ops_per_layer: int = 12
-    reduction_layers: tuple[int, ...] = (3,)
-    preset: str = "toy"
+    num_layers: Annotated[int, "[1, inf)"] = 4
+    ops_per_layer: Annotated[int, "[1, inf)"] = 12
+    reduction_layers: tuple[Annotated[int, "[0, inf)"], ...] = (3,)
+    preset: Literal["toy", "opaque"] = "toy"
     shuffle_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_layers < 1 or self.ops_per_layer < 1:
-            raise ValueError("num_layers, ops_per_layer must be >= 1")
-        if any(li < 0 or li >= self.num_layers for li in self.reduction_layers):
-            raise ValueError("reduction_layers indices out of range")
+        if any(li >= self.num_layers for li in self.reduction_layers):
+            raise ValueError("reduction_layers indices must be below num_layers")
 
     def roles(self) -> list[str]:
         reductions = set(self.reduction_layers)
@@ -110,18 +127,13 @@ class PoolSettings:
                     f"toy preset supports at most {len(family)} ops per layer"
                 )
             ops = family[: self.ops_per_layer]
-        elif self.preset == "opaque":
+        else:  # "opaque"
             ops = [DeclaredOp(kind=f"op{i:02d}") for i in range(self.ops_per_layer)]
-        else:
-            raise ConfigError(f"unknown pool preset {self.preset!r}")
         declared = [
             DeclaredLayer(role=role, ops=[DeclaredOp(op.kind, dict(op.params)) for op in ops])
             for role in self.roles()
         ]
         return shuffle_pool(declared, self.shuffle_seed)
-
-
-COST_KINDS = ("flops", "latency")
 
 
 @dataclass
@@ -131,35 +143,26 @@ class ConstraintSettings(ConstraintConfig):
     cost label, an optional cost-table file and the pruning threshold."""
 
     tau: float = 300.0
-    kind: str = "flops"
+    kind: Literal["flops", "latency"] = "flops"
     cost_table: str | None = None
     prune_threshold: float = -2.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.kind not in COST_KINDS:
-            raise ValueError(f"kind must be one of {', '.join(COST_KINDS)}, got {self.kind!r}")
 
 
 @dataclass
 class BenchmarkSettings:
     seed: int = 0
-    cost_low: float = 20.0
+    cost_low: Annotated[float, "[0, inf)"] = 20.0
     cost_high: float = 120.0
-    overhead: float = 10.0
-    chance: float = 0.3
-    ceiling: float = 0.95
+    overhead: Annotated[float, "[0, inf)"] = 10.0
+    chance: Annotated[float, "(0, 1)"] = 0.3
+    ceiling: Annotated[float, "(0, 1)"] = 0.95
     synergy: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.chance < self.ceiling < 1.0):
-            raise ValueError("requires 0 < chance < ceiling < 1")
-        if not self.cost_low >= 0:
-            raise ValueError("cost_low must be >= 0")
+        if not self.chance < self.ceiling:
+            raise ValueError("chance must be below ceiling")
         if not self.cost_low <= self.cost_high:
             raise ValueError("cost_low must be <= cost_high")
-        if not self.overhead >= 0:
-            raise ValueError("overhead must be >= 0")
 
     def build(self, pool: SearchSpacePool) -> SyntheticBenchmark:
         return SyntheticBenchmark.generate(
@@ -175,24 +178,18 @@ class BenchmarkSettings:
 
 @dataclass
 class NetworkSettings:
-    stem_width: int = 24
-    layer_widths: tuple[int, ...] = (24, 24, 24, 32)
-    unit_scale: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if any(w < 1 for w in self.layer_widths):
-            raise ValueError("layer_widths must be positive integers")
-        if not self.unit_scale >= 0:
-            raise ValueError("unit_scale must be >= 0")
+    stem_width: Annotated[int, "[1, inf)"] = 24
+    layer_widths: tuple[Annotated[int, "[1, inf)"], ...] = (24, 24, 24, 32)
+    unit_scale: Annotated[float, "[0, inf)"] = 1e-3
 
 
 @dataclass
 class RunConfig:
     master_seed: int = 0
     output_dir: str = "runs/out"
-    evaluator: str = "oracle"
-    max_rounds: int = 3
-    k_per_layer: int = 4
+    evaluator: Literal["oracle", "supernet"] = "oracle"
+    max_rounds: Annotated[int, "[1, inf)"] = 3
+    k_per_layer: Annotated[int, "[1, inf)"] = 4
     lock_and_rehearse: bool = True
     pool: PoolSettings = field(default_factory=PoolSettings)
     constraint: ConstraintSettings = field(default_factory=ConstraintSettings)
@@ -203,10 +200,6 @@ class RunConfig:
     network: NetworkSettings = field(default_factory=NetworkSettings)
 
     def __post_init__(self) -> None:
-        if self.evaluator not in ("oracle", "supernet"):
-            raise ValueError("evaluator must be 'oracle' or 'supernet'")
-        if self.max_rounds < 1 or self.k_per_layer < 1:
-            raise ValueError("max_rounds, k_per_layer must be >= 1")
         active = min(self.k_per_layer, self.pool.ops_per_layer)
         if active > MAX_LAYER_SLOTS:
             raise ValueError(f"{active} active slots in a layer; at most {MAX_LAYER_SLOTS} fit a mask")

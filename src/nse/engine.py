@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Annotated, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,18 +80,11 @@ class RetrievalConfig:
     band used to smooth the front near the cost cutoff.
     """
 
-    samples: int = 200
-    auxiliary: int = 0
-    recal_batches: int = 16
-    recal_batch_size: int = 128
-    stall_factor: int = 100
-
-    def __post_init__(self) -> None:
-        for name in ("samples", "recal_batches", "recal_batch_size", "stall_factor"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.auxiliary < 0:
-            raise ValueError("auxiliary must be >= 0")
+    samples: Annotated[int, "[1, inf)"] = 200
+    auxiliary: Annotated[int, "[0, inf)"] = 0
+    recal_batches: Annotated[int, "[1, inf)"] = 16
+    recal_batch_size: Annotated[int, "[1, inf)"] = 128
+    stall_factor: Annotated[int, "[1, inf)"] = 100
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Annotated, Mapping
 
 import numpy as np
 
@@ -85,21 +85,13 @@ class ConstraintConfig:
     """
 
     tau: float
-    alpha: float = 1e-5
-    beta: float = 2.0
+    alpha: Annotated[float, "[0, inf)"] = 1e-5
+    beta: Annotated[float, "[1, inf)"] = 2.0
     upper_bound: float | None = None
-    edging_margin: float = 0.1
+    edging_margin: Annotated[float, "[0, inf)"] = 0.1
     one_sided: bool = False
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.tau) or not math.isfinite(self.alpha):
-            raise ResourceError("tau and alpha must be finite")
-        if self.alpha < 0:
-            raise ResourceError("alpha must be nonnegative")
-        if self.beta < 1:
-            raise ResourceError("beta must be >= 1")
-        if self.edging_margin < 0:
-            raise ResourceError("edging_margin must be nonnegative")
         if self.upper_bound is None:
             self.upper_bound = self.tau
 

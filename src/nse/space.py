@@ -283,6 +283,18 @@ def shuffle_pool(declared_layers: Sequence[DeclaredLayer], seed: int) -> SearchS
 # Subset lifecycle
 
 
+def _draw_fresh(
+    layer: LayerSpec, ledger: TraversalLedger, count: int, rng: np.random.Generator
+) -> list[SubsetEntry]:
+    """Up to ``count`` of ``layer``'s untraversed operations, drawn by ``rng``
+    without replacement, in slot order and recorded in ``ledger``."""
+    candidates = ledger.untraversed(layer)
+    picked = rng.choice(len(candidates), size=min(count, len(candidates)), replace=False)
+    chosen = sorted((candidates[i] for i in picked), key=lambda op: op.slot_index)
+    ledger.record(op.key for op in chosen)
+    return [SubsetEntry(op, ORIGIN_FRESH) for op in chosen]
+
+
 def init_subset(
     pool: SearchSpacePool, capacity: int, seed: int, ledger: TraversalLedger
 ) -> SubsetState:
@@ -291,15 +303,10 @@ def init_subset(
         raise SpaceError("capacity must be >= 1")
     layers = []
     for layer in pool.layers:
-        candidates = ledger.untraversed(layer)
-        if not candidates:
+        fresh = _draw_fresh(layer, ledger, capacity, make_rng(seed, "init", layer.layer_index))
+        if not fresh:
             raise SpaceExhaustedError(f"layer {layer.layer_index} fully traversed")
-        take = min(capacity, len(candidates))
-        rng = make_rng(seed, "init", layer.layer_index)
-        picked = rng.choice(len(candidates), size=take, replace=False)
-        chosen = sorted((candidates[i] for i in picked), key=lambda op: op.slot_index)
-        ledger.record(op.key for op in chosen)
-        layers.append([SubsetEntry(op, ORIGIN_FRESH) for op in chosen])
+        layers.append(fresh)
     state = SubsetState(layers=layers, roles=pool.roles, capacity=capacity)
     state.validate()
     return state
@@ -331,18 +338,9 @@ def replenish(
         need = capacity - len(inherited)
         fresh: list[SubsetEntry] = []
         if need > 0:
-            candidates = ledger.untraversed(layer)
-            take = min(need, len(candidates))
-            if take:
-                rng = make_rng(seed, "replenish", layer.layer_index)
-                picked = rng.choice(len(candidates), size=take, replace=False)
-                chosen = sorted(
-                    (candidates[i] for i in picked), key=lambda op: op.slot_index
-                )
-                ledger.record(op.key for op in chosen)
-                fresh = [SubsetEntry(op, ORIGIN_FRESH) for op in chosen]
-            if len(inherited) + len(fresh) < capacity:
-                shortage = True
+            rng = make_rng(seed, "replenish", layer.layer_index)
+            fresh = _draw_fresh(layer, ledger, need, rng)
+            shortage = shortage or len(fresh) < need
         if not inherited and not fresh:
             raise SpaceExhaustedError(
                 f"layer {layer.layer_index} has nothing to inherit and nothing fresh"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
 import numpy as np
 
@@ -102,46 +102,26 @@ class NetworkGeometry:
 
 @dataclass
 class TrainingConfig:
-    steps: int = 400
-    batch_size: int = 128
-    lr: float = 0.1
-    momentum: float = 0.9
+    steps: Annotated[int, "[0, inf)"] = 400
+    batch_size: Annotated[int, "[1, inf)"] = 128
+    lr: Annotated[float, "(0, inf)"] = 0.1
+    momentum: Annotated[float, "[0, 1)"] = 0.9
     nesterov: bool = True
-    weight_decay: float = 4e-5
-    warmup_steps: int = 20
-    indicator_lr: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        for name in ("steps", "warmup_steps"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        # written as negations so that NaN fails them too
-        for name in ("lr", "indicator_lr"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
+    weight_decay: Annotated[float, "[0, inf)"] = 4e-5
+    warmup_steps: Annotated[int, "[0, inf)"] = 20
+    indicator_lr: Annotated[float, "(0, inf)"] = 0.1
 
 
 @dataclass
 class DatasetConfig:
     seed: int = 0
-    input_dim: int = 16
-    classes: int = 4
-    train_size: int = 8000
-    val_size: int = 2000
-    clusters_per_class: int = 2
+    input_dim: Annotated[int, "[1, inf)"] = 16
+    classes: Annotated[int, "[1, inf)"] = 4
+    train_size: Annotated[int, "[1, inf)"] = 8000
+    val_size: Annotated[int, "[1, inf)"] = 2000
+    clusters_per_class: Annotated[int, "[1, inf)"] = 2
     noise: float = 0.6
     radius: float = 2.0
-
-    def __post_init__(self) -> None:
-        for name in ("input_dim", "classes", "train_size", "val_size", "clusters_per_class"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

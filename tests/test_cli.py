@@ -1,18 +1,21 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
 from nse import engine
 from nse.cli import main
-from nse.config import ConfigError, config_hash, parse_config, resolved_dict
+from nse.config import ConfigError, RunConfig, config_hash, parse_config, resolved_dict
 from nse.space import GateSampler
 
 REPO = Path(__file__).resolve().parent.parent
@@ -470,6 +473,20 @@ def test_budget_below_the_cheapest_architecture_exits_with_config_code(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("width", [0, -8])
+def test_stem_width_below_one_exits_with_config_code(tmp_path, capsys, width):
+    # 0 divided by zero and -8 made a negative array mid-run
+    path = write_config(
+        tmp_path, evaluator="supernet", max_rounds=1,
+        pool={"num_layers": 4, "ops_per_layer": 6, "reduction_layers": [0, 3], "preset": "toy"},
+        network={"stem_width": width},
+    )
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.network.stem_width must be in [1, inf), got {width}" in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_budget_at_the_cheapest_architecture_is_accepted():
     # the cheapest architecture selects each reduction layer's cheapest slot
     # and nothing else; a bound one ulp below its cost is refused
@@ -772,8 +789,12 @@ REJECTED = [
             ("training", "lr", float("inf")),
         ]
     ],
-    # a cost label nothing would read
+    # a choice outside the annotation's Literal
     ({"constraint": {"kind": "energy"}}, ["config.constraint", "kind", "flops", "latency"]),
+    ({"evaluator": "other"}, ["config.evaluator", "'oracle', 'supernet'"]),
+    ({"pool": {"preset": "other"}}, ["config.pool.preset", "'toy', 'opaque'"]),
+    # a penalty exponent below 1
+    ({"constraint": {"beta": 0.5}}, ["config.constraint", "beta"]),
 ]
 
 
@@ -785,6 +806,120 @@ def test_parse_config_rejections(data, needles):
         parse_config(data)
     for needle in needles:
         assert needle in str(info.value)
+
+
+# numeric fields that take every finite value; any other numeric field must
+# declare its interval in its annotation
+UNBOUNDED = {
+    ("config", "master_seed"),
+    ("config.pool", "shuffle_seed"),
+    ("config.benchmark", "seed"),
+    ("config.benchmark", "cost_high"),  # at least cost_low, a check across fields
+    ("config.benchmark", "synergy"),
+    ("config.dataset", "seed"),
+    ("config.dataset", "noise"),
+    ("config.dataset", "radius"),
+    ("config.constraint", "tau"),
+    ("config.constraint", "upper_bound"),
+    ("config.constraint", "prune_threshold"),
+}
+
+
+def declared_fields(cls=RunConfig, where="config"):
+    """(section, key, annotation, default) of every leaf field of ``cls``."""
+    hints, defaults = get_type_hints(cls, include_extras=True), cls()
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            yield from declared_fields(kind, f"{where}.{f.name}")
+        else:
+            yield where, f.name, kind, getattr(defaults, f.name)
+
+
+def declared_bounds():
+    """(section, key, base type, interval, default) of every annotated
+    interval; a tuple's interval is on its elements, and its default is the
+    list a test edits."""
+    for where, key, kind, default in declared_fields():
+        if get_origin(kind) is tuple:
+            kind, default = get_args(kind)[0], list(default)
+        if get_origin(kind) is Annotated:
+            base, interval = get_args(kind)
+            yield where, key, base, interval, default
+
+
+BOUNDS = list(declared_bounds())
+
+
+def config_with(where, key, default, value):
+    """The config that sets only ``key`` of section ``where`` to ``value``
+    (or a tuple key's first element)."""
+    if isinstance(default, list):
+        value = [value, *default[1:]]
+    section = where.removeprefix("config").removeprefix(".")
+    return {section: {key: value}} if section else {key: value}
+
+
+def holds_numbers(kind):
+    """Whether the annotation ``kind`` is a number, bounded, in a tuple or
+    optional."""
+    if get_origin(kind) is Annotated:
+        kind = get_args(kind)[0]
+    args = get_args(kind)
+    return holds_numbers(args[0]) if args else kind in (int, float)
+
+
+def test_every_numeric_field_is_bounded_or_listed_unbounded():
+    numeric = {(where, key) for where, key, kind, _ in declared_fields() if holds_numbers(kind)}
+    bounded = {(where, key) for where, key, *_ in BOUNDS}
+    assert numeric - bounded == UNBOUNDED
+    assert not bounded & UNBOUNDED
+
+
+@pytest.mark.parametrize(
+    "where,key,base,interval,default",
+    BOUNDS,
+    ids=[f"{where}.{key}" for where, key, *_ in BOUNDS],
+)
+def test_declared_bounds_hold_at_each_edge_and_fail_just_past_it(
+    where, key, base, interval, default
+):
+    def error(value):
+        try:
+            parse_config(config_with(where, key, default, value))
+        except ConfigError as exc:
+            return str(exc)
+        return None
+
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    for end, closed, outward in ((lo, interval[0] == "[", -1), (hi, interval[-1] == "]", 1)):
+        if math.isinf(end):
+            continue  # the type and finiteness checks hold an infinite end
+        edge = base(end)
+        past = edge + outward if base is int else math.nextafter(edge, outward * math.inf)
+        if closed:
+            # a check across fields may refuse the edge, but it names only
+            # the section, never this field
+            assert f"{where}.{key}" not in (error(edge) or "")
+        for value in [past] if closed else [edge, past]:
+            message = error(value)
+            assert message is not None, value
+            assert where in message and key in message and interval in message, message
+
+
+def test_readme_lists_every_declared_interval():
+    text = (REPO / "README.md").read_text()
+    config = re.search(r"### Config\n(.*?)\n### ", text, re.S).group(1)
+    listed = {
+        (key, interval)
+        for interval, keys in re.findall(r"^- `([\[(][^`]*)`: (.*?)(?=^- |^$)", config, re.S | re.M)
+        for key in re.findall(r"`([a-z_.]+)`", keys)
+    }
+    declared = {
+        (f"{where}.{key}".removeprefix("config."), interval)
+        for where, key, _, interval, _ in BOUNDS
+    }
+    assert listed == declared
 
 
 def test_null_is_accepted_for_upper_bound_and_cost_table():
