@@ -164,16 +164,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = json.loads(manifest_path.read_text())
     chash = manifest["config_hash"]
 
-    if args.round is None:
-        # by number, not by name: round_1000 comes after round_999
-        rounds = [p for p in run_dir.glob("round_*") if p.is_dir() and p.name[6:].isdecimal()]
-        if not rounds:
-            raise ArtifactError(f"no round artifacts in {run_dir}")
-        round_dir = max(rounds, key=lambda p: int(p.name[6:]))
-    else:
-        round_dir = run_dir / f"round_{args.round:03d}"
-        if not round_dir.is_dir():
-            raise FileNotFoundError(f"no artifacts for round {args.round} in {run_dir}")
+    # the run's last round by default; a higher-numbered directory may be
+    # left over from an earlier run written into the same output_dir
+    number = manifest["rounds_completed"] if args.round is None else args.round
+    round_dir = run_dir / f"round_{number:03d}"
+    if not round_dir.is_dir():
+        raise FileNotFoundError(f"no artifacts for round {number} in {run_dir}")
 
     artifacts = {}
     for name in ("pareto.json", "subset.json", "ledger.json", "manifest.json"):

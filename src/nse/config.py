@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
-from .engine import Engine, RetrievalConfig
+from .engine import Engine, OraclePhase, RetrievalConfig, SupernetPhase
 from .oracle import SyntheticBenchmark
 from .resources import ConstraintConfig, CostTable
 from .space import MAX_LAYER_SLOTS, REDUCTION, DeclaredLayer, DeclaredOp, SearchSpacePool, shuffle_pool
@@ -285,22 +285,12 @@ def load_cost_table(path: str) -> CostTable:
 
 
 def build_engine(cfg: RunConfig) -> Engine:
+    """The run's engine, with the one phase for ``cfg.evaluator``."""
     pool = cfg.pool.build()
-    common = dict(
-        pool=pool,
-        capacity=cfg.k_per_layer,
-        max_rounds=cfg.max_rounds,
-        constraint=cfg.constraint,
-        retrieval=cfg.retrieval,
-        master_seed=cfg.master_seed,
-        evaluator_kind=cfg.evaluator,
-        prune_threshold=cfg.constraint.prune_threshold,
-        lock_and_rehearse=cfg.lock_and_rehearse,
-    )
     path = cfg.constraint.cost_table
     if cfg.evaluator == "oracle":
-        benchmark = cfg.benchmark.build(pool)
-        table = benchmark.cost_table()
+        phase = OraclePhase(cfg.benchmark.build(pool))
+        table = phase.table
     elif path is not None:
         table = load_cost_table(path)
         missing = sorted({op.key for layer in pool.layers for op in layer.pool} - table.cost.keys())
@@ -321,12 +311,18 @@ def build_engine(cfg: RunConfig) -> Engine:
             f"config.constraint.upper_bound {cfg.constraint.upper_bound} is below {cheapest},"
             " the cost of the pool's cheapest architecture"
         )
-    if cfg.evaluator == "oracle":
-        return Engine(benchmark=benchmark, **common)
+    if cfg.evaluator == "supernet":  # the dataset is made once the budget is known to fit
+        phase = SupernetPhase(
+            ToyDataset.generate(cfg.dataset), cfg.geometry(), cfg.training, table,
+            cfg.constraint.prune_threshold,
+        )
     return Engine(
-        dataset=ToyDataset.generate(cfg.dataset),
-        geometry=cfg.geometry(),
-        training=cfg.training,
-        cost_table=table,
-        **common,
+        pool=pool,
+        capacity=cfg.k_per_layer,
+        max_rounds=cfg.max_rounds,
+        constraint=cfg.constraint,
+        retrieval=cfg.retrieval,
+        master_seed=cfg.master_seed,
+        phase=phase,
+        lock_and_rehearse=cfg.lock_and_rehearse,
     )

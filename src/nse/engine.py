@@ -1,11 +1,12 @@
 """The outer evolution loop.
 
-Each round either trains a fresh shared-weight supernet on the current
-subset (interleaving two weight steps with one indicator step, pruning after
-each indicator step) or, on the oracle path, skips training entirely and
-samples uniformly.  The round's Pareto front is retrieved from sampled
+Every round has the same two steps.  The engine's phase finds an optimized
+space in the current subset: ``SupernetPhase`` trains a fresh shared-weight
+supernet on it (interleaving two weight steps with one indicator step,
+pruning after each indicator step), and ``OraclePhase`` skips training and
+samples uniformly.  The round's Pareto front is then retrieved from sampled
 in-budget architectures plus auxiliary beyond-boundary samples and the
-rehearsed previous front, then aggregated into the inherited core of the
+rehearsed previous front, and aggregated into the inherited core of the
 next round's subset, which is replenished with never-traversed operations.
 The loop ends at the round cap or as soon as replenishment runs short.
 """
@@ -52,7 +53,6 @@ from .supernet import (
     SharedWeights,
     ToyDataset,
     TrainingConfig,
-    build_cost_table,
     evaluate as evaluate_on_supernet,
     make_recal_batches,
     train_step,
@@ -356,65 +356,41 @@ def distribution_estimate(
     ]
 
 
-class Engine:
-    """Orchestrates rounds over one pool with either evaluator backend."""
+@dataclass
+class OraclePhase:
+    """A round on the oracle: no training, and retrieval samples the subset
+    uniformly and scores its draws in closed form."""
 
-    def __init__(
-        self,
-        *,
-        pool: SearchSpacePool,
-        capacity: int,
-        max_rounds: int,
-        constraint: ConstraintConfig,
-        retrieval: RetrievalConfig,
-        master_seed: int,
-        evaluator_kind: str,
-        prune_threshold: float = -2.0,
-        lock_and_rehearse: bool = True,
-        benchmark: SyntheticBenchmark | None = None,
-        dataset: ToyDataset | None = None,
-        geometry: NetworkGeometry | None = None,
-        training: TrainingConfig | None = None,
-        cost_table: CostTable | None = None,
-    ):
-        if evaluator_kind not in ("oracle", "supernet"):
-            raise ValueError(f"unknown evaluator kind {evaluator_kind!r}")
-        if evaluator_kind == "oracle" and benchmark is None:
-            raise ValueError("oracle runs need a benchmark")
-        if evaluator_kind == "supernet" and (
-            dataset is None or geometry is None or training is None
-        ):
-            raise ValueError("supernet runs need dataset, geometry, and training")
-        self.pool = pool
-        self.capacity = capacity
-        self.max_rounds = max_rounds
-        self.constraint = constraint
-        self.retrieval = retrieval
-        self.master_seed = master_seed
-        self.evaluator_kind = evaluator_kind
-        self.prune_threshold = prune_threshold
-        self.lock_and_rehearse = lock_and_rehearse
-        self.benchmark = benchmark
-        self.dataset = dataset
-        self.geometry = geometry
-        self.training = training
-        if evaluator_kind == "oracle":
-            self.cost_table = benchmark.cost_table()
-        else:
-            self.cost_table = cost_table or build_cost_table(pool, geometry)
+    benchmark: SyntheticBenchmark
 
-    # -- round phases
+    @property
+    def table(self) -> CostTable:
+        return self.benchmark.cost_table()
 
-    def _oracle_phase(self, state: EvolutionState):
-        evaluator = OracleEvaluator(self.benchmark)
-        return evaluator, GateSampler.uniform(state.subset), None, {}
+    def __call__(self, engine: Engine, state: EvolutionState, timings: dict[str, float]):
+        return OracleEvaluator(self.benchmark), GateSampler.uniform(state.subset), None, {}
 
-    def _supernet_phase(self, state: EvolutionState, timings: dict[str, float]):
+
+@dataclass
+class SupernetPhase:
+    """A round on a supernet: train fresh shared weights and indicators on the
+    subset, interleaving two weight steps with one indicator step and pruning
+    after each indicator step, then score draws from the indicators' sampler
+    on the trained weights."""
+
+    dataset: ToyDataset
+    geometry: NetworkGeometry
+    training: TrainingConfig
+    table: CostTable
+    prune_threshold: float = -2.0
+
+    def __call__(self, engine: Engine, state: EvolutionState, timings: dict[str, float]):
         r = state.round_index
+        seed = engine.master_seed
         clock = time.perf_counter
         timings.update(weight_steps=0.0, indicator_steps=0.0)
         weights = SharedWeights(
-            state.subset, self.geometry, derive_seed(self.master_seed, "weights", r)
+            state.subset, self.geometry, derive_seed(seed, "weights", r)
         )
         thetas = FitnessIndicators.for_subset(state.subset)
         w_opt = SGD(
@@ -428,16 +404,16 @@ class Engine:
             self.dataset.x_train,
             self.dataset.y_train,
             self.training.batch_size,
-            make_rng(self.master_seed, "train-batches", r),
+            make_rng(seed, "train-batches", r),
         )
         val_stream = BatchStream(
             self.dataset.x_val,
             self.dataset.y_val,
             self.training.batch_size,
-            make_rng(self.master_seed, "val-batches", r),
+            make_rng(seed, "val-batches", r),
         )
-        arch_rng = make_rng(self.master_seed, "train-arch", r)
-        ind_rng = make_rng(self.master_seed, "indicator", r)
+        arch_rng = make_rng(seed, "train-arch", r)
+        ind_rng = make_rng(seed, "indicator", r)
         losses = []
         curves: dict[str, list[float]] = {"loss": [], "expected_cost_gap": [], "penalty": []}
         prune_log = []
@@ -455,12 +431,14 @@ class Engine:
             if (step + 1) % 2 == 0:
                 started = clock()
                 stepped = indicator_update_step(
-                    thetas, weights, state.subset, val_stream.next(), self.cost_table,
-                    self.constraint, t_opt, ind_rng,
+                    thetas, weights, state.subset, val_stream.next(), self.table,
+                    engine.constraint, t_opt, ind_rng,
                 )
                 for name, curve in curves.items():
                     curve.append(stepped[name])
-                removed = prune(thetas, state.subset, self.prune_threshold, self.lock_and_rehearse)
+                removed = prune(
+                    thetas, state.subset, self.prune_threshold, engine.lock_and_rehearse
+                )
                 at = len(curves["loss"]) - 1
                 prune_log += [
                     {"step": at, "layer": li, "slot": slot, "indicator": value}
@@ -471,12 +449,12 @@ class Engine:
                 timings["indicator_steps"] += clock() - started
         recal = make_recal_batches(
             self.dataset,
-            self.retrieval.recal_batches,
-            self.retrieval.recal_batch_size,
-            make_rng(self.master_seed, "recal", r),
+            engine.retrieval.recal_batches,
+            engine.retrieval.recal_batch_size,
+            make_rng(seed, "recal", r),
         )
         cache = InferenceCache(weights, self.dataset, recal)
-        evaluator = SupernetEvaluator(cache, self.cost_table)
+        evaluator = SupernetEvaluator(cache, self.table)
         sampler = indicator_sampler(thetas, state.subset.roles)
         extras = {
             "mean_train_loss": float(np.mean(losses)) if losses else None,
@@ -487,13 +465,29 @@ class Engine:
         }
         return evaluator, sampler, thetas, extras
 
+
+@dataclass(kw_only=True)
+class Engine:
+    """Runs rounds over one pool.
+
+    ``phase(engine, state, timings)`` finds the round's optimized space in
+    the current subset and returns (evaluator, sampler, indicators or None,
+    diagnostics extras); ``OraclePhase`` and ``SupernetPhase`` are the two.
+    """
+
+    pool: SearchSpacePool
+    capacity: int
+    max_rounds: int
+    constraint: ConstraintConfig
+    retrieval: RetrievalConfig
+    master_seed: int
+    phase: Callable[[Engine, EvolutionState, dict[str, float]], tuple]
+    lock_and_rehearse: bool = True
+
     def run_round(self, state: EvolutionState) -> RoundResult:
         start = time.perf_counter()
         timings: dict[str, float] = {}
-        if self.evaluator_kind == "oracle":
-            evaluator, sampler, thetas, extras = self._oracle_phase(state)
-        else:
-            evaluator, sampler, thetas, extras = self._supernet_phase(state, timings)
+        evaluator, sampler, thetas, extras = self.phase(self, state, timings)
         rehearse = state.previous_front if self.lock_and_rehearse else []
         front, raw, round_best, diagnostics = retrieve_pareto(
             sampler,

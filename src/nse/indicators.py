@@ -28,18 +28,7 @@ import numpy as np
 
 from . import nn
 from .resources import ConstraintConfig, CostTable, MaskCost, penalty, penalty_gradient_wrt_r
-from .space import ORIGIN_INHERITED, REDUCTION, Architecture, GateSampler, SubsetState
-
-
-def op_probability(theta: float) -> float:
-    """Numerically stable sigmoid, strictly inside (0, 1).
-
-    The package's one sigmoid: the oracle maps scores to accuracies with it.
-    """
-    if theta >= 0:
-        return 1.0 / (1.0 + math.exp(-theta))
-    z = math.exp(theta)
-    return z / (1.0 + z)
+from .space import ORIGIN_INHERITED, REDUCTION, Architecture, GateSampler, SubsetState, sigmoid
 
 
 class FitnessIndicators:
@@ -73,9 +62,9 @@ class FitnessIndicators:
 
     def probabilities(self) -> np.ndarray:
         """Every column's probability now, each computed once by the scalar
-        ``op_probability``; the functions below read probabilities only from
+        ``sigmoid``; the functions below read probabilities only from
         such a snapshot."""
-        return np.array([op_probability(value) for value in self.values.tolist()])
+        return np.array([sigmoid(value) for value in self.values.tolist()])
 
     def keep(self, mask: np.ndarray) -> None:
         """Keep only the columns where the bool vector ``mask`` is True, in

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
-from .indicators import op_probability as sigmoid  # the package's one sigmoid
 from .resources import CostTable, architecture_cost
 from .rng import make_rng
-from .space import Architecture, GateSampler, GateVector, SearchSpacePool
+from .space import Architecture, GateSampler, GateVector, SearchSpacePool, sigmoid
 
 
 class Evaluator(Protocol):

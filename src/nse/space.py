@@ -37,6 +37,18 @@ MAX_REDRAWS = 10_000
 MAX_LAYER_SLOTS = 63  # active slots per layer: a layer's gates are one int64 mask
 
 
+def sigmoid(x: float) -> float:
+    """Numerically stable sigmoid, strictly inside (0, 1).
+
+    The package's one sigmoid: an indicator's selection probability, and
+    the oracle's map from scores to accuracies.
+    """
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
 class SpaceError(ValueError):
     pass
 

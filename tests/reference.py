@@ -47,7 +47,6 @@ from nse.indicators import (
     FitnessIndicators,
     config_probability,
     config_probability_grads,
-    op_probability,
     rescaled_pair_grads,
 )
 from nse.nn import (
@@ -76,6 +75,7 @@ from nse.space import (
     SpaceError,
     SubsetEntry,
     SubsetState,
+    sigmoid,
 )
 from nse.supernet import (
     BatchStream,
@@ -442,7 +442,7 @@ def dict_probabilities(thetas: FitnessIndicators) -> tuple[dict[int, float], ...
     """Every slot's probability as per-layer ``{slot: p}`` dicts."""
     values = thetas.values.tolist()
     return tuple(
-        {slot: op_probability(values[lo + j]) for j, slot in enumerate(slots)}
+        {slot: sigmoid(values[lo + j]) for j, slot in enumerate(slots)}
         for slots, lo in zip(thetas.slots, thetas.bounds)
     )
 

@@ -32,7 +32,7 @@ from reference import (
     two_config_ce_grads,
 )
 from nse.cli import main as cli_main
-from nse.engine import Engine, RetrievalConfig, retrieve_pareto
+from nse.engine import Engine, OraclePhase, RetrievalConfig, SupernetPhase, retrieve_pareto
 from nse.indicators import (
     FitnessIndicators,
     config_probability,
@@ -405,8 +405,7 @@ def _run_oracle_seed(pool, bench, seed, lock_and_rehearse):
         constraint=ConstraintConfig(tau=ORACLE_TAU),
         retrieval=RetrievalConfig(samples=500),
         master_seed=seed,
-        evaluator_kind="oracle",
-        benchmark=bench,
+        phase=OraclePhase(bench),
         lock_and_rehearse=lock_and_rehearse,
     )
     summary = engine.run()
@@ -511,11 +510,7 @@ def test_criterion_7_supernet_evolution_effectiveness():
                 samples=180, auxiliary=18, recal_batches=16, recal_batch_size=128
             ),
             master_seed=seed,
-            evaluator_kind="supernet",
-            dataset=dataset,
-            geometry=geometry,
-            training=training,
-            cost_table=table,
+            phase=SupernetPhase(dataset, geometry, training, table),
         )
         summary = engine.run()
         best = max(summary.results[-1].front, key=lambda r: r.accuracy)

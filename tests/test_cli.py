@@ -234,8 +234,22 @@ def test_inspect_shows_the_last_round_by_number(tmp_path, capsys):
         (run / old).rename(run / f"round_{new}")
         pareto = run / f"round_{new}" / "pareto.json"
         pareto.write_text(json.dumps({**json.loads(pareto.read_text()), "round": new}))
+    # the last round is the run manifest's count, named by its number
+    manifest = run / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "rounds_completed": 1000}))
     assert main(["inspect", str(run)]) == 0
     assert "round 1000" in capsys.readouterr().out
+
+
+def test_inspect_shows_the_last_round_of_a_run_written_over_a_longer_one(tmp_path, capsys):
+    # the shorter run leaves the longer run's round_003 in place
+    pool = {"num_layers": 3, "ops_per_layer": 12, "reduction_layers": [2], "preset": "opaque"}
+    assert main(["run", str(write_config(tmp_path, max_rounds=3, pool=pool))]) == 0
+    assert (tmp_path / "run" / "round_003").is_dir()
+    assert main(["run", str(write_config(tmp_path, max_rounds=2, master_seed=5, pool=pool))]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(tmp_path / "run")]) == 0
+    assert "round 2 " in capsys.readouterr().out
 
 
 def test_inspect_into_a_closed_pipe_exits_141_silently(tmp_path):
@@ -399,8 +413,8 @@ def test_supernet_run_with_file_cost_table(tmp_path, capsys):
     (tmp_path / "latency.json").write_text(json.dumps(table))
     assert main(["run", str(base)]) == 0
     engine = build_engine(load_config(base))
-    assert engine.cost_table.unit == "ms"
-    assert engine.cost_table.fixed_overhead == 1.0
+    assert engine.phase.table.unit == "ms"
+    assert engine.phase.table.fixed_overhead == 1.0
 
 
 @pytest.mark.parametrize("overhead", ["NaN", "Infinity"])
@@ -495,7 +509,7 @@ def test_budget_at_the_cheapest_architecture_is_accepted():
     from nse.space import Architecture
 
     base = {"pool": {"num_layers": 4, "reduction_layers": [1, 3], "preset": "opaque"}}
-    table = build_engine(parse_config(base)).cost_table
+    table = build_engine(parse_config(base)).phase.table
     pool = parse_config(base).pool.build()
     cheapest = architecture_cost(
         Architecture.from_encoding(

@@ -14,7 +14,9 @@ from nse.rng import make_rng
 from nse.engine import (
     Engine,
     EngineError,
+    OraclePhase,
     RetrievalConfig,
+    SupernetPhase,
     _keep_draws,
     distribution_estimate,
     edging_filter,
@@ -35,7 +37,14 @@ from nse.space import (
     init_subset,
     shuffle_pool,
 )
-from nse.supernet import DatasetConfig, NetworkGeometry, ToyDataset, TrainingConfig, toy_op_family
+from nse.supernet import (
+    DatasetConfig,
+    NetworkGeometry,
+    ToyDataset,
+    TrainingConfig,
+    build_cost_table,
+    toy_op_family,
+)
 
 
 def opaque_pool(roles, n, seed=0):
@@ -65,8 +74,7 @@ def oracle_engine(
         constraint=ConstraintConfig(tau=tau, edging_margin=0.1),
         retrieval=RetrievalConfig(samples=samples, auxiliary=auxiliary),
         master_seed=seed,
-        evaluator_kind="oracle",
-        benchmark=bench,
+        phase=OraclePhase(bench),
         lock_and_rehearse=lock_and_rehearse,
     )
 
@@ -96,6 +104,36 @@ class CyclingSampler(GateSampler):
         rows = [self.rows[(self.i + k) % len(self.rows)] for k in range(n)]
         self.i += n
         return np.array(rows, dtype=np.int64).reshape(n, 1)
+
+
+def test_engine_runs_on_a_stub_phase_without_a_backend():
+    # no benchmark, dataset or network: the phase scores the subset's one-op
+    # architectures from a table, and only the most accurate is on the front
+    pool = opaque_pool(("normal",), 8)
+    archs = [Architecture.from_encoding([[s]]) for s in range(8)]
+    evaluator = StubEvaluator({a.encoding(): (0.1 * (s + 1), 10.0) for s, a in enumerate(archs)})
+
+    def phase(engine, state, timings):
+        sampler = CyclingSampler([archs[s] for s in state.subset.active_slots(0)])
+        return evaluator, sampler, None, {}
+
+    engine = Engine(
+        pool=pool,
+        capacity=3,
+        max_rounds=3,
+        constraint=ConstraintConfig(tau=100.0),
+        retrieval=RetrievalConfig(samples=3),
+        master_seed=0,
+        phase=phase,
+    )
+    summary = engine.run()
+    assert len(summary.results) == len(summary.state.best_archive) == 3
+    assert not summary.shortage
+    seen = set()
+    for result, best in zip(summary.results, summary.state.best_archive):
+        seen |= {e["slot"] for e in result.subset_snapshot["layers"][0]["entries"]}
+        assert best.accuracy == 0.1 * (max(seen) + 1)
+        assert result.indicator_snapshot is None
 
 
 def test_retrieve_matches_brute_force_with_exhaustive_sampling():
@@ -697,10 +735,12 @@ def test_supernet_round_smoke_and_artifacts():
         constraint=ConstraintConfig(tau=1.0, alpha=1e-3, beta=2.0),
         retrieval=RetrievalConfig(samples=6, recal_batches=2, recal_batch_size=32),
         master_seed=4,
-        evaluator_kind="supernet",
-        dataset=dataset,
-        geometry=geometry,
-        training=TrainingConfig(steps=10, batch_size=32, warmup_steps=2),
+        phase=SupernetPhase(
+            dataset,
+            geometry,
+            TrainingConfig(steps=10, batch_size=32, warmup_steps=2),
+            build_cost_table(pool, geometry),
+        ),
     )
     summary = engine.run()
     assert len(summary.results) == 2
@@ -716,10 +756,12 @@ def test_supernet_round_smoke_and_artifacts():
         constraint=ConstraintConfig(tau=1.0, alpha=1e-3, beta=2.0),
         retrieval=RetrievalConfig(samples=6, recal_batches=2, recal_batch_size=32),
         master_seed=4,
-        evaluator_kind="supernet",
-        dataset=dataset,
-        geometry=geometry,
-        training=TrainingConfig(steps=10, batch_size=32, warmup_steps=2),
+        phase=SupernetPhase(
+            dataset,
+            geometry,
+            TrainingConfig(steps=10, batch_size=32, warmup_steps=2),
+            build_cost_table(pool, geometry),
+        ),
     ).run()
     for ra, rb in zip(summary.results, summary2.results):
         assert [r.architecture.encoding() for r in ra.front] == [
@@ -743,8 +785,13 @@ def test_indicator_cadence_diagnostic():
         pool=pool, capacity=3, max_rounds=1,
         constraint=ConstraintConfig(tau=1.0, alpha=1e-3, beta=2.0),
         retrieval=RetrievalConfig(samples=4, recal_batches=2, recal_batch_size=25),
-        master_seed=1, evaluator_kind="supernet", dataset=dataset,
-        geometry=geometry, training=TrainingConfig(steps=12, batch_size=25, warmup_steps=2),
+        master_seed=1,
+        phase=SupernetPhase(
+            dataset,
+            geometry,
+            TrainingConfig(steps=12, batch_size=25, warmup_steps=2),
+            build_cost_table(pool, geometry),
+        ),
     )
     summary = engine.run()
     assert summary.results[0].diagnostics["indicator_steps"] == 6

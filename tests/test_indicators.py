@@ -30,7 +30,6 @@ from nse.indicators import (
     config_probability_grads,
     indicator_sampler,
     indicator_update_step,
-    op_probability,
     prune,
     rescale_pair,
     rescaled_pair_grads,
@@ -44,6 +43,7 @@ from nse.space import (
     TraversalLedger,
     init_subset,
     shuffle_pool,
+    sigmoid,
 )
 from nse.supernet import NetworkGeometry, SharedWeights, toy_op_family
 
@@ -57,12 +57,12 @@ def make_probs(layer_values):
 
 
 def test_op_probability_reference_points():
-    assert op_probability(0.0) == pytest.approx(0.5)
-    assert op_probability(2.0) == pytest.approx(0.880797, abs=1e-6)
-    assert op_probability(40.0) == pytest.approx(1.0, abs=1e-12)
+    assert sigmoid(0.0) == pytest.approx(0.5)
+    assert sigmoid(2.0) == pytest.approx(0.880797, abs=1e-6)
+    assert sigmoid(40.0) == pytest.approx(1.0, abs=1e-12)
     for theta in (-3.7, -0.2, 0.9, 5.0):
-        assert op_probability(theta) + op_probability(-theta) == pytest.approx(1.0)
-        assert 0.0 < op_probability(theta) < 1.0
+        assert sigmoid(theta) + sigmoid(-theta) == pytest.approx(1.0)
+        assert 0.0 < sigmoid(theta) < 1.0
 
 
 def test_config_probability_examples():
@@ -97,7 +97,7 @@ def test_sample_config_saturated_indicator():
 
 def test_sample_config_monte_carlo_frequencies():
     thetas = make_thetas([{0: 0.7, 1: -1.1, 2: 0.0}])
-    probs = [op_probability(0.7), op_probability(-1.1), 0.5]
+    probs = [sigmoid(0.7), sigmoid(-1.1), 0.5]
     rng = make_rng("freq", 1)
     n = 100_000
     counts = np.zeros(3)
@@ -326,7 +326,7 @@ def test_exhaustive_gradient_single_op_matches_direct_formula():
     out0 = rng.normal(size=(3, 4))
     u = rng.normal(size=(3, 4))
     grads = exhaustive_ce_grads(0, "normal", [0], thetas, {0: out0}, u, x)
-    p = op_probability(0.4)
+    p = sigmoid(0.4)
     s_off = float(np.sum(u * x))
     s_on = float(np.sum(u * (x + out0) / 2.0))
     expected = s_on * p * (1 - p) + s_off * (1 - p) * (0 - p)
@@ -609,7 +609,7 @@ def test_probabilities_are_the_scalar_sigmoid_bit_for_bit():
     rng = make_rng("table-sigmoid", 0)
     values = np.concatenate([rng.uniform(-40, 40, 10_000), rng.normal(0, 2, 10_000)])
     thetas = make_thetas([{s: v for s, v in enumerate(values.tolist())}])
-    assert thetas.probabilities().tolist() == [op_probability(v) for v in values.tolist()]
+    assert thetas.probabilities().tolist() == [sigmoid(v) for v in values.tolist()]
 
 
 def test_prune_between_adam_steps_keeps_each_slot_its_own_moments():

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +300,19 @@ def test_subset_restriction_changes_enumeration():
     active0 = set(subset.active_slots(0))
     for arch in archs:
         assert active0.issuperset(arch.selected(0))
+
+
+def test_importing_the_oracle_loads_no_training_code():
+    # the oracle takes the package's one sigmoid from ``space``, not from
+    # ``indicators``, which imports ``nn``
+    code = "import sys, nse.oracle; print(sorted({'nse.indicators', 'nse.nn'} & set(sys.modules)))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
