@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -48,6 +49,32 @@ def _write_json(path: Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+ROUND_DIR = re.compile(r"round_\d+")
+ROUND_ARTIFACTS = ("pareto.json", "subset.json", "ledger.json", "manifest.json")
+ROUND_FILES = {name + tmp for name in ROUND_ARTIFACTS for tmp in ("", ".tmp")}
+
+
+def _clear_previous_run(out: Path) -> None:
+    """Remove the run manifest and every ``round_<digits>`` directory in
+    ``out``, so that no round of an earlier run written there outlives this
+    one.  Only what a run writes is removed: a round directory holding
+    anything else is a ``ConfigError``, raised before anything is removed."""
+    rounds = sorted(p for p in out.iterdir() if ROUND_DIR.fullmatch(p.name) and p.is_dir())
+    for round_dir in rounds:
+        foreign = sorted(
+            p for p in round_dir.iterdir() if p.name not in ROUND_FILES or not p.is_file()
+        )
+        if foreign:
+            raise ConfigError(
+                f"{foreign[0]} is not a run artifact; refusing to replace the run in {out}"
+            )
+    for round_dir in rounds:
+        for path in round_dir.iterdir():
+            path.unlink()
+        round_dir.rmdir()
+    (out / "manifest.json").unlink(missing_ok=True)
+
+
 def scientific(n: int, digits: int = 1) -> str:
     return f"{Decimal(n):.{digits}e}"
 
@@ -62,6 +89,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     engine = build_engine(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _clear_previous_run(out)
 
     def sink(result: RoundResult, state: EvolutionState) -> None:
         round_dir = out / f"round_{result.round_index:03d}"
@@ -164,15 +192,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     manifest = json.loads(manifest_path.read_text())
     chash = manifest["config_hash"]
 
-    # the run's last round by default; a higher-numbered directory may be
-    # left over from an earlier run written into the same output_dir
     number = manifest["rounds_completed"] if args.round is None else args.round
     round_dir = run_dir / f"round_{number:03d}"
     if not round_dir.is_dir():
         raise FileNotFoundError(f"no artifacts for round {number} in {run_dir}")
 
     artifacts = {}
-    for name in ("pareto.json", "subset.json", "ledger.json", "manifest.json"):
+    for name in ROUND_ARTIFACTS:
         payload = json.loads((round_dir / name).read_text())
         if payload["config_hash"] != chash:
             raise ArtifactError(

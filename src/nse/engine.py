@@ -120,9 +120,10 @@ class RunSummary:
 class SupernetEvaluator:
     """Scores a sampler's draws on shared weights with private recalibration.
 
-    Built once per round after training.  Each draw is decoded and scored
-    on its own; the ``InferenceCache`` shares the stem and layer-0 work
-    across every architecture scored.
+    Built once per round after training.  The draws are decoded and scored
+    as one batch by one ``evaluate_on_supernet`` call, which shares the
+    layer-0 work across the batch; the ``InferenceCache`` holds the stem
+    outputs for every batch of the round.
     """
 
     def __init__(self, cache: InferenceCache, table: CostTable):
@@ -132,7 +133,7 @@ class SupernetEvaluator:
     def evaluate(
         self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
     ) -> list[float]:
-        return [evaluate_on_supernet(self.cache, sampler.decode(row)) for row, _ in draws]
+        return evaluate_on_supernet(self.cache, [sampler.decode(row) for row, _ in draws])
 
 
 def edging_filter(
@@ -268,12 +269,12 @@ def retrieve_pareto(
     """Sample, evaluate, rehearse, and dominance-filter one round's models.
 
     Every candidate is a (mask row, cost) pair priced on its layer masks by
-    the round's one ``MaskCost`` and scored with ``evaluator.evaluate``.
-    The draws are kept by ``_keep_draws``.  A previous-front member is
+    the round's one ``MaskCost`` and scored by one ``evaluator.evaluate``
+    call.  The draws are kept by ``_keep_draws``.  A previous-front member is
     rehearsed as its ``sampler.row`` unless that row was kept; rehearsed
-    rows within ``upper_bound`` are scored with the in-budget draws.  Only
-    the records that leave retrieval, the fronts, are built as
-    architectures.
+    rows within ``upper_bound`` are scored after the in-budget draws and
+    before the auxiliary ones.  Only the records that leave retrieval, the
+    fronts, are built as architectures.
 
     Returns (corrected front, raw front, best in-budget record, diagnostics).
     Both fronts only contain in-budget points; the corrected front is the raw
@@ -304,8 +305,8 @@ def retrieve_pareto(
             rehearse.append(row)
     costs = cost_of(np.array(rehearse, dtype=np.int64).reshape(len(rehearse), len(sampler.slots)))
     candidates = in_budget + [(row, c) for row, c in zip(rehearse, costs.tolist()) if c <= limit]
-    in_scored = _score(sampler, evaluator, candidates)
-    beyond = _score(sampler, evaluator, auxiliary)
+    scored = _score(sampler, evaluator, candidates + auxiliary)
+    in_scored, beyond = scored[: len(candidates)], scored[len(candidates) :]
     evaluated = clock()
 
     diagnostics = {

@@ -396,14 +396,25 @@ def softmax_cross_entropy_array(
     return float(loss), _log_softmax_loss_grad(log_probs, labels, 1.0)
 
 
-def average_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``scale(add(*arrays), 1 / len(arrays))`` without the graph; only the sum can overflow."""
-    _check_add_shapes(arrays)
-    data = arrays[0].copy()
-    for a in arrays[1:]:
-        data += a
+def average_arrays(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """``scale(add(*arrays), 1 / n)`` of n arrays without the graph, folded left
+    to right as they arrive, so a lazy ``arrays`` keeps only the sum and one
+    part alive.  A lone array is returned as it is; only the sum can overflow."""
+    parts = iter(arrays)
+    data = next(parts, None)
+    if data is None:
+        raise ShapeError("add needs at least one tensor")
+    n = 1
+    for a in parts:
+        if a.shape != data.shape:
+            raise ShapeError("add requires identical shapes")
+        data = data + a if n == 1 else np.add(data, a, out=data)
+        n += 1
+        del a  # freed before the next part is made
+    if n == 1:
+        return data
     _check_finite(data, "add")
-    return np.multiply(data, 1.0 / len(arrays), out=data)
+    return np.multiply(data, 1.0 / n, out=data)
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,23 @@ one explicit backward per layer in the float order of the ``Tensor`` tape in
 tests build the tape forward over the blocks' named views.  Evaluation
 recalibrates fresh normalization statistics of the selected branches on
 training batches before scoring validation accuracy.  It runs on a no-grad
-path over plain arrays: ``evaluate(cache, architecture)``, where an
-``InferenceCache`` shares the stem and layer-0 work of one set of trained
-weights across architectures.  The recalibration batches form one (R, B, W)
-stack, so each branch runs once over all of them; ``recalibrate`` turns the
-stack into a (mean, inv) pair that ``normalize_fixed`` applies to the whole
-validation split in one pass.  Since recalibration starts from scratch,
-training normalizes with each batch's moments and keeps no running
-statistics.
+path over plain arrays: ``evaluate(cache, architectures)`` scores a batch of
+architectures on the stem outputs an ``InferenceCache`` holds for one set of
+trained weights, in two sweeps that each share layer-0 work across the
+batch.  The recalibration batches form one (R, B, W) stack, so each branch
+runs once over all of them; ``recalibrate`` turns the stack into a
+(mean, inv) pair that ``normalize_fixed`` applies to the whole validation
+split in one pass.  A layer's branch outputs are folded into its average as
+they are made.  Since recalibration starts from scratch, training normalizes
+with each batch's moments and keeps no running statistics.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Annotated, Mapping, Sequence
+from typing import Annotated, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -338,11 +340,11 @@ class SharedWeights:
 
     def _layer_train_forward(self, li: int, slots: tuple[int, ...], x: np.ndarray) -> LayerTrace:
         if not slots:
-            return LayerTrace(x, slots, [], [], None, None, None, self.layer_mix(li, x, []))
+            return LayerTrace(x, slots, [], [], None, None, None, self.layer_mix(li, x, ()))
         ops = [self.branches[(li, slot)] for slot in slots]
         hidden, ys = self._stack_affines(ops, x)
         out, centered, inv, _ = normalize_train_stack(ys)
-        mixed = self.layer_mix(li, x, list(out))
+        mixed = self.layer_mix(li, x, out)
         return LayerTrace(x, slots, ops, hidden, centered, inv, out, mixed)
 
     def train_backward(
@@ -406,15 +408,18 @@ class SharedWeights:
             dx = da @ w1.T if dx is None else np.add(dx, da @ w1.T, out=dx)
         return dx
 
-    def _layer_parts(self, layer_index: int, x, branches: list) -> list:
-        """What a layer averages: its branches, plus the identity on normal layers."""
+    def _layer_parts(self, layer_index: int, x, branches: Iterable) -> Iterator:
+        """What a layer averages, in order: the identity on normal layers, then
+        its branches, taken from ``branches`` only as they are read."""
+        branches = iter(branches)
         if self.roles[layer_index] == NORMAL:
-            return [x] + branches
-        if not branches:
+            return itertools.chain([x], branches)
+        first = next(branches, None)
+        if first is None:
             raise SpaceError(
                 f"reduction layer {layer_index} forwarded with no gates (zero divisor)"
             )
-        return branches
+        return itertools.chain([first], branches)
 
     # -- no-grad machinery (plain arrays, for inference)
 
@@ -437,13 +442,10 @@ class SharedWeights:
         return affine_array(self._hidden(op, x), op.params[2], op.params[3])
 
     def layer_mix(
-        self, layer_index: int, x: np.ndarray, branches: list[np.ndarray]
+        self, layer_index: int, x: np.ndarray, branches: Iterable[np.ndarray]
     ) -> np.ndarray:
-        """A layer's average of precomputed branch outputs."""
-        parts = self._layer_parts(layer_index, x, branches)
-        if len(parts) == 1:
-            return parts[0]
-        return average_arrays(parts)
+        """A layer's average of its branch outputs, each folded in as it arrives."""
+        return average_arrays(self._layer_parts(layer_index, x, branches))
 
     def layer_output_nograd(
         self,
@@ -519,17 +521,16 @@ def make_recal_batches(
     ]
 
 
+Stats = tuple[np.ndarray, np.ndarray]  # a branch's recalibrated (mean, inv)
+
+
 class InferenceCache:
     """Architecture-independent evaluation work for one set of trained weights.
 
     Holds the stem outputs of the recalibration batches, as one (R, B, W)
     stack, and of the whole validation split, as one (V, W) array with its
-    labels, and, filled the first time an architecture selects a layer-0
-    slot, that branch's recalibrated outputs on both.  Layer 0 reads the stem
-    output and a branch's recalibrated statistics depend only on its own
-    input, so these are the same for every architecture.  Deeper layers are
-    computed per architecture.  The cache is valid only while the weights do
-    not change: build it after training.
+    labels.  The cache is valid only while the weights do not change: build
+    it after training.
     """
 
     def __init__(
@@ -549,53 +550,94 @@ class InferenceCache:
         self.recal = stem(np.stack(recal_batches)) if sizes else None
         self.val = stem(dataset.x_val)
         self.labels = dataset.y_val
-        self._layer0: dict[int, tuple[np.ndarray | None, np.ndarray]] = {}
 
-    def _branch(
-        self, layer_index: int, slot: int, recal: np.ndarray, val: np.ndarray, last: bool
-    ) -> tuple[np.ndarray | None, np.ndarray]:
-        """One branch: recalibrate fresh statistics on the recal stack, then
-        apply them to the val input.  A recal output, fed to the next layer,
-        is normalized with each batch's own moments, whose sums the statistics
-        reuse; the last layer's feeds nothing, so it is not formed."""
-        y = self.weights.branch_affines(layer_index, slot, recal)
-        if last:
-            recal_out, sums = None, None
-        else:
-            recal_out, _, _, sums = normalize_train_stack(y)
-        stats = recalibrate(y, sums)
-        val_out = normalize_fixed(self.weights.branch_affines(layer_index, slot, val), *stats)
-        return recal_out, val_out
+    def val_logits(self, architectures: Sequence[Architecture]) -> Iterator[np.ndarray]:
+        """Logits of the validation split for each architecture in turn, with
+        the selected branches' statistics recalibrated first.
 
-    def val_logits(self, architecture: Architecture) -> np.ndarray:
-        """Logits of the validation split, with the selected branches'
-        statistics recalibrated first."""
-        gates = architecture.gate_vectors
-        if self.recal is None and any(gv.selected for gv in gates):
+        Two sweeps over the batch: the first recalibrates every architecture's
+        statistics, the second applies them to the validation split.  Layer 0
+        reads the stem output, so its branch outputs are the same for every
+        architecture; each sweep shares them through a dict of its own, and
+        only one of the two dicts is alive at a time.  Deeper layers are
+        computed per architecture.
+        """
+        gates = [architecture.gate_vectors for architecture in architectures]
+        if self.recal is None and any(gv.selected for arch in gates for gv in arch):
             raise ValueError("recalibration requires at least one batch")
-        recal, val = self.recal, self.val
-        for li, gate in enumerate(gates):
-            last = li == len(gates) - 1
-            outs = []
-            for slot in gate.selected:
+        layer0: dict = {}
+        stats = [self._recalibrate(arch, layer0) for arch in gates]
+        layer0 = {}
+        for arch, arch_stats in zip(gates, stats):
+            yield self._apply(arch, arch_stats, layer0)
+
+    def _recalibrate(self, gates: Sequence[GateVector], layer0: dict) -> list[list[Stats]]:
+        """The first sweep, for one architecture: each selected branch's
+        (mean, inv), per layer in slot order, recalibrated on the recal stack.
+        A branch's output there, fed to the next layer, is normalized with each
+        batch's own moments, whose sums the statistics reuse; the last layer's
+        feeds nothing, so it is not formed."""
+        stats: list[list[Stats]] = [[] for _ in gates]
+        last = len(gates) - 1
+
+        def output(li: int, slot: int, x: np.ndarray) -> np.ndarray | None:
+            if li == 0 and slot in layer0:
+                out, st = layer0[slot]
+            else:
+                y = self.weights.branch_affines(li, slot, x)
+                out, _, _, sums = (None,) * 4 if li == last else normalize_train_stack(y)
+                st = recalibrate(y, sums)
                 if li == 0:
-                    if slot not in self._layer0:
-                        self._layer0[slot] = self._branch(0, slot, recal, val, last)
-                    outs.append(self._layer0[slot])
-                else:
-                    outs.append(self._branch(li, slot, recal, val, last))
-            if not last:
-                recal = self.weights.layer_mix(li, recal, [r for r, _ in outs])
-            val = self.weights.layer_mix(li, val, [v for _, v in outs])
-        return affine_array(val, self.weights.params["head.w"], self.weights.params["head.b"])
+                    layer0[slot] = out, st
+            stats[li].append(st)
+            return out
+
+        def outputs(li: int, slots: tuple[int, ...], x: np.ndarray) -> Iterator[np.ndarray]:
+            for slot in slots:
+                yield output(li, slot, x)
+
+        x = self.recal
+        for li, gate in enumerate(gates):
+            if li < last:
+                x = self.weights.layer_mix(li, x, outputs(li, gate.selected, x))
+            else:  # the last layer gives only its statistics
+                for slot in gate.selected:
+                    output(li, slot, x)
+        return stats
+
+    def _apply(
+        self, gates: Sequence[GateVector], stats: list[list[Stats]], layer0: dict
+    ) -> np.ndarray:
+        """The second sweep, for one architecture: its logits of the
+        validation split, each branch normalized with its ``stats``."""
+
+        def output(li: int, slot: int, x: np.ndarray, st: Stats) -> np.ndarray:
+            if li == 0 and slot in layer0:
+                return layer0[slot]
+            out = normalize_fixed(self.weights.branch_affines(li, slot, x), *st)
+            if li == 0:
+                layer0[slot] = out
+            return out
+
+        def outputs(li: int, slots: tuple[int, ...], x: np.ndarray) -> Iterator[np.ndarray]:
+            for slot, st in zip(slots, stats[li]):
+                yield output(li, slot, x, st)
+
+        x = self.val
+        for li, gate in enumerate(gates):
+            x = self.weights.layer_mix(li, x, outputs(li, gate.selected, x))
+        return affine_array(x, self.weights.params["head.w"], self.weights.params["head.b"])
 
 
-def evaluate(cache: InferenceCache, architecture: Architecture) -> float:
-    """Top-1 validation accuracy of ``architecture`` on the weights ``cache``
-    was built from, with recalibrated normalization statistics.
+def evaluate(cache: InferenceCache, architectures: Sequence[Architecture]) -> list[float]:
+    """Top-1 validation accuracy of each of ``architectures`` on the weights
+    ``cache`` was built from, with recalibrated normalization statistics.
 
     Statistics are recalibrated from scratch and the weights are only read,
-    so repeated evaluations leave them bit-identical.
+    so repeated evaluations leave them bit-identical, and an architecture
+    scores the same in any batch.
     """
-    correct = np.argmax(cache.val_logits(architecture), axis=1) == cache.labels
-    return int(np.sum(correct)) / len(cache.labels)
+    return [
+        int(np.sum(np.argmax(logits, axis=1) == cache.labels)) / len(cache.labels)
+        for logits in cache.val_logits(architectures)
+    ]

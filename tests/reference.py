@@ -169,7 +169,7 @@ def layer_forward(
     branches = [
         branch_forward(weights, layer_index, slot, x, leaves) for slot in gate.selected
     ]
-    parts = weights._layer_parts(layer_index, x, branches)
+    parts = list(weights._layer_parts(layer_index, x, branches))
     if len(parts) == 1:
         return parts[0]
     return scale(add(*parts), 1.0 / len(parts))
@@ -252,7 +252,7 @@ def train_architecture(
     recal = make_recal_batches(
         dataset, recal_count, training.batch_size, make_rng(seed, "retrain-recal")
     )
-    return evaluate(InferenceCache(weights, dataset, recal), architecture)
+    return evaluate(InferenceCache(weights, dataset, recal), [architecture])[0]
 
 
 # ---------------------------------------------------------------------------

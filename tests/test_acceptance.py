@@ -605,7 +605,7 @@ def test_criterion_9_structural_invariants(tmp_path):
         [tsubset.active_slots(0)[:1], tsubset.active_slots(1)[:1]]
     )
     before = state_hash(weights)
-    supernet_evaluate(InferenceCache(weights, data, recal), arch)
+    supernet_evaluate(InferenceCache(weights, data, recal), [arch])
     assert state_hash(weights) == before
 
     # bitwise run determinism through the CLI

@@ -115,9 +115,18 @@ def test_a_write_failing_partway_leaves_every_json_artifact_whole(tmp_path, monk
     assert len(targets) == 6
     for artifact in run_dir.rglob("*.json"):
         json.loads(artifact.read_text())
-    # the file whose write failed still holds the previous run's bytes
+    # the rerun removed the previous run's rounds before round 1, so the file
+    # whose write failed was never formed, and only its ``.tmp`` is torn
     torn = targets[-1].with_name(targets[-1].name.removesuffix(".tmp"))
-    assert torn != targets[-1] and torn.read_bytes() == before[torn]
+    assert torn != targets[-1] and not torn.exists() and targets[-1].exists()
+    # the next run clears the torn temporary with the rest of the rounds
+    monkeypatch.undo()
+    assert main(["run", str(path)]) == 0
+    assert list(run_dir.rglob("*.tmp")) == []
+    after = {p: p.read_bytes() for p in run_dir.rglob("*.json")}
+    assert after.keys() == before.keys()
+    # manifests hold timings; the other artifacts are the first run's bytes
+    assert all(after[p] == before[p] for p in before if p.name != "manifest.json")
 
 
 def test_rerun_produces_byte_identical_pareto(tmp_path):
@@ -242,14 +251,47 @@ def test_inspect_shows_the_last_round_by_number(tmp_path, capsys):
 
 
 def test_inspect_shows_the_last_round_of_a_run_written_over_a_longer_one(tmp_path, capsys):
-    # the shorter run leaves the longer run's round_003 in place
+    # the shorter run replaces the longer run in its output_dir
     pool = {"num_layers": 3, "ops_per_layer": 12, "reduction_layers": [2], "preset": "opaque"}
+    run = tmp_path / "run"
     assert main(["run", str(write_config(tmp_path, max_rounds=3, pool=pool))]) == 0
-    assert (tmp_path / "run" / "round_003").is_dir()
+    assert (run / "round_003").is_dir()
+    first = json.loads((run / "manifest.json").read_text())["config_hash"]
     assert main(["run", str(write_config(tmp_path, max_rounds=2, master_seed=5, pool=pool))]) == 0
     capsys.readouterr()
-    assert main(["inspect", str(tmp_path / "run")]) == 0
+    assert main(["inspect", str(run)]) == 0
     assert "round 2 " in capsys.readouterr().out
+    assert sorted(p.name for p in run.iterdir()) == ["manifest.json", "round_001", "round_002"]
+    second = json.loads((run / "manifest.json").read_text())["config_hash"]
+    assert second != first
+    for round_dir in ("round_001", "round_002"):
+        for name in ("pareto", "subset", "ledger", "manifest"):
+            payload = json.loads((run / round_dir / f"{name}.json").read_text())
+            assert payload["config_hash"] == second
+    assert main(["inspect", str(run), "--round", "3"]) == 2
+    assert "no artifacts for round 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("foreign", ["notes.txt", "pareto.json.bak", "subset.json/"])
+def test_a_round_dir_holding_a_foreign_file_stops_the_run_before_anything_is_removed(
+    tmp_path, capsys, foreign
+):
+    path = write_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["run", str(path)]) == 0
+    stray = run / "round_005"
+    stray.mkdir()
+    (stray / "ledger.json.tmp").write_text("{}")
+    if foreign.endswith("/"):
+        (stray / foreign.rstrip("/")).mkdir()
+    else:
+        (stray / foreign).write_text("kept")
+    before = {p: p.read_bytes() if p.is_file() else None for p in run.rglob("*")}
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(stray / foreign.rstrip("/")) in err
+    assert {p: p.read_bytes() if p.is_file() else None for p in run.rglob("*")} == before
 
 
 def test_inspect_into_a_closed_pipe_exits_141_silently(tmp_path):

@@ -341,8 +341,10 @@ def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
     assert ref_stalled == stalled
     assert (diag["draws"], diag["stalled"]) == (draws, stalled)
     assert (diag["in_budget"], diag["auxiliary"]) == (len(in_budget), len(auxiliary))
-    # the first draws scored are the in-budget ones
-    assert [(arch.encoding(), cost) for arch, cost in evaluator.scored[0]] == in_budget
+    # one call scores the in-budget draws and then the auxiliary ones, in draw order
+    assert [
+        [(arch.encoding(), cost) for arch, cost in call] for call in evaluator.scored
+    ] == [in_budget + auxiliary]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -266,7 +268,7 @@ def test_evaluate_untrained_is_chance_level_over_seeds():
         arch = Architecture.from_encoding(
             [subset.active_slots(0)[:1], subset.active_slots(1)[:1]]
         )
-        accs.append(evaluate(InferenceCache(weights, data, recal), arch))
+        accs.append(evaluate(InferenceCache(weights, data, recal), [arch])[0])
     assert abs(np.mean(accs) - 1.0 / 3.0) < 0.05
 
 
@@ -280,8 +282,8 @@ def test_evaluate_is_deterministic_and_pure():
         [subset.active_slots(0)[:2], subset.active_slots(1)[:1]]
     )
     before_hash = state_hash(weights)
-    acc1 = evaluate(InferenceCache(weights, data, recal), arch)
-    acc2 = evaluate(InferenceCache(weights, data, recal), arch)
+    acc1 = evaluate(InferenceCache(weights, data, recal), [arch])[0]
+    acc2 = evaluate(InferenceCache(weights, data, recal), [arch])[0]
     assert acc1 == acc2
     assert state_hash(weights) == before_hash
 
@@ -426,14 +428,14 @@ def test_nograd_accuracy_equals_graph_accuracy_exactly(batch_size):
     assert any(len(gv.selected) == 1 for gv in gates)  # single-branch layers
     assert any(len(gv.selected) > 1 for gv in gates)  # multi-branch layers
     cache = InferenceCache(weights, data, recal)
-    got = [evaluate(cache, a) for a in archs]
+    got = evaluate(cache, archs)
     expected = [graph_evaluation(weights, a, data, recal, batch_size) for a in archs]
     assert got == [acc for acc, _ in expected]
     assert len(set(got)) > 3  # the architectures really differ
     # bit-identical logits, not just the same argmax
-    for arch, (_, logits) in zip(archs, expected):
+    for got_logits, (_, logits) in zip(cache.val_logits(archs), expected):
         assert len(logits) == -(-len(data.x_val) // batch_size)
-        assert np.array_equal(cache.val_logits(arch), np.concatenate(logits))
+        assert np.array_equal(got_logits, np.concatenate(logits))
 
 
 def test_cached_evaluation_does_not_depend_on_order():
@@ -441,11 +443,11 @@ def test_cached_evaluation_does_not_depend_on_order():
     rng = make_rng("nograd-order", 0)
     a, b = (sample_uniform_architecture(subset, rng) for _ in range(2))
     cache = InferenceCache(weights, data, recal)
-    first = evaluate(cache, a)
-    other = evaluate(cache, b)
-    assert evaluate(cache, a) == first
-    assert evaluate(InferenceCache(weights, data, recal), a) == first  # a fresh cache agrees
-    assert evaluate(InferenceCache(weights, data, recal), b) == other
+    first = evaluate(cache, [a])[0]
+    other = evaluate(cache, [b])[0]
+    assert evaluate(cache, [a])[0] == first
+    assert evaluate(InferenceCache(weights, data, recal), [a])[0] == first  # a fresh cache agrees
+    assert evaluate(InferenceCache(weights, data, recal), [b])[0] == other
 
 
 def test_cached_evaluation_leaves_weights_and_stats_untouched():
@@ -454,7 +456,7 @@ def test_cached_evaluation_leaves_weights_and_stats_untouched():
     cache = InferenceCache(weights, data, recal)
     rng = make_rng("nograd-pure", 0)
     for _ in range(5):
-        evaluate(cache, sample_uniform_architecture(subset, rng))
+        evaluate(cache, [sample_uniform_architecture(subset, rng)])
     assert state_hash(weights) == before_hash
 
 
@@ -463,17 +465,114 @@ def test_nan_in_layer0_weight_raises_through_cache():
     slots = subset.active_slots(0)
     cache = InferenceCache(weights, data, recal)
     arch_other = Architecture.from_encoding([slots[:1], [], subset.active_slots(2)[:1]])
-    evaluate(cache, arch_other)
+    evaluate(cache, [arch_other])
     weights.params[f"L0.S{slots[1]}.w1"][0, 0] = np.nan
     arch = Architecture.from_encoding([slots[1:2], [], subset.active_slots(2)[:1]])
     with pytest.raises(NotFiniteError):
-        evaluate(cache, arch)
+        evaluate(cache, [arch])
 
 
 def test_cache_rejects_recal_batches_of_unequal_size():
     _, weights, data, recal = trained_net(seed=8)
     with pytest.raises(ValueError, match="one size"):
         InferenceCache(weights, data, recal + [recal[0][:-1]])
+
+
+def test_a_batch_scores_each_architecture_as_it_scores_alone():
+    # layer-0 work is shared within a batch, so every architecture's score and
+    # logits must not depend on the batch it is in, nor on its place there
+    subset, weights, data, recal = trained_net(seed=11)
+    rng = make_rng("batch-contract", 0)
+    slots = [subset.active_slots(li) for li in range(3)]
+    archs = [
+        Architecture.from_encoding([[], [], slots[2][:1]]),
+        Architecture.from_encoding([slots[0], slots[1], slots[2]]),
+        Architecture.from_encoding([slots[0][1:3], [], slots[2][1:3]]),
+    ] + [sample_uniform_architecture(subset, rng) for _ in range(9)]
+    archs.append(archs[1])  # a repeat in the same batch
+    alone = [InferenceCache(weights, data, recal) for _ in archs]
+    single = [evaluate(cache, [a])[0] for cache, a in zip(alone, archs)]
+    single_logits = [next(cache.val_logits([a])) for cache, a in zip(alone, archs)]
+    assert len(set(single)) > 3
+    cache = InferenceCache(weights, data, recal)
+    in_order = list(range(len(archs)))
+    for order in (in_order, in_order[::-1], rng.permutation(len(archs)).tolist()):
+        batch = [archs[i] for i in order]
+        assert evaluate(cache, batch) == [single[i] for i in order]
+        logits = list(cache.val_logits(batch))
+        assert len(logits) == len(batch)
+        for i, got in zip(order, logits):
+            assert np.array_equal(got, single_logits[i])
+    assert evaluate(cache, []) == []
+
+
+def test_a_batch_with_an_ungated_reduction_layer_raises_space_error():
+    # the reduction layer is the middle one, so the recal sweep meets it, and
+    # the last one, so only the validation sweep does
+    cases = ((("normal", "reduction", "normal"), 1), (("normal", "normal", "reduction"), 2))
+    for roles, li in cases:
+        _, subset, _, weights = build_net(roles=roles, ops=3)
+        data = ToyDataset.generate(
+            DatasetConfig(seed=1, input_dim=5, classes=3, train_size=200, val_size=100)
+        )
+        recal = make_recal_batches(data, 2, 32, make_rng("ungated", 0))
+        encoding = [subset.active_slots(k)[:1] for k in range(3)]
+        good = Architecture.from_encoding(encoding)
+        encoding[li] = []
+        bad = Architecture.from_encoding(encoding)
+        cache = InferenceCache(weights, data, recal)
+        with pytest.raises(SpaceError, match=f"reduction layer {li}"):
+            evaluate(cache, [good, bad])
+
+
+def test_a_batch_without_recal_batches_raises_value_error():
+    subset, weights, data, _ = trained_net(seed=12)
+    cache = InferenceCache(weights, data, [])
+    ungated = Architecture.from_encoding([[], [], subset.active_slots(2)[:1]])
+    with pytest.raises(ValueError, match="at least one batch"):
+        evaluate(cache, [ungated])
+    with pytest.raises(ValueError, match="at least one batch"):
+        next(cache.val_logits([ungated]))
+
+
+def test_batch_evaluation_holds_one_split_of_layer0_outputs_at_a_time():
+    # 12 layer-0 slots, every one selected by some architecture, and a recal
+    # stack as large as the validation split (R*B = V), so one split's
+    # layer-0 outputs take 12 (V, W) arrays; keeping both splits' would take
+    # 24, and that is the bound.  Everything else alive at the peak is a
+    # working set that does not grow with the slot count: one branch's hidden
+    # activations (4 arrays for the widest op), its output, the layer input
+    # and the running sum.
+    width, v, batches, batch = 8, 512, 4, 128
+    roles = ("normal", "normal", "normal")
+    pool = build_pool(roles, 12)
+    subset = init_subset(pool, capacity=12, seed=1, ledger=TraversalLedger())
+    geometry = NetworkGeometry(input_dim=5, stem_width=width, layer_widths=(width,) * 3, classes=3)
+    weights = SharedWeights(subset, geometry, seed=0)
+    data = ToyDataset.generate(
+        DatasetConfig(seed=0, input_dim=5, classes=3, train_size=600, val_size=v)
+    )
+    recal = make_recal_batches(data, batches, batch, make_rng("memory", 0))
+    assert batches * batch == v
+    slots = [subset.active_slots(li) for li in range(3)]
+    assert len(slots[0]) == 12
+    archs = [
+        Architecture.from_encoding(
+            [slots[0][3 * k : 3 * k + 3], slots[1][k : k + 3], slots[2][2 * k : 2 * k + 3]]
+        )
+        for k in range(4)
+    ]
+    assert {s for a in archs for s in a.gate_vectors[0].selected} == set(slots[0])
+    cache = InferenceCache(weights, data, recal)
+    one_split = v * width * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate(cache, archs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(slots[0]) * one_split
 
 
 def test_layer_output_nograd_matches_train_mode_graph_on_copies():
