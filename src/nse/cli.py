@@ -43,10 +43,15 @@ def _record_json(rec: EvaluationRecord) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Write ``<name>.tmp`` and rename it over ``path``, so no file is ever torn."""
+    """Write ``<name>.tmp`` and rename it over ``path``, so no file is ever
+    torn; a write or rename that fails removes the temporary and re-raises."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 ROUND_DIR = re.compile(r"round_\d+")

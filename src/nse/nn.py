@@ -5,7 +5,7 @@ validates shapes and rejects non-finite outputs immediately, which keeps
 failures close to their cause in long training loops; an array op skips only
 a check that cannot fire.  Runs use the array ops and hold parameters as
 plain arrays.  Normalization statistics are plain values too: a batch's own
-moments, or the (mean, inv) pair that ``recalibrate`` computes from scratch;
+moments, or the (mean, inv) pair that a ``Recalibration`` folds from scratch;
 nothing keeps running statistics.  The ``Tensor`` tape (each tensor keeps
 its parents and a backward closure) is on no run path: the tests use it as
 the reference the array ops are checked against.
@@ -182,7 +182,7 @@ def batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     ``x`` over axis -2, with that axis kept.
 
     ``x`` is one (B, W) batch or an (R, B, W) stack.  One sum serves the mean
-    and ``recalibrate``, and the centered array serves the variance and the
+    and ``Recalibration.fold``, and the centered array serves the variance and the
     normalized output.  The results equal ``x.sum``, ``x.mean`` and
     ``x.var`` over axis -2 bit for bit: numpy divides that same sum by the
     batch size, and squares the same centered values.
@@ -196,31 +196,43 @@ def batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return sums, mean, centered, var
 
 
-def recalibrate(
-    y: np.ndarray, sums: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (mean, inv) normalization statistics of every row of the (R, B, W)
-    stack ``y``: its aggregate mean and ``1 / sqrt(var + EPS_NORM)`` of its
-    population variance.
+class Recalibration:
+    """Fresh (mean, inv) normalization statistics of one branch, folded from
+    its outputs on the recalibration batches.
 
-    The per-batch sums and sums of squares are folded left to right from
-    zeros, so the stack gives what folding its batches one at a time does.
-    ``sums``, when given, are the (R, 1, W) sums over axis 1, already taken.
+    ``fold`` adds the per-batch sums and sums of squares of an (R, B, W)
+    stack left to right, from zeros, so a stack folded whole or in blocks of
+    whole batches gives what folding its batches one at a time does.
+    ``stats`` gives the aggregate mean of every row folded so far and
+    ``1 / sqrt(var + EPS_NORM)`` of its population variance.
     """
-    if y.ndim != 3:
-        raise ShapeError(f"recalibration expects (R,B,W), got {y.shape}")
-    count = y.shape[0] * y.shape[1]
-    if count == 0:
-        raise ValueError("no rows to recalibrate on")
-    if sums is None:
-        sums = y.sum(axis=1, keepdims=True)
-    total, sq = np.zeros(y.shape[2]), np.zeros(y.shape[2])
-    for s, q in zip(sums[:, 0], (y * y).sum(axis=1)):
-        total += s
-        sq += q
-    mean = total / count
-    var = np.maximum(sq / count - mean * mean, 0.0)
-    return mean, 1.0 / np.sqrt(var + EPS_NORM)
+
+    def __init__(self) -> None:
+        self.total: np.ndarray | None = None
+        self.sq: np.ndarray | None = None
+        self.count = 0
+
+    def fold(self, y: np.ndarray, sums: np.ndarray | None = None) -> "Recalibration":
+        """Fold the batches of ``y``; ``sums``, when given, are its (R, 1, W)
+        sums over axis 1, already taken."""
+        if y.ndim != 3 or (self.total is not None and y.shape[2] != len(self.total)):
+            raise ShapeError(f"recalibration expects (R,B,W) of one width, got {y.shape}")
+        if self.total is None:
+            self.total, self.sq = np.zeros(y.shape[2]), np.zeros(y.shape[2])
+        if sums is None:
+            sums = y.sum(axis=1, keepdims=True)
+        for s, q in zip(sums[:, 0], (y * y).sum(axis=1)):
+            self.total += s
+            self.sq += q
+        self.count += y.shape[0] * y.shape[1]
+        return self
+
+    def stats(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.count == 0:
+            raise ValueError("no rows to recalibrate on")
+        mean = self.total / self.count
+        var = np.maximum(self.sq / self.count - mean * mean, 0.0)
+        return mean, 1.0 / np.sqrt(var + EPS_NORM)
 
 
 def normalize_train_grad(g: np.ndarray, centered: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -247,7 +259,7 @@ def normalize(x: Tensor, fixed: tuple[np.ndarray, np.ndarray] | None = None) -> 
     Without ``fixed`` the batch's own moments are used, from
     ``np.mean``/``np.var`` so that the tape stays an independent reference
     for ``batch_moments``.  ``fixed`` is a (mean, inv) pair, as
-    ``recalibrate`` returns, applied as constants.
+    ``Recalibration.stats`` returns, applied as constants.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"normalize expects (B,W), got {x.shape}")
@@ -375,7 +387,7 @@ def normalize_train_stack(
 
     Returns the output, what the backward needs (the centered stack and the
     (n, 1, W) inverse deviations) and the (n, 1, W) batch sums, which
-    ``recalibrate`` can reuse.  Each batch's moments equal its own axis-0
+    ``Recalibration.fold`` can reuse.  Each batch's moments equal its own axis-0
     moments bit for bit.
     """
     if y.ndim != 3:

@@ -13,13 +13,15 @@ recalibrates fresh normalization statistics of the selected branches on
 training batches before scoring validation accuracy.  It runs on a no-grad
 path over plain arrays: ``evaluate(cache, architectures)`` scores a batch of
 architectures on the stem outputs an ``InferenceCache`` holds for one set of
-trained weights, in two sweeps that each share layer-0 work across the
-batch.  The recalibration batches form one (R, B, W) stack, so each branch
-runs once over all of them; ``recalibrate`` turns the stack into a
-(mean, inv) pair that ``normalize_fixed`` applies to the whole validation
-split in one pass.  A layer's branch outputs are folded into its average as
-they are made.  Since recalibration starts from scratch, training normalizes
-with each batch's moments and keeps no running statistics.
+trained weights, in two sweeps that each walk their rows in blocks of at
+most ``EVAL_ROWS`` and share layer-0 work across the batch within a block.
+The recalibration batches form one (R, B, W) stack, walked in blocks of
+whole batches; each branch folds every block's sums into a
+``Recalibration``, whose (mean, inv) pair ``normalize_fixed`` then applies
+to the validation split block by block.  A layer's branch outputs are
+folded into its average as they are made.  Since recalibration starts from
+scratch, training normalizes with each batch's moments and keeps no running
+statistics.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 # bench/child.py wraps them by this path.
 from .nn import (
     SGD,
+    Recalibration,
     affine,  # noqa: F401
     affine_array,
     affine_stack,
@@ -44,7 +47,6 @@ from .nn import (
     normalize_fixed,
     normalize_train_grad,
     normalize_train_stack,
-    recalibrate,
     relu_array,
     softmax_cross_entropy_array,
     tanh_array,
@@ -523,6 +525,11 @@ def make_recal_batches(
 
 Stats = tuple[np.ndarray, np.ndarray]  # a branch's recalibrated (mean, inv)
 
+# Evaluation runs both sweeps over blocks of at most this many rows, so its
+# memory does not grow with the recal stack or the validation split.  A row's
+# outputs do not depend on the rows in its block, so this caps memory only.
+EVAL_ROWS = 512
+
 
 class InferenceCache:
     """Architecture-independent evaluation work for one set of trained weights.
@@ -551,65 +558,95 @@ class InferenceCache:
         self.val = stem(dataset.x_val)
         self.labels = dataset.y_val
 
-    def val_logits(self, architectures: Sequence[Architecture]) -> Iterator[np.ndarray]:
-        """Logits of the validation split for each architecture in turn, with
-        the selected branches' statistics recalibrated first.
+    def val_logits(
+        self, architectures: Sequence[Architecture]
+    ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+        """The validation split in blocks of ``EVAL_ROWS`` rows: each block's
+        labels and every architecture's logits on it, with the selected
+        branches' statistics recalibrated first.
 
         Two sweeps over the batch: the first recalibrates every architecture's
-        statistics, the second applies them to the validation split.  Layer 0
-        reads the stem output, so its branch outputs are the same for every
-        architecture; each sweep shares them through a dict of its own, and
-        only one of the two dicts is alive at a time.  Deeper layers are
-        computed per architecture.
+        statistics on the recal stack, and only then does the second apply
+        them to the validation split.  Each sweep walks its rows in blocks.
+        Layer 0 reads the stem output, so its branch outputs on a block are
+        the same for every architecture, and a dict local to the block shares
+        them; deeper layers are computed per architecture.
         """
         gates = [architecture.gate_vectors for architecture in architectures]
         if self.recal is None and any(gv.selected for arch in gates for gv in arch):
             raise ValueError("recalibration requires at least one batch")
-        layer0: dict = {}
-        stats = [self._recalibrate(arch, layer0) for arch in gates]
-        layer0 = {}
-        for arch, arch_stats in zip(gates, stats):
-            yield self._apply(arch, arch_stats, layer0)
+        stats = self._recalibrate(gates)
+        for start in range(0, len(self.labels), EVAL_ROWS):
+            x, layer0 = self.val[start : start + EVAL_ROWS], {}
+            logits = [self._apply(arch, st, x, layer0) for arch, st in zip(gates, stats)]
+            yield self.labels[start : start + EVAL_ROWS], logits
 
-    def _recalibrate(self, gates: Sequence[GateVector], layer0: dict) -> list[list[Stats]]:
-        """The first sweep, for one architecture: each selected branch's
-        (mean, inv), per layer in slot order, recalibrated on the recal stack.
-        A branch's output there, fed to the next layer, is normalized with each
-        batch's own moments, whose sums the statistics reuse; the last layer's
-        feeds nothing, so it is not formed."""
-        stats: list[list[Stats]] = [[] for _ in gates]
+    def _recalibrate(self, gates: list[Sequence[GateVector]]) -> list[list[list[Stats]]]:
+        """The first sweep: each architecture's (mean, inv) of every selected
+        branch, per layer in slot order.  The recal stack is walked in blocks
+        of whole batches; each branch folds every block into its
+        ``Recalibration``, and a layer-0 slot's is shared by the batch, so it
+        folds each block once."""
+        layer0_folds: dict[int, Recalibration] = {}
+        folds = [
+            [
+                [
+                    layer0_folds.setdefault(slot, Recalibration()) if li == 0 else Recalibration()
+                    for slot in gate.selected
+                ]
+                for li, gate in enumerate(arch)
+            ]
+            for arch in gates
+        ]
+        if self.recal is not None:
+            per_block = max(1, EVAL_ROWS // self.recal.shape[1])
+            for start in range(0, len(self.recal), per_block):
+                x, layer0 = self.recal[start : start + per_block], {}
+                for arch, arch_folds in zip(gates, folds):
+                    self._fold_block(arch, arch_folds, x, layer0)
+        return [[[fold.stats() for fold in layer] for layer in arch] for arch in folds]
+
+    def _fold_block(
+        self,
+        gates: Sequence[GateVector],
+        folds: list[list[Recalibration]],
+        x: np.ndarray,
+        layer0: dict,
+    ) -> None:
+        """One architecture's pass over one block of the recal stack, folding
+        each selected branch's output into its ``folds`` entry.  A branch's
+        output, fed to the next layer, is normalized with each batch's own
+        moments, whose sums the fold reuses; the last layer's feeds nothing,
+        so it is not formed."""
         last = len(gates) - 1
 
-        def output(li: int, slot: int, x: np.ndarray) -> np.ndarray | None:
+        def output(li: int, slot: int, fold: Recalibration, x: np.ndarray) -> np.ndarray | None:
             if li == 0 and slot in layer0:
-                out, st = layer0[slot]
-            else:
-                y = self.weights.branch_affines(li, slot, x)
-                out, _, _, sums = (None,) * 4 if li == last else normalize_train_stack(y)
-                st = recalibrate(y, sums)
-                if li == 0:
-                    layer0[slot] = out, st
-            stats[li].append(st)
+                return layer0[slot]
+            y = self.weights.branch_affines(li, slot, x)
+            out, _, _, sums = (None,) * 4 if li == last else normalize_train_stack(y)
+            fold.fold(y, sums)
+            if li == 0:
+                layer0[slot] = out
             return out
 
         def outputs(li: int, slots: tuple[int, ...], x: np.ndarray) -> Iterator[np.ndarray]:
-            for slot in slots:
-                yield output(li, slot, x)
+            for slot, fold in zip(slots, folds[li]):
+                yield output(li, slot, fold, x)
 
-        x = self.recal
         for li, gate in enumerate(gates):
             if li < last:
                 x = self.weights.layer_mix(li, x, outputs(li, gate.selected, x))
             else:  # the last layer gives only its statistics
-                for slot in gate.selected:
-                    output(li, slot, x)
-        return stats
+                for slot, fold in zip(gate.selected, folds[li]):
+                    output(li, slot, fold, x)
 
     def _apply(
-        self, gates: Sequence[GateVector], stats: list[list[Stats]], layer0: dict
+        self, gates: Sequence[GateVector], stats: list[list[Stats]], x: np.ndarray, layer0: dict
     ) -> np.ndarray:
-        """The second sweep, for one architecture: its logits of the
-        validation split, each branch normalized with its ``stats``."""
+        """The second sweep, for one architecture and one block ``x`` of the
+        validation split: its logits, each branch normalized with its
+        ``stats``."""
 
         def output(li: int, slot: int, x: np.ndarray, st: Stats) -> np.ndarray:
             if li == 0 and slot in layer0:
@@ -623,7 +660,6 @@ class InferenceCache:
             for slot, st in zip(slots, stats[li]):
                 yield output(li, slot, x, st)
 
-        x = self.val
         for li, gate in enumerate(gates):
             x = self.weights.layer_mix(li, x, outputs(li, gate.selected, x))
         return affine_array(x, self.weights.params["head.w"], self.weights.params["head.b"])
@@ -637,7 +673,8 @@ def evaluate(cache: InferenceCache, architectures: Sequence[Architecture]) -> li
     so repeated evaluations leave them bit-identical, and an architecture
     scores the same in any batch.
     """
-    return [
-        int(np.sum(np.argmax(logits, axis=1) == cache.labels)) / len(cache.labels)
-        for logits in cache.val_logits(architectures)
-    ]
+    hits = [0] * len(architectures)
+    for labels, logits in cache.val_logits(architectures):
+        for a, block in enumerate(logits):
+            hits[a] += int(np.sum(np.argmax(block, axis=1) == labels))
+    return [count / len(cache.labels) for count in hits]

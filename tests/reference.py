@@ -6,7 +6,7 @@
   pass is checked against it bit for bit.  The tape normalizes each branch
   as ``tape_stats`` says, switched by ``set_mode``: with the batch's own
   moments, with fixed statistics, or with the batch's own moments while
-  collecting its inputs for ``recalibrate``.
+  collecting its inputs for a ``Recalibration``.
 - ``state_hash``: a digest of a supernet's parameters.
 - ``benchmark_from_json``: a ``SyntheticBenchmark`` read back from its JSON.
 - ``train_architecture``: train one fixed architecture from scratch and

@@ -20,6 +20,7 @@ from nse.engine import RetrievalConfig, evaluate_on_supernet, retrieve_pareto  #
 from nse.oracle import OracleEvaluator, SyntheticBenchmark  # noqa: E402
 from nse.resources import ConstraintConfig  # noqa: E402
 from nse.rng import make_rng  # noqa: E402
+from nse import supernet  # noqa: E402
 from nse.space import DeclaredLayer, DeclaredOp, GateSampler, full_subset, shuffle_pool  # noqa: E402
 from nse.supernet import (  # noqa: E402
     DatasetConfig,
@@ -74,14 +75,18 @@ def test_retrieval_returns_what_the_benchmark_reads():
 
 def test_supernet_evaluation_returns_one_score_per_architecture():
     # the supernet.evaluate span times one call, which scores a whole batch
+    # over a validation split of more than one block
     family = toy_op_family()[:4]
     decl = [DeclaredLayer(role, family) for role in ("normal", "reduction")]
     pool = shuffle_pool(decl, seed=0)
     subset = full_subset(pool)
     geometry = NetworkGeometry(input_dim=4, stem_width=6, layer_widths=(6, 8), classes=3)
     data = ToyDataset.generate(
-        DatasetConfig(input_dim=4, classes=3, train_size=200, val_size=50)
+        DatasetConfig(
+            input_dim=4, classes=3, train_size=200, val_size=supernet.EVAL_ROWS + 50
+        )
     )
+    assert len(data.x_val) > supernet.EVAL_ROWS
     recal = make_recal_batches(data, 2, 16, make_rng("bench-targets", "recal"))
     cache = InferenceCache(SharedWeights(subset, geometry, seed=0), data, recal)
     sampler = GateSampler.uniform(subset)

@@ -116,10 +116,10 @@ def test_a_write_failing_partway_leaves_every_json_artifact_whole(tmp_path, monk
     for artifact in run_dir.rglob("*.json"):
         json.loads(artifact.read_text())
     # the rerun removed the previous run's rounds before round 1, so the file
-    # whose write failed was never formed, and only its ``.tmp`` is torn
+    # whose write failed was never formed, and its torn ``.tmp`` was removed
     torn = targets[-1].with_name(targets[-1].name.removesuffix(".tmp"))
-    assert torn != targets[-1] and not torn.exists() and targets[-1].exists()
-    # the next run clears the torn temporary with the rest of the rounds
+    assert torn != targets[-1] and not torn.exists() and not targets[-1].exists()
+    assert list(run_dir.rglob("*.tmp")) == []
     monkeypatch.undo()
     assert main(["run", str(path)]) == 0
     assert list(run_dir.rglob("*.tmp")) == []

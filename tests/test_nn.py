@@ -104,12 +104,12 @@ def test_backward_is_deterministic():
 
 
 def _var(inv):
-    """The variance behind ``recalibrate``'s inverse deviation."""
+    """The variance behind a recalibrated inverse deviation."""
     return 1.0 / (inv * inv) - EPS_NORM
 
 
 def test_recalibrate_constant_batch():
-    mean, inv = nn.recalibrate(np.full((1, 10, 3), 2.5))
+    mean, inv = nn.Recalibration().fold(np.full((1, 10, 3), 2.5)).stats()
     assert mean == pytest.approx([2.5] * 3)
     assert _var(inv) == pytest.approx([0.0] * 3, abs=1e-12)
 
@@ -117,8 +117,8 @@ def test_recalibrate_constant_batch():
 def test_recalibrate_idempotent_for_duplicate_batches():
     rng = make_rng("recal", 1)
     batch = rng.normal(size=(16, 4))
-    one = nn.recalibrate(batch[None])
-    two = nn.recalibrate(np.stack([batch, batch]))
+    one = nn.Recalibration().fold(batch[None]).stats()
+    two = nn.Recalibration().fold(np.stack([batch, batch])).stats()
     assert one[0] == pytest.approx(two[0], abs=1e-12)
     assert _var(one[1]) == pytest.approx(_var(two[1]), abs=1e-12)
 
@@ -129,7 +129,7 @@ def test_recalibrate_matches_whole_dataset_oracle():
     batches = [rng.normal(size=(int(rng.integers(4, 20)), 5)) for _ in range(7)]
     size = min(len(b) for b in batches)
     batches = [b[:size] for b in batches]
-    mean, inv = nn.recalibrate(np.stack(batches))
+    mean, inv = nn.Recalibration().fold(np.stack(batches)).stats()
     everything = np.concatenate(batches, axis=0)
     assert np.max(np.abs(mean - everything.mean(axis=0))) < 1e-10
     assert np.max(np.abs(_var(inv) - everything.var(axis=0))) < 1e-10
@@ -137,9 +137,11 @@ def test_recalibrate_matches_whole_dataset_oracle():
 
 def test_recalibrate_empty_raises():
     with pytest.raises(ValueError):
-        nn.recalibrate(np.zeros((0, 8, 2)))
+        nn.Recalibration().stats()
     with pytest.raises(ValueError):
-        nn.recalibrate(np.zeros((3, 0, 2)))
+        nn.Recalibration().fold(np.zeros((0, 8, 2))).stats()
+    with pytest.raises(ValueError):
+        nn.Recalibration().fold(np.zeros((3, 0, 2))).stats()
 
 
 def fold_batches(batches):
@@ -163,8 +165,8 @@ def test_recalibration_does_not_depend_on_prior_running_values(fold):
 
     def stats():
         if fold == "normalize":  # a non-last layer reuses its output's sums
-            return nn.recalibrate(stack, nn.normalize_train_stack(stack)[3])
-        return nn.recalibrate(stack)  # the last layer folds only the sums
+            return nn.Recalibration().fold(stack, nn.normalize_train_stack(stack)[3]).stats()
+        return nn.Recalibration().fold(stack).stats()  # the last layer folds only the sums
 
     fresh = stats()
     for _ in range(4):
@@ -318,15 +320,33 @@ def test_stacked_recalibration_equals_folding_batches_one_at_a_time(count):
     expected = fold_batches(batches)
     stack = np.stack(batches)
     for sums in (None, nn.batch_moments(stack)[0]):
-        mean, inv = nn.recalibrate(stack, sums)
+        mean, inv = nn.Recalibration().fold(stack, sums).stats()
         assert np.array_equal(mean, expected[0])
         assert np.array_equal(inv, expected[1])
+
+
+def test_folding_a_stack_in_blocks_equals_folding_batches_one_at_a_time():
+    # evaluation folds the recal stack in blocks of whole batches
+    count = 5
+    rng = make_rng("recal-blocks", count)
+    stack = rng.normal(size=(count, 32, 6)) * 2.0 + 1.0
+    expected = fold_batches(list(stack))
+    for per_block in (1, 2, count):
+        for with_sums in (False, True):
+            fold = nn.Recalibration()
+            for start in range(0, count, per_block):
+                block = stack[start : start + per_block]
+                fold.fold(block, nn.batch_moments(block)[0] if with_sums else None)
+            assert fold.count == count * 32
+            mean, inv = fold.stats()
+            assert np.array_equal(mean, expected[0])
+            assert np.array_equal(inv, expected[1])
 
 
 def test_fixed_normalize_equals_the_tape_and_checks_shapes():
     rng = make_rng("fixed-norm", 0)
     stack = rng.normal(size=(3, 16, 5)) * 2.0 + 1.0
-    mean, inv = nn.recalibrate(stack)
+    mean, inv = nn.Recalibration().fold(stack).stats()
     out = nn.normalize_fixed(stack, mean, inv)
     for k in range(len(stack)):
         assert np.array_equal(out[k], normalize(Tensor(stack[k]), (mean, inv)).data)
@@ -335,7 +355,9 @@ def test_fixed_normalize_equals_the_tape_and_checks_shapes():
     with pytest.raises(nn.ShapeError):
         normalize(Tensor(stack[0]), (mean, inv[:4]))
     with pytest.raises(nn.ShapeError):
-        nn.recalibrate(stack[0])
+        nn.Recalibration().fold(stack[0])
+    with pytest.raises(nn.ShapeError):
+        nn.Recalibration().fold(stack).fold(stack[:, :, :4])
 
 
 @pytest.mark.parametrize("count", [1, 3, 8])

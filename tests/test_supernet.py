@@ -22,8 +22,8 @@ from nse.rng import make_rng
 from nse.nn import (
     SGD,
     NotFiniteError,
+    Recalibration,
     Tensor,
-    recalibrate,
     softmax_cross_entropy,
     softmax_cross_entropy_array,
 )
@@ -39,6 +39,7 @@ from nse.space import (
     sample_uniform_architecture,
     shuffle_pool,
 )
+from nse import supernet
 from nse.supernet import (
     BatchStream,
     DatasetConfig,
@@ -380,7 +381,7 @@ def graph_evaluation(weights, arch, data, recal, batch_size):
     if keys:
         for xb in recal:
             forward(weights, arch.gate_vectors, Tensor(xb))
-        stats.update({k: recalibrate(np.stack(stats[k])) for k in keys})
+        stats.update({k: Recalibration().fold(np.stack(stats[k])).stats() for k in keys})
     correct = 0
     all_logits = []
     for start in range(0, len(data.x_val), batch_size):
@@ -411,10 +412,29 @@ def trained_net(seed=4):
     return subset, weights, data, recal
 
 
+def arch_logits(cache, archs):
+    """Each architecture's logits of the whole validation split, its block
+    logits concatenated; checks that the blocks tile the split in order."""
+    labels, blocks = zip(*cache.val_logits(archs))
+    assert all(len(block) == len(archs) for block in blocks)
+    assert np.array_equal(np.concatenate(labels), cache.labels)
+    return [np.concatenate([block[a] for block in blocks]) for a in range(len(archs))]
+
+
+def block_sizes(data, recal):
+    """``EVAL_ROWS`` values that block both sweeps differently: below one
+    recal batch (one batch per block), not dividing the validation split
+    (a partial last block), exactly the split, and above both."""
+    batch, v = len(recal[0]), len(data.x_val)
+    sizes = (batch - 1, 128, v, len(recal) * batch + v)
+    assert sizes[0] < batch and v % sizes[1] and max(v, len(recal) * batch) < sizes[3]
+    return sizes
+
+
 @pytest.mark.parametrize("batch_size", [7, 128, 300])
-def test_nograd_accuracy_equals_graph_accuracy_exactly(batch_size):
-    # one-pass scoring equals the graph's batched scoring at several splits
-    # of the 300 validation rows, the last one the whole split
+def test_nograd_accuracy_equals_graph_accuracy_exactly(batch_size, monkeypatch):
+    # block scoring equals the graph's batched scoring at several splits of
+    # the 300 validation rows, the last one the whole split, at every block size
     subset, weights, data, recal = trained_net()
     rng = make_rng("nograd-archs", 0)
     slots = [subset.active_slots(li) for li in range(3)]
@@ -428,14 +448,16 @@ def test_nograd_accuracy_equals_graph_accuracy_exactly(batch_size):
     assert any(len(gv.selected) == 1 for gv in gates)  # single-branch layers
     assert any(len(gv.selected) > 1 for gv in gates)  # multi-branch layers
     cache = InferenceCache(weights, data, recal)
-    got = evaluate(cache, archs)
     expected = [graph_evaluation(weights, a, data, recal, batch_size) for a in archs]
-    assert got == [acc for acc, _ in expected]
-    assert len(set(got)) > 3  # the architectures really differ
-    # bit-identical logits, not just the same argmax
-    for got_logits, (_, logits) in zip(cache.val_logits(archs), expected):
-        assert len(logits) == -(-len(data.x_val) // batch_size)
-        assert np.array_equal(got_logits, np.concatenate(logits))
+    for rows in block_sizes(data, recal):
+        monkeypatch.setattr(supernet, "EVAL_ROWS", rows)
+        got = evaluate(cache, archs)
+        assert got == [acc for acc, _ in expected]
+        assert len(set(got)) > 3  # the architectures really differ
+        # bit-identical logits, not just the same argmax
+        for got_logits, (_, logits) in zip(arch_logits(cache, archs), expected):
+            assert len(logits) == -(-len(data.x_val) // batch_size)
+            assert np.array_equal(got_logits, np.concatenate(logits))
 
 
 def test_cached_evaluation_does_not_depend_on_order():
@@ -478,9 +500,10 @@ def test_cache_rejects_recal_batches_of_unequal_size():
         InferenceCache(weights, data, recal + [recal[0][:-1]])
 
 
-def test_a_batch_scores_each_architecture_as_it_scores_alone():
+def test_a_batch_scores_each_architecture_as_it_scores_alone(monkeypatch):
     # layer-0 work is shared within a batch, so every architecture's score and
-    # logits must not depend on the batch it is in, nor on its place there
+    # logits must not depend on the batch it is in, nor on its place there,
+    # nor on the block size
     subset, weights, data, recal = trained_net(seed=11)
     rng = make_rng("batch-contract", 0)
     slots = [subset.active_slots(li) for li in range(3)]
@@ -492,18 +515,21 @@ def test_a_batch_scores_each_architecture_as_it_scores_alone():
     archs.append(archs[1])  # a repeat in the same batch
     alone = [InferenceCache(weights, data, recal) for _ in archs]
     single = [evaluate(cache, [a])[0] for cache, a in zip(alone, archs)]
-    single_logits = [next(cache.val_logits([a])) for cache, a in zip(alone, archs)]
+    single_logits = [arch_logits(cache, [a])[0] for cache, a in zip(alone, archs)]
     assert len(set(single)) > 3
     cache = InferenceCache(weights, data, recal)
     in_order = list(range(len(archs)))
-    for order in (in_order, in_order[::-1], rng.permutation(len(archs)).tolist()):
-        batch = [archs[i] for i in order]
-        assert evaluate(cache, batch) == [single[i] for i in order]
-        logits = list(cache.val_logits(batch))
-        assert len(logits) == len(batch)
-        for i, got in zip(order, logits):
-            assert np.array_equal(got, single_logits[i])
-    assert evaluate(cache, []) == []
+    orders = (in_order, in_order[::-1], rng.permutation(len(archs)).tolist())
+    for rows in block_sizes(data, recal):
+        monkeypatch.setattr(supernet, "EVAL_ROWS", rows)
+        for order in orders:
+            batch = [archs[i] for i in order]
+            assert evaluate(cache, batch) == [single[i] for i in order]
+            logits = arch_logits(cache, batch)
+            assert len(logits) == len(batch)
+            for i, got in zip(order, logits):
+                assert np.array_equal(got, single_logits[i])
+        assert evaluate(cache, []) == []
 
 
 def test_a_batch_with_an_ungated_reduction_layer_raises_space_error():
@@ -537,13 +563,16 @@ def test_a_batch_without_recal_batches_raises_value_error():
 
 def test_batch_evaluation_holds_one_split_of_layer0_outputs_at_a_time():
     # 12 layer-0 slots, every one selected by some architecture, and a recal
-    # stack as large as the validation split (R*B = V), so one split's
-    # layer-0 outputs take 12 (V, W) arrays; keeping both splits' would take
-    # 24, and that is the bound.  Everything else alive at the peak is a
-    # working set that does not grow with the slot count: one branch's hidden
-    # activations (4 arrays for the widest op), its output, the layer input
-    # and the running sum.
-    width, v, batches, batch = 8, 512, 4, 128
+    # stack as large as the validation split (R*B = V = 4 * EVAL_ROWS), so one
+    # split's layer-0 outputs take 12 (V, W) arrays and one block's take 12
+    # (EVAL_ROWS, W) arrays.  Everything else alive at the peak is a working
+    # set that does not grow with the slot count or the split: one branch's
+    # hidden activations (4 block arrays for the widest op) and their masks,
+    # its output and normalization temporaries, the layer input and the
+    # running sum, under 16 block arrays.  So the bound is 28 block arrays,
+    # 7 full-split ones, where one split's layer-0 outputs alone take 12.
+    width, rows = 8, supernet.EVAL_ROWS
+    batches, batch, v = 4, rows, 4 * rows
     roles = ("normal", "normal", "normal")
     pool = build_pool(roles, 12)
     subset = init_subset(pool, capacity=12, seed=1, ledger=TraversalLedger())
@@ -564,7 +593,7 @@ def test_batch_evaluation_holds_one_split_of_layer0_outputs_at_a_time():
     ]
     assert {s for a in archs for s in a.gate_vectors[0].selected} == set(slots[0])
     cache = InferenceCache(weights, data, recal)
-    one_split = v * width * np.dtype(np.float64).itemsize
+    one_block = rows * width * np.dtype(np.float64).itemsize
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -572,7 +601,7 @@ def test_batch_evaluation_holds_one_split_of_layer0_outputs_at_a_time():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 2 * len(slots[0]) * one_split
+    assert peak < (len(slots[0]) + 16) * one_block
 
 
 def test_layer_output_nograd_matches_train_mode_graph_on_copies():
