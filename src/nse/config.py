@@ -23,8 +23,16 @@ from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 from .engine import Engine, OraclePhase, RetrievalConfig, SupernetPhase
 from .oracle import SyntheticBenchmark
-from .resources import ConstraintConfig, CostTable
-from .space import MAX_LAYER_SLOTS, REDUCTION, DeclaredLayer, DeclaredOp, SearchSpacePool, shuffle_pool
+from .resources import ConstraintConfig, CostTable, architecture_cost
+from .space import (
+    MAX_LAYER_SLOTS,
+    REDUCTION,
+    Architecture,
+    DeclaredLayer,
+    DeclaredOp,
+    SearchSpacePool,
+    shuffle_pool,
+)
 from .supernet import (
     DatasetConfig,
     NetworkGeometry,
@@ -258,6 +266,8 @@ def load_config(path: str | Path) -> RunConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     cfg = parse_config(data)
@@ -300,12 +310,14 @@ def build_engine(cfg: RunConfig) -> Engine:
     else:
         table = build_cost_table(pool, cfg.geometry(), cfg.network.unit_scale)
     # the cheapest architecture selects each reduction layer's cheapest slot
-    # and nothing else; its cost adds up as ``architecture_cost`` adds it
-    total = 0.0
-    for layer in pool.layers:
-        if layer.role == REDUCTION:
-            total += min(table.lookup(layer.layer_index, op.slot_index) for op in layer.pool)
-    cheapest = table.fixed_overhead + total
+    # and nothing else
+    cheapest_slots = [
+        [min(layer.pool, key=lambda op: table.lookup(*op.key)).slot_index]
+        if layer.role == REDUCTION
+        else []
+        for layer in pool.layers
+    ]
+    cheapest = architecture_cost(Architecture(cheapest_slots), table)
     if cfg.constraint.upper_bound < cheapest:
         raise ConfigError(
             f"config.constraint.upper_bound {cfg.constraint.upper_bound} is below {cheapest},"

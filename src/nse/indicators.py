@@ -206,8 +206,7 @@ def indicator_update_step(
     row_a, row_b = zip(*pairs)
     bits_a, bits_b = sampler.bits(row_a), sampler.bits(row_b)
 
-    gates_a = [sampler.gate(li, mask) for li, mask in enumerate(row_a)]
-    record = weights.train_forward(gates_a, x)
+    record = weights.train_forward(sampler.decode(row_a).layers, x)
     loss, dlogits = nn.softmax_cross_entropy_array(record.logits, y)
     upstreams = weights.train_backward(record, dlogits, param_grads=False)
 
@@ -217,7 +216,7 @@ def indicator_update_step(
     expected_cost = 0.0
     for li, (trace, upstream) in enumerate(zip(record.layers, upstreams)):
         shared = dict(zip(trace.slots, trace.branches if trace.slots else ()))
-        o_b = weights.layer_output_nograd(li, sampler.gate(li, row_b[li]), trace.x, shared)
+        o_b = weights.layer_output_nograd(li, sampler.selection(li, row_b[li]), trace.x, shared)
         s_a = float(np.sum(upstream * trace.out))
         s_b = float(np.sum(upstream * o_b))
         lo, hi = bounds[li], bounds[li + 1]

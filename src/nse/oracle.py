@@ -18,7 +18,7 @@ from typing import Iterable, Protocol, Sequence
 
 from .resources import CostTable, architecture_cost
 from .rng import make_rng
-from .space import Architecture, GateSampler, GateVector, SearchSpacePool, sigmoid
+from .space import Architecture, GateSampler, SearchSpacePool, sigmoid
 
 
 class Evaluator(Protocol):
@@ -129,8 +129,8 @@ def _saturate(x: float) -> float:
     return x / (1.0 + x)
 
 
-def _layer_value(bench: SyntheticBenchmark, gate: GateVector) -> float:
-    return _saturate(_layer_score(bench, gate.layer_index, gate.selected))
+def _layer_value(bench: SyntheticBenchmark, layer_index: int, slots: Sequence[int]) -> float:
+    return _saturate(_layer_score(bench, layer_index, slots))
 
 
 def _accuracy(bench: SyntheticBenchmark, layer_values: Iterable[float]) -> float:
@@ -142,7 +142,8 @@ def _accuracy(bench: SyntheticBenchmark, layer_values: Iterable[float]) -> float
 
 def oracle_score(arch: Architecture, bench: SyntheticBenchmark) -> tuple[float, float]:
     """Closed-form (accuracy, cost) of an architecture."""
-    accuracy = _accuracy(bench, (_layer_value(bench, gv) for gv in arch.gate_vectors))
+    values = (_layer_value(bench, li, slots) for li, slots in enumerate(arch.layers))
+    accuracy = _accuracy(bench, values)
     return accuracy, architecture_cost(arch, bench.cost_table())
 
 
@@ -150,7 +151,7 @@ class OracleEvaluator:
     """``oracle_score`` on mask rows, each layer's saturated score memoised.
 
     ``evaluate`` looks the values up per layer mask of a sampler's rows, in
-    tables filled from the masks' gate vectors as they occur, and folds a
+    tables filled from the slots the masks select as they occur, and folds a
     row's values with ``_accuracy``, so every accuracy equals
     ``oracle_score``'s.
     """
@@ -168,5 +169,5 @@ class OracleEvaluator:
         rows = [row for row, _ in draws]
         for li, (table, masks) in enumerate(zip(tables, zip(*rows))):
             for mask in set(masks).difference(table):
-                table[mask] = _layer_value(self.benchmark, sampler.selection(li, mask))
+                table[mask] = _layer_value(self.benchmark, li, sampler.selection(li, mask))
         return [_accuracy(self.benchmark, map(dict.__getitem__, tables, row)) for row in rows]

@@ -106,10 +106,10 @@ def architecture_cost(arch: Architecture, table: CostTable) -> float:
     every Python.
     """
     total = 0.0
-    for gv in arch.gate_vectors:
+    for li, selected in enumerate(arch.layers):
         layer = 0.0
-        for slot in gv.selected:
-            layer += table.lookup(gv.layer_index, slot)
+        for slot in selected:
+            layer += table.lookup(li, slot)
         total += layer
     return table.fixed_overhead + total
 

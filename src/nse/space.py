@@ -2,10 +2,10 @@
 
 The full pool is a layered collection of candidate operations.  Each round
 works on a bounded subset of at most ``capacity`` active operations per
-layer; an architecture is a binary gate selection over the active entries of
-every layer.  Normal layers carry a structural identity path that is always
-on and never part of the pool, so their gate selection may be empty.
-Reduction layers have no identity and must keep at least one gate set.
+layer; an architecture is one ascending tuple of selected active slots per
+layer.  Normal layers carry a structural identity path that is always on and
+never part of the pool, so their selection may be empty.  Reduction layers
+have no identity and must select at least one slot.
 
 A traversal ledger records every (layer, slot) that ever entered a subset so
 replenishment never samples the same operation twice.
@@ -30,7 +30,7 @@ REDUCTION = "reduction"
 ORIGIN_FRESH = "fresh"
 ORIGIN_INHERITED = "inherited"
 
-# A reduction layer redrawn this many times without a nonzero gate vector is
+# A reduction layer redrawn this many times without selecting a slot is
 # a defect, not bad luck (each redraw fails with probability 2^-n_active).
 MAX_REDRAWS = 10_000
 
@@ -178,47 +178,37 @@ class SubsetState:
 
 
 @dataclass(frozen=True)
-class GateVector:
-    """Selected slot indices of one layer (the set bits of the gate mask).
+class Architecture:
+    """The selected slots of every layer, one tuple per layer.
 
-    ``selected`` is normalized to the ascending tuple of distinct slots,
-    whatever iterable it is built from, so equal selections are equal gate
-    vectors and every reader walks a layer's slots in one order.
+    Each layer is normalized to the ascending tuple of distinct slots,
+    whatever iterable it is built from, so equal selections are equal
+    architectures and every reader walks a layer's slots in one order.
     """
 
-    layer_index: int
-    selected: tuple[int, ...]
+    layers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "selected", tuple(sorted(set(self.selected))))
-
-
-@dataclass(frozen=True)
-class Architecture:
-    gate_vectors: tuple[GateVector, ...]
+        layers = tuple(tuple(sorted({int(s) for s in layer})) for layer in self.layers)
+        object.__setattr__(self, "layers", layers)
 
     @property
     def num_layers(self) -> int:
-        return len(self.gate_vectors)
+        return len(self.layers)
 
     def selected(self, layer_index: int) -> tuple[int, ...]:
-        return self.gate_vectors[layer_index].selected
+        return self.layers[layer_index]
 
     def encoding(self) -> tuple[tuple[int, ...], ...]:
         """Canonical hashable form: sorted slot tuples per layer."""
-        return tuple(gv.selected for gv in self.gate_vectors)
+        return self.layers
 
     def compact_id(self) -> str:
-        return ";".join("+".join(str(s) for s in layer) for layer in self.encoding())
+        return ";".join("+".join(str(s) for s in layer) for layer in self.layers)
 
     @staticmethod
-    def from_encoding(encoding: Sequence[Sequence[int]]) -> "Architecture":
-        return Architecture(
-            tuple(
-                GateVector(li, tuple(int(s) for s in slots))
-                for li, slots in enumerate(encoding)
-            )
-        )
+    def from_encoding(encoding: Sequence[Iterable[int]]) -> "Architecture":
+        return Architecture(encoding)
 
 
 @dataclass
@@ -240,11 +230,11 @@ class TraversalLedger:
 def validate_architecture(arch: Architecture, subset: SubsetState) -> None:
     if arch.num_layers != subset.num_layers:
         raise SpaceError("architecture/subset layer count mismatch")
-    for li, gv in enumerate(arch.gate_vectors):
+    for li, selected in enumerate(arch.layers):
         active = set(subset.active_slots(li))
-        if not active.issuperset(gv.selected):
+        if not active.issuperset(selected):
             raise SpaceError(f"gates reference inactive slots in layer {li}")
-        if subset.roles[li] == REDUCTION and not gv.selected:
+        if subset.roles[li] == REDUCTION and not selected:
             raise SpaceError(f"reduction layer {li} has no gate set")
 
 
@@ -423,7 +413,6 @@ class GateSampler:
                 raise SpaceError(f"layer {li} has more than {MAX_LAYER_SLOTS} active slots")
         self._bounds = list(itertools.accumulate(map(len, self.slots), initial=0))
         self.width = self._bounds[-1]
-        self._gates: list[dict[int, GateVector]] = [{} for _ in self.slots]
 
     @staticmethod
     def uniform(subset: SubsetState) -> "GateSampler":
@@ -598,21 +587,12 @@ class GateSampler:
         _, pack, columns, _ = self._arrays
         return (np.asarray(row, dtype=np.int64)[columns] & pack.sum(axis=1)) != 0
 
-    def selection(self, layer_index: int, mask: int) -> GateVector:
-        """The gate vector of the slots a layer mask selects."""
-        slots = self.slots[layer_index]
-        return GateVector(layer_index, tuple(s for j, s in enumerate(slots) if mask >> j & 1))
-
-    def gate(self, layer_index: int, mask: int) -> GateVector:
-        """``selection``, kept and shared by every decoded row that uses it."""
-        gates = self._gates[layer_index]
-        gate = gates.get(mask)
-        if gate is None:
-            gate = gates[mask] = self.selection(layer_index, mask)
-        return gate
+    def selection(self, layer_index: int, mask: int) -> tuple[int, ...]:
+        """The ascending slots a layer mask selects."""
+        return tuple(s for j, s in enumerate(self.slots[layer_index]) if mask >> j & 1)
 
     def decode(self, row: Sequence[int]) -> Architecture:
-        return Architecture(tuple(self.gate(li, int(m)) for li, m in enumerate(row)))
+        return Architecture(tuple(self.selection(li, int(m)) for li, m in enumerate(row)))
 
     def row(self, architecture: Architecture) -> tuple[int, ...] | None:
         """The mask row that ``decode`` turns into ``architecture``, or None
@@ -620,9 +600,9 @@ class GateSampler:
         if architecture.num_layers != len(self.slots):
             return None
         row = []
-        for slots, gate in zip(self.slots, architecture.gate_vectors):
-            mask = sum(1 << j for j, s in enumerate(slots) if s in gate.selected)
-            if mask.bit_count() != len(gate.selected):
+        for slots, selected in zip(self.slots, architecture.layers):
+            mask = sum(1 << j for j, s in enumerate(slots) if s in selected)
+            if mask.bit_count() != len(selected):
                 return None
             row.append(mask)
         return tuple(row)
@@ -634,7 +614,7 @@ def sample_uniform_architecture(
     """Gate each active operation with probability 1/2.
 
     Reduction layers reject all-zero draws and redraw, which leaves the
-    distribution uniform over their nonzero gate vectors.
+    distribution uniform over their nonempty selections.
     """
     sampler = GateSampler.uniform(subset)
     return sampler.decode(sampler.draw(rng, 1)[0])

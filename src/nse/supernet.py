@@ -59,7 +59,6 @@ from .space import (
     Architecture,
     DeclaredOp,
     GateSampler,
-    GateVector,
     SearchSpacePool,
     SpaceError,
     SubsetState,
@@ -322,8 +321,9 @@ class SharedWeights:
 
     # -- training pass (plain arrays, one explicit backward per layer)
 
-    def train_forward(self, gates: Sequence[GateVector], x: np.ndarray) -> TrainRecord:
-        """Train-mode forward that records what ``train_backward`` needs.
+    def train_forward(self, layers: Sequence[tuple[int, ...]], x: np.ndarray) -> TrainRecord:
+        """Train-mode forward of one slot tuple per layer that records what
+        ``train_backward`` needs.
 
         Gives the tape forward's logits bit for bit.  A layer's branches share
         its input and output width, so their second affines are written into
@@ -333,12 +333,12 @@ class SharedWeights:
         p = self.params
         x = np.asarray(x, dtype=np.float64)
         h = affine_array(x, p["stem.w"], p["stem.b"])
-        layers = []
-        for li, gate in enumerate(gates):
-            layers.append(self._layer_train_forward(li, gate.selected, h))
-            h = layers[-1].out
+        traces = []
+        for li, slots in enumerate(layers):
+            traces.append(self._layer_train_forward(li, slots, h))
+            h = traces[-1].out
         logits = affine_array(h, p["head.w"], p["head.b"])
-        return TrainRecord(x, layers, h, logits)
+        return TrainRecord(x, traces, h, logits)
 
     def _layer_train_forward(self, li: int, slots: tuple[int, ...], x: np.ndarray) -> LayerTrace:
         if not slots:
@@ -452,7 +452,7 @@ class SharedWeights:
     def layer_output_nograd(
         self,
         layer_index: int,
-        gate: GateVector,
+        slots: tuple[int, ...],
         x_data: np.ndarray,
         known: Mapping[int, np.ndarray] | None = None,
     ) -> np.ndarray:
@@ -466,11 +466,11 @@ class SharedWeights:
         """
         x = np.asarray(x_data, dtype=np.float64)
         known = dict(known or {})
-        fresh = [slot for slot in gate.selected if slot not in known]
+        fresh = [slot for slot in slots if slot not in known]
         if fresh:
             _, ys = self._stack_affines([self.branches[(layer_index, s)] for s in fresh], x)
             known.update(zip(fresh, normalize_train_stack(ys)[0]))
-        return self.layer_mix(layer_index, x, [known[slot] for slot in gate.selected])
+        return self.layer_mix(layer_index, x, [known[slot] for slot in slots])
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +488,7 @@ def train_step(
 
     Training passes ``GateSampler.uniform`` of the current subset.
     """
-    # ``selection``, not ``decode``: each drawn architecture trains once, so
-    # its gate vectors are not worth keeping in the sampler
-    row = sampler.draw(rng, 1)[0].tolist()
-    arch = Architecture(tuple(sampler.selection(li, m) for li, m in enumerate(row)))
+    arch = sampler.decode(sampler.draw(rng, 1)[0].tolist())
     return train_step_fixed(weights, arch, batch, optimizer)
 
 
@@ -503,7 +500,7 @@ def train_step_fixed(
 ) -> float:
     """One step of ``arch``'s branches, stem and head, each stepped as one block."""
     x, y = batch
-    record = weights.train_forward(arch.gate_vectors, x)
+    record = weights.train_forward(arch.layers, x)
     loss, dlogits = softmax_cross_entropy_array(record.logits, y)
     weights.train_backward(record, dlogits)
     touched = ["stem", "head"] + [op.key for trace in record.layers for op in trace.ops]
@@ -572,16 +569,16 @@ class InferenceCache:
         the same for every architecture, and a dict local to the block shares
         them; deeper layers are computed per architecture.
         """
-        gates = [architecture.gate_vectors for architecture in architectures]
-        if self.recal is None and any(gv.selected for arch in gates for gv in arch):
+        archs = [architecture.layers for architecture in architectures]
+        if self.recal is None and any(slots for arch in archs for slots in arch):
             raise ValueError("recalibration requires at least one batch")
-        stats = self._recalibrate(gates)
+        stats = self._recalibrate(archs)
         for start in range(0, len(self.labels), EVAL_ROWS):
             x, layer0 = self.val[start : start + EVAL_ROWS], {}
-            logits = [self._apply(arch, st, x, layer0) for arch, st in zip(gates, stats)]
+            logits = [self._apply(arch, st, x, layer0) for arch, st in zip(archs, stats)]
             yield self.labels[start : start + EVAL_ROWS], logits
 
-    def _recalibrate(self, gates: list[Sequence[GateVector]]) -> list[list[list[Stats]]]:
+    def _recalibrate(self, archs: list[Sequence[tuple[int, ...]]]) -> list[list[list[Stats]]]:
         """The first sweep: each architecture's (mean, inv) of every selected
         branch, per layer in slot order.  The recal stack is walked in blocks
         of whole batches; each branch folds every block into its
@@ -592,23 +589,23 @@ class InferenceCache:
             [
                 [
                     layer0_folds.setdefault(slot, Recalibration()) if li == 0 else Recalibration()
-                    for slot in gate.selected
+                    for slot in slots
                 ]
-                for li, gate in enumerate(arch)
+                for li, slots in enumerate(arch)
             ]
-            for arch in gates
+            for arch in archs
         ]
         if self.recal is not None:
             per_block = max(1, EVAL_ROWS // self.recal.shape[1])
             for start in range(0, len(self.recal), per_block):
                 x, layer0 = self.recal[start : start + per_block], {}
-                for arch, arch_folds in zip(gates, folds):
+                for arch, arch_folds in zip(archs, folds):
                     self._fold_block(arch, arch_folds, x, layer0)
         return [[[fold.stats() for fold in layer] for layer in arch] for arch in folds]
 
     def _fold_block(
         self,
-        gates: Sequence[GateVector],
+        layers: Sequence[tuple[int, ...]],
         folds: list[list[Recalibration]],
         x: np.ndarray,
         layer0: dict,
@@ -618,7 +615,7 @@ class InferenceCache:
         output, fed to the next layer, is normalized with each batch's own
         moments, whose sums the fold reuses; the last layer's feeds nothing,
         so it is not formed."""
-        last = len(gates) - 1
+        last = len(layers) - 1
 
         def output(li: int, slot: int, fold: Recalibration, x: np.ndarray) -> np.ndarray | None:
             if li == 0 and slot in layer0:
@@ -634,15 +631,15 @@ class InferenceCache:
             for slot, fold in zip(slots, folds[li]):
                 yield output(li, slot, fold, x)
 
-        for li, gate in enumerate(gates):
+        for li, slots in enumerate(layers):
             if li < last:
-                x = self.weights.layer_mix(li, x, outputs(li, gate.selected, x))
+                x = self.weights.layer_mix(li, x, outputs(li, slots, x))
             else:  # the last layer gives only its statistics
-                for slot, fold in zip(gate.selected, folds[li]):
+                for slot, fold in zip(slots, folds[li]):
                     output(li, slot, fold, x)
 
     def _apply(
-        self, gates: Sequence[GateVector], stats: list[list[Stats]], x: np.ndarray, layer0: dict
+        self, layers: Sequence[tuple[int, ...]], stats: list[list[Stats]], x: np.ndarray, layer0: dict
     ) -> np.ndarray:
         """The second sweep, for one architecture and one block ``x`` of the
         validation split: its logits, each branch normalized with its
@@ -660,8 +657,8 @@ class InferenceCache:
             for slot, st in zip(slots, stats[li]):
                 yield output(li, slot, x, st)
 
-        for li, gate in enumerate(gates):
-            x = self.weights.layer_mix(li, x, outputs(li, gate.selected, x))
+        for li, slots in enumerate(layers):
+            x = self.weights.layer_mix(li, x, outputs(li, slots, x))
         return affine_array(x, self.weights.params["head.w"], self.weights.params["head.b"])
 
 

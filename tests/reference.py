@@ -20,11 +20,13 @@
 - The indicator table as the program held it before it became one flat
   array: ``dict_probabilities`` gives per-layer ``{slot: p}`` dicts, which
   ``dict_config_probability``, ``dict_config_probability_grads`` and
-  ``dict_rescaled_pair_grads`` read by membership in a gate vector, and
-  ``DictThetaAdam`` steps the values slot by slot; ``layer_cost`` prices
-  one gate vector.  Beside them, the helpers that move between the two
-  forms: ``indicator_table``, ``column``, ``gate_bits``, ``draw_gate`` and
-  ``pair_of``.
+  ``dict_rescaled_pair_grads`` read by membership in a layer's slot tuple,
+  and ``DictThetaAdam`` steps the values slot by slot; ``layer_cost`` prices
+  one layer's slot tuple.  Beside them, the helpers that move between the
+  two forms: ``indicator_table``, ``column``, ``gate_bits``, ``draw_gate``
+  and ``pair_of``.
+- ``selection``: one layer's slot tuple, from any iterable of slots, as
+  ``Architecture`` holds it.
 - ``dominates``, the pairwise Pareto order.
 - ``sample_space_architecture``, a second sampler of the K-bounded space;
   ``reference_keep_draws``, the retrieval keep loop that draws, prices and
@@ -38,7 +40,7 @@ import hashlib
 import itertools
 import math
 import weakref
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,7 +72,6 @@ from nse.space import (
     ORIGIN_FRESH,
     Architecture,
     GateSampler,
-    GateVector,
     SearchSpacePool,
     SpaceError,
     SubsetEntry,
@@ -161,14 +162,12 @@ def branch_forward(
 def layer_forward(
     weights: SharedWeights,
     layer_index: int,
-    gate: GateVector,
+    slots: Sequence[int],
     x: Tensor,
     leaves: Mapping[str, Tensor] | None = None,
 ) -> Tensor:
     leaves = tape_leaves(weights) if leaves is None else leaves
-    branches = [
-        branch_forward(weights, layer_index, slot, x, leaves) for slot in gate.selected
-    ]
+    branches = [branch_forward(weights, layer_index, slot, x, leaves) for slot in slots]
     parts = list(weights._layer_parts(layer_index, x, branches))
     if len(parts) == 1:
         return parts[0]
@@ -176,27 +175,27 @@ def layer_forward(
 
 
 def forward_collect(
-    weights: SharedWeights, gates: Sequence[GateVector], x: Tensor
+    weights: SharedWeights, layers: Sequence[Sequence[int]], x: Tensor
 ) -> tuple[Tensor, list[Tensor], list[Tensor], dict[str, Tensor]]:
-    """Tape forward on fresh leaves; returns the logits, every layer's input
-    and output, and the leaves."""
+    """Tape forward of the per-layer slot tuples ``layers`` on fresh leaves;
+    returns the logits, every layer's input and output, and the leaves."""
     leaves = tape_leaves(weights)
     h = affine(x, leaves["stem.w"], leaves["stem.b"])
     layer_inputs: list[Tensor] = []
     layer_outputs: list[Tensor] = []
-    for li, gate in enumerate(gates):
+    for li, slots in enumerate(layers):
         layer_inputs.append(h)
-        h = layer_forward(weights, li, gate, h, leaves)
+        h = layer_forward(weights, li, slots, h, leaves)
         layer_outputs.append(h)
     logits = affine(h, leaves["head.w"], leaves["head.b"])
     return logits, layer_inputs, layer_outputs, leaves
 
 
 def forward(
-    weights: SharedWeights, gates: Sequence[GateVector], x: Tensor
+    weights: SharedWeights, layers: Sequence[Sequence[int]], x: Tensor
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """Tape forward on fresh leaves; returns the logits and the leaves."""
-    logits, _, _, leaves = forward_collect(weights, gates, x)
+    logits, _, _, leaves = forward_collect(weights, layers, x)
     return logits, leaves
 
 
@@ -211,14 +210,10 @@ def tape_grads(leaves: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
 
 def subset_for_architecture(arch: Architecture, pool: SearchSpacePool) -> SubsetState:
     """A minimal subset holding exactly one architecture's operations."""
-    layers = []
-    for li, gv in enumerate(arch.gate_vectors):
-        layers.append(
-            [
-                SubsetEntry(pool.descriptor(li, slot), ORIGIN_FRESH)
-                for slot in gv.selected
-            ]
-        )
+    layers = [
+        [SubsetEntry(pool.descriptor(li, slot), ORIGIN_FRESH) for slot in slots]
+        for li, slots in enumerate(arch.layers)
+    ]
     capacity = max(1, max(len(entries) for entries in layers))
     state = SubsetState(layers=layers, roles=pool.roles, capacity=capacity)
     state.validate()
@@ -422,14 +417,20 @@ def column(thetas: FitnessIndicators, layer_index: int, slot: int) -> int:
     return thetas.bounds[layer_index] + thetas.slots[layer_index].index(slot)
 
 
-def gate_bits(gate: GateVector, slots: Sequence[int]) -> np.ndarray:
-    """Which of the layer's ``slots`` the gate vector selects, as bools."""
-    return np.array([slot in gate.selected for slot in slots], dtype=bool)
+def selection(selected: Iterable[int]) -> tuple[int, ...]:
+    """One layer's slot tuple as ``Architecture`` holds it: the ascending
+    distinct slots of ``selected``."""
+    return Architecture([selected]).selected(0)
 
 
-def draw_gate(sampler: GateSampler, rng: np.random.Generator, layer_index: int) -> GateVector:
-    """One layer drawn alone, as a gate vector."""
-    return sampler.gate(layer_index, sampler.draw_mask(rng, layer_index))
+def gate_bits(selected: Sequence[int], slots: Sequence[int]) -> np.ndarray:
+    """Which of the layer's ``slots`` are ``selected``, as bools."""
+    return np.array([slot in selected for slot in slots], dtype=bool)
+
+
+def draw_gate(sampler: GateSampler, rng: np.random.Generator, layer_index: int) -> tuple[int, ...]:
+    """One layer drawn alone, as its slot tuple."""
+    return sampler.selection(layer_index, sampler.draw_mask(rng, layer_index))
 
 
 def pair_of(bits_a: np.ndarray, bits_b: np.ndarray, probs: np.ndarray) -> tuple:
@@ -447,32 +448,42 @@ def dict_probabilities(thetas: FitnessIndicators) -> tuple[dict[int, float], ...
     )
 
 
-def dict_config_probability(gate: GateVector, probs: Sequence[Mapping[int, float]]) -> float:
+def dict_config_probability(
+    layer_index: int, selected: Sequence[int], probs: Sequence[Mapping[int, float]]
+) -> float:
     prob = 1.0
-    for slot, p in probs[gate.layer_index].items():
-        prob *= p if slot in gate.selected else (1.0 - p)
+    for slot, p in probs[layer_index].items():
+        prob *= p if slot in selected else (1.0 - p)
     return prob
 
 
 def dict_config_probability_grads(
-    gate: GateVector, probs: Sequence[Mapping[int, float]], p_hat: float | None = None
+    layer_index: int,
+    selected: Sequence[int],
+    probs: Sequence[Mapping[int, float]],
+    p_hat: float | None = None,
 ) -> dict[int, float]:
-    p_hat = dict_config_probability(gate, probs) if p_hat is None else p_hat
+    if p_hat is None:
+        p_hat = dict_config_probability(layer_index, selected, probs)
     return {
-        slot: p_hat * ((1.0 if slot in gate.selected else 0.0) - p)
-        for slot, p in probs[gate.layer_index].items()
+        slot: p_hat * ((1.0 if slot in selected else 0.0) - p)
+        for slot, p in probs[layer_index].items()
     }
 
 
 def dict_rescaled_pair_grads(
-    g_a: GateVector, g_b: GateVector, probs: Sequence[Mapping[int, float]]
+    layer_index: int,
+    g_a: Sequence[int],
+    g_b: Sequence[int],
+    probs: Sequence[Mapping[int, float]],
 ) -> dict[int, float]:
-    p_a, p_b = dict_config_probability(g_a, probs), dict_config_probability(g_b, probs)
-    d_a = dict_config_probability_grads(g_a, probs, p_a)
-    d_b = dict_config_probability_grads(g_b, probs, p_b)
+    p_a = dict_config_probability(layer_index, g_a, probs)
+    p_b = dict_config_probability(layer_index, g_b, probs)
+    d_a = dict_config_probability_grads(layer_index, g_a, probs, p_a)
+    d_b = dict_config_probability_grads(layer_index, g_b, probs, p_b)
     total_sq = (p_a + p_b) ** 2
     return {
-        slot: (d_a[slot] * p_b - p_a * d_b[slot]) / total_sq for slot in probs[g_a.layer_index]
+        slot: (d_a[slot] * p_b - p_a * d_b[slot]) / total_sq for slot in probs[layer_index]
     }
 
 
@@ -497,11 +508,11 @@ class DictThetaAdam:
             values[li][slot] -= self.lr * (m / c1) / (math.sqrt(v / c2) + eps)
 
 
-def layer_cost(gate: GateVector, table: CostTable) -> float:
-    """Summed cost of one layer's selected branches in ascending slot order."""
+def layer_cost(layer_index: int, selected: Sequence[int], table: CostTable) -> float:
+    """Summed cost of one layer's selected branches in ``selected``'s order."""
     total = 0.0
-    for slot in gate.selected:
-        total += table.lookup(gate.layer_index, slot)
+    for slot in selected:
+        total += table.lookup(layer_index, slot)
     return total
 
 
@@ -512,8 +523,8 @@ def layer_cost(gate: GateVector, table: CostTable) -> float:
 def two_config_ce_grads(
     s_a: float,
     s_b: float,
-    g_a: GateVector,
-    g_b: GateVector,
+    g_a: Sequence[int],
+    g_b: Sequence[int],
     slots: Sequence[int],
     probs: np.ndarray,
 ) -> dict[int, float]:
@@ -525,7 +536,6 @@ def two_config_ce_grads(
 
 
 def exhaustive_ce_grads(
-    layer_index: int,
     role: str,
     slots: Sequence[int],
     probs: np.ndarray,
@@ -546,13 +556,12 @@ def exhaustive_ce_grads(
     low = 0 if role == NORMAL else 1
     for k in range(low, len(slots) + 1):
         for sel in itertools.combinations(slots, k):
-            gate = GateVector(layer_index, sel)
             parts = [branch_outputs[s] for s in sel]
             if role == NORMAL:
                 parts = [identity_input] + parts
             mix = sum(parts) / len(parts)
             s_g = float(np.sum(upstream * mix))
-            bits = gate_bits(gate, slots)
+            bits = gate_bits(sel, slots)
             d = config_probability_grads(bits, probs, config_probability(bits, probs))
             for slot, d_slot in zip(slots, d.tolist()):
                 grads[slot] += s_g * d_slot
@@ -581,7 +590,7 @@ def sample_space_architecture(
     (at least one on reduction layers) is equally likely, matching the
     space that count_architectures counts.
     """
-    gate_vectors = []
+    layers = []
     for li in range(subset.num_layers):
         slots = subset.active_slots(li)
         low = 0 if subset.roles[li] == NORMAL else 1
@@ -593,8 +602,8 @@ def sample_space_architecture(
         )
         k = low + int(rng.choice(len(weights), p=weights / weights.sum()))
         picked = rng.choice(len(slots), size=k, replace=False) if k else []
-        gate_vectors.append(GateVector(li, frozenset(slots[i] for i in picked)))
-    return Architecture(tuple(gate_vectors))
+        layers.append(frozenset(slots[i] for i in picked))
+    return Architecture(layers)
 
 
 def reference_keep_draws(sampler, table, retrieval, constraint, rng):

@@ -26,6 +26,7 @@ from reference import (
     layer_forward,
     pair_of,
     sample_space_architecture,
+    selection,
     set_mode,
     state_hash,
     train_architecture,
@@ -57,7 +58,6 @@ from nse.space import (
     DeclaredLayer,
     DeclaredOp,
     GateSampler,
-    GateVector,
     TraversalLedger,
     count_architectures,
     full_subset,
@@ -133,7 +133,7 @@ def test_criterion_2_probability_normalization():
         ).probabilities()
         total = 0.0
         for bits in itertools.product([0, 1], repeat=k):
-            gate = GateVector(0, frozenset(s for s in range(k) if bits[s]))
+            gate = selection(s for s in range(k) if bits[s])
             total += config_probability(gate_bits(gate, range(k)), thetas)
         worst = max(worst, abs(total - 1.0))
     assert worst < 1e-9
@@ -156,7 +156,7 @@ def test_criterion_3a_probability_chain_gradients():
         base = rng.uniform(-4, 4, size=k)
         sel_a = frozenset(s for s in slots if rng.random() < 0.5)
         sel_b = frozenset(s for s in slots if rng.random() < 0.5)
-        g_a, g_b = GateVector(0, sel_a), GateVector(0, sel_b)
+        g_a, g_b = selection(sel_a), selection(sel_b)
 
         def at(vec):
             return indicator_table([{s: vec[i] for i, s in enumerate(slots)}]).probabilities()
@@ -236,7 +236,7 @@ def test_criterion_3c_penalty_path_gradients():
         for li in range(num_layers):
             sel_a = frozenset(s for s in range(k) if rng.random() < 0.5)
             sel_b = frozenset(s for s in range(k) if rng.random() < 0.5)
-            pairs.append((GateVector(li, sel_a), GateVector(li, sel_b)))
+            pairs.append((selection(sel_a), selection(sel_b)))
 
         def at(vec):
             return indicator_table(
@@ -253,16 +253,16 @@ def test_criterion_3c_penalty_path_gradients():
                     config_probability(gate_bits(g_a, range(k)), layer(thetas, li)),
                     config_probability(gate_bits(g_b, range(k)), layer(thetas, li)),
                 )
-                r += ta * sum(table.cost[(li, s)] for s in g_a.selected)
-                r += tb * sum(table.cost[(li, s)] for s in g_b.selected)
+                r += ta * sum(table.cost[(li, s)] for s in g_a)
+                r += tb * sum(table.cost[(li, s)] for s in g_b)
             return r
 
         thetas = at(base)
         pg = penalty_gradient_wrt_r(r_of(thetas), cfg)
         analytic = np.zeros(num_layers * k)
         for li, (g_a, g_b) in enumerate(pairs):
-            ca = sum(table.cost[(li, s)] for s in g_a.selected)
-            cb = sum(table.cost[(li, s)] for s in g_b.selected)
+            ca = sum(table.cost[(li, s)] for s in g_a)
+            cb = sum(table.cost[(li, s)] for s in g_b)
             b_a, b_b = gate_bits(g_a, range(k)), gate_bits(g_b, range(k))
             d_tilde = rescaled_pair_grads(
                 b_a, b_b, layer(thetas, li), pair_of(b_a, b_b, layer(thetas, li))
@@ -303,7 +303,7 @@ def test_criterion_4_two_config_estimator_direction():
         slots, thetas = table.slots[0], table.probabilities()
 
         exact = exhaustive_ce_grads(
-            0, "normal", slots, thetas, outputs, upstream, identity_input
+            "normal", slots, thetas, outputs, upstream, identity_input
         )
         exact_vec = np.array([exact[s] for s in range(layer_k)])
 
@@ -319,7 +319,7 @@ def test_criterion_4_two_config_estimator_direction():
             g_a = draw_gate(sampler, rng, 0)
             g_b = draw_gate(sampler, rng, 0)
             grads = two_config_ce_grads(
-                mix_cache[g_a.selected], mix_cache[g_b.selected], g_a, g_b, slots, thetas
+                mix_cache[g_a], mix_cache[g_b], g_a, g_b, slots, thetas
             )
             for s, g in grads.items():
                 acc[s] += g
@@ -590,10 +590,10 @@ def test_criterion_9_structural_invariants(tmp_path):
     weights = SharedWeights(tsubset, geometry, seed=1)
     set_mode(weights, "eval")
     x = Tensor(make_rng("acc9", "x").normal(size=(3, 6)))
-    assert layer_forward(weights, 0, GateVector(0, frozenset()), x) is x
+    assert layer_forward(weights, 0, selection(()), x) is x
     slot = tsubset.active_slots(0)[0]
     branch = branch_forward(weights, 0, slot, x)
-    mixed = layer_forward(weights, 0, GateVector(0, frozenset({slot})), x)
+    mixed = layer_forward(weights, 0, selection({slot}), x)
     assert np.allclose(mixed.data, (x.data + branch.data) / 2.0, atol=1e-12)
 
     # evaluation purity: weights bit-identical after evaluation

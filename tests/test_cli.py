@@ -15,8 +15,9 @@ import pytest
 
 from nse import engine
 from nse.cli import main
-from nse.config import ConfigError, RunConfig, config_hash, parse_config, resolved_dict
-from nse.space import GateSampler
+from nse.config import ConfigError, RunConfig, config_hash, load_config, parse_config, resolved_dict
+from nse.oracle import oracle_score
+from nse.space import Architecture, GateSampler
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -575,6 +576,41 @@ def test_config_file_that_is_not_utf8_exits_with_config_code(tmp_path, capsys):
     path.write_bytes(path.read_bytes().replace(b"oracle", b"or\xe9cle"))  # Latin-1 bytes
     assert main(["run", str(path)]) == 2
     assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_config_file_that_cannot_be_read_exits_with_config_code(tmp_path, monkeypatch, capsys):
+    # a permission error, raised by hand because root reads a chmod-000 file
+    path = write_config(tmp_path)
+    read_text = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file") and "cannot be read" in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_front_records_read_back_to_their_id_and_closed_form_score(tmp_path):
+    # each pareto.json record's slot lists rebuild its architecture, whose id
+    # and closed-form (accuracy, cost) are the record's, exactly
+    path = write_config(tmp_path)
+    assert main(["run", str(path)]) == 0
+    cfg = load_config(path)
+    bench = cfg.benchmark.build(cfg.pool.build())
+    records = []
+    for round_dir in sorted((tmp_path / "run").glob("round_*")):
+        pareto = json.loads((round_dir / "pareto.json").read_text())
+        records += pareto["corrected"] + pareto["raw"]
+    assert records
+    for record in records:
+        arch = Architecture.from_encoding(record["architecture"])
+        assert arch.compact_id() == record["id"]
+        assert oracle_score(arch, bench) == (record["accuracy"], record["cost"])
 
 
 def test_auxiliary_one_no_longer_empties_the_front(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from reference import (
     indicator_table,
     layer_cost,
     pair_of,
+    selection,
     set_mode,
     state_hash,
     two_config_ce_grads,
@@ -39,7 +40,6 @@ from nse.resources import ConstraintConfig, CostTable
 from nse.space import (
     DeclaredLayer,
     DeclaredOp,
-    GateVector,
     TraversalLedger,
     init_subset,
     shuffle_pool,
@@ -67,10 +67,10 @@ def test_op_probability_reference_points():
 
 def test_config_probability_examples():
     thetas = make_probs([{0: 0.0, 1: 0.0}])
-    bits = gate_bits(GateVector(0, frozenset({0})), [0, 1])
+    bits = gate_bits(selection({0}), [0, 1])
     assert config_probability(bits, thetas) == pytest.approx(0.25)
     thetas = make_probs([{0: 0.0, 1: 2.0, 2: -2.0}])
-    got = config_probability(gate_bits(GateVector(0, frozenset({0, 1})), [0, 1, 2]), thetas)
+    got = config_probability(gate_bits(selection({0, 1}), [0, 1, 2]), thetas)
     assert got == pytest.approx(0.5 * 0.880797 * 0.880797, abs=1e-5)
 
 
@@ -80,7 +80,7 @@ def test_config_probabilities_sum_to_one():
         thetas = make_probs([{s: float(rng.uniform(-4, 4)) for s in range(k)}])
         total = 0.0
         for bits in itertools.product([0, 1], repeat=k):
-            gate = GateVector(0, frozenset(s for s in range(k) if bits[s]))
+            gate = selection(s for s in range(k) if bits[s])
             total += config_probability(gate_bits(gate, range(k)), thetas)
         assert abs(total - 1.0) < 1e-9
 
@@ -91,8 +91,8 @@ def test_sample_config_saturated_indicator():
     sampler = indicator_sampler(thetas, ["normal"])
     for _ in range(200):
         gate = draw_gate(sampler, rng, 0)
-        assert 0 in gate.selected
-        assert 1 not in gate.selected
+        assert 0 in gate
+        assert 1 not in gate
 
 
 def test_sample_config_monte_carlo_frequencies():
@@ -104,7 +104,7 @@ def test_sample_config_monte_carlo_frequencies():
     sampler = indicator_sampler(thetas, ["normal"])
     for _ in range(n):
         gate = draw_gate(sampler, rng, 0)
-        for s in gate.selected:
+        for s in gate:
             counts[s] += 1
     for s in range(3):
         assert abs(counts[s] / n - probs[s]) < 0.01
@@ -118,7 +118,7 @@ def test_sample_config_zero_thetas_matches_uniform_law():
     sampler = indicator_sampler(thetas, ["reduction"])
     for _ in range(n):
         gate = draw_gate(sampler, rng, 0)
-        freq[gate.selected] = freq.get(gate.selected, 0) + 1
+        freq[gate] = freq.get(gate, 0) + 1
     for key in ((0,), (1,), (0, 1)):
         assert abs(freq.get(key, 0) / n - 1 / 3) < 0.012
 
@@ -134,7 +134,7 @@ def test_rescale_pair():
 
 def test_probability_gradient_reference_case():
     thetas = make_probs([{0: 0.0}])
-    bits = gate_bits(GateVector(0, frozenset({0})), [0])
+    bits = gate_bits(selection({0}), [0])
     grads = config_probability_grads(bits, thetas, config_probability(bits, thetas))
     assert grads[0] == pytest.approx(0.25)
 
@@ -147,7 +147,7 @@ def test_probability_gradients_match_finite_differences():
         slots = sorted(values)
         sel_a = frozenset(s for s in slots if rng.random() < 0.5)
         sel_b = frozenset(s for s in slots if rng.random() < 0.5)
-        g_a, g_b = GateVector(0, sel_a), GateVector(0, sel_b)
+        g_a, g_b = selection(sel_a), selection(sel_b)
 
         def at(vec):
             return make_probs([{s: vec[i] for i, s in enumerate(slots)}])
@@ -174,7 +174,7 @@ def test_probability_gradients_match_finite_differences():
 
 def test_identical_configs_give_zero_ce_gradient():
     thetas = make_probs([{0: 0.3, 1: -0.7}])
-    g = GateVector(0, frozenset({0}))
+    g = selection({0})
     grads = two_config_ce_grads(1.7, -0.4, g, g, [0, 1], thetas)
     assert all(v == pytest.approx(0.0, abs=1e-15) for v in grads.values())
     bits = gate_bits(g, [0, 1])
@@ -199,7 +199,7 @@ def test_penalty_chain_matches_finite_differences():
         for li in range(num_layers):
             sel_a = frozenset(s for s in range(k) if rng.random() < 0.5)
             sel_b = frozenset(s for s in range(k) if rng.random() < 0.5)
-            pairs.append((GateVector(li, sel_a), GateVector(li, sel_b)))
+            pairs.append((selection(sel_a), selection(sel_b)))
 
         def at(vec):
             return make_probs(
@@ -219,8 +219,8 @@ def test_penalty_chain_matches_finite_differences():
                 pa = config_probability(gate_bits(g_a, range(k)), layer(thetas, li))
                 pb = config_probability(gate_bits(g_b, range(k)), layer(thetas, li))
                 ta, tb = rescale_pair(pa, pb)
-                ca = sum(table.cost[(li, s)] for s in g_a.selected)
-                cb = sum(table.cost[(li, s)] for s in g_b.selected)
+                ca = sum(table.cost[(li, s)] for s in g_a)
+                cb = sum(table.cost[(li, s)] for s in g_b)
                 r += ta * ca + tb * cb
             return cfg.alpha * abs(r) ** cfg.beta
 
@@ -231,8 +231,8 @@ def test_penalty_chain_matches_finite_differences():
             pa = config_probability(gate_bits(g_a, range(k)), layer(thetas, li))
             pb = config_probability(gate_bits(g_b, range(k)), layer(thetas, li))
             ta, tb = rescale_pair(pa, pb)
-            ca = sum(table.cost[(li, s)] for s in g_a.selected)
-            cb = sum(table.cost[(li, s)] for s in g_b.selected)
+            ca = sum(table.cost[(li, s)] for s in g_a)
+            cb = sum(table.cost[(li, s)] for s in g_b)
             r_val += ta * ca + tb * cb
             layer_data.append((g_a, g_b, ca, cb))
         from nse.resources import penalty_gradient_wrt_r
@@ -289,7 +289,7 @@ def test_penalty_only_update_pushes_costly_ops_down():
         for li in range(3):
             g_as.append(draw_gate(sampler, probe, li))
             g_bs.append(draw_gate(sampler, probe, li))
-        if all(a.selected != b.selected for a, b in zip(g_as, g_bs)):
+        if all(a != b for a, b in zip(g_as, g_bs)):
             step_rng = make_rng("pair", attempt)
             indicator_update_step(
                 thetas, weights, subset, (x, y), table, cfg, opt, step_rng
@@ -325,7 +325,7 @@ def test_exhaustive_gradient_single_op_matches_direct_formula():
     x = rng.normal(size=(3, 4))
     out0 = rng.normal(size=(3, 4))
     u = rng.normal(size=(3, 4))
-    grads = exhaustive_ce_grads(0, "normal", [0], thetas, {0: out0}, u, x)
+    grads = exhaustive_ce_grads("normal", [0], thetas, {0: out0}, u, x)
     p = sigmoid(0.4)
     s_off = float(np.sum(u * x))
     s_on = float(np.sum(u * (x + out0) / 2.0))
@@ -464,12 +464,12 @@ def tape_indicator_update_step(
         s_a = float(np.sum(out.grad * out.data))
         s_b = float(np.sum(out.grad * o_b))
         pt_a, pt_b = rescale_pair(
-            dict_config_probability(gates_a[li], probs),
-            dict_config_probability(gates_b[li], probs),
+            dict_config_probability(li, gates_a[li], probs),
+            dict_config_probability(li, gates_b[li], probs),
         )
-        d_tilde = dict_rescaled_pair_grads(gates_a[li], gates_b[li], probs)
-        c_a = layer_cost(gates_a[li], cost_table)
-        c_b = layer_cost(gates_b[li], cost_table)
+        d_tilde = dict_rescaled_pair_grads(li, gates_a[li], gates_b[li], probs)
+        c_a = layer_cost(li, gates_a[li], cost_table)
+        c_b = layer_cost(li, gates_b[li], cost_table)
         per_layer.append((li, s_a, s_b, pt_a, pt_b, d_tilde, c_a, c_b))
     r_value = (
         cost_table.fixed_overhead
@@ -523,7 +523,7 @@ def test_indicator_step_matches_the_tape_bit_for_bit():
         probe = make_rng("tape-pair", attempt)
         sampler = indicator_sampler(fresh_thetas(), roles)
         pairs = [
-            (draw_gate(sampler, probe, li).selected, draw_gate(sampler, probe, li).selected)
+            (draw_gate(sampler, probe, li), draw_gate(sampler, probe, li))
             for li in range(3)
         ]
         if any(set(a) & set(b) for a, b in pairs) and any(set(b) - set(a) for a, b in pairs):
@@ -575,13 +575,13 @@ def test_table_arithmetic_equals_the_dict_forms_bit_for_bit():
         pairs, want = [], []
         for li, (slots, lo) in enumerate(zip(thetas.slots, thetas.bounds)):
             cols = slice(lo, lo + len(slots))
-            g_a = GateVector(li, [s for s, b in zip(slots, bits_a[cols]) if b])
-            g_b = GateVector(li, [s for s, b in zip(slots, bits_b[cols]) if b])
+            g_a = selection([s for s, b in zip(slots, bits_a[cols]) if b])
+            g_b = selection([s for s, b in zip(slots, bits_b[cols]) if b])
             p_a = config_probability(bits_a[cols], probs[cols])
             p_b = config_probability(bits_b[cols], probs[cols])
-            assert p_a == dict_config_probability(g_a, dict_probs)
-            assert p_b == dict_config_probability(g_b, dict_probs)
-            layer = list(dict_rescaled_pair_grads(g_a, g_b, dict_probs).values())
+            assert p_a == dict_config_probability(li, g_a, dict_probs)
+            assert p_b == dict_config_probability(li, g_b, dict_probs)
+            layer = list(dict_rescaled_pair_grads(li, g_a, g_b, dict_probs).values())
             pair = pair_of(bits_a[cols], bits_b[cols], probs[cols])
             got = rescaled_pair_grads(bits_a[cols], bits_b[cols], probs[cols], pair)
             assert got.tolist() == layer

@@ -12,7 +12,6 @@ from nse.space import (
     DeclaredLayer,
     DeclaredOp,
     GateSampler,
-    GateVector,
     SpaceExhaustedError,
     TraversalLedger,
     aggregate,
@@ -226,9 +225,7 @@ def test_aggregate_idempotent_on_own_result():
     rng = make_rng(3)
     archs = [sample_uniform_architecture(subset, rng) for _ in range(4)]
     unions = aggregate(archs, subset)
-    cover = Architecture(
-        tuple(GateVector(li, unions[li]) for li in range(len(unions)))
-    )
+    cover = Architecture(unions)
     assert aggregate([cover], subset) == unions
 
 
@@ -317,11 +314,12 @@ def test_full_subset_and_architecture_validation():
         validate_architecture(bad, subset)
 
 
-def test_gate_vector_holds_its_slots_in_ascending_order():
-    gate = GateVector(0, frozenset({9, 2, 1}))
-    assert gate.selected == (1, 2, 9)
-    assert gate == GateVector(0, (1, 2, 9)) == GateVector(0, [9, 1, 2])
-    assert hash(gate) == hash(GateVector(0, (1, 2, 9)))
+def test_architecture_holds_each_layer_as_its_ascending_slots():
+    arch = Architecture([frozenset({9, 2, 1}), [4, 0, 4]])
+    assert arch.selected(0) == (1, 2, 9)
+    assert arch.selected(1) == (0, 4)
+    assert arch == Architecture([(1, 2, 9), (0, 4)]) == Architecture([[9, 1, 2], {4, 0}])
+    assert hash(arch) == hash(Architecture([(1, 2, 9), (0, 4)]))
 
 
 def test_architecture_encoding_and_ids():
@@ -371,7 +369,6 @@ def test_gate_sampler_decodes_masks_over_sorted_slots():
     sampler = GateSampler([[2, 5, 9], []], ["normal", "normal"], [[0.5] * 3, []])
     arch = sampler.decode([0b101, 0])
     assert arch.encoding() == ((2, 9), ())
-    assert sampler.gate(0, 0b101) is arch.gate_vectors[0]
 
 
 def test_gate_sampler_redraw_cap_still_raises():

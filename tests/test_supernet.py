@@ -10,6 +10,7 @@ from reference import (
     forward_collect,
     layer_forward,
     reference_toy_dataset,
+    selection,
     set_mode,
     state_hash,
     tape_grads,
@@ -32,7 +33,6 @@ from nse.space import (
     DeclaredLayer,
     DeclaredOp,
     GateSampler,
-    GateVector,
     SpaceError,
     TraversalLedger,
     init_subset,
@@ -96,7 +96,7 @@ def test_forward_normal_layer_all_gates_zero_is_identity():
     _, subset, _, weights = build_net()
     set_mode(weights, "eval")
     x = Tensor(make_rng("fx", 0).normal(size=(4, 6)))
-    out = layer_forward(weights, 0, GateVector(0, frozenset()), x)
+    out = layer_forward(weights, 0, selection(()), x)
     assert out is x
 
 
@@ -107,7 +107,7 @@ def test_forward_normal_layer_averages_identity_and_branches():
     x = Tensor(make_rng("fx", 1).normal(size=(4, 6)))
     b0 = branch_forward(weights, 0, slots[0], x)
     b1 = branch_forward(weights, 0, slots[1], x)
-    out = layer_forward(weights, 0, GateVector(0, frozenset(slots)), x)
+    out = layer_forward(weights, 0, selection(slots), x)
     expected = (x.data + b0.data + b1.data) / 3.0
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -120,7 +120,7 @@ def test_forward_reduction_layer_averages_selected_branches():
     picked = [slots[0], slots[2]]
     b0 = branch_forward(weights, 1, picked[0], x)
     b2 = branch_forward(weights, 1, picked[1], x)
-    out = layer_forward(weights, 1, GateVector(1, frozenset(picked)), x)
+    out = layer_forward(weights, 1, selection(picked), x)
     assert np.allclose(out.data, (b0.data + b2.data) / 2.0, atol=1e-12)
 
 
@@ -128,7 +128,7 @@ def test_forward_reduction_layer_rejects_empty_gates():
     _, _, _, weights = build_net()
     x = Tensor(np.zeros((2, 6)))
     with pytest.raises(SpaceError):
-        layer_forward(weights, 1, GateVector(1, frozenset()), x)
+        layer_forward(weights, 1, selection(()), x)
 
 
 def test_forward_linearity_of_disjoint_gate_unions():
@@ -137,9 +137,9 @@ def test_forward_linearity_of_disjoint_gate_unions():
     slots = subset.active_slots(0)
     g1, g2 = slots[:2], slots[2:]
     x = Tensor(make_rng("fx", 3).normal(size=(4, 6)))
-    out1 = layer_forward(weights, 0, GateVector(0, frozenset(g1)), x)
-    out2 = layer_forward(weights, 0, GateVector(0, frozenset(g2)), x)
-    union = layer_forward(weights, 0, GateVector(0, frozenset(slots)), x)
+    out1 = layer_forward(weights, 0, selection(g1), x)
+    out2 = layer_forward(weights, 0, selection(g2), x)
+    union = layer_forward(weights, 0, selection(slots), x)
     mix = (len(g1) * out1.data + len(g2) * out2.data) / len(slots)
     assert np.max(np.abs(union.data - mix)) < 1e-10
 
@@ -154,7 +154,7 @@ def test_weight_sharing_between_architectures():
     before = weights.params[name].copy()
     set_mode(weights, "eval")
     for arch in (a1, a2):
-        forward(weights, arch.gate_vectors, Tensor(np.zeros((2, 5))))
+        forward(weights, arch.layers, Tensor(np.zeros((2, 5))))
     assert np.array_equal(weights.params[name], before)
 
 
@@ -164,8 +164,8 @@ def test_gradient_flow_through_two_layer_stack():
     x = rng.normal(size=(4, 5))
     y = rng.integers(0, 3, size=4)
     gates = [
-        GateVector(0, frozenset(subset.active_slots(0))),
-        GateVector(1, frozenset(subset.active_slots(1)[:1])),
+        selection(subset.active_slots(0)),
+        selection(subset.active_slots(1)[:1]),
     ]
 
     def loss_with(name, values):
@@ -227,7 +227,7 @@ def test_identical_branches_get_identical_gradients():
     x = rng.normal(size=(6, 5))
     y = rng.integers(0, 3, size=6)
     set_mode(weights, "train")
-    gates = [GateVector(0, frozenset(slots))]
+    gates = [selection(slots)]
     logits, leaves = forward(weights, gates, Tensor(x))
     softmax_cross_entropy(logits, y).backward()
     for suffix in ("w1", "b1", "w2", "b2"):
@@ -375,18 +375,18 @@ def graph_evaluation(weights, arch, data, recal, batch_size):
     """Reference: recalibrate fresh tape statistics of the selected branches
     and score through the Tensor graph; returns the accuracy and the
     validation logits of every batch."""
-    keys = {(li, s) for li, gv in enumerate(arch.gate_vectors) for s in gv.selected}
+    keys = {(li, s) for li, layer in enumerate(arch.layers) for s in layer}
     stats = tape_stats(weights)
     stats.update({k: [] for k in keys})
     if keys:
         for xb in recal:
-            forward(weights, arch.gate_vectors, Tensor(xb))
+            forward(weights, arch.layers, Tensor(xb))
         stats.update({k: Recalibration().fold(np.stack(stats[k])).stats() for k in keys})
     correct = 0
     all_logits = []
     for start in range(0, len(data.x_val), batch_size):
         logits, _ = forward(
-            weights, arch.gate_vectors, Tensor(data.x_val[start : start + batch_size])
+            weights, arch.layers, Tensor(data.x_val[start : start + batch_size])
         )
         logits = logits.data
         all_logits.append(logits)
@@ -443,10 +443,10 @@ def test_nograd_accuracy_equals_graph_accuracy_exactly(batch_size, monkeypatch):
         Architecture.from_encoding([slots[0], slots[1], slots[2]]),
         Architecture.from_encoding([slots[0][:1], [], slots[2][1:3]]),
     ] + [sample_uniform_architecture(subset, rng) for _ in range(21)]
-    gates = [gv for a in archs for gv in a.gate_vectors]
-    assert any(not gv.selected for gv in gates)  # empty normal-layer gates
-    assert any(len(gv.selected) == 1 for gv in gates)  # single-branch layers
-    assert any(len(gv.selected) > 1 for gv in gates)  # multi-branch layers
+    gates = [layer for a in archs for layer in a.layers]
+    assert any(not layer for layer in gates)  # empty normal-layer gates
+    assert any(len(layer) == 1 for layer in gates)  # single-branch layers
+    assert any(len(layer) > 1 for layer in gates)  # multi-branch layers
     cache = InferenceCache(weights, data, recal)
     expected = [graph_evaluation(weights, a, data, recal, batch_size) for a in archs]
     for rows in block_sizes(data, recal):
@@ -591,7 +591,7 @@ def test_batch_evaluation_holds_one_split_of_layer0_outputs_at_a_time():
         )
         for k in range(4)
     ]
-    assert {s for a in archs for s in a.gate_vectors[0].selected} == set(slots[0])
+    assert {s for a in archs for s in a.layers[0]} == set(slots[0])
     cache = InferenceCache(weights, data, recal)
     one_block = rows * width * np.dtype(np.float64).itemsize
     tracemalloc.start()
@@ -609,7 +609,7 @@ def test_layer_output_nograd_matches_train_mode_graph_on_copies():
     x = make_rng("nograd-layer", 0).normal(size=(16, 6))
     set_mode(weights, "train")
     for li in range(2):
-        gate = GateVector(li, frozenset(subset.active_slots(li)[:3]))
+        gate = selection(subset.active_slots(li)[:3])
         got = weights.layer_output_nograd(li, gate, x)
         expected = layer_forward(weights, li, gate, Tensor(x)).data
         assert np.array_equal(got, expected)
@@ -623,7 +623,7 @@ def tape_train_step_fixed(weights, arch, batch, optimizer):
     """Reference: one weight step through the Tensor graph and its backward."""
     x, y = batch
     set_mode(weights, "train")
-    logits, leaves = forward(weights, arch.gate_vectors, Tensor(np.asarray(x)))
+    logits, leaves = forward(weights, arch.layers, Tensor(np.asarray(x)))
     loss = softmax_cross_entropy(logits, np.asarray(y))
     loss.backward()
     optimizer.step(weights.params, tape_grads(leaves))
@@ -641,11 +641,11 @@ def training_archs(subset, rng, count):
         Architecture.from_encoding([[], slots[1][1:], slots[2][3:]]),
     ]
     archs += [sample_uniform_architecture(subset, rng) for _ in range(count - len(archs))]
-    gates = [gv for a in archs for gv in a.gate_vectors]
-    assert any(not gv.selected for gv in gates)  # empty normal gates
-    assert any(len(gv.selected) == 1 for gv in gates[2::3])  # one-branch reduction
-    assert any(len(gv.selected) > 1 for gv in gates[0::3])  # multi-branch normal
-    assert any(len(gv.selected) > 1 for gv in gates[2::3])  # multi-branch reduction
+    gates = [layer for a in archs for layer in a.layers]
+    assert any(not layer for layer in gates)  # empty normal gates
+    assert any(len(layer) == 1 for layer in gates[2::3])  # one-branch reduction
+    assert any(len(layer) > 1 for layer in gates[0::3])  # multi-branch normal
+    assert any(len(layer) > 1 for layer in gates[2::3])  # multi-branch reduction
     return archs
 
 
@@ -682,12 +682,12 @@ def test_train_backward_matches_tape_gradients():
     y = rng.integers(0, 3, size=24)
     for arch in training_archs(subset, rng, 8):
         set_mode(tape, "train")
-        record = fast.train_forward(arch.gate_vectors, x)
+        record = fast.train_forward(arch.layers, x)
         loss, dlogits = softmax_cross_entropy_array(record.logits, y)
         out_grads = fast.train_backward(record, dlogits)
         no_params = fast.train_backward(record, dlogits, param_grads=False)
 
-        logits, inputs, outputs, leaves = forward_collect(tape, arch.gate_vectors, Tensor(x))
+        logits, inputs, outputs, leaves = forward_collect(tape, arch.layers, Tensor(x))
         tape_loss = softmax_cross_entropy(logits, y)
         tape_loss.backward()
         assert loss == float(tape_loss.data)
