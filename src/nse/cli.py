@@ -62,22 +62,32 @@ ROUND_FILES = {name + tmp for name in ROUND_ARTIFACTS for tmp in ("", ".tmp")}
 def _clear_previous_run(out: Path) -> None:
     """Remove the run manifest and every ``round_<digits>`` directory in
     ``out``, so that no round of an earlier run written there outlives this
-    one.  Only what a run writes is removed: a round directory holding
+    one.  Only what a run writes is removed: a manifest that is not a file, a
+    ``round_<digits>`` entry that is not a directory (a link to one
+    included, whose files lie outside ``out``), or a round directory holding
     anything else is a ``ConfigError``, raised before anything is removed."""
-    rounds = sorted(p for p in out.iterdir() if ROUND_DIR.fullmatch(p.name) and p.is_dir())
-    for round_dir in rounds:
-        foreign = sorted(
-            p for p in round_dir.iterdir() if p.name not in ROUND_FILES or not p.is_file()
+    manifest = out / "manifest.json"
+    rounds = sorted(p for p in out.iterdir() if ROUND_DIR.fullmatch(p.name))
+    entries = [manifest] if manifest.exists() else []
+    entries += [
+        p for r in rounds for p in (r.iterdir() if r.is_dir() and not r.is_symlink() else [r])
+    ]
+    foreign = sorted(p for p in entries if p.name not in ROUND_FILES or not p.is_file())
+    if foreign:
+        raise ConfigError(
+            f"{foreign[0]} is not a run artifact; refusing to replace the run in {out}"
         )
-        if foreign:
-            raise ConfigError(
-                f"{foreign[0]} is not a run artifact; refusing to replace the run in {out}"
-            )
     for round_dir in rounds:
         for path in round_dir.iterdir():
             path.unlink()
         round_dir.rmdir()
-    (out / "manifest.json").unlink(missing_ok=True)
+    manifest.unlink(missing_ok=True)
+
+
+def _check_output(name: str | None) -> None:
+    """A directory given as ``-o`` is a ``ConfigError``."""
+    if name and Path(name).is_dir():
+        raise ConfigError(f"-o {name} is a directory, not a file")
 
 
 def scientific(n: int, digits: int = 1) -> str:
@@ -93,7 +103,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     chash = config_hash(cfg)
     engine = build_engine(cfg)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"config.output_dir {out} is not a directory: {exc.strerror}") from exc
     _clear_previous_run(out)
 
     def sink(result: RoundResult, state: EvolutionState) -> None:
@@ -164,15 +177,16 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         raise ConfigError(f"-n must be >= 0, got {args.n}")
     if not args.lo <= args.hi:
         raise ConfigError(f"--lo must be <= --hi, got {args.lo} and {args.hi}")
+    _check_output(args.output)
     cfg = load_config(args.config)
     if cfg.evaluator != "oracle":
         raise ConfigError("distribution sampling requires an oracle config")
     pool = cfg.pool.build()
     bench = cfg.benchmark.build(pool)
-    evaluator = OracleEvaluator(bench)
     records = distribution_estimate(
         full_subset(pool),
-        evaluator,
+        OracleEvaluator(bench),
+        bench.cost_table(),
         (args.lo, args.hi),
         args.n,
         make_rng(cfg.master_seed, "distribution"),
@@ -236,6 +250,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_benchmark(args: argparse.Namespace) -> int:
+    _check_output(args.output)
     cfg = load_config(args.config)
     pool = cfg.pool.build()
     bench = cfg.benchmark.build(pool)

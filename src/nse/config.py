@@ -300,7 +300,7 @@ def build_engine(cfg: RunConfig) -> Engine:
     path = cfg.constraint.cost_table
     if cfg.evaluator == "oracle":
         phase = OraclePhase(cfg.benchmark.build(pool))
-        table = phase.table
+        table = phase.benchmark.cost_table()
     elif path is not None:
         table = load_cost_table(path)
         missing = sorted({op.key for layer in pool.layers for op in layer.pool} - table.cost.keys())
@@ -325,7 +325,7 @@ def build_engine(cfg: RunConfig) -> Engine:
         )
     if cfg.evaluator == "supernet":  # the dataset is made once the budget is known to fit
         phase = SupernetPhase(
-            ToyDataset.generate(cfg.dataset), cfg.geometry(), cfg.training, table,
+            ToyDataset.generate(cfg.dataset), cfg.geometry(), cfg.training,
             cfg.constraint.prune_threshold,
         )
     return Engine(
@@ -333,6 +333,7 @@ def build_engine(cfg: RunConfig) -> Engine:
         capacity=cfg.k_per_layer,
         max_rounds=cfg.max_rounds,
         constraint=cfg.constraint,
+        table=table,
         retrieval=cfg.retrieval,
         master_seed=cfg.master_seed,
         phase=phase,

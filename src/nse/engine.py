@@ -118,22 +118,19 @@ class RunSummary:
 
 
 class SupernetEvaluator:
-    """Scores a sampler's draws on shared weights with private recalibration.
+    """Scores a sampler's mask rows on shared weights with private recalibration.
 
-    Built once per round after training.  The draws are decoded and scored
-    as one batch by one ``evaluate_on_supernet`` call, which shares the
+    Built once per round after training.  The mask rows are decoded and
+    scored as one batch by one ``evaluate_on_supernet`` call, which shares the
     layer-0 work across the batch; the ``InferenceCache`` holds the stem
     outputs for every batch of the round.
     """
 
-    def __init__(self, cache: InferenceCache, table: CostTable):
+    def __init__(self, cache: InferenceCache):
         self.cache = cache
-        self.table = table
 
-    def evaluate(
-        self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
-    ) -> list[float]:
-        return evaluate_on_supernet(self.cache, [sampler.decode(row) for row, _ in draws])
+    def evaluate(self, sampler: GateSampler, rows: Sequence[Sequence[int]]) -> list[float]:
+        return evaluate_on_supernet(self.cache, [sampler.decode(row) for row in rows])
 
 
 def edging_filter(
@@ -242,7 +239,7 @@ class _Scored(NamedTuple):
 
     accuracy: float
     cost: float
-    row: tuple[int, ...]
+    row: Sequence[int]
     sampler: GateSampler
 
     @property
@@ -251,15 +248,16 @@ class _Scored(NamedTuple):
 
 
 def _score(
-    sampler: GateSampler, evaluator: Evaluator, draws: list[tuple[tuple[int, ...], float]]
+    sampler: GateSampler, evaluator: Evaluator, draws: Sequence[tuple[Sequence[int], float]]
 ) -> list[_Scored]:
-    accuracies = evaluator.evaluate(sampler, draws)
+    accuracies = evaluator.evaluate(sampler, [row for row, _ in draws])
     return [_Scored(a, cost, row, sampler) for (row, cost), a in zip(draws, accuracies)]
 
 
 def retrieve_pareto(
     sampler: GateSampler,
     evaluator: Evaluator,
+    table: CostTable,
     previous_front: Sequence[EvaluationRecord],
     retrieval: RetrievalConfig,
     constraint: ConstraintConfig,
@@ -269,12 +267,13 @@ def retrieve_pareto(
     """Sample, evaluate, rehearse, and dominance-filter one round's models.
 
     Every candidate is a (mask row, cost) pair priced on its layer masks by
-    the round's one ``MaskCost`` and scored by one ``evaluator.evaluate``
-    call.  The draws are kept by ``_keep_draws``.  A previous-front member is
-    rehearsed as its ``sampler.row`` unless that row was kept; rehearsed
-    rows within ``upper_bound`` are scored after the in-budget draws and
-    before the auxiliary ones.  Only the records that leave retrieval, the
-    fronts, are built as architectures.
+    one ``MaskCost`` over ``table``, the run's cost table, and the mask rows
+    are scored by one ``evaluator.evaluate`` call.  The draws are kept by
+    ``_keep_draws``.  A previous-front member is rehearsed as its
+    ``sampler.row`` unless that row was kept; rehearsed rows within
+    ``upper_bound`` are scored after the in-budget draws and before the
+    auxiliary ones.  Only the records that leave retrieval, the fronts, are
+    built as architectures.
 
     Returns (corrected front, raw front, best in-budget record, diagnostics).
     Both fronts only contain in-budget points; the corrected front is the raw
@@ -289,7 +288,7 @@ def retrieve_pareto(
     clock = time.perf_counter
     start = clock()
     limit = constraint.upper_bound
-    cost_of = MaskCost(sampler, evaluator.table)
+    cost_of = MaskCost(sampler, table)
     in_budget, auxiliary, draws = _keep_draws(sampler, cost_of, retrieval, constraint, rng)
     drawn = clock()
     sampled = {row for row, _ in in_budget}
@@ -328,17 +327,18 @@ def retrieve_pareto(
 def distribution_estimate(
     subset: SubsetState,
     evaluator: Evaluator,
+    table: CostTable,
     cost_band: tuple[float, float],
     n: int,
     rng: np.random.Generator,
     draw_factor: int = 1000,
 ) -> list[EvaluationRecord]:
-    """Uniform-gate samples with cost inside the band, fully evaluated."""
+    """Uniform-gate samples priced on ``table`` inside the band, fully evaluated."""
     lo, hi = cost_band
     if lo > hi:
         raise EngineError("empty cost band")
     sampler = GateSampler.uniform(subset)
-    cost_of = MaskCost(sampler, evaluator.table)
+    cost_of = MaskCost(sampler, table)
     kept: list[tuple[list[int], float]] = []
     draws = 0
     for block, costs in _draw_blocks(sampler, cost_of, rng, draw_factor * n, n):
@@ -351,10 +351,8 @@ def distribution_estimate(
         raise EngineError(
             f"cost band [{lo}, {hi}] unreachable: {len(kept)}/{n} after {draws} draws"
         )
-    return [
-        EvaluationRecord(sampler.decode(row), accuracy, cost)
-        for (row, cost), accuracy in zip(kept, evaluator.evaluate(sampler, kept))
-    ]
+    scored = _score(sampler, evaluator, kept)
+    return [EvaluationRecord(r.architecture, r.accuracy, r.cost) for r in scored]
 
 
 @dataclass
@@ -363,10 +361,6 @@ class OraclePhase:
     uniformly and scores its draws in closed form."""
 
     benchmark: SyntheticBenchmark
-
-    @property
-    def table(self) -> CostTable:
-        return self.benchmark.cost_table()
 
     def __call__(self, engine: Engine, state: EvolutionState, timings: dict[str, float]):
         return OracleEvaluator(self.benchmark), GateSampler.uniform(state.subset), None, {}
@@ -382,7 +376,6 @@ class SupernetPhase:
     dataset: ToyDataset
     geometry: NetworkGeometry
     training: TrainingConfig
-    table: CostTable
     prune_threshold: float = -2.0
 
     def __call__(self, engine: Engine, state: EvolutionState, timings: dict[str, float]):
@@ -432,7 +425,7 @@ class SupernetPhase:
             if (step + 1) % 2 == 0:
                 started = clock()
                 stepped = indicator_update_step(
-                    thetas, weights, state.subset, val_stream.next(), self.table,
+                    thetas, weights, state.subset, val_stream.next(), engine.table,
                     engine.constraint, t_opt, ind_rng,
                 )
                 for name, curve in curves.items():
@@ -455,7 +448,7 @@ class SupernetPhase:
             make_rng(seed, "recal", r),
         )
         cache = InferenceCache(weights, self.dataset, recal)
-        evaluator = SupernetEvaluator(cache, self.table)
+        evaluator = SupernetEvaluator(cache)
         sampler = indicator_sampler(thetas, state.subset.roles)
         extras = {
             "mean_train_loss": float(np.mean(losses)) if losses else None,
@@ -474,12 +467,15 @@ class Engine:
     ``phase(engine, state, timings)`` finds the round's optimized space in
     the current subset and returns (evaluator, sampler, indicators or None,
     diagnostics extras); ``OraclePhase`` and ``SupernetPhase`` are the two.
+    ``table`` is the run's one cost table: retrieval and the indicator steps
+    price every architecture on it.
     """
 
     pool: SearchSpacePool
     capacity: int
     max_rounds: int
     constraint: ConstraintConfig
+    table: CostTable
     retrieval: RetrievalConfig
     master_seed: int
     phase: Callable[[Engine, EvolutionState, dict[str, float]], tuple]
@@ -493,6 +489,7 @@ class Engine:
         front, raw, round_best, diagnostics = retrieve_pareto(
             sampler,
             evaluator,
+            self.table,
             rehearse,
             self.retrieval,
             self.constraint,

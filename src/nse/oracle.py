@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 from .resources import CostTable, architecture_cost
@@ -24,16 +24,11 @@ from .space import Architecture, GateSampler, SearchSpacePool, sigmoid
 class Evaluator(Protocol):
     """Uniform scoring interface shared by oracle- and supernet-backed paths.
 
-    ``table`` prices the architectures.  ``evaluate`` scores a sampler's
-    draws, given as (mask row, cost) pairs priced on ``table``, and returns
-    one accuracy per draw, the accuracy of its decoded architecture.
+    ``evaluate`` scores a sampler's mask rows and returns one accuracy per
+    row, the accuracy of its decoded architecture.
     """
 
-    table: CostTable
-
-    def evaluate(
-        self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
-    ) -> list[float]: ...
+    def evaluate(self, sampler: GateSampler, rows: Sequence[Sequence[int]]) -> list[float]: ...
 
 
 def _logit(p: float) -> float:
@@ -50,7 +45,6 @@ class SyntheticBenchmark:
     c0: float
     c1: float
     unit: str = "units"
-    _table: CostTable | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def generate(
@@ -92,11 +86,7 @@ class SyntheticBenchmark:
         )
 
     def cost_table(self) -> CostTable:
-        if self._table is None:
-            self._table = CostTable(
-                cost=dict(self.costs), fixed_overhead=self.overhead, unit=self.unit
-            )
-        return self._table
+        return CostTable(cost=dict(self.costs), fixed_overhead=self.overhead, unit=self.unit)
 
     def to_json(self) -> dict:
         return {
@@ -158,15 +148,11 @@ class OracleEvaluator:
 
     def __init__(self, benchmark: SyntheticBenchmark):
         self.benchmark = benchmark
-        self.table = benchmark.cost_table()
         # per sampler slot layout: one table of mask -> value per layer
         self._masks: dict[tuple[tuple[int, ...], ...], list[dict[int, float]]] = {}
 
-    def evaluate(
-        self, sampler: GateSampler, draws: Sequence[tuple[Sequence[int], float]]
-    ) -> list[float]:
+    def evaluate(self, sampler: GateSampler, rows: Sequence[Sequence[int]]) -> list[float]:
         tables = self._masks.setdefault(sampler.slots, [{} for _ in sampler.slots])
-        rows = [row for row, _ in draws]
         for li, (table, masks) in enumerate(zip(tables, zip(*rows))):
             for mask in set(masks).difference(table):
                 table[mask] = _layer_value(self.benchmark, li, sampler.selection(li, mask))

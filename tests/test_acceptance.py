@@ -370,6 +370,7 @@ def test_criterion_5_pareto_oracle_equivalence():
         corrected, raw, _, diag = retrieve_pareto(
             GateSampler.uniform(subset),
             OracleEvaluator(bench),
+            bench.cost_table(),
             [],
             RetrievalConfig(samples=d),
             ConstraintConfig(tau=tau),
@@ -403,6 +404,7 @@ def _run_oracle_seed(pool, bench, seed, lock_and_rehearse):
         capacity=4,
         max_rounds=3,
         constraint=ConstraintConfig(tau=ORACLE_TAU),
+        table=bench.cost_table(),
         retrieval=RetrievalConfig(samples=500),
         master_seed=seed,
         phase=OraclePhase(bench),
@@ -506,11 +508,12 @@ def test_criterion_7_supernet_evolution_effectiveness():
             constraint=ConstraintConfig(
                 tau=SUPERNET_TAU, alpha=4e-3, beta=2.0, edging_margin=0.1
             ),
+            table=table,
             retrieval=RetrievalConfig(
                 samples=180, auxiliary=18, recal_batches=16, recal_batch_size=128
             ),
             master_seed=seed,
-            phase=SupernetPhase(dataset, geometry, training, table),
+            phase=SupernetPhase(dataset, geometry, training),
         )
         summary = engine.run()
         best = max(summary.results[-1].front, key=lambda r: r.accuracy)

@@ -63,6 +63,7 @@ def test_retrieval_returns_what_the_benchmark_reads():
     result = retrieve_pareto(
         GateSampler.uniform(full_subset(pool)),
         OracleEvaluator(bench),
+        bench.cost_table(),
         [],
         RetrievalConfig(samples=10, auxiliary=2),
         ConstraintConfig(tau=bench.overhead + 150.0),

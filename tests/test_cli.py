@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -295,6 +296,56 @@ def test_a_round_dir_holding_a_foreign_file_stops_the_run_before_anything_is_rem
     assert {p: p.read_bytes() if p.is_file() else None for p in run.rglob("*")} == before
 
 
+@pytest.mark.parametrize(
+    "blocker, kind",
+    [
+        ("run", "file"),
+        ("run/round_001", "file"),
+        ("run/manifest.json", "directory"),
+        ("run/round_002", "link"),
+    ],
+)
+def test_an_output_dir_entry_the_run_cannot_use_stops_it_before_anything_is_removed(
+    tmp_path, capsys, blocker, kind
+):
+    # a file where the output directory or a round directory belongs, a
+    # directory where the run manifest belongs, or a round directory that
+    # links to files outside the output directory
+    path = write_config(tmp_path)
+    assert main(["run", str(path)]) == 0
+    blocked = tmp_path / blocker
+    shutil.rmtree(blocked) if blocked.is_dir() else blocked.unlink()
+    if kind == "directory":
+        blocked.mkdir()
+    elif kind == "link":
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere" / "pareto.json").write_text("kept")
+        blocked.symlink_to(tmp_path / "elsewhere")
+    else:
+        blocked.write_text("kept")
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(blocked) in err, err
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize(
+    "command", [["distribution", "--lo", "0", "--hi", "1e9", "-n", "3"], ["dump-benchmark"]]
+)
+def test_a_directory_given_as_output_exits_with_config_code(tmp_path, capsys, command):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command[0], str(path), *command[1:], "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and str(out) in captured.err
+    # nothing is written, a temporary file beside the directory included
+    assert sorted(tmp_path.rglob("*")) == [path, out]
+
+
 def test_inspect_into_a_closed_pipe_exits_141_silently(tmp_path):
     # ``nse inspect RUN | head``: the reader is gone before the output is
     path = write_config(tmp_path)
@@ -414,7 +465,8 @@ def test_constraint_kind_recorded_and_cost_table_rules(tmp_path):
 
 
 def test_supernet_run_with_file_cost_table(tmp_path, capsys):
-    from nse.config import load_config, build_engine
+    from nse.config import build_engine, load_config, load_cost_table
+    from nse.resources import architecture_cost
 
     base = write_config(
         tmp_path, name="sup_table.json",
@@ -456,8 +508,15 @@ def test_supernet_run_with_file_cost_table(tmp_path, capsys):
     (tmp_path / "latency.json").write_text(json.dumps(table))
     assert main(["run", str(base)]) == 0
     engine = build_engine(load_config(base))
-    assert engine.phase.table.unit == "ms"
-    assert engine.phase.table.fixed_overhead == 1.0
+    assert engine.table.unit == "ms"
+    assert engine.table.fixed_overhead == 1.0
+    # retrieval priced every record on the file's table, not on block shapes
+    latency = load_cost_table(str(tmp_path / "latency.json"))
+    pareto = json.loads((tmp_path / "run" / "round_001" / "pareto.json").read_text())
+    records = pareto["corrected"] + pareto["raw"]
+    assert records
+    for record in records:
+        assert record["cost"] == architecture_cost(Architecture(record["architecture"]), latency)
 
 
 @pytest.mark.parametrize("overhead", ["NaN", "Infinity"])
@@ -552,7 +611,7 @@ def test_budget_at_the_cheapest_architecture_is_accepted():
     from nse.space import Architecture
 
     base = {"pool": {"num_layers": 4, "reduction_layers": [1, 3], "preset": "opaque"}}
-    table = build_engine(parse_config(base)).phase.table
+    table = build_engine(parse_config(base)).table
     pool = parse_config(base).pool.build()
     cheapest = architecture_cost(
         Architecture.from_encoding(

@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -16,13 +17,14 @@ from nse.engine import (
     EngineError,
     OraclePhase,
     RetrievalConfig,
+    SupernetEvaluator,
     SupernetPhase,
     _keep_draws,
     distribution_estimate,
     edging_filter,
     retrieve_pareto,
 )
-from nse.oracle import OracleEvaluator, SyntheticBenchmark, oracle_score
+from nse.oracle import Evaluator, OracleEvaluator, SyntheticBenchmark, oracle_score
 from nse.pareto import EvaluationRecord
 from nse.resources import ConstraintConfig, CostTable, MaskCost, architecture_cost
 from nse.space import (
@@ -72,6 +74,7 @@ def oracle_engine(
         capacity=capacity,
         max_rounds=max_rounds,
         constraint=ConstraintConfig(tau=tau, edging_margin=0.1),
+        table=bench.cost_table(),
         retrieval=RetrievalConfig(samples=samples, auxiliary=auxiliary),
         master_seed=seed,
         phase=OraclePhase(bench),
@@ -79,17 +82,29 @@ def oracle_engine(
     )
 
 
+def stub_table(scores):
+    """The cost table of ``StubEvaluator``'s scores, pricing every other
+    slot of ``CyclingSampler`` at 0.0, since ``MaskCost`` prices every slot
+    at construction."""
+    costs = {(0, s): 0.0 for s in range(8)}
+    return CostTable(costs | {(0, enc[0][0]): cost for enc, (_, cost) in scores.items()})
+
+
 class StubEvaluator:
-    """Fixed (accuracy, cost) per single-slot one-layer encoding."""
+    """Fixed (accuracy, cost) per single-slot one-layer encoding; ``evaluate``
+    returns the accuracies, and ``stub_table`` prices the costs."""
 
     def __init__(self, scores):
         self.scores = scores
-        # every slot of ``CyclingSampler``, which ``MaskCost`` prices at construction
-        costs = {(0, s): 0.0 for s in range(8)}
-        self.table = CostTable(costs | {(0, enc[0][0]): cost for enc, (_, cost) in scores.items()})
 
-    def evaluate(self, sampler, draws):
-        return [self.scores[sampler.decode(row).encoding()][0] for row, _ in draws]
+    def evaluate(self, sampler, rows):
+        return [self.scores[sampler.decode(row).encoding()][0] for row in rows]
+
+
+@pytest.mark.parametrize("evaluator", [OracleEvaluator, SupernetEvaluator])
+def test_evaluators_take_the_parameters_the_protocol_declares(evaluator):
+    # no type checker runs, so this is what holds each backend to the protocol
+    assert inspect.signature(evaluator.evaluate) == inspect.signature(Evaluator.evaluate)
 
 
 class CyclingSampler(GateSampler):
@@ -111,7 +126,8 @@ def test_engine_runs_on_a_stub_phase_without_a_backend():
     # architectures from a table, and only the most accurate is on the front
     pool = opaque_pool(("normal",), 8)
     archs = [Architecture.from_encoding([[s]]) for s in range(8)]
-    evaluator = StubEvaluator({a.encoding(): (0.1 * (s + 1), 10.0) for s, a in enumerate(archs)})
+    scores = {a.encoding(): (0.1 * (s + 1), 10.0) for s, a in enumerate(archs)}
+    evaluator = StubEvaluator(scores)
 
     def phase(engine, state, timings):
         sampler = CyclingSampler([archs[s] for s in state.subset.active_slots(0)])
@@ -122,6 +138,7 @@ def test_engine_runs_on_a_stub_phase_without_a_backend():
         capacity=3,
         max_rounds=3,
         constraint=ConstraintConfig(tau=100.0),
+        table=stub_table(scores),
         retrieval=RetrievalConfig(samples=3),
         master_seed=0,
         phase=phase,
@@ -152,6 +169,7 @@ def test_retrieve_matches_brute_force_with_exhaustive_sampling():
     corrected, raw, _, diag = retrieve_pareto(
         GateSampler.uniform(subset),
         evaluator,
+        bench.cost_table(),
         [],
         RetrievalConfig(samples=in_constraint),
         ConstraintConfig(tau=tau),
@@ -175,6 +193,7 @@ def test_rehearsed_member_survives_when_still_best():
     corrected, raw, _, _ = retrieve_pareto(
         GateSampler.uniform(subset),
         OracleEvaluator(bench),
+        bench.cost_table(),
         [champion],
         RetrievalConfig(samples=5),
         ConstraintConfig(tau=tau),
@@ -191,6 +210,7 @@ def test_equal_accuracy_front_is_single_cheapest():
     corrected, raw, _, _ = retrieve_pareto(
         CyclingSampler(archs),
         evaluator,
+        stub_table(table),
         [],
         RetrievalConfig(samples=4),
         ConstraintConfig(tau=100.0),
@@ -216,6 +236,7 @@ def test_edging_instance_shows_both_behaviors():
     corrected0, raw0, _, _ = retrieve_pareto(
         CyclingSampler([q, p]),
         evaluator,
+        stub_table(table),
         [],
         RetrievalConfig(samples=2, auxiliary=0),
         constraint,
@@ -230,6 +251,7 @@ def test_edging_instance_shows_both_behaviors():
     corrected1, raw1, _, _ = retrieve_pareto(
         CyclingSampler([q, p, r]),
         evaluator,
+        stub_table(table),
         [],
         RetrievalConfig(samples=2, auxiliary=1),
         constraint,
@@ -271,6 +293,7 @@ def test_sampling_stall_is_diagnosed_not_fatal():
     corrected, raw, _, diag = retrieve_pareto(
         CyclingSampler([arch]),
         StubEvaluator(table),
+        stub_table(table),
         [],
         RetrievalConfig(samples=5, stall_factor=10),
         ConstraintConfig(tau=100.0),
@@ -310,11 +333,13 @@ def reference_retrieval(subset, table, retrieval, constraint, rng):
 class CountingEvaluator(OracleEvaluator):
     def __init__(self, bench):
         super().__init__(bench)
-        self.scored = []  # per call, the decoded draws scored
+        self.scored = []  # per call, the decoded rows scored and their costs
 
-    def evaluate(self, sampler, draws):
-        self.scored.append([(sampler.decode(row), cost) for row, cost in draws])
-        return super().evaluate(sampler, draws)
+    def evaluate(self, sampler, rows):
+        masks = np.array(rows, dtype=np.int64).reshape(len(rows), len(sampler.slots))
+        costs = MaskCost(sampler, self.benchmark.cost_table())(masks).tolist()
+        self.scored.append([(sampler.decode(row), cost) for row, cost in zip(rows, costs)])
+        return super().evaluate(sampler, rows)
 
 
 @pytest.mark.parametrize(
@@ -333,7 +358,13 @@ def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
     constraint = ConstraintConfig(tau=bench.overhead + 250.0)
     evaluator = CountingEvaluator(bench)
     _, _, _, diag = retrieve_pareto(
-        GateSampler.uniform(subset), evaluator, [], retrieval, constraint, make_rng("blocks", 0)
+        GateSampler.uniform(subset),
+        evaluator,
+        bench.cost_table(),
+        [],
+        retrieval,
+        constraint,
+        make_rng("blocks", 0),
     )
     draws, ref_stalled, in_budget, auxiliary = reference_retrieval(
         subset, bench.cost_table(), retrieval, constraint, make_rng("blocks", 0)
@@ -400,7 +431,13 @@ def check_retrieval_equals_reference(sampler, bench, previous, retrieval, constr
     """retrieve_pareto on mask rows returns what the record-per-draw reference
     does, and every accuracy it scores is the closed form's, exactly."""
     got = retrieve_pareto(
-        sampler, OracleEvaluator(bench), previous, retrieval, constraint, make_rng("rows", seed)
+        sampler,
+        OracleEvaluator(bench),
+        bench.cost_table(),
+        previous,
+        retrieval,
+        constraint,
+        make_rng("rows", seed),
     )
     corrected, raw, best, in_records, diag = reference_retrieve_pareto(
         sampler, bench, previous, retrieval, constraint, make_rng("rows", seed)
@@ -412,7 +449,7 @@ def check_retrieval_equals_reference(sampler, bench, previous, retrieval, constr
     cost_of = MaskCost(sampler, bench.cost_table())
     in_budget, _, _ = _keep_draws(sampler, cost_of, retrieval, constraint, make_rng("rows", seed))
     # the sampled records come first, all of them in budget
-    assert OracleEvaluator(bench).evaluate(sampler, in_budget) == [
+    assert OracleEvaluator(bench).evaluate(sampler, [row for row, _ in in_budget]) == [
         r.accuracy for r in in_records[: len(in_budget)]
     ]
     for rec in in_records:
@@ -478,6 +515,7 @@ def test_rehearsing_a_record_outside_the_sampler_is_an_error():
         retrieve_pareto(
             GateSampler.uniform(subset),
             OracleEvaluator(bench),
+            bench.cost_table(),
             [EvaluationRecord(outside, 0.5, 1.0)],
             RetrievalConfig(samples=5),
             ConstraintConfig(tau=bench.overhead + 200.0),
@@ -658,7 +696,8 @@ def test_distribution_unbounded_band_is_plain_sampling():
     bench = SyntheticBenchmark.generate(pool, seed=6)
     subset = full_subset(pool)
     records = distribution_estimate(
-        subset, OracleEvaluator(bench), (0.0, float("inf")), 25, make_rng("dist", 0)
+        subset, OracleEvaluator(bench), bench.cost_table(), (0.0, float("inf")), 25,
+        make_rng("dist", 0),
     )
     assert len(records) == 25
 
@@ -669,16 +708,18 @@ def test_distribution_band_is_respected_and_unreachable_raises():
     subset = full_subset(pool)
     lo, hi = bench.overhead + 60.0, bench.overhead + 160.0
     records = distribution_estimate(
-        subset, OracleEvaluator(bench), (lo, hi), 30, make_rng("dist", 1)
+        subset, OracleEvaluator(bench), bench.cost_table(), (lo, hi), 30, make_rng("dist", 1)
     )
     assert all(lo <= r.cost <= hi for r in records)
     with pytest.raises(EngineError):
         distribution_estimate(
-            subset, OracleEvaluator(bench), (0.0, bench.overhead - 5.0), 5,
+            subset, OracleEvaluator(bench), bench.cost_table(), (0.0, bench.overhead - 5.0), 5,
             make_rng("dist", 2), draw_factor=50,
         )
     assert (
-        distribution_estimate(subset, OracleEvaluator(bench), (0.0, 1.0), 0, make_rng("d", 3))
+        distribution_estimate(
+            subset, OracleEvaluator(bench), bench.cost_table(), (0.0, 1.0), 0, make_rng("d", 3)
+        )
         == []
     )
 
@@ -706,12 +747,12 @@ def test_dominating_space_has_stochastically_larger_accuracies():
         return SubsetState(layers=layers, roles=pool.roles, capacity=len(slots))
 
     strong = distribution_estimate(
-        subspace([0, 1, 2]), OracleEvaluator(bench), (0.0, float("inf")), 200,
-        make_rng("rank", 0),
+        subspace([0, 1, 2]), OracleEvaluator(bench), bench.cost_table(), (0.0, float("inf")),
+        200, make_rng("rank", 0),
     )
     weak = distribution_estimate(
-        subspace([3, 4, 5]), OracleEvaluator(bench), (0.0, float("inf")), 200,
-        make_rng("rank", 1),
+        subspace([3, 4, 5]), OracleEvaluator(bench), bench.cost_table(), (0.0, float("inf")),
+        200, make_rng("rank", 1),
     )
     stat = scipy_stats.mannwhitneyu(
         [r.accuracy for r in strong], [r.accuracy for r in weak], alternative="greater"
@@ -735,13 +776,11 @@ def test_supernet_round_smoke_and_artifacts():
         capacity=3,
         max_rounds=2,
         constraint=ConstraintConfig(tau=1.0, alpha=1e-3, beta=2.0),
+        table=build_cost_table(pool, geometry),
         retrieval=RetrievalConfig(samples=6, recal_batches=2, recal_batch_size=32),
         master_seed=4,
         phase=SupernetPhase(
-            dataset,
-            geometry,
-            TrainingConfig(steps=10, batch_size=32, warmup_steps=2),
-            build_cost_table(pool, geometry),
+            dataset, geometry, TrainingConfig(steps=10, batch_size=32, warmup_steps=2)
         ),
     )
     summary = engine.run()
@@ -756,13 +795,11 @@ def test_supernet_round_smoke_and_artifacts():
         capacity=3,
         max_rounds=2,
         constraint=ConstraintConfig(tau=1.0, alpha=1e-3, beta=2.0),
+        table=build_cost_table(pool, geometry),
         retrieval=RetrievalConfig(samples=6, recal_batches=2, recal_batch_size=32),
         master_seed=4,
         phase=SupernetPhase(
-            dataset,
-            geometry,
-            TrainingConfig(steps=10, batch_size=32, warmup_steps=2),
-            build_cost_table(pool, geometry),
+            dataset, geometry, TrainingConfig(steps=10, batch_size=32, warmup_steps=2)
         ),
     ).run()
     for ra, rb in zip(summary.results, summary2.results):
@@ -786,13 +823,11 @@ def test_indicator_cadence_diagnostic():
     engine = Engine(
         pool=pool, capacity=3, max_rounds=1,
         constraint=ConstraintConfig(tau=1.0, alpha=1e-3, beta=2.0),
+        table=build_cost_table(pool, geometry),
         retrieval=RetrievalConfig(samples=4, recal_batches=2, recal_batch_size=25),
         master_seed=1,
         phase=SupernetPhase(
-            dataset,
-            geometry,
-            TrainingConfig(steps=12, batch_size=25, warmup_steps=2),
-            build_cost_table(pool, geometry),
+            dataset, geometry, TrainingConfig(steps=12, batch_size=25, warmup_steps=2)
         ),
     )
     summary = engine.run()

@@ -221,8 +221,8 @@ def test_oracle_evaluator_matches_score():
     arch = Architecture.from_encoding([[0], [1]])
     row = sampler.row(arch)
     acc, cost = oracle_score(arch, bench)
-    assert ev.evaluate(sampler, [(row, cost)]) == [acc]
-    assert MaskCost(sampler, ev.table)(np.array([row])).tolist() == [cost]
+    assert ev.evaluate(sampler, [row]) == [acc]
+    assert MaskCost(sampler, bench.cost_table())(np.array([row])).tolist() == [cost]
 
 
 def test_memoised_scores_and_mask_costs_equal_the_closed_form():
@@ -234,7 +234,7 @@ def test_memoised_scores_and_mask_costs_equal_the_closed_form():
     cost_of = MaskCost(sampler, bench.cost_table())
     archs = list(enumerate_architectures(subset))
     assert len(archs) == 16 * 16 * 15
-    draws, accuracies = [], []
+    rows, accuracies = [], []
     for arch in archs:
         acc, cost = oracle_score(arch, bench)
         row = [
@@ -244,11 +244,11 @@ def test_memoised_scores_and_mask_costs_equal_the_closed_form():
         assert cost_of(np.array([row])).tolist() == [cost]
         assert sampler.decode(row) == arch
         assert sampler.row(arch) == tuple(row)
-        draws.append((row, cost))
+        rows.append(row)
         accuracies.append(acc)
     # the mask-row scorer, on filled tables and on fresh ones
-    assert ev.evaluate(sampler, draws) == accuracies
-    assert OracleEvaluator(bench).evaluate(sampler, draws[::-1]) == accuracies[::-1]
+    assert ev.evaluate(sampler, rows) == accuracies
+    assert OracleEvaluator(bench).evaluate(sampler, rows[::-1]) == accuracies[::-1]
     # an architecture the sampler cannot draw has no row
     assert sampler.row(Architecture.from_encoding([[0], [4], [1]])) is None
     assert sampler.row(Architecture.from_encoding([[0], [1]])) is None
