@@ -36,7 +36,7 @@ class ArtifactError(RuntimeError):
 def _record_json(rec: EvaluationRecord) -> dict:
     return {
         "id": rec.architecture.compact_id(),
-        "architecture": [list(layer) for layer in rec.architecture.encoding()],
+        "architecture": [list(layer) for layer in rec.architecture.layers],
         "accuracy": rec.accuracy,
         "cost": rec.cost,
     }

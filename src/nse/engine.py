@@ -297,7 +297,7 @@ def retrieve_pareto(
         row = sampler.row(rec.architecture)
         if row is None:
             raise EngineError(
-                f"previous-front architecture {rec.architecture.encoding()} gates a slot"
+                f"previous-front architecture {rec.architecture.layers} gates a slot"
                 " or layer this round's sampler does not"
             )
         if row not in sampled:

@@ -7,8 +7,11 @@ a check that cannot fire.  Runs use the array ops and hold parameters as
 plain arrays.  Normalization statistics are plain values too: a batch's own
 moments, or the (mean, inv) pair that a ``Recalibration`` folds from scratch;
 nothing keeps running statistics.  The ``Tensor`` tape (each tensor keeps
-its parents and a backward closure) is on no run path: the tests use it as
-the reference the array ops are checked against.
+its parents and a backward closure) holds only the ops the benchmark wraps
+by name here (``affine``, ``normalize``, ``softmax_cross_entropy`` and the
+backward sweep) and is on no run path; ``tests/reference.py`` adds the
+tape's activations, sum and scale, and the tests check the array ops
+against the whole tape.
 """
 
 from __future__ import annotations
@@ -93,11 +96,6 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
     return out
 
 
-def clear_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
-
-
 # ---------------------------------------------------------------------------
 # Ops
 
@@ -125,75 +123,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g.sum(axis=0))
 
     return _node(data, (x, w, b), backward, "affine")
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * mask)
-
-    return _node(x.data * mask, (x,), backward, "relu")
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * (1.0 - t * t))
-
-    return _node(t, (x,), backward, "tanh")
-
-
-def _check_add_shapes(arrays: Sequence[np.ndarray]) -> None:
-    if not arrays:
-        raise ShapeError("add needs at least one tensor")
-    for a in arrays[1:]:
-        if a.shape != arrays[0].shape:
-            raise ShapeError("add requires identical shapes")
-
-
-def add(*tensors: Tensor) -> Tensor:
-    _check_add_shapes([t.data for t in tensors])
-    data = tensors[0].data.copy()
-    for t in tensors[1:]:
-        data += t.data
-
-    def backward(g: np.ndarray) -> None:
-        for t in tensors:
-            if t.requires_grad:
-                _accumulate(t, g)
-
-    return _node(data, tensors, backward, "add")
-
-
-def scale(x: Tensor, alpha: float) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * alpha)
-
-    return _node(x.data * alpha, (x,), backward, "scale")
-
-
-def batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sum, mean, centered values and population variance of every batch of
-    ``x`` over axis -2, with that axis kept.
-
-    ``x`` is one (B, W) batch or an (R, B, W) stack.  One sum serves the mean
-    and ``Recalibration.fold``, and the centered array serves the variance and the
-    normalized output.  The results equal ``x.sum``, ``x.mean`` and
-    ``x.var`` over axis -2 bit for bit: numpy divides that same sum by the
-    batch size, and squares the same centered values.
-    """
-    n = x.shape[-2]
-    sums = x.sum(axis=-2, keepdims=True)
-    mean = sums / n
-    centered = x - mean
-    var = (centered * centered).sum(axis=-2, keepdims=True)
-    var /= n
-    return sums, mean, centered, var
 
 
 class Recalibration:
@@ -258,7 +187,7 @@ def normalize(x: Tensor, fixed: tuple[np.ndarray, np.ndarray] | None = None) -> 
 
     Without ``fixed`` the batch's own moments are used, from
     ``np.mean``/``np.var`` so that the tape stays an independent reference
-    for ``batch_moments``.  ``fixed`` is a (mean, inv) pair, as
+    for ``normalize_train_stack``.  ``fixed`` is a (mean, inv) pair, as
     ``Recalibration.stats`` returns, applied as constants.
     """
     if x.data.ndim != 2:
@@ -317,7 +246,7 @@ def _log_softmax_loss_grad(log_probs: np.ndarray, labels: np.ndarray, g: float) 
 
 
 # ---------------------------------------------------------------------------
-# No-grad ops: the forward expressions of the ops above on plain arrays, with
+# No-grad ops: the forward expressions of the tape's ops on plain arrays, with
 # the same shape and finite-value checks, building no graph.  Inference and
 # the supernet's explicit training pass use these; they give bit-identical
 # outputs to their Tensor counterparts.
@@ -353,10 +282,9 @@ def _check_fixed_shapes(x: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> Non
 
 
 def normalize_fixed(x: np.ndarray, mean: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """``normalize`` with ``fixed=(mean, inv)`` on one (B, W) batch or an
-    (R, B, W) stack of batches."""
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"normalize expects (B,W) or (R,B,W), got {x.shape}")
+    """``normalize`` with ``fixed=(mean, inv)`` on one (rows, W) block."""
+    if x.ndim != 2:
+        raise ShapeError(f"normalize expects (B,W), got {x.shape}")
     _check_fixed_shapes(x, mean, inv)
     out = x - mean
     out *= inv
@@ -387,12 +315,19 @@ def normalize_train_stack(
 
     Returns the output, what the backward needs (the centered stack and the
     (n, 1, W) inverse deviations) and the (n, 1, W) batch sums, which
-    ``Recalibration.fold`` can reuse.  Each batch's moments equal its own axis-0
-    moments bit for bit.
+    ``Recalibration.fold`` can reuse.  One sum serves the mean and the fold,
+    and the centered stack serves the variance and the output.  Each batch's
+    moments equal its own ``mean``/``var`` over axis 0 bit for bit: numpy
+    divides that same sum by the batch size and squares the same centered
+    values.
     """
     if y.ndim != 3:
         raise ShapeError(f"normalize stack expects (n,B,W), got {y.shape}")
-    sums, _, centered, var = batch_moments(y)
+    n = y.shape[1]
+    sums = y.sum(axis=1, keepdims=True)
+    centered = y - sums / n
+    var = (centered * centered).sum(axis=1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + EPS_NORM)
     return _check_finite(centered * inv, "normalize"), centered, inv, sums
 

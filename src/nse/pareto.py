@@ -20,13 +20,13 @@ def pareto_front(records: Sequence[EvaluationRecord]) -> list[EvaluationRecord]:
 
     Records are sorted on (cost, -accuracy).  Records with identical
     (accuracy, cost) keep exactly one representative, the one with the
-    lexicographically smallest gate encoding; encodings are compared only
-    inside such ties.  Anything with ``accuracy``, ``cost`` and
+    lexicographically smallest ``architecture.layers``; those are compared
+    only inside such ties.  Anything with ``accuracy``, ``cost`` and
     ``architecture`` will do, so a caller can pass scored draws that decode
     their architecture only when asked.
 
     The last point is the most accurate record, the cheapest of those, and
-    the smallest encoding of exact ties among them.
+    the smallest ``architecture.layers`` of exact ties among them.
     """
     front: list[EvaluationRecord] = []
     for record in sorted(records, key=lambda r: (r.cost, -r.accuracy)):
@@ -35,7 +35,7 @@ def pareto_front(records: Sequence[EvaluationRecord]) -> list[EvaluationRecord]:
         elif (
             record.accuracy == front[-1].accuracy
             and record.cost == front[-1].cost
-            and record.architecture.encoding() < front[-1].architecture.encoding()
+            and record.architecture.layers < front[-1].architecture.layers
         ):
             front[-1] = record
     return front

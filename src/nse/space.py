@@ -196,13 +196,6 @@ class Architecture:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    def selected(self, layer_index: int) -> tuple[int, ...]:
-        return self.layers[layer_index]
-
-    def encoding(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical hashable form: sorted slot tuples per layer."""
-        return self.layers
-
     def compact_id(self) -> str:
         return ";".join("+".join(str(s) for s in layer) for layer in self.layers)
 
@@ -649,7 +642,7 @@ def aggregate(
         validate_architecture(arch, subset)
     unions = []
     for li in range(subset.num_layers):
-        unions.append(frozenset().union(*(arch.selected(li) for arch in architectures)))
+        unions.append(frozenset().union(*(arch.layers[li] for arch in architectures)))
     return tuple(unions)
 
 

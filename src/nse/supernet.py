@@ -13,15 +13,16 @@ recalibrates fresh normalization statistics of the selected branches on
 training batches before scoring validation accuracy.  It runs on a no-grad
 path over plain arrays: ``evaluate(cache, architectures)`` scores a batch of
 architectures on the stem outputs an ``InferenceCache`` holds for one set of
-trained weights, in two sweeps that each walk their rows in blocks of at
-most ``EVAL_ROWS`` and share layer-0 work across the batch within a block.
-The recalibration batches form one (R, B, W) stack, walked in blocks of
-whole batches; each branch folds every block's sums into a
-``Recalibration``, whose (mean, inv) pair ``normalize_fixed`` then applies
-to the validation split block by block.  A layer's branch outputs are
-folded into its average as they are made.  Since recalibration starts from
-scratch, training normalizes with each batch's moments and keeps no running
-statistics.
+trained weights, in two sweeps of one layer walk that differ only in how a
+branch output is normalized.  The walk takes its rows in blocks of at most
+``EVAL_ROWS``, makes each layer-0 branch output once per block for the whole
+batch, and folds a layer's branch outputs into its average as they are made.
+The first sweep walks the recalibration batches, one (R, B, W) stack, in
+blocks of whole batches: each branch normalizes with each batch's own
+moments and folds their sums into a ``Recalibration``.  The second walks the
+validation split with the (mean, inv) pairs that ``normalize_fixed`` applies.
+Since recalibration starts from scratch, training normalizes with each
+batch's moments and keeps no running statistics.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Annotated, Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from typing import Annotated, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -564,26 +566,28 @@ class InferenceCache:
 
         Two sweeps over the batch: the first recalibrates every architecture's
         statistics on the recal stack, and only then does the second apply
-        them to the validation split.  Each sweep walks its rows in blocks.
-        Layer 0 reads the stem output, so its branch outputs on a block are
-        the same for every architecture, and a dict local to the block shares
-        them; deeper layers are computed per architecture.
+        them to the validation split.  Both walk each architecture over their
+        rows block by block with ``_walk``.
         """
         archs = [architecture.layers for architecture in architectures]
         if self.recal is None and any(slots for arch in archs for slots in arch):
             raise ValueError("recalibration requires at least one batch")
         stats = self._recalibrate(archs)
+        w, b = self.weights.params["head.w"], self.weights.params["head.b"]
         for start in range(0, len(self.labels), EVAL_ROWS):
             x, layer0 = self.val[start : start + EVAL_ROWS], {}
-            logits = [self._apply(arch, st, x, layer0) for arch, st in zip(archs, stats)]
+            logits = [
+                affine_array(self._walk(arch, x, layer0, partial(self._fixed, st)), w, b)
+                for arch, st in zip(archs, stats)
+            ]
             yield self.labels[start : start + EVAL_ROWS], logits
 
     def _recalibrate(self, archs: list[Sequence[tuple[int, ...]]]) -> list[list[list[Stats]]]:
         """The first sweep: each architecture's (mean, inv) of every selected
         branch, per layer in slot order.  The recal stack is walked in blocks
         of whole batches; each branch folds every block into its
-        ``Recalibration``, and a layer-0 slot's is shared by the batch, so it
-        folds each block once."""
+        ``Recalibration``, and a layer-0 slot's is shared by the batch, as its
+        output is."""
         layer0_folds: dict[int, Recalibration] = {}
         folds = [
             [
@@ -600,66 +604,44 @@ class InferenceCache:
             for start in range(0, len(self.recal), per_block):
                 x, layer0 = self.recal[start : start + per_block], {}
                 for arch, arch_folds in zip(archs, folds):
-                    self._fold_block(arch, arch_folds, x, layer0)
+                    self._walk(arch, x, layer0, partial(self._fold, arch_folds))
         return [[[fold.stats() for fold in layer] for layer in arch] for arch in folds]
 
-    def _fold_block(
-        self,
-        layers: Sequence[tuple[int, ...]],
-        folds: list[list[Recalibration]],
-        x: np.ndarray,
-        layer0: dict,
-    ) -> None:
-        """One architecture's pass over one block of the recal stack, folding
-        each selected branch's output into its ``folds`` entry.  A branch's
-        output, fed to the next layer, is normalized with each batch's own
-        moments, whose sums the fold reuses; the last layer's feeds nothing,
-        so it is not formed."""
-        last = len(layers) - 1
-
-        def output(li: int, slot: int, fold: Recalibration, x: np.ndarray) -> np.ndarray | None:
-            if li == 0 and slot in layer0:
-                return layer0[slot]
-            y = self.weights.branch_affines(li, slot, x)
-            out, _, _, sums = (None,) * 4 if li == last else normalize_train_stack(y)
-            fold.fold(y, sums)
-            if li == 0:
-                layer0[slot] = out
-            return out
-
-        def outputs(li: int, slots: tuple[int, ...], x: np.ndarray) -> Iterator[np.ndarray]:
-            for slot, fold in zip(slots, folds[li]):
-                yield output(li, slot, fold, x)
-
-        for li, slots in enumerate(layers):
-            if li < last:
-                x = self.weights.layer_mix(li, x, outputs(li, slots, x))
-            else:  # the last layer gives only its statistics
-                for slot, fold in zip(slots, folds[li]):
-                    output(li, slot, fold, x)
-
-    def _apply(
-        self, layers: Sequence[tuple[int, ...]], stats: list[list[Stats]], x: np.ndarray, layer0: dict
+    def _fold(
+        self, folds: list[list[Recalibration]], li: int, k: int, slot: int, x: np.ndarray
     ) -> np.ndarray:
-        """The second sweep, for one architecture and one block ``x`` of the
-        validation split: its logits, each branch normalized with its
-        ``stats``."""
+        """Recalibration's branch rule: the output normalized with each
+        batch's own moments, whose sums fold into the k-th fold of layer li."""
+        y = self.weights.branch_affines(li, slot, x)
+        out, _, _, sums = normalize_train_stack(y)
+        folds[li][k].fold(y, sums)
+        return out
 
-        def output(li: int, slot: int, x: np.ndarray, st: Stats) -> np.ndarray:
-            if li == 0 and slot in layer0:
-                return layer0[slot]
-            out = normalize_fixed(self.weights.branch_affines(li, slot, x), *st)
-            if li == 0:
-                layer0[slot] = out
-            return out
+    def _fixed(
+        self, stats: list[list[Stats]], li: int, k: int, slot: int, x: np.ndarray
+    ) -> np.ndarray:
+        """Validation's branch rule: the output normalized with its
+        recalibrated statistics."""
+        return normalize_fixed(self.weights.branch_affines(li, slot, x), *stats[li][k])
+
+    def _walk(
+        self, layers: Sequence[tuple[int, ...]], x: np.ndarray, layer0: dict, branch: Callable
+    ) -> np.ndarray:
+        """One architecture's last layer output on one block ``x``: each layer
+        mixes ``branch(li, k, slot, x)`` of its k-th selected slot.  Layer 0
+        reads the stem output, so its branch outputs on a block are the same
+        for every architecture: each is made once per block and shared
+        through ``layer0``, which the caller drops with the block."""
 
         def outputs(li: int, slots: tuple[int, ...], x: np.ndarray) -> Iterator[np.ndarray]:
-            for slot, st in zip(slots, stats[li]):
-                yield output(li, slot, x, st)
+            for k, slot in enumerate(slots):
+                if li == 0 and slot not in layer0:
+                    layer0[slot] = branch(li, k, slot, x)
+                yield layer0[slot] if li == 0 else branch(li, k, slot, x)
 
         for li, slots in enumerate(layers):
             x = self.weights.layer_mix(li, x, outputs(li, slots, x))
-        return affine_array(x, self.weights.params["head.w"], self.weights.params["head.b"])
+        return x
 
 
 def evaluate(cache: InferenceCache, architectures: Sequence[Architecture]) -> list[float]:

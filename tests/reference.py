@@ -1,5 +1,9 @@
 """Plain reference implementations that tests compare the program against.
 
+- The tape ops that no run path and no benchmark layer needs: ``relu``,
+  ``tanh``, ``add`` and ``scale`` on ``Tensor``, which the array ops
+  ``relu_array``, ``tanh_array`` and ``average_arrays`` are checked
+  against, and ``clear_grads``.
 - The tape forward: the supernet's forward pass on the ``Tensor`` autodiff
   tape, over ``Tensor`` leaves that wrap the parameter arrays, so a test can
   read every parameter's gradient after ``backward``.  The explicit training
@@ -54,14 +58,13 @@ from nse.indicators import (
 from nse.nn import (
     EPS_NORM,
     SGD,
+    ShapeError,
     Tensor,
-    add,
+    _accumulate,
+    _node,
     affine,
     cosine_warmup_lr,
     normalize,
-    relu,
-    scale,
-    tanh,
 )
 from nse.oracle import SyntheticBenchmark, _layer_score, _saturate, oracle_score
 from nse.pareto import EvaluationRecord, pareto_front
@@ -90,6 +93,65 @@ from nse.supernet import (
     make_recal_batches,
     train_step_fixed,
 )
+
+# ---------------------------------------------------------------------------
+# Tape ops
+
+
+def clear_grads(tensors: Iterable[Tensor]) -> None:
+    for t in tensors:
+        t.grad = None
+
+
+def relu(x: Tensor) -> Tensor:
+    mask = x.data > 0
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            _accumulate(x, g * mask)
+
+    return _node(x.data * mask, (x,), backward, "relu")
+
+
+def tanh(x: Tensor) -> Tensor:
+    t = np.tanh(x.data)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            _accumulate(x, g * (1.0 - t * t))
+
+    return _node(t, (x,), backward, "tanh")
+
+
+def _check_add_shapes(arrays: Sequence[np.ndarray]) -> None:
+    if not arrays:
+        raise ShapeError("add needs at least one tensor")
+    for a in arrays[1:]:
+        if a.shape != arrays[0].shape:
+            raise ShapeError("add requires identical shapes")
+
+
+def add(*tensors: Tensor) -> Tensor:
+    _check_add_shapes([t.data for t in tensors])
+    data = tensors[0].data.copy()
+    for t in tensors[1:]:
+        data += t.data
+
+    def backward(g: np.ndarray) -> None:
+        for t in tensors:
+            if t.requires_grad:
+                _accumulate(t, g)
+
+    return _node(data, tensors, backward, "add")
+
+
+def scale(x: Tensor, alpha: float) -> Tensor:
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            _accumulate(x, g * alpha)
+
+    return _node(x.data * alpha, (x,), backward, "scale")
+
 
 # ---------------------------------------------------------------------------
 # The tape forward of the supernet
@@ -420,7 +482,7 @@ def column(thetas: FitnessIndicators, layer_index: int, slot: int) -> int:
 def selection(selected: Iterable[int]) -> tuple[int, ...]:
     """One layer's slot tuple as ``Architecture`` holds it: the ascending
     distinct slots of ``selected``."""
-    return Architecture([selected]).selected(0)
+    return Architecture([selected]).layers[0]
 
 
 def gate_bits(selected: Sequence[int], slots: Sequence[int]) -> np.ndarray:
@@ -634,7 +696,7 @@ def reference_keep_draws(sampler, table, retrieval, constraint, rng):
 
 def reference_pareto_front(records):
     """``pareto.pareto_front`` with the gate encoding in every sort key."""
-    ordered = sorted(records, key=lambda r: (r.cost, -r.accuracy, r.architecture.encoding()))
+    ordered = sorted(records, key=lambda r: (r.cost, -r.accuracy, r.architecture.layers))
     front, best = [], -math.inf
     for record in ordered:
         if record.accuracy > best:
@@ -657,11 +719,11 @@ def reference_retrieve_pareto(sampler, bench, previous_front, retrieval, constra
         sampler, bench.cost_table(), retrieval, constraint, rng
     )
     sampled = [sampler.decode(key) for key, _ in in_budget]
-    sampled_set = {a.encoding() for a in sampled}
+    sampled_set = {a.layers for a in sampled}
     rehearse = [
         rec.architecture
         for rec in previous_front
-        if rec.architecture.encoding() not in sampled_set
+        if rec.architecture.layers not in sampled_set
     ]
     beyond = [sampler.decode(key) for key, _ in auxiliary]
     records = [
@@ -680,7 +742,7 @@ def reference_retrieve_pareto(sampler, bench, previous_front, retrieval, constra
     corrected = edging_filter(raw, records[n_in:], constraint, diagnostics)
     best = min(
         in_records,
-        key=lambda rec: (-rec.accuracy, rec.cost, rec.architecture.encoding()),
+        key=lambda rec: (-rec.accuracy, rec.cost, rec.architecture.layers),
         default=None,
     )
     return corrected, raw, best, in_records, diagnostics

@@ -25,10 +25,12 @@ from reference import (
     indicator_table,
     layer_forward,
     pair_of,
+    relu,
     sample_space_architecture,
     selection,
     set_mode,
     state_hash,
+    tanh,
     train_architecture,
     two_config_ce_grads,
 )
@@ -43,7 +45,7 @@ from nse.indicators import (
     rescale_pair,
     rescaled_pair_grads,
 )
-from nse.nn import Tensor, affine, normalize, relu, softmax_cross_entropy, tanh
+from nse.nn import Tensor, affine, normalize, softmax_cross_entropy
 from nse.oracle import OracleEvaluator, SyntheticBenchmark, oracle_score
 from nse.resources import (
     ConstraintConfig,
@@ -378,8 +380,8 @@ def test_criterion_5_pareto_oracle_equivalence():
         )
         assert not diag["stalled"]
         assert [
-            (r.architecture.encoding(), r.accuracy, r.cost) for r in raw
-        ] == [(r.architecture.encoding(), r.accuracy, r.cost) for r in exact]
+            (r.architecture.layers, r.accuracy, r.cost) for r in raw
+        ] == [(r.architecture.layers, r.accuracy, r.cost) for r in exact]
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     report(5, f"20 random benchmarks, raw front == brute force in {elapsed:.1f} s")
@@ -582,7 +584,7 @@ def test_criterion_9_structural_invariants(tmp_path):
     red_subset = init_subset(red_pool, capacity=4, seed=0, ledger=TraversalLedger())
     rng = make_rng("acc9", "red")
     assert all(
-        sample_uniform_architecture(red_subset, rng).selected(0)
+        sample_uniform_architecture(red_subset, rng).layers[0]
         for _ in range(500)
     )
 

@@ -733,27 +733,33 @@ def test_config_hash_names_the_cost_table_contents_not_its_path(tmp_path):
         hashed(tmp_path / "missing.json")
 
 
+PINNED_ORACLE_CONFIG = {
+    "master_seed": 11,
+    "max_rounds": 3,
+    "k_per_layer": 4,
+    "pool": {"num_layers": 3, "ops_per_layer": 12, "reduction_layers": [2], "preset": "opaque"},
+    "constraint": {"tau": 260.0},
+    "retrieval": {"samples": 120, "auxiliary": 12, "stall_factor": 20},
+}
+
+
+def artifact_digests(out: Path, names) -> dict[str, str]:
+    """sha256 of each of the run's artifacts ``names`` with its config hash cut out."""
+    chash = json.loads((out / "manifest.json").read_text())["config_hash"].encode()
+    return {
+        name: hashlib.sha256((out / name).read_bytes().replace(chash, b"")).hexdigest()
+        for name in names
+    }
+
+
 def test_pinned_oracle_artifacts_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("NSE_SEED", raising=False)
     started = time.perf_counter()
-    path = write_config(
-        tmp_path,
-        master_seed=11,
-        max_rounds=3,
-        k_per_layer=4,
-        pool={"num_layers": 3, "ops_per_layer": 12, "reduction_layers": [2], "preset": "opaque"},
-        constraint={"tau": 260.0},
-        retrieval={"samples": 120, "auxiliary": 12, "stall_factor": 20},
-    )
+    path = write_config(tmp_path, **PINNED_ORACLE_CONFIG)
     assert main(["run", str(path)]) == 0
     assert time.perf_counter() - started < 2.0
     out = tmp_path / "run"
-    chash = json.loads((out / "manifest.json").read_text())["config_hash"].encode()
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes().replace(chash, b"")).hexdigest()
-        for name in PINNED_DIGESTS
-    }
-    assert digests == PINNED_DIGESTS
+    assert artifact_digests(out, PINNED_DIGESTS) == PINNED_DIGESTS
     draws = [
         json.loads((out / f"round_00{r}" / "manifest.json").read_text())["diagnostics"]["draws"]
         for r in (1, 2, 3)
@@ -795,33 +801,28 @@ PINNED_SUPERNET_DIGESTS = {
 }
 
 
+PINNED_SUPERNET_CONFIG = {
+    "master_seed": 5,
+    "evaluator": "supernet",
+    "max_rounds": 3,
+    "k_per_layer": 4,
+    "pool": {"num_layers": 3, "ops_per_layer": 12, "reduction_layers": [2], "preset": "toy"},
+    "network": {"stem_width": 8, "layer_widths": [8, 8, 12]},
+    "constraint": {"tau": 1.5, "alpha": 0.05},
+    "retrieval": {"samples": 6, "auxiliary": 2, "recal_batches": 2, "recal_batch_size": 32},
+    "dataset": {"seed": 1, "input_dim": 6, "classes": 3, "train_size": 400, "val_size": 200},
+    "training": {"steps": 60, "batch_size": 40, "warmup_steps": 4, "indicator_lr": 0.5},
+}
+
+
 def test_pinned_supernet_artifacts_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.delenv("NSE_SEED", raising=False)
     started = time.perf_counter()
-    path = write_config(
-        tmp_path,
-        master_seed=5,
-        evaluator="supernet",
-        max_rounds=3,
-        k_per_layer=4,
-        pool={"num_layers": 3, "ops_per_layer": 12, "reduction_layers": [2], "preset": "toy"},
-        network={"stem_width": 8, "layer_widths": [8, 8, 12]},
-        constraint={"tau": 1.5, "alpha": 0.05},
-        retrieval={
-            "samples": 6, "auxiliary": 2, "recal_batches": 2, "recal_batch_size": 32,
-        },
-        dataset={"seed": 1, "input_dim": 6, "classes": 3, "train_size": 400, "val_size": 200},
-        training={"steps": 60, "batch_size": 40, "warmup_steps": 4, "indicator_lr": 0.5},
-    )
+    path = write_config(tmp_path, **PINNED_SUPERNET_CONFIG)
     assert main(["run", str(path)]) == 0
     assert time.perf_counter() - started < 4.0
     out = tmp_path / "run"
-    chash = json.loads((out / "manifest.json").read_text())["config_hash"].encode()
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes().replace(chash, b"")).hexdigest()
-        for name in PINNED_SUPERNET_DIGESTS
-    }
-    assert digests == PINNED_SUPERNET_DIGESTS
+    assert artifact_digests(out, PINNED_SUPERNET_DIGESTS) == PINNED_SUPERNET_DIGESTS
 
     # the manifests record every indicator step and every pruned operation
     pruned = 0
@@ -846,6 +847,37 @@ def test_pinned_supernet_artifacts_are_byte_identical(tmp_path, monkeypatch):
             assert not entry["active"]
         pruned += len(log)
     assert pruned > 0
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "random"])
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "config, pinned",
+    [(PINNED_ORACLE_CONFIG, PINNED_DIGESTS), (PINNED_SUPERNET_CONFIG, PINNED_SUPERNET_DIGESTS)],
+    ids=["oracle", "supernet"],
+)
+def test_pinned_artifacts_do_not_depend_on_blas_threads_or_hash_seed(
+    tmp_path, config, pinned, blas_threads, hash_seed
+):
+    # a fresh interpreter per run: the BLAS thread count is read when numpy
+    # loads, and the hash seed when Python starts
+    path = write_config(tmp_path, **config)
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(REPO / "src"),
+        "OPENBLAS_NUM_THREADS": blas_threads,
+        "PYTHONHASHSEED": hash_seed,
+    }
+    env.pop("NSE_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nse", "run", str(path)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert artifact_digests(tmp_path / "run", pinned) == pinned
 
 
 # sha256 of the resolved config of the default and of each benchmark workload;

@@ -98,7 +98,7 @@ class StubEvaluator:
         self.scores = scores
 
     def evaluate(self, sampler, rows):
-        return [self.scores[sampler.decode(row).encoding()][0] for row in rows]
+        return [self.scores[sampler.decode(row).layers][0] for row in rows]
 
 
 @pytest.mark.parametrize("evaluator", [OracleEvaluator, SupernetEvaluator])
@@ -112,7 +112,7 @@ class CyclingSampler(GateSampler):
 
     def __init__(self, archs):
         super().__init__([range(8)], ["normal"], [[0.5] * 8])
-        self.rows = [[sum(1 << s for s in arch.selected(0))] for arch in archs]
+        self.rows = [[sum(1 << s for s in arch.layers[0])] for arch in archs]
         self.i = 0
 
     def draw(self, rng, n):
@@ -126,7 +126,7 @@ def test_engine_runs_on_a_stub_phase_without_a_backend():
     # architectures from a table, and only the most accurate is on the front
     pool = opaque_pool(("normal",), 8)
     archs = [Architecture.from_encoding([[s]]) for s in range(8)]
-    scores = {a.encoding(): (0.1 * (s + 1), 10.0) for s, a in enumerate(archs)}
+    scores = {a.layers: (0.1 * (s + 1), 10.0) for s, a in enumerate(archs)}
     evaluator = StubEvaluator(scores)
 
     def phase(engine, state, timings):
@@ -176,8 +176,8 @@ def test_retrieve_matches_brute_force_with_exhaustive_sampling():
         make_rng("exhaustive", 0),
     )
     assert not diag["stalled"]
-    assert [(r.architecture.encoding(), r.accuracy, r.cost) for r in raw] == [
-        (r.architecture.encoding(), r.accuracy, r.cost) for r in exact
+    assert [(r.architecture.layers, r.accuracy, r.cost) for r in raw] == [
+        (r.architecture.layers, r.accuracy, r.cost) for r in exact
     ]
     assert corrected == raw  # no auxiliary samples requested
 
@@ -199,13 +199,13 @@ def test_rehearsed_member_survives_when_still_best():
         ConstraintConfig(tau=tau),
         make_rng("rehearse", 1),
     )
-    encodings = {r.architecture.encoding() for r in raw}
-    assert champion.architecture.encoding() in encodings
+    encodings = {r.architecture.layers for r in raw}
+    assert champion.architecture.layers in encodings
 
 
 def test_equal_accuracy_front_is_single_cheapest():
     archs = [Architecture.from_encoding([[i]]) for i in range(4)]
-    table = {a.encoding(): (0.5, 10.0 + i) for i, a in enumerate(archs)}
+    table = {a.layers: (0.5, 10.0 + i) for i, a in enumerate(archs)}
     evaluator = StubEvaluator(table)
     corrected, raw, _, _ = retrieve_pareto(
         CyclingSampler(archs),
@@ -225,9 +225,9 @@ def test_edging_instance_shows_both_behaviors():
     p = Architecture.from_encoding([[1]])
     r = Architecture.from_encoding([[2]])
     table = {
-        q.encoding(): (0.80, 95.0),   # near the boundary, tau = 100
-        p.encoding(): (0.70, 50.0),
-        r.encoding(): (0.85, 105.0),  # auxiliary: just past the boundary
+        q.layers: (0.80, 95.0),   # near the boundary, tau = 100
+        p.layers: (0.70, 50.0),
+        r.layers: (0.85, 105.0),  # auxiliary: just past the boundary
     }
     evaluator = StubEvaluator(table)
     constraint = ConstraintConfig(tau=100.0, edging_margin=0.1)
@@ -242,9 +242,9 @@ def test_edging_instance_shows_both_behaviors():
         constraint,
         make_rng("edge", 0),
     )
-    assert {rec.architecture.encoding() for rec in corrected0} == {
-        q.encoding(),
-        p.encoding(),
+    assert {rec.architecture.layers for rec in corrected0} == {
+        q.layers,
+        p.layers,
     }
 
     # with the auxiliary point, q is removed from the corrected front only
@@ -257,11 +257,11 @@ def test_edging_instance_shows_both_behaviors():
         constraint,
         make_rng("edge", 1),
     )
-    assert {rec.architecture.encoding() for rec in raw1} == {
-        q.encoding(),
-        p.encoding(),
+    assert {rec.architecture.layers for rec in raw1} == {
+        q.layers,
+        p.layers,
     }
-    assert {rec.architecture.encoding() for rec in corrected1} == {p.encoding()}
+    assert {rec.architecture.layers for rec in corrected1} == {p.layers}
 
 
 def test_edging_filter_spares_points_away_from_boundary():
@@ -289,7 +289,7 @@ def test_edging_filter_keeps_raw_front_when_it_would_drop_every_point():
 
 def test_sampling_stall_is_diagnosed_not_fatal():
     arch = Architecture.from_encoding([[0]])
-    table = {arch.encoding(): (0.5, 10.0)}
+    table = {arch.layers: (0.5, 10.0)}
     corrected, raw, _, diag = retrieve_pareto(
         CyclingSampler([arch]),
         StubEvaluator(table),
@@ -319,14 +319,14 @@ def reference_retrieval(subset, table, retrieval, constraint, rng):
         arch = Architecture.from_encoding(
             [[s for j, s in enumerate(layer) if m >> j & 1] for layer, m in zip(slots, row)]
         )
-        if arch.encoding() in seen:
+        if arch.layers in seen:
             continue
-        seen.add(arch.encoding())
+        seen.add(arch.layers)
         cost = architecture_cost(arch, table)
         if cost <= limit and len(in_budget) < retrieval.samples:
-            in_budget.append((arch.encoding(), cost))
+            in_budget.append((arch.layers, cost))
         elif limit < cost <= band_hi and len(auxiliary) < retrieval.auxiliary:
-            auxiliary.append((arch.encoding(), cost))
+            auxiliary.append((arch.layers, cost))
     return draws, len(in_budget) < retrieval.samples, in_budget, auxiliary
 
 
@@ -374,7 +374,7 @@ def test_block_retrieval_matches_the_one_draw_loop(retrieval, stalled):
     assert (diag["in_budget"], diag["auxiliary"]) == (len(in_budget), len(auxiliary))
     # one call scores the in-budget draws and then the auxiliary ones, in draw order
     assert [
-        [(arch.encoding(), cost) for arch, cost in call] for call in evaluator.scored
+        [(arch.layers, cost) for arch, cost in call] for call in evaluator.scored
     ] == [in_budget + auxiliary]
 
 
@@ -511,7 +511,7 @@ def test_rehearsing_a_record_outside_the_sampler_is_an_error():
     bench = SyntheticBenchmark.generate(pool, seed=3)
     subset = init_subset(pool, 3, 0, TraversalLedger())
     outside = outside_architecture(pool, subset)
-    with pytest.raises(EngineError, match=re.escape(f"architecture {outside.encoding()} gates")):
+    with pytest.raises(EngineError, match=re.escape(f"architecture {outside.layers} gates")):
         retrieve_pareto(
             GateSampler.uniform(subset),
             OracleEvaluator(bench),
@@ -566,7 +566,7 @@ def tied_benchmark(pool, seed):
 def swap_first_slots(arch):
     swap = {0: 1, 1: 0}
     return Architecture.from_encoding(
-        [sorted(swap.get(s, s) for s in layer) for layer in arch.encoding()]
+        [sorted(swap.get(s, s) for s in layer) for layer in arch.layers]
     )
 
 
@@ -610,8 +610,8 @@ def test_run_rounds_are_deterministic():
     a, b = summaries
     assert len(a.results) == len(b.results)
     for ra, rb in zip(a.results, b.results):
-        assert [r.architecture.encoding() for r in ra.front] == [
-            r.architecture.encoding() for r in rb.front
+        assert [r.architecture.layers for r in ra.front] == [
+            r.architecture.layers for r in rb.front
         ]
         assert ra.subset_snapshot == rb.subset_snapshot
     assert [r.accuracy for r in a.state.best_archive] == [
@@ -654,7 +654,7 @@ def test_inheritance_flags_follow_aggregated_front():
     union = set()
     for rec in result.front:
         for li in range(2):
-            union |= {(li, s) for s in rec.architecture.selected(li)}
+            union |= {(li, s) for s in rec.architecture.layers[li]}
     engine.step_aggregate_replenish(state, result.front)
     inherited = {
         (li, e.descriptor.slot_index)
@@ -803,8 +803,8 @@ def test_supernet_round_smoke_and_artifacts():
         ),
     ).run()
     for ra, rb in zip(summary.results, summary2.results):
-        assert [r.architecture.encoding() for r in ra.front] == [
-            r.architecture.encoding() for r in rb.front
+        assert [r.architecture.layers for r in ra.front] == [
+            r.architecture.layers for r in rb.front
         ]
         assert [r.accuracy for r in ra.front] == [r.accuracy for r in rb.front]
 

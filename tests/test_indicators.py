@@ -404,7 +404,7 @@ def test_sample_architecture_covers_all_layers():
     thetas = FitnessIndicators.for_subset(subset)
     arch = sample_architecture(thetas, subset, make_rng("arch", 0))
     assert arch.num_layers == 2
-    assert arch.selected(1)  # reduction layer never empty
+    assert arch.layers[1]  # reduction layer never empty
 
 
 def test_theta_adam_rejects_non_finite_gradient():

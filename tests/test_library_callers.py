@@ -25,12 +25,7 @@ BENCH_CHILD = PACKAGE.parent.parent / "bench" / "child.py"
 ALLOWLIST = {
     # ROADMAP item 1: the Tensor tape stays in nn.py while bench/child.py
     # wraps it; it is the tests' reference until LAYERS is rewritten
-    "relu": "item 1: tape op",
-    "tanh": "item 1: tape op",
-    "add": "item 1: tape op",
-    "scale": "item 1: tape op",
     "softmax_cross_entropy": "item 1: tape op",
-    "clear_grads": "item 1: tape op",
     # ROADMAP item 6: `nse run --resume` reads the round artifacts back
     "subset_from_json": "item 6: resume",
     "ledger_from_json": "item 6: resume",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
+from reference import add, clear_grads, relu, tanh
 from nse.rng import make_rng
 from nse import nn
 from nse.nn import (
@@ -11,12 +12,9 @@ from nse.nn import (
     SGD,
     Tensor,
     affine,
-    clear_grads,
     cosine_warmup_lr,
     normalize,
-    relu,
     softmax_cross_entropy,
-    tanh,
 )
 
 
@@ -47,7 +45,7 @@ def test_non_finite_output_raises():
     x = Tensor(np.array([[1e308]]), requires_grad=True)
     with np.errstate(over="ignore"):
         with pytest.raises(nn.NotFiniteError):
-            nn.add(x, x)
+            add(x, x)
 
 
 def _random_net(seed):
@@ -166,7 +164,7 @@ def test_recalibration_does_not_depend_on_prior_running_values(fold):
     def stats():
         if fold == "normalize":  # a non-last layer reuses its output's sums
             return nn.Recalibration().fold(stack, nn.normalize_train_stack(stack)[3]).stats()
-        return nn.Recalibration().fold(stack).stats()  # the last layer folds only the sums
+        return nn.Recalibration().fold(stack).stats()  # the fold takes its own sums
 
     fresh = stats()
     for _ in range(4):
@@ -299,18 +297,16 @@ def test_check_finite_names_the_op(values):
 @pytest.mark.parametrize("batch", [1, 2, 25, 128])
 @pytest.mark.parametrize("width", [1, 24, 32])
 def test_batch_moments_equal_numpy_reductions_bit_for_bit(batch, width):
+    # normalize_train_stack's moments of each batch of a stack: its sums,
+    # centered values and variance are numpy's reductions over axis 0
     rng = make_rng("moments", batch, width)
-    for shape in [(batch, width), (3, batch, width)]:
-        x = rng.normal(size=shape) * 7.0 + 3.0
-        sums, mean, centered, var = nn.batch_moments(x)
-        assert np.array_equal(sums, x.sum(axis=-2, keepdims=True))
-        assert np.array_equal(mean, x.mean(axis=-2, keepdims=True))
-        assert np.array_equal(var, x.var(axis=-2, keepdims=True))
-        assert np.array_equal(centered, x - x.mean(axis=-2, keepdims=True))
-        if x.ndim == 3:  # each slice of a stack equals that batch on its own
-            for k in range(len(x)):
-                assert np.array_equal(var[k, 0], x[k].var(axis=0))
-                assert np.array_equal(sums[k, 0], x[k].sum(axis=0))
+    x = rng.normal(size=(3, batch, width)) * 7.0 + 3.0
+    out, centered, inv, sums = nn.normalize_train_stack(x)
+    for k in range(len(x)):
+        assert np.array_equal(sums[k, 0], x[k].sum(axis=0))
+        assert np.array_equal(centered[k], x[k] - x[k].mean(axis=0))
+        assert np.array_equal(inv[k, 0], 1.0 / np.sqrt(x[k].var(axis=0) + EPS_NORM))
+        assert np.array_equal(out[k], normalize(Tensor(x[k])).data)
 
 
 @pytest.mark.parametrize("count", [1, 3, 8])
@@ -319,7 +315,7 @@ def test_stacked_recalibration_equals_folding_batches_one_at_a_time(count):
     batches = [rng.normal(size=(32, 6)) * 2.0 + 1.0 for _ in range(count)]
     expected = fold_batches(batches)
     stack = np.stack(batches)
-    for sums in (None, nn.batch_moments(stack)[0]):
+    for sums in (None, nn.normalize_train_stack(stack)[3]):
         mean, inv = nn.Recalibration().fold(stack, sums).stats()
         assert np.array_equal(mean, expected[0])
         assert np.array_equal(inv, expected[1])
@@ -336,7 +332,7 @@ def test_folding_a_stack_in_blocks_equals_folding_batches_one_at_a_time():
             fold = nn.Recalibration()
             for start in range(0, count, per_block):
                 block = stack[start : start + per_block]
-                fold.fold(block, nn.batch_moments(block)[0] if with_sums else None)
+                fold.fold(block, nn.normalize_train_stack(block)[3] if with_sums else None)
             assert fold.count == count * 32
             mean, inv = fold.stats()
             assert np.array_equal(mean, expected[0])
@@ -347,11 +343,13 @@ def test_fixed_normalize_equals_the_tape_and_checks_shapes():
     rng = make_rng("fixed-norm", 0)
     stack = rng.normal(size=(3, 16, 5)) * 2.0 + 1.0
     mean, inv = nn.Recalibration().fold(stack).stats()
-    out = nn.normalize_fixed(stack, mean, inv)
     for k in range(len(stack)):
-        assert np.array_equal(out[k], normalize(Tensor(stack[k]), (mean, inv)).data)
+        out = nn.normalize_fixed(stack[k], mean, inv)
+        assert np.array_equal(out, normalize(Tensor(stack[k]), (mean, inv)).data)
     with pytest.raises(nn.ShapeError):
-        nn.normalize_fixed(stack, mean[:4], inv[:4])
+        nn.normalize_fixed(stack[0], mean[:4], inv[:4])
+    with pytest.raises(nn.ShapeError):  # one block of rows, not a stack
+        nn.normalize_fixed(stack, mean, inv)
     with pytest.raises(nn.ShapeError):
         normalize(Tensor(stack[0]), (mean, inv[:4]))
     with pytest.raises(nn.ShapeError):

@@ -141,7 +141,7 @@ def test_pareto_front_duplicate_tie_break():
     b = _rec(0.5, 100.0, [[0]])
     front = pareto_front([a, b])
     assert len(front) == 1
-    assert front[0].architecture.encoding() == ((0,),)
+    assert front[0].architecture.layers == ((0,),)
 
 
 class LazyRecord:
@@ -168,7 +168,7 @@ def test_pareto_front_ties_go_to_the_smallest_encoding_in_any_order():
     expected = [(0.6, 100.0, ((3,), (3,))), (0.7, 150.0, ((0,), (4,))), (0.8, 200.0, ((4,), (4,)))]
     for order in itertools.permutations(range(len(records))):
         front = pareto_front([records[i] for i in order])
-        assert [(r.accuracy, r.cost, r.architecture.encoding()) for r in front] == expected
+        assert [(r.accuracy, r.cost, r.architecture.layers) for r in front] == expected
     # encodings are read only inside exact ties
     LazyRecord.reads = 0
     lazy = [LazyRecord(0.6, 100.0, [[3]]), LazyRecord(0.7, 150.0, [[2]])]
@@ -238,7 +238,7 @@ def test_memoised_scores_and_mask_costs_equal_the_closed_form():
     for arch in archs:
         acc, cost = oracle_score(arch, bench)
         row = [
-            sum(1 << sampler.slots[li].index(s) for s in arch.selected(li))
+            sum(1 << sampler.slots[li].index(s) for s in arch.layers[li])
             for li in range(arch.num_layers)
         ]
         assert cost_of(np.array([row])).tolist() == [cost]
@@ -274,7 +274,7 @@ def test_constrained_optimum_respects_k_bound():
     subset = full_subset(pool)
     upper = bench.overhead + 1000.0  # budget never binds
     _, arch_k2 = constrained_optimum(subset, bench, upper, max_ops_per_layer=2)
-    assert len(arch_k2.selected(0)) <= 2
+    assert len(arch_k2.layers[0]) <= 2
     # the bounded optimum equals enumeration restricted to <= 2 selected ops
     best = -1.0
     for sel in itertools.chain(
@@ -299,7 +299,7 @@ def test_subset_restriction_changes_enumeration():
     assert len(archs) == count
     active0 = set(subset.active_slots(0))
     for arch in archs:
-        assert active0.issuperset(arch.selected(0))
+        assert active0.issuperset(arch.layers[0])
 
 
 def test_importing_the_oracle_loads_no_training_code():

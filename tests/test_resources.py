@@ -80,7 +80,7 @@ def test_equal_selections_built_in_any_order_cost_the_same():
     b = Architecture([frozenset([9, 2, 1])])
     assert list(frozenset([1, 9, 2])) != list(frozenset([9, 2, 1]))
     assert a == b
-    assert layer_cost(0, a.selected(0), table) == layer_cost(0, b.selected(0), table) == 1.0
+    assert layer_cost(0, a.layers[0], table) == layer_cost(0, b.layers[0], table) == 1.0
     assert architecture_cost(a, table) == architecture_cost(b, table) == 1.0
 
 

@@ -104,7 +104,7 @@ def test_uniform_sampling_single_op_reduction_always_on():
     rng = make_rng(5)
     for _ in range(50):
         arch = sample_uniform_architecture(subset, rng)
-        assert arch.selected(0) == (0,)
+        assert arch.layers[0] == (0,)
 
 
 def test_uniform_sampling_rates_are_half():
@@ -115,7 +115,7 @@ def test_uniform_sampling_rates_are_half():
     counts = np.zeros(3)
     for _ in range(n):
         arch = sample_uniform_architecture(subset, rng)
-        for s in arch.selected(0):
+        for s in arch.layers[0]:
             counts[s] += 1
     rates = counts / n
     assert np.all(np.abs(rates - 0.5) < 0.01)
@@ -129,7 +129,7 @@ def test_uniform_sampling_reduction_conditional_distribution():
     freq = {(0,): 0, (1,): 0, (0, 1): 0}
     for _ in range(n):
         arch = sample_uniform_architecture(subset, rng)
-        freq[arch.selected(0)] += 1
+        freq[arch.layers[0]] += 1
     for count in freq.values():
         assert abs(count / n - 1 / 3) < 0.01
 
@@ -142,7 +142,7 @@ def test_space_sampler_is_uniform_over_bounded_selections():
     freq: dict = {}
     for _ in range(n):
         arch = sample_space_architecture(subset, 2, rng)
-        freq[arch.encoding()] = freq.get(arch.encoding(), 0) + 1
+        freq[arch.layers] = freq.get(arch.layers, 0) + 1
     assert len(freq) == 7  # sizes 0..2 over 3 slots
     for count in freq.values():
         assert abs(count / n - 1 / 7) < 0.01
@@ -154,7 +154,7 @@ def test_space_sampler_respects_reduction_floor():
     rng = make_rng("space-sample", 1)
     for _ in range(300):
         arch = sample_space_architecture(subset, 2, rng)
-        assert 1 <= len(arch.selected(0)) <= 2
+        assert 1 <= len(arch.layers[0]) <= 2
 
 
 def test_count_single_normal_layer():
@@ -316,17 +316,17 @@ def test_full_subset_and_architecture_validation():
 
 def test_architecture_holds_each_layer_as_its_ascending_slots():
     arch = Architecture([frozenset({9, 2, 1}), [4, 0, 4]])
-    assert arch.selected(0) == (1, 2, 9)
-    assert arch.selected(1) == (0, 4)
+    assert arch.layers[0] == (1, 2, 9)
+    assert arch.layers[1] == (0, 4)
     assert arch == Architecture([(1, 2, 9), (0, 4)]) == Architecture([[9, 1, 2], {4, 0}])
     assert hash(arch) == hash(Architecture([(1, 2, 9), (0, 4)]))
 
 
 def test_architecture_encoding_and_ids():
     arch = Architecture.from_encoding([[0, 3], [1], [], [2]])
-    assert arch.encoding() == ((0, 3), (1,), (), (2,))
+    assert arch.layers == ((0, 3), (1,), (), (2,))
     assert arch.compact_id() == "0+3;1;;2"
-    assert Architecture.from_encoding(arch.encoding()) == arch
+    assert Architecture.from_encoding(arch.layers) == arch
 
 
 SAMPLER_CASES = {
@@ -368,7 +368,7 @@ def test_gate_sampler_blocks_equal_one_draw_at_a_time(case, n):
 def test_gate_sampler_decodes_masks_over_sorted_slots():
     sampler = GateSampler([[2, 5, 9], []], ["normal", "normal"], [[0.5] * 3, []])
     arch = sampler.decode([0b101, 0])
-    assert arch.encoding() == ((2, 9), ())
+    assert arch.layers == ((2, 9), ())
 
 
 def test_gate_sampler_redraw_cap_still_raises():
@@ -458,5 +458,5 @@ def test_bits_are_the_selected_slots_in_column_order():
     sampler = GateSampler(slots, roles, [[0.5] * len(s) for s in slots])
     for row in sampler.draw(make_rng("bits", 0), 50).tolist():
         arch = sampler.decode(row)
-        want = [slot in arch.selected(li) for li, layer in enumerate(slots) for slot in layer]
+        want = [slot in arch.layers[li] for li, layer in enumerate(slots) for slot in layer]
         assert sampler.bits(row).tolist() == want

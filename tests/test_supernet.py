@@ -396,9 +396,9 @@ def graph_evaluation(weights, arch, data, recal, batch_size):
     return correct / len(data.x_val), all_logits
 
 
-def trained_net(seed=4):
-    """Three layers (normal, normal, reduction) after a few training steps."""
-    _, subset, _, weights = build_net(roles=("normal", "normal", "reduction"), ops=4, seed=seed)
+def trained_net(seed=4, roles=("normal", "normal", "reduction")):
+    """A net of ``roles``, by default three layers, after a few training steps."""
+    _, subset, _, weights = build_net(roles=roles, ops=4, seed=seed)
     data = ToyDataset.generate(
         DatasetConfig(seed=seed, input_dim=5, classes=3, train_size=600, val_size=300)
     )
@@ -460,6 +460,24 @@ def test_nograd_accuracy_equals_graph_accuracy_exactly(batch_size, monkeypatch):
             assert np.array_equal(got_logits, np.concatenate(logits))
 
 
+@pytest.mark.parametrize("role", ["normal", "reduction"])
+def test_one_layer_networks_equal_graph_evaluation_exactly(role, monkeypatch):
+    # layer 0 is also the last layer: its shared branch outputs feed the head
+    subset, weights, data, recal = trained_net(seed=9, roles=(role,))
+    slots = subset.active_slots(0)
+    encodings = [[slots[:1]], [slots], [slots[1:3]], [slots[2:]]]
+    if role == "normal":
+        encodings.append([[]])
+    archs = [Architecture.from_encoding(e) for e in encodings]
+    expected = [graph_evaluation(weights, a, data, recal, 64) for a in archs]
+    cache = InferenceCache(weights, data, recal)
+    for rows in block_sizes(data, recal):
+        monkeypatch.setattr(supernet, "EVAL_ROWS", rows)
+        assert evaluate(cache, archs) == [acc for acc, _ in expected]
+        for got_logits, (_, logits) in zip(arch_logits(cache, archs), expected):
+            assert np.array_equal(got_logits, np.concatenate(logits))
+
+
 def test_cached_evaluation_does_not_depend_on_order():
     subset, weights, data, recal = trained_net(seed=5)
     rng = make_rng("nograd-order", 0)
@@ -492,6 +510,18 @@ def test_nan_in_layer0_weight_raises_through_cache():
     arch = Architecture.from_encoding([slots[1:2], [], subset.active_slots(2)[:1]])
     with pytest.raises(NotFiniteError):
         evaluate(cache, [arch])
+
+
+def test_a_non_finite_recalibration_value_raises_before_any_validation_work(monkeypatch):
+    subset, weights, data, recal = trained_net(seed=13)
+    cache = InferenceCache(weights, data, recal)
+    cache.recal[-1, -1, 0] = np.nan  # in the last block of the recal sweep
+    applied = []
+    monkeypatch.setattr(supernet, "normalize_fixed", lambda *args: applied.append(args))
+    arch = Architecture.from_encoding([[], [], subset.active_slots(2)[:1]])
+    with pytest.raises(NotFiniteError):
+        next(cache.val_logits([arch]))
+    assert applied == []
 
 
 def test_cache_rejects_recal_batches_of_unequal_size():
@@ -533,8 +563,8 @@ def test_a_batch_scores_each_architecture_as_it_scores_alone(monkeypatch):
 
 
 def test_a_batch_with_an_ungated_reduction_layer_raises_space_error():
-    # the reduction layer is the middle one, so the recal sweep meets it, and
-    # the last one, so only the validation sweep does
+    # the reduction layer is the middle one and then the last one; both sweeps
+    # mix every layer, so the recal sweep meets it either way
     cases = ((("normal", "reduction", "normal"), 1), (("normal", "normal", "reduction"), 2))
     for roles, li in cases:
         _, subset, _, weights = build_net(roles=roles, ops=3)
@@ -766,6 +796,6 @@ def _rng_selecting(subset, layer_index, slot):
     """A generator whose next uniform architecture selects ``slot``."""
     for attempt in range(100):
         arch = sample_uniform_architecture(subset, make_rng("pass-nan-arch", attempt))
-        if slot in arch.selected(layer_index):
+        if slot in arch.layers[layer_index]:
             return make_rng("pass-nan-arch", attempt)
     raise AssertionError("no seed selects the slot")
