@@ -141,15 +141,13 @@ class Recalibration:
         self.sq: np.ndarray | None = None
         self.count = 0
 
-    def fold(self, y: np.ndarray, sums: np.ndarray | None = None) -> "Recalibration":
-        """Fold the batches of ``y``; ``sums``, when given, are its (R, 1, W)
-        sums over axis 1, already taken."""
+    def fold(self, y: np.ndarray, sums: np.ndarray) -> "Recalibration":
+        """Fold the batches of ``y``, whose (R, 1, W) sums over axis 1 are
+        ``sums``, already taken."""
         if y.ndim != 3 or (self.total is not None and y.shape[2] != len(self.total)):
             raise ShapeError(f"recalibration expects (R,B,W) of one width, got {y.shape}")
         if self.total is None:
             self.total, self.sq = np.zeros(y.shape[2]), np.zeros(y.shape[2])
-        if sums is None:
-            sums = y.sum(axis=1, keepdims=True)
         for s, q in zip(sums[:, 0], (y * y).sum(axis=1)):
             self.total += s
             self.sq += q

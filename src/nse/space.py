@@ -13,15 +13,12 @@ replenishment never samples the same operation twice.
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import make_rng
 
@@ -30,8 +27,8 @@ REDUCTION = "reduction"
 ORIGIN_FRESH = "fresh"
 ORIGIN_INHERITED = "inherited"
 
-# A reduction layer redrawn this many times without selecting a slot is
-# a defect, not bad luck (each redraw fails with probability 2^-n_active).
+# A draw dropped this many times in a row for an empty reduction layer is
+# a defect, not bad luck (a uniform layer is empty with probability 2^-n_active).
 MAX_REDRAWS = 10_000
 
 MAX_LAYER_SLOTS = 63  # active slots per layer: a layer's gates are one int64 mask
@@ -366,22 +363,18 @@ class GateSampler:
 
     Layer ``l`` gates its sorted active slots ``slots[l]``: bit ``j`` of the
     layer's mask selects ``slots[l][j]`` and is set independently with
-    probability ``probs[l][j]``.  A reduction layer that comes out all-zero
-    is redrawn, up to MAX_REDRAWS times per draw.
+    probability ``probs[l][j]``.  A draw reads ``width`` doubles, one per
+    active slot in layer order.  A draw in which some reduction layer
+    selects nothing is dropped and the whole row drawn again, up to
+    MAX_REDRAWS times in a row.  Layers are independent, so conditioning the
+    whole row on every reduction layer being non-empty gives the same law as
+    conditioning each reduction layer on its own.  A kept row costs
+    ``1 / prod P(reduction layer l is non-empty)`` draws on average.
 
-    The generator is read exactly as one draw at a time, layer by layer,
-    would read it: one double per active slot in layer order, plus one more
-    chunk per redraw.  Every draw reads at least ``width`` doubles, so
-    ``draw`` fetches ``width`` per draw still owed in one call and more only
-    once that buffer is used up: it never reads ahead, and its rows and the
-    generator state after it equal ``n`` one-row calls.
-
-    A redraw shifts every later row in the buffer by its extra doubles.  So
-    several rows are drawn by first marking, per fetched buffer, the offsets
-    at which a reduction layer's chunk selects nothing.  Those marks give
-    the next row that redraws, and the redraws of that row, without
-    computing any mask; every row's masks then come from one indexed
-    compare and pack over the buffer.
+    ``draw`` reads ``width`` doubles per row still owed in one call, keeps
+    the rows that pass and reads again only for the rest: it never reads
+    ahead, and its rows and the generator state after it equal ``n``
+    one-row calls.
     """
 
     def __init__(
@@ -404,8 +397,7 @@ class GateSampler:
                 raise SpaceError(f"layer {li} needs one probability per slot")
             if len(layer) > MAX_LAYER_SLOTS:
                 raise SpaceError(f"layer {li} has more than {MAX_LAYER_SLOTS} active slots")
-        self._bounds = list(itertools.accumulate(map(len, self.slots), initial=0))
-        self.width = self._bounds[-1]
+        self.width = sum(map(len, self.slots))
 
     @staticmethod
     def uniform(subset: SubsetState) -> "GateSampler":
@@ -414,164 +406,53 @@ class GateSampler:
         return GateSampler(slots, subset.roles, [[0.5] * len(s) for s in slots])
 
     @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-column probabilities, the bit-packing matrix, the layer of each
-        column, and ``(layer, first column, width)`` per reduction layer."""
+        column, and the reduction layers."""
         probs = np.array([x for p in self._probs for x in p])
+        columns = np.repeat(np.arange(len(self.slots)), [len(s) for s in self.slots])
         # column l packs layer l's gate bits into its mask
         pack = np.zeros((self.width, len(self.slots)), dtype=np.int64)
-        columns = np.zeros(self.width, dtype=np.intp)
-        for li, lo in enumerate(self._bounds[:-1]):
-            bits = np.arange(self._bounds[li + 1] - lo, dtype=np.int64)
-            pack[lo : lo + bits.size, li] = 1 << bits
-            columns[lo : lo + bits.size] = li
-        reductions = [
-            (li, self._bounds[li], len(self.slots[li]))
-            for li, role in enumerate(self.roles)
-            if role == REDUCTION
-        ]
+        pack[np.arange(self.width), columns] = [1 << j for s in self.slots for j in range(len(s))]
+        reductions = np.array(
+            [li for li, role in enumerate(self.roles) if role == REDUCTION], dtype=np.intp
+        )
         return probs, pack, columns, reductions
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws as an ``(n, num_layers)`` array of layer masks."""
-        if n == 1:  # a lone row is cheaper to resolve in Python
-            row, _ = self._finish_row(rng, rng.random(self.width))
-            return np.array([row], dtype=np.int64)
-        out = np.zeros((n, len(self.slots)), dtype=np.int64)
-        if not self.width:  # every layer is empty: nothing to read
-            return out
-        buf = np.empty(0)  # doubles read from rng and not yet used
-        row = 0
+        probs, pack, _, reductions = self._arrays
+        out = np.empty((n, len(self.slots)), dtype=np.int64)
+        row = run = 0  # rows kept, and draws dropped since the last kept one
         while row < n:
-            # the buffer holds less than one row here, and every row still
-            # owed reads at least ``width`` doubles
-            buf = np.concatenate((buf, rng.random((n - row) * self.width - buf.size)))
-            row, buf = self._fill(rng, buf, out, row)
+            masks = (rng.random((n - row, self.width)) < probs) @ pack
+            empty = masks[:, reductions] == 0
+            kept = np.flatnonzero(~empty.any(axis=1))
+            # each run of dropped draws: where it starts, and how long it is
+            starts = np.concatenate(([-run], kept + 1))
+            runs = np.append(kept, len(masks)) - starts
+            over = np.flatnonzero(runs >= MAX_REDRAWS)
+            if over.size:
+                last = starts[over[0]] + MAX_REDRAWS - 1
+                raise RuntimeError(
+                    f"redraw cap exceeded in layer {reductions[empty[last].argmax()]}"
+                )
+            out[row : row + kept.size] = masks[kept]
+            row, run = row + kept.size, runs[-1]
         return out
-
-    def _fill(
-        self, rng: np.random.Generator, buf: np.ndarray, out: np.ndarray, row: int
-    ) -> tuple[int, np.ndarray]:
-        """Draw rows ``row, row + 1, ...`` of ``out`` from ``buf``.
-
-        Stops when ``out`` is full or ``buf`` cannot hold the next row; a row
-        whose redraws run past the end of ``buf`` is finished by
-        ``_finish_row``, which reads on from ``rng``.  Returns the next row to
-        draw and the unused rest of ``buf``.
-        """
-        probs, pack, columns, reductions = self._arrays
-        width, size, n = self.width, buf.size, len(out)
-        # per reduction layer, whether a chunk of it starting at each offset
-        # of ``buf`` would select nothing
-        marks = {}
-        for li, lo, w in reductions:
-            starts = max(0, size - w + 1)
-            mark = marks[li] = buf[:starts] >= probs[lo]
-            for j in range(1, w):
-                mark &= buf[j : j + starts] >= probs[lo + j]
-        tables: dict[int, list[int]] = {}
-
-        def table(r: int) -> list[int]:
-            """For the whole rows of ``buf`` that start at ``r + k * width``,
-            the sorted ``k`` whose row has an empty reduction chunk."""
-            if r not in tables:
-                whole = (size - r) // width
-                failing = np.zeros(whole, dtype=bool)
-                for li, lo, _ in reductions:
-                    failing |= marks[li][r + lo :: width][:whole]
-                tables[r] = np.flatnonzero(failing).tolist()
-            return tables[r]
-
-        def shifts(pos: int) -> list[int] | None:
-            """How many doubles later than in a row without redraws each
-            layer's chunk starts in the row at ``pos``, or None if the row
-            runs past the end of ``buf``."""
-            late = [0] * len(self.slots)
-            for li, lo, w in reductions:
-                c = pos + lo + late[li]
-                for _ in range(MAX_REDRAWS):
-                    # the chunk at ``c`` is layer ``li``'s in a row at ``c - lo``
-                    if c - lo + width > size:  # that row is not whole, so this one is not
-                        return None
-                    if not marks[li][c]:
-                        break
-                    c += w
-                else:
-                    raise RuntimeError(f"redraw cap exceeded in layer {li}")
-                late[li:] = [c - pos - lo] * (len(late) - li)
-            # the row ends where the whole row at the last ``c - lo`` does
-            return late
-
-        first, pos, fixes, crossed = row, 0, [], False
-        while row < n and pos + width <= size:
-            failing = table(pos % width)
-            k = pos // width
-            i = bisect.bisect_left(failing, k)
-            stop = failing[i] if i < len(failing) else (size - pos % width) // width
-            done = min(stop - k, n - row)
-            row += done
-            pos += done * width
-            if row == n or i == len(failing):
-                break
-            late = shifts(pos)
-            if late is None:
-                crossed = True
-                break
-            fixes.append((row - first, late))
-            row += 1
-            pos += width + late[-1]
-
-        rows = row - first
-        if fixes:
-            at = np.array([i for i, _ in fixes])
-            extra = np.array([s for _, s in fixes])[:, columns]
-            # rows after a redrawing row start its extra doubles later
-            step = np.zeros(rows + 1, dtype=np.intp)
-            step[at + 1] = extra[:, -1]
-            starts = np.arange(0, rows * width, width) + np.cumsum(step[:rows])
-            bits = sliding_window_view(buf, width)[starts] < probs
-            # and a redrawing row reads its later layers further on
-            bits[at] = buf[starts[at, None] + np.arange(width) + extra] < probs
-        else:  # the rows lie back to back
-            bits = buf[: rows * width].reshape(rows, width) < probs
-        out[first:row] = bits @ pack
-        if crossed:
-            out[row], rest = self._finish_row(rng, buf[pos:])
-            return row + 1, rest
-        return row, buf[pos:]
-
-    def _finish_row(self, rng: np.random.Generator, buf: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """One draw, layer by layer, from the doubles of ``buf`` and then
-        ``rng``.  Returns the row and the unused rest of ``buf``."""
-        row = []
-        for li in range(len(self.slots)):
-            mask, buf = self._layer_mask(rng, buf, li)
-            row.append(mask)
-        return row, buf
-
-    def _layer_mask(
-        self, rng: np.random.Generator, buf: np.ndarray, li: int
-    ) -> tuple[int, np.ndarray]:
-        """Layer ``li``'s mask from ``buf`` and then ``rng``: one double per
-        slot per attempt, redrawing an empty reduction chunk.  Returns the
-        mask and the unused rest of ``buf``."""
-        probs, role = self._probs[li], self.roles[li]
-        for _ in range(MAX_REDRAWS):
-            if buf.size < len(probs):
-                buf = np.concatenate((buf, rng.random(len(probs) - buf.size)))
-            chunk = buf[: len(probs)].tolist()
-            buf = buf[len(probs) :]
-            mask = sum(1 << j for j, (u, p) in enumerate(zip(chunk, probs)) if u < p)
-            if mask or role == NORMAL:
-                return mask, buf
-        raise RuntimeError(f"redraw cap exceeded in layer {li}")
 
     def draw_mask(self, rng: np.random.Generator, layer_index: int) -> int:
         """One draw of layer ``layer_index``'s mask alone, reading from
-        ``rng`` only that layer's doubles, as a draw of a sampler whose other
-        layers are empty would."""
-        mask, _ = self._layer_mask(rng, np.empty(0), layer_index)
-        return mask
+        ``rng`` one double per slot per attempt, an empty reduction mask
+        drawn again, as a draw of a sampler whose other layers are empty
+        would."""
+        probs, role = self._probs[layer_index], self.roles[layer_index]
+        for _ in range(MAX_REDRAWS):
+            chunk = rng.random(len(probs)).tolist()
+            mask = sum(1 << j for j, (u, p) in enumerate(zip(chunk, probs)) if u < p)
+            if mask or role == NORMAL:
+                return mask
+        raise RuntimeError(f"redraw cap exceeded in layer {layer_index}")
 
     def bits(self, row: Sequence[int]) -> np.ndarray:
         """The gate bits of a mask row as one flat bool vector, one column
@@ -606,8 +487,9 @@ def sample_uniform_architecture(
 ) -> Architecture:
     """Gate each active operation with probability 1/2.
 
-    Reduction layers reject all-zero draws and redraw, which leaves the
-    distribution uniform over their nonempty selections.
+    A draw in which some reduction layer selects nothing is drawn again
+    whole, which leaves each layer uniform over its allowed selections: any
+    subset of a normal layer, any nonempty subset of a reduction layer.
     """
     sampler = GateSampler.uniform(subset)
     return sampler.decode(sampler.draw(rng, 1)[0])

@@ -26,21 +26,19 @@ def rel_close(actual, expected, rel: float, abs_floor: float = 0.0) -> bool:
 
 
 def reference_draw(slots, roles, probs, rng):
-    """One draw's layer masks, drawn the plain way: layer by layer, one
-    ``rng.random`` call per layer attempt, an all-zero reduction layer redrawn
-    up to MAX_REDRAWS times, and no call at all for an empty layer."""
+    """One draw's layer masks, drawn the plain way: one ``rng.random`` call
+    per non-empty layer, and the whole row drawn again, up to MAX_REDRAWS
+    times, while some reduction layer selects nothing.  With one layer this
+    is a layer drawn alone."""
     from nse.space import MAX_REDRAWS
 
-    row = []
-    for li, (layer, role, p) in enumerate(zip(slots, roles, probs)):
-        if not layer:
-            row.append(0)
-            continue
-        for _ in range(MAX_REDRAWS):
-            bits = rng.random(len(layer)) < np.asarray(p, dtype=float)
-            if bits.any() or role == "normal":
-                break
-        else:
-            raise RuntimeError(f"redraw cap exceeded in layer {li}")
-        row.append(sum(1 << j for j, bit in enumerate(bits) if bit))
-    return row
+    for _ in range(MAX_REDRAWS):
+        row, empty = [], []
+        for li, (layer, role, p) in enumerate(zip(slots, roles, probs)):
+            bits = rng.random(len(layer)) < np.asarray(p, dtype=float) if layer else []
+            row.append(sum(1 << j for j, bit in enumerate(bits) if bit))
+            if role == "reduction" and not row[-1]:
+                empty.append(li)
+        if not empty:
+            return row
+    raise RuntimeError(f"redraw cap exceeded in layer {empty[0]}")

@@ -32,7 +32,7 @@
 - ``selection``: one layer's slot tuple, from any iterable of slots, as
   ``Architecture`` holds it.
 - ``dominates``, the pairwise Pareto order.
-- ``sample_space_architecture``, a second sampler of the K-bounded space;
+- ``space_sampler``, a second sampler of the K-bounded space;
   ``reference_keep_draws``, the retrieval keep loop that draws, prices and
   looks at every draw one at a time; and ``reference_retrieve_pareto``,
   retrieval with one evaluated record per kept draw.
@@ -643,14 +643,14 @@ def dominates(a: EvaluationRecord, b: EvaluationRecord) -> bool:
     )
 
 
-def sample_space_architecture(
-    subset: SubsetState, capacity: int, rng: np.random.Generator
-) -> Architecture:
-    """Uniform draw from the K-bounded architecture space over a subset.
+def space_sampler(subset: SubsetState, capacity: int):
+    """A uniform sampler of the K-bounded architecture space over a subset.
 
     Every selection of at most ``capacity`` active operations per layer
     (at least one on reduction layers) is equally likely, matching the
-    space that count_architectures counts.
+    space that count_architectures counts.  The per-layer size weights are
+    taken once; each call of the returned ``draw(rng)`` makes, per layer,
+    one ``rng.choice`` of a size and one of that many slots.
     """
     layers = []
     for li in range(subset.num_layers):
@@ -662,10 +662,17 @@ def sample_space_architecture(
         weights = np.array(
             [math.comb(len(slots), k) for k in range(low, hi + 1)], dtype=float
         )
-        k = low + int(rng.choice(len(weights), p=weights / weights.sum()))
-        picked = rng.choice(len(slots), size=k, replace=False) if k else []
-        layers.append(frozenset(slots[i] for i in picked))
-    return Architecture(layers)
+        layers.append((slots, low, len(weights), weights / weights.sum()))
+
+    def draw(rng: np.random.Generator) -> Architecture:
+        picks = []
+        for slots, low, sizes, p in layers:
+            k = low + int(rng.choice(sizes, p=p))
+            picked = rng.choice(len(slots), size=k, replace=False) if k else []
+            picks.append([slots[i] for i in picked])
+        return Architecture(picks)
+
+    return draw
 
 
 def reference_keep_draws(sampler, table, retrieval, constraint, rng):

@@ -26,9 +26,9 @@ from reference import (
     layer_forward,
     pair_of,
     relu,
-    sample_space_architecture,
     selection,
     set_mode,
+    space_sampler,
     state_hash,
     tanh,
     train_architecture,
@@ -500,7 +500,7 @@ def _supernet_setting():
 def test_criterion_7_supernet_evolution_effectiveness():
     started = time.perf_counter()
     pool, geometry, table, dataset, training = _supernet_setting()
-    space = full_subset(pool)
+    draw_baseline = space_sampler(full_subset(pool), 4)
     gaps = []
     for seed in range(5):
         engine = Engine(
@@ -526,7 +526,7 @@ def test_criterion_7_supernet_evolution_effectiveness():
         baseline = []
         draws = 0
         while len(baseline) < 10 and draws < 150_000:
-            arch = sample_space_architecture(space, 4, rng)
+            arch = draw_baseline(rng)
             draws += 1
             if architecture_cost(arch, table) <= SUPERNET_TAU:
                 baseline.append(arch)

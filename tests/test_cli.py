@@ -673,14 +673,15 @@ def test_front_records_read_back_to_their_id_and_closed_form_score(tmp_path):
 
 
 def test_auxiliary_one_no_longer_empties_the_front(tmp_path, monkeypatch):
-    # every raw-front point of round 1 sits near tau and the single
-    # auxiliary sample beats them all; the edging filter used to empty the
-    # front and the run failed with exit code 3
+    # with a band as wide as tau, every raw-front point of round 1 sits near
+    # tau and the single auxiliary sample beats them all; the edging filter
+    # used to empty the front and the run failed with exit code 3
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("NSE_SEED", raising=False)
     path = tmp_path / "aux1.json"
     path.write_text(json.dumps({
-        "evaluator": "supernet", "max_rounds": 2, "constraint": {"tau": 3.5, "alpha": 4e-3},
+        "evaluator": "supernet", "master_seed": 1, "max_rounds": 2,
+        "constraint": {"tau": 3.5, "alpha": 4e-3, "edging_margin": 1.0},
         "retrieval": {"samples": 10, "auxiliary": 1}, "training": {"steps": 900, "warmup_steps": 40},
     }))
     assert main(["run", str(path)]) == 0
@@ -697,20 +698,20 @@ def test_config_hash_names_the_science_not_the_output_dir():
     assert resolved_dict(a)["output_dir"] == "a"
 
 
-# sha256 of each artifact with its config hash cut out, as written by the
-# code before retrieval drew blocks of gate bitmasks; a change that alters a
-# single byte of the science (RNG stream, summation order, accept rules)
-# shows here
+# sha256 of each artifact with its config hash cut out, as written since the
+# sampler draws a row with an empty reduction layer again whole; a change that
+# alters a single byte of the science (RNG stream, summation order, accept
+# rules) shows here
 PINNED_DIGESTS = {
-    "round_001/pareto.json": "2e6063753bbcb498312414139eb6770c23f60168d8a70b4791ab011fcfb74e2a",
+    "round_001/pareto.json": "89e1f36ae3001191b656c83095e67f0003a4f649e669267e77a0ab9836208de8",
     "round_001/subset.json": "6038bc9c20a83e359948d91054aaa513a6f580ab92a5ce4a49cde2c53fffdec2",
     "round_001/ledger.json": "684a96a7f879061d7649278b6a4c5f7ac94742e7f1fe0b571eba6d621d294db9",
-    "round_002/pareto.json": "f69063f6396148df2113b4e9644c32e2718f7abb1cc0add3ecc558393f927f35",
-    "round_002/subset.json": "62bc3671d036dea7a17fbe0200864168d1ef6331e3ba1c1262e1be3e51bbf008",
-    "round_002/ledger.json": "fa8ff47febac0c9d7ef8a5183c82a8003880fcbab42fc0b98dd751a76b70145c",
-    "round_003/pareto.json": "ce6af0219e67ef7247f78b79cc768fe11fbb405da60abf1ea7b087c57a66e771",
-    "round_003/subset.json": "ada9281aafd8848b92593496001aabc648347b1e261bce8d84c07fc2ddb5d9f0",
-    "round_003/ledger.json": "21cebdc788a1b0a9ed73885ba02da8d4ce546495e309aaf973d542185f617e61",
+    "round_002/pareto.json": "fa04c4ed6ecf7dfe4858da2e6eb85738da955ff6d5021992843964a0c44aec0a",
+    "round_002/subset.json": "1dfe8ebf33871600f35af26e74262d790a84e9cd603699b4f80cec19bf6bbee7",
+    "round_002/ledger.json": "128a1f7bca0489f9d6d8d4c1df4674d171adbdb25f7dd0705644ff1d9d5a7dd8",
+    "round_003/pareto.json": "6bd12d454c2bf29b68135e12f875d72740f4690f21bfc7515ec5fe10e85fcc5e",
+    "round_003/subset.json": "d1d458b8c7f66be82d7c6d064eaf7adf9c9e31a625fc2dc6aef44e315f77fbf5",
+    "round_003/ledger.json": "df1e07ec098a39a55e3e0c4268ab8a28b25eee43b4ef69fad63d72732e82094b",
 }
 
 
@@ -764,7 +765,7 @@ def test_pinned_oracle_artifacts_are_byte_identical(tmp_path, monkeypatch):
         json.loads((out / f"round_00{r}" / "manifest.json").read_text())["diagnostics"]["draws"]
         for r in (1, 2, 3)
     ]
-    assert draws == [569, 879, 877]
+    assert draws == [683, 828, 535]
 
 
 @pytest.mark.parametrize("block_doubles", [64, 1 << 20])
@@ -785,19 +786,20 @@ def test_pinned_oracle_artifacts_do_not_depend_on_the_block_size(
 
 
 # sha256 of each artifact of a small supernet run with its config hash cut
-# out, as written when training still ran on the autodiff tape; the explicit
-# per-layer backward must reproduce them byte for byte.  The batch size is not
-# a power of two, so dividing by it and multiplying by its reciprocal differ
+# out.  The explicit per-layer backward reproduced the autodiff tape's
+# artifacts byte for byte; these were taken again once, when the sampler began
+# to draw a row with an empty reduction layer again whole.  The batch size is
+# not a power of two, so dividing by it and multiplying by its reciprocal differ
 PINNED_SUPERNET_DIGESTS = {
-    "round_001/pareto.json": "36415ffab8b3998dfcbf6a7b0ba126b83b9708066870f3d1264f7f1eed0bb271",
-    "round_001/subset.json": "0e3c0a2d06deec9c5324db3764bd4e2ba799886960fe874b381ab5cf350c6515",
+    "round_001/pareto.json": "5384ae75becf15d69d7308e2fce3978adc0f6af13f294e68d8db53d340b8ced2",
+    "round_001/subset.json": "b59733db671f35d1c063b9c172b1017ff7e33a71303eeed615ccf32bffc789ff",
     "round_001/ledger.json": "a6ecdbc89a0e68a6bc6f90756b8d8c8cec7bf3c0064b88d9a9566588ea560240",
-    "round_002/pareto.json": "e6cd742ec245316f7378dbaadf5bf0344798fc12aa3ab372c4d1a482d2562439",
-    "round_002/subset.json": "de78fda283ec4a5abf1b783fe8c527eac143a592e3b610d7371bf2aa575f4d09",
-    "round_002/ledger.json": "13ecd3b66650cd8bcbb4a25bd3f5ca107714374c3b992441dee1da3b21d4d577",
-    "round_003/pareto.json": "db18c876968cea04ee936da86912f08a302541787672b0f74b8c325716f5ca4a",
-    "round_003/subset.json": "01badf773e3823478b301d614d7a172a05d2d42168b366cb04b6e2c2fea2a1e1",
-    "round_003/ledger.json": "c07a8982cf791103a9b4883b3a1e1ffb81635fe37d73857eb2f0ead3594d6b50",
+    "round_002/pareto.json": "b685ade92565b383525fb62f2f047d639ecd3318fcee285456be90e1f5903f2a",
+    "round_002/subset.json": "80cde25ee088d2def5d225209882976a669017610e01c95aa877faab81b30527",
+    "round_002/ledger.json": "c732acc2a33d3506b92efd999e451d4ac6271d010e1f9925ed00a50617ad0f73",
+    "round_003/pareto.json": "28668a57e7ee3de067db7400eb089c631323430a6791c2ce3db7a4211ddba025",
+    "round_003/subset.json": "8e516b7bfb3de5acb2a121fc1348784ad09eac86e4bbea9dba64b41a09f3d733",
+    "round_003/ledger.json": "5f5d08618a8af88422f8194561123d398b2e433a13dfa400462a6719e31b5898",
 }
 
 

@@ -106,8 +106,13 @@ def _var(inv):
     return 1.0 / (inv * inv) - EPS_NORM
 
 
+def fold_stack(stack):
+    """A recalibration that folds ``stack`` with its sums over axis 1."""
+    return nn.Recalibration().fold(stack, stack.sum(axis=1, keepdims=True))
+
+
 def test_recalibrate_constant_batch():
-    mean, inv = nn.Recalibration().fold(np.full((1, 10, 3), 2.5)).stats()
+    mean, inv = fold_stack(np.full((1, 10, 3), 2.5)).stats()
     assert mean == pytest.approx([2.5] * 3)
     assert _var(inv) == pytest.approx([0.0] * 3, abs=1e-12)
 
@@ -115,8 +120,8 @@ def test_recalibrate_constant_batch():
 def test_recalibrate_idempotent_for_duplicate_batches():
     rng = make_rng("recal", 1)
     batch = rng.normal(size=(16, 4))
-    one = nn.Recalibration().fold(batch[None]).stats()
-    two = nn.Recalibration().fold(np.stack([batch, batch])).stats()
+    one = fold_stack(batch[None]).stats()
+    two = fold_stack(np.stack([batch, batch])).stats()
     assert one[0] == pytest.approx(two[0], abs=1e-12)
     assert _var(one[1]) == pytest.approx(_var(two[1]), abs=1e-12)
 
@@ -127,7 +132,7 @@ def test_recalibrate_matches_whole_dataset_oracle():
     batches = [rng.normal(size=(int(rng.integers(4, 20)), 5)) for _ in range(7)]
     size = min(len(b) for b in batches)
     batches = [b[:size] for b in batches]
-    mean, inv = nn.Recalibration().fold(np.stack(batches)).stats()
+    mean, inv = fold_stack(np.stack(batches)).stats()
     everything = np.concatenate(batches, axis=0)
     assert np.max(np.abs(mean - everything.mean(axis=0))) < 1e-10
     assert np.max(np.abs(_var(inv) - everything.var(axis=0))) < 1e-10
@@ -137,9 +142,9 @@ def test_recalibrate_empty_raises():
     with pytest.raises(ValueError):
         nn.Recalibration().stats()
     with pytest.raises(ValueError):
-        nn.Recalibration().fold(np.zeros((0, 8, 2))).stats()
+        fold_stack(np.zeros((0, 8, 2))).stats()
     with pytest.raises(ValueError):
-        nn.Recalibration().fold(np.zeros((3, 0, 2))).stats()
+        fold_stack(np.zeros((3, 0, 2))).stats()
 
 
 def fold_batches(batches):
@@ -164,7 +169,7 @@ def test_recalibration_does_not_depend_on_prior_running_values(fold):
     def stats():
         if fold == "normalize":  # a non-last layer reuses its output's sums
             return nn.Recalibration().fold(stack, nn.normalize_train_stack(stack)[3]).stats()
-        return nn.Recalibration().fold(stack).stats()  # the fold takes its own sums
+        return fold_stack(stack).stats()  # the stack's own sums
 
     fresh = stats()
     for _ in range(4):
@@ -315,7 +320,7 @@ def test_stacked_recalibration_equals_folding_batches_one_at_a_time(count):
     batches = [rng.normal(size=(32, 6)) * 2.0 + 1.0 for _ in range(count)]
     expected = fold_batches(batches)
     stack = np.stack(batches)
-    for sums in (None, nn.normalize_train_stack(stack)[3]):
+    for sums in (stack.sum(axis=1, keepdims=True), nn.normalize_train_stack(stack)[3]):
         mean, inv = nn.Recalibration().fold(stack, sums).stats()
         assert np.array_equal(mean, expected[0])
         assert np.array_equal(inv, expected[1])
@@ -332,7 +337,8 @@ def test_folding_a_stack_in_blocks_equals_folding_batches_one_at_a_time():
             fold = nn.Recalibration()
             for start in range(0, count, per_block):
                 block = stack[start : start + per_block]
-                fold.fold(block, nn.normalize_train_stack(block)[3] if with_sums else None)
+                own = block.sum(axis=1, keepdims=True)
+                fold.fold(block, nn.normalize_train_stack(block)[3] if with_sums else own)
             assert fold.count == count * 32
             mean, inv = fold.stats()
             assert np.array_equal(mean, expected[0])
@@ -342,7 +348,7 @@ def test_folding_a_stack_in_blocks_equals_folding_batches_one_at_a_time():
 def test_fixed_normalize_equals_the_tape_and_checks_shapes():
     rng = make_rng("fixed-norm", 0)
     stack = rng.normal(size=(3, 16, 5)) * 2.0 + 1.0
-    mean, inv = nn.Recalibration().fold(stack).stats()
+    mean, inv = fold_stack(stack).stats()
     for k in range(len(stack)):
         out = nn.normalize_fixed(stack[k], mean, inv)
         assert np.array_equal(out, normalize(Tensor(stack[k]), (mean, inv)).data)
@@ -353,9 +359,9 @@ def test_fixed_normalize_equals_the_tape_and_checks_shapes():
     with pytest.raises(nn.ShapeError):
         normalize(Tensor(stack[0]), (mean, inv[:4]))
     with pytest.raises(nn.ShapeError):
-        nn.Recalibration().fold(stack[0])
+        fold_stack(stack[0])
     with pytest.raises(nn.ShapeError):
-        nn.Recalibration().fold(stack).fold(stack[:, :, :4])
+        fold_stack(stack).fold(stack[:, :, :4], stack[:, :, :4].sum(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("count", [1, 3, 8])

@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from conftest import reference_draw
-from reference import sample_space_architecture
+from reference import space_sampler
 from nse.rng import make_rng
 from nse import space
 from nse.space import (
@@ -137,11 +138,11 @@ def test_uniform_sampling_reduction_conditional_distribution():
 def test_space_sampler_is_uniform_over_bounded_selections():
     pool = shuffle_pool(declared(["normal"], [3]), seed=0)
     subset = space.full_subset(pool)
-    rng = make_rng("space-sample", 0)
+    rng, draw = make_rng("space-sample", 0), space_sampler(subset, 2)
     n = 70_000
     freq: dict = {}
     for _ in range(n):
-        arch = sample_space_architecture(subset, 2, rng)
+        arch = draw(rng)
         freq[arch.layers] = freq.get(arch.layers, 0) + 1
     assert len(freq) == 7  # sizes 0..2 over 3 slots
     for count in freq.values():
@@ -151,9 +152,9 @@ def test_space_sampler_is_uniform_over_bounded_selections():
 def test_space_sampler_respects_reduction_floor():
     pool = shuffle_pool(declared(["reduction"], [3]), seed=0)
     subset = space.full_subset(pool)
-    rng = make_rng("space-sample", 1)
+    rng, draw = make_rng("space-sample", 1), space_sampler(subset, 2)
     for _ in range(300):
-        arch = sample_space_architecture(subset, 2, rng)
+        arch = draw(rng)
         assert 1 <= len(arch.layers[0]) <= 2
 
 
@@ -342,12 +343,19 @@ SAMPLER_CASES = {
         ["normal", "reduction", "reduction"],
         [[0.9, 0.2], [0.1, 0.05, 0.3], [0.15]],
     ),
-    # a one-slot reduction layer (redrawn half the time) and an empty
+    # a one-slot reduction layer (its row dropped half the time) and an empty
     # normal layer, which reads no doubles
     "redraws": (
         [[3], [], [0, 1, 2, 3, 4, 5]],
         ["reduction", "normal", "normal"],
         [[0.5], [], [0.5] * 6],
+    ),
+    # a rarely set one-slot reduction layer after a normal layer: about 49
+    # of every 50 draws are dropped
+    "rare": (
+        [[0, 1], [3]],
+        ["normal", "reduction"],
+        [[0.5, 0.5], [0.02]],
     ),
 }
 
@@ -415,25 +423,56 @@ def test_gate_sampler_draw_equals_reference_on_random_configs(n):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_gate_sampler_fetches_mid_row_when_redraws_outrun_the_buffer(monkeypatch):
-    # a rarely set one-slot reduction layer after a normal layer: the first
-    # rows' redraws run past the 2 * width doubles fetched up front
-    slots, roles, probs = [[0, 1], [3]], ["normal", "reduction"], [[0.5, 0.5], [0.02]]
-    finished = []
-    finish_row = GateSampler._finish_row
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_redraw_cap_names_the_first_empty_layer_of_the_last_dropped_draw(n):
+    # layer 2 is never set and layer 0 half the time: the cap's message names
+    # whichever is first empty in the draw that reaches it
+    slots, roles = [[1], [0, 2], [5]], ["reduction", "normal", "reduction"]
+    probs = [[0.5], [0.5, 0.5], [0.0]]
+    messages = set()
+    for seed in range(4):
+        with pytest.raises(RuntimeError) as want:
+            reference_draw(slots, roles, probs, make_rng("cap-layer", seed))
+        with pytest.raises(RuntimeError) as got:
+            GateSampler(slots, roles, probs).draw(make_rng("cap-layer", seed), n)
+        assert str(got.value) == str(want.value)
+        messages.add(str(got.value))
+    assert messages == {f"redraw cap exceeded in layer {li}" for li in (0, 2)}
 
-    def spy(self, *args):
-        finished.append(args)
-        return finish_row(self, *args)
 
-    monkeypatch.setattr(GateSampler, "_finish_row", spy)
-    for seed in range(5):
-        rng, ref = make_rng("mid-row", seed), make_rng("mid-row", seed)
-        masks = GateSampler(slots, roles, probs).draw(rng, 2)
-        assert masks.tolist() == [reference_draw(slots, roles, probs, ref) for _ in range(2)]
-        assert rng.bit_generator.state == ref.bit_generator.state
-    # in a multi-row draw only a row that outruns the buffer is handed over
-    assert finished
+def mask_law(probs):
+    """The exact probability of each non-empty mask of one layer, given that
+    the layer selects something."""
+    law = {}
+    for mask in range(1, 1 << len(probs)):
+        law[mask] = math.prod(p if mask >> j & 1 else 1.0 - p for j, p in enumerate(probs))
+    total = sum(law.values())
+    return {mask: p / total for mask, p in law.items()}
+
+
+def test_dropping_whole_rows_keeps_each_reduction_layer_law():
+    # two reduction layers with unequal gates, drawn in one block: each
+    # layer's masks follow P(mask) / P(non-empty), and the two layers are
+    # independent, so their joint frequencies are the product of those laws
+    probs = [[0.2, 0.6], [0.3, 0.1, 0.5]]
+    n = 200_000
+    rows = GateSampler([[0, 1], [0, 1, 2]], ["reduction", "reduction"], probs).draw(
+        make_rng("row-law", 0), n
+    )
+    laws = [mask_law(p) for p in probs]
+
+    def close(count, p):
+        # within five standard errors of a binomial frequency
+        return abs(count / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+    for li, law in enumerate(laws):
+        masks, counts = np.unique(rows[:, li], return_counts=True)
+        assert sorted(masks.tolist()) == sorted(law)
+        assert all(close(c, law[m]) for m, c in zip(masks.tolist(), counts.tolist()))
+    pairs, counts = np.unique(rows, axis=0, return_counts=True)
+    assert len(pairs) == len(laws[0]) * len(laws[1])
+    for (a, b), c in zip(pairs.tolist(), counts.tolist()):
+        assert close(c, laws[0][a] * laws[1][b])
 
 
 def test_draw_gate_reads_one_layer_of_doubles_per_attempt():

@@ -381,7 +381,9 @@ def graph_evaluation(weights, arch, data, recal, batch_size):
     if keys:
         for xb in recal:
             forward(weights, arch.layers, Tensor(xb))
-        stats.update({k: Recalibration().fold(np.stack(stats[k])).stats() for k in keys})
+        for k in keys:
+            y = np.stack(stats[k])
+            stats[k] = Recalibration().fold(y, y.sum(axis=1, keepdims=True)).stats()
     correct = 0
     all_logits = []
     for start in range(0, len(data.x_val), batch_size):
