@@ -5,13 +5,13 @@ the operation's Bernoulli selection probability, and a layer configuration's
 probability is the product over its gates.  The indicator table is one
 flat array with a column per active slot, in a ``GateSampler``'s gate-bit
 order; probabilities, gradients and Adam moments are arrays in that order.
-Each indicator step draws every layer's configuration pair from one sampler
-of the probabilities and trains the indicators with a two-configuration
-simulated gradient: the network is forwarded under one sampled
-configuration per layer, a second configuration is scored on the same layer
-inputs without gradients, and the pair probabilities are rescaled to sum to
-one.  A resource regularizer pushes the expected pair cost toward the
-target demand.
+Each indicator step draws its configuration pair as two whole rows of one
+sampler of the probabilities and trains the indicators with a
+two-configuration simulated gradient: the network is forwarded under the
+first row's configuration, each layer of the second row is scored on the
+same layer inputs without gradients, and each layer's pair probabilities
+are rescaled to sum to one.  A resource regularizer pushes the expected
+pair cost toward the target demand.
 
 Threshold pruning deactivates operations whose indicator falls below the
 pruning threshold, except inherited operations (locked) and the last active
@@ -187,13 +187,14 @@ def indicator_update_step(
 ) -> dict:
     """One simulated-gradient update of the indicator table.
 
-    Draws every layer's configuration pair from one sampler of the table's
-    probabilities, forwards the first configuration through the whole
-    network on a validation batch, reads each layer output's gradient from
-    the backward pass (no weight gradients are formed), scores the second
-    configuration on the same layer inputs without gradients, reusing the
-    branch outputs the two share, and applies the rescaled-pair chain rule
-    plus the resource penalty.  Shared weights are not updated.
+    Draws the configuration pair as one block of two rows from a sampler of
+    the table's probabilities, as retrieval draws its rows; forwards the
+    first row's configuration through the whole network on a validation
+    batch, reads each layer output's gradient from the backward pass (no
+    weight gradients are formed), scores the second row's configuration on
+    the same layer inputs without gradients, reusing the branch outputs the
+    two share, and applies the rescaled-pair chain rule plus the resource
+    penalty.  Shared weights are not updated.
 
     Each layer's scalars (its scores, pair probabilities and costs) are
     Python floats; every per-column expression is an array expression over
@@ -202,9 +203,9 @@ def indicator_update_step(
     x, y = val_batch
     probs = thetas.probabilities()
     sampler = indicator_sampler(thetas, subset.roles, probs)
-    pairs = [(sampler.draw_mask(rng, li), sampler.draw_mask(rng, li)) for li in range(subset.num_layers)]
-    row_a, row_b = zip(*pairs)
-    bits_a, bits_b = sampler.bits(row_a), sampler.bits(row_b)
+    rows = sampler.draw(rng, 2)
+    row_a, row_b = rows.tolist()
+    bits_a, bits_b = sampler.bits(rows)
 
     record = weights.train_forward(sampler.decode(row_a).layers, x)
     loss, dlogits = nn.softmax_cross_entropy_array(record.logits, y)

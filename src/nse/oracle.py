@@ -138,22 +138,20 @@ def oracle_score(arch: Architecture, bench: SyntheticBenchmark) -> tuple[float, 
 
 
 class OracleEvaluator:
-    """``oracle_score`` on mask rows, each layer's saturated score memoised.
+    """``oracle_score`` on mask rows.
 
-    ``evaluate`` looks the values up per layer mask of a sampler's rows, in
-    tables filled from the slots the masks select as they occur, and folds a
-    row's values with ``_accuracy``, so every accuracy equals
+    ``evaluate`` computes each layer's saturated score once per distinct
+    layer mask of the rows it is given, from the slots the mask selects,
+    and folds a row's values with ``_accuracy``, so every accuracy equals
     ``oracle_score``'s.
     """
 
     def __init__(self, benchmark: SyntheticBenchmark):
         self.benchmark = benchmark
-        # per sampler slot layout: one table of mask -> value per layer
-        self._masks: dict[tuple[tuple[int, ...], ...], list[dict[int, float]]] = {}
 
     def evaluate(self, sampler: GateSampler, rows: Sequence[Sequence[int]]) -> list[float]:
-        tables = self._masks.setdefault(sampler.slots, [{} for _ in sampler.slots])
-        for li, (table, masks) in enumerate(zip(tables, zip(*rows))):
-            for mask in set(masks).difference(table):
-                table[mask] = _layer_value(self.benchmark, li, sampler.selection(li, mask))
+        tables = [  # per layer: mask -> value
+            {mask: _layer_value(self.benchmark, li, sampler.selection(li, mask)) for mask in set(masks)}
+            for li, masks in enumerate(zip(*rows))
+        ]
         return [_accuracy(self.benchmark, map(dict.__getitem__, tables, row)) for row in rows]

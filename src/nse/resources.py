@@ -61,12 +61,11 @@ class CostTable:
             if key == "_overhead" or key == "unit":
                 continue
             layer, slot = key.split(".")
-            cost[(int(layer), int(slot))] = float(value)
-        return CostTable(
-            cost=cost,
-            fixed_overhead=float(data.get("_overhead", 0.0)),
-            unit=str(data.get("unit", "units")),
-        )
+            cost[(int(layer), int(slot))] = _number(key, value)
+        unit = data.get("unit", "units")
+        if not isinstance(unit, str):
+            raise ResourceError(f"'unit' must be a string, not {type(unit).__name__!r}")
+        return CostTable(cost, _number("_overhead", data.get("_overhead", 0.0)), unit)
 
     @staticmethod
     def load(path: str) -> "CostTable":
@@ -94,6 +93,17 @@ class ConstraintConfig:
     def __post_init__(self) -> None:
         if self.upper_bound is None:
             self.upper_bound = self.tau
+
+
+def _number(key: str, value) -> float:
+    """A cost table file's number at ``key``: a bool or a string is refused
+    rather than read as ``float`` would read it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ResourceError(f"{key!r} must be a number, not {type(value).__name__!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ResourceError(f"{key!r} must be a finite number") from None
 
 
 def architecture_cost(arch: Architecture, table: CostTable) -> float:

@@ -441,25 +441,13 @@ class GateSampler:
             row, run = row + kept.size, runs[-1]
         return out
 
-    def draw_mask(self, rng: np.random.Generator, layer_index: int) -> int:
-        """One draw of layer ``layer_index``'s mask alone, reading from
-        ``rng`` one double per slot per attempt, an empty reduction mask
-        drawn again, as a draw of a sampler whose other layers are empty
-        would."""
-        probs, role = self._probs[layer_index], self.roles[layer_index]
-        for _ in range(MAX_REDRAWS):
-            chunk = rng.random(len(probs)).tolist()
-            mask = sum(1 << j for j, (u, p) in enumerate(zip(chunk, probs)) if u < p)
-            if mask or role == NORMAL:
-                return mask
-        raise RuntimeError(f"redraw cap exceeded in layer {layer_index}")
-
-    def bits(self, row: Sequence[int]) -> np.ndarray:
+    def bits(self, rows: Sequence) -> np.ndarray:
         """The gate bits of a mask row as one flat bool vector, one column
         per active slot in layer order: bit ``j`` of layer ``l``'s mask is
-        column ``j`` of the layer's columns."""
+        column ``j`` of the layer's columns.  A block of rows gives one such
+        vector per row."""
         _, pack, columns, _ = self._arrays
-        return (np.asarray(row, dtype=np.int64)[columns] & pack.sum(axis=1)) != 0
+        return (np.asarray(rows, dtype=np.int64)[..., columns] & pack.sum(axis=1)) != 0
 
     def selection(self, layer_index: int, mask: int) -> tuple[int, ...]:
         """The ascending slots a layer mask selects."""

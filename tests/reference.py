@@ -491,8 +491,13 @@ def gate_bits(selected: Sequence[int], slots: Sequence[int]) -> np.ndarray:
 
 
 def draw_gate(sampler: GateSampler, rng: np.random.Generator, layer_index: int) -> tuple[int, ...]:
-    """One layer drawn alone, as its slot tuple."""
-    return sampler.selection(layer_index, sampler.draw_mask(rng, layer_index))
+    """One layer drawn alone, as its slot tuple: one row of a one-layer
+    sampler of that layer, which reads only the layer's doubles, one per
+    slot per attempt."""
+    alone = GateSampler(
+        [sampler.slots[layer_index]], [sampler.roles[layer_index]], [sampler._probs[layer_index]]
+    )
+    return alone.selection(0, alone.draw(rng, 1)[0, 0])
 
 
 def pair_of(bits_a: np.ndarray, bits_b: np.ndarray, probs: np.ndarray) -> tuple:

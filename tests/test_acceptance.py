@@ -18,7 +18,6 @@ from reference import (
     brute_force_pareto,
     column,
     constrained_optimum,
-    draw_gate,
     enumerate_architectures,
     exhaustive_ce_grads,
     gate_bits,
@@ -317,9 +316,10 @@ def test_criterion_4_two_config_estimator_direction():
             )
         acc = np.zeros(layer_k)
         sampler = indicator_sampler(table, ["normal"])
-        for _ in range(resamples):
-            g_a = draw_gate(sampler, rng, 0)
-            g_b = draw_gate(sampler, rng, 0)
+        # one block of the one-layer sampler: the rows of 2 * resamples
+        # one-row draws, taken in pairs
+        gates = [sampler.selection(0, m) for m in sampler.draw(rng, 2 * resamples)[:, 0].tolist()]
+        for g_a, g_b in zip(gates[::2], gates[1::2]):
             grads = two_config_ce_grads(
                 mix_cache[g_a], mix_cache[g_b], g_a, g_b, slots, thetas
             )

@@ -488,8 +488,9 @@ def test_supernet_run_with_file_cost_table(tmp_path, capsys):
     table = {f"{op.layer_index}.{op.slot_index}": 3.0 for layer in pool.layers for op in layer.pool}
     table["_overhead"] = 1.0
     table["unit"] = "ms"
-    # so is a malformed file, a bad key, a negative cost and a missing slot,
-    # each reported before training starts
+    # so is a malformed file, a bad key, a negative cost, a cost, overhead or
+    # unit of the wrong type and a missing slot, each reported before
+    # training starts
     first = f"{pool.layers[0].pool[0].layer_index}.{pool.layers[0].pool[0].slot_index}"
     bad = {
         "{not json": "is not valid JSON",
@@ -497,6 +498,12 @@ def test_supernet_run_with_file_cost_table(tmp_path, capsys):
         json.dumps({**table, "0.x": 1.0}): "invalid literal",
         json.dumps({**table, first: -1.0}): "finite and nonnegative",
         json.dumps({**table, first: None}): "not 'NoneType'",
+        json.dumps({**table, first: True}): f"'{first}' must be a number, not 'bool'",
+        json.dumps({**table, first: "7.5"}): f"'{first}' must be a number, not 'str'",
+        json.dumps({**table, first: 10**400}): f"'{first}' must be a finite number",
+        json.dumps({**table, "_overhead": "3"}): "'_overhead' must be a number, not 'str'",
+        json.dumps({**table, "_overhead": False}): "'_overhead' must be a number, not 'bool'",
+        json.dumps({**table, "unit": 5}): "'unit' must be a string, not 'int'",
         json.dumps({"0.11": 3.0}): "no entry for layer 0 slot 0",
     }
     for text, message in bad.items():
@@ -788,18 +795,20 @@ def test_pinned_oracle_artifacts_do_not_depend_on_the_block_size(
 # sha256 of each artifact of a small supernet run with its config hash cut
 # out.  The explicit per-layer backward reproduced the autodiff tape's
 # artifacts byte for byte; these were taken again once, when the sampler began
-# to draw a row with an empty reduction layer again whole.  The batch size is
+# to draw a row with an empty reduction layer again whole, and once more when
+# the indicator step began to draw its pair as two such rows.  The batch size is
 # not a power of two, so dividing by it and multiplying by its reciprocal differ
+# in the last bits, and these digests tell the two apart.
 PINNED_SUPERNET_DIGESTS = {
-    "round_001/pareto.json": "5384ae75becf15d69d7308e2fce3978adc0f6af13f294e68d8db53d340b8ced2",
-    "round_001/subset.json": "b59733db671f35d1c063b9c172b1017ff7e33a71303eeed615ccf32bffc789ff",
+    "round_001/pareto.json": "a1283380c2c8815f2331ef985e9f8e0aa6ad7a359e6064be3f10addd1fa15742",
+    "round_001/subset.json": "043dbccc2150b8db31f1a12c06798a753cbccbb0e4c344362483a0601abc012b",
     "round_001/ledger.json": "a6ecdbc89a0e68a6bc6f90756b8d8c8cec7bf3c0064b88d9a9566588ea560240",
-    "round_002/pareto.json": "b685ade92565b383525fb62f2f047d639ecd3318fcee285456be90e1f5903f2a",
-    "round_002/subset.json": "80cde25ee088d2def5d225209882976a669017610e01c95aa877faab81b30527",
-    "round_002/ledger.json": "c732acc2a33d3506b92efd999e451d4ac6271d010e1f9925ed00a50617ad0f73",
-    "round_003/pareto.json": "28668a57e7ee3de067db7400eb089c631323430a6791c2ce3db7a4211ddba025",
-    "round_003/subset.json": "8e516b7bfb3de5acb2a121fc1348784ad09eac86e4bbea9dba64b41a09f3d733",
-    "round_003/ledger.json": "5f5d08618a8af88422f8194561123d398b2e433a13dfa400462a6719e31b5898",
+    "round_002/pareto.json": "4dd76de951cc31f5e90b3d7a5439dfe69398c6bf7d8a8d2b6d292acff2b3f769",
+    "round_002/subset.json": "d851fc521ea5ea688f4dd153738e36c7be5780b1aaaff89890bbfdc5f8813987",
+    "round_002/ledger.json": "044d141a6b85d99d3b22d534d17f160883420c73b7ab18c85a2dfad99d74eebb",
+    "round_003/pareto.json": "7c2049316346e6ac7b9083df38943c6aa9ea39b9f7b863b0e81ca388101a73b5",
+    "round_003/subset.json": "7ebea6907b61f37d911f9ec70b065b545bb4cd9954ed2a6291e854a839f2f4c6",
+    "round_003/ledger.json": "fe6a3de9b56f5f7247fa1badac11f0c7e1c86ed2a48cd6d13a7d6a39041395a6",
 }
 
 

@@ -100,12 +100,9 @@ def test_sample_config_monte_carlo_frequencies():
     probs = [sigmoid(0.7), sigmoid(-1.1), 0.5]
     rng = make_rng("freq", 1)
     n = 100_000
-    counts = np.zeros(3)
     sampler = indicator_sampler(thetas, ["normal"])
-    for _ in range(n):
-        gate = draw_gate(sampler, rng, 0)
-        for s in gate:
-            counts[s] += 1
+    # a one-layer block: the rows of n draw_gate calls
+    counts = sampler.bits(sampler.draw(rng, n)).sum(axis=0)
     for s in range(3):
         assert abs(counts[s] / n - probs[s]) < 0.01
 
@@ -114,11 +111,10 @@ def test_sample_config_zero_thetas_matches_uniform_law():
     thetas = make_thetas([{0: 0.0, 1: 0.0}])
     rng = make_rng("unif", 2)
     n = 60_000
-    freq: dict = {}
     sampler = indicator_sampler(thetas, ["reduction"])
-    for _ in range(n):
-        gate = draw_gate(sampler, rng, 0)
-        freq[gate] = freq.get(gate, 0) + 1
+    # a one-layer block: the rows of n draw_gate calls
+    masks, counts = np.unique(sampler.draw(rng, n)[:, 0], return_counts=True)
+    freq = {sampler.selection(0, m): c for m, c in zip(masks.tolist(), counts.tolist())}
     for key in ((0,), (1,), (0, 1)):
         assert abs(freq.get(key, 0) / n - 1 / 3) < 0.012
 
@@ -282,14 +278,9 @@ def test_penalty_only_update_pushes_costly_ops_down():
     for attempt in range(50):
         thetas = FitnessIndicators.for_subset(subset)
         opt = ThetaAdam(lr=0.1)
-        # replay the step's per-layer draw order: g_a then g_b per layer
-        probe = make_rng("pair", attempt)
-        sampler = indicator_sampler(thetas, subset.roles)
-        g_as, g_bs = [], []
-        for li in range(3):
-            g_as.append(draw_gate(sampler, probe, li))
-            g_bs.append(draw_gate(sampler, probe, li))
-        if all(a != b for a, b in zip(g_as, g_bs)):
+        # replay the step's draw: the pair is one block of two rows
+        row_a, row_b = indicator_sampler(thetas, subset.roles).draw(make_rng("pair", attempt), 2)
+        if all(a != b for a, b in zip(row_a.tolist(), row_b.tolist())):
             step_rng = make_rng("pair", attempt)
             indicator_update_step(
                 thetas, weights, subset, (x, y), table, cfg, opt, step_rng
@@ -449,10 +440,7 @@ def tape_indicator_update_step(
     x, y = val_batch
     probs = dict_probabilities(thetas)
     sampler = indicator_sampler(thetas, subset.roles)
-    gates_a, gates_b = [], []
-    for li in range(subset.num_layers):
-        gates_a.append(draw_gate(sampler, rng, li))
-        gates_b.append(draw_gate(sampler, rng, li))
+    gates_a, gates_b = (sampler.decode(row).layers for row in sampler.draw(rng, 2))
     set_mode(weights, "train")
     logits, layer_inputs, layer_outputs, _ = forward_collect(weights, gates_a, nn.Tensor(x))
     loss = nn.softmax_cross_entropy(logits, y)
@@ -519,13 +507,11 @@ def test_indicator_step_matches_the_tape_bit_for_bit():
 
     # a sampling seed whose gate-b configurations both share branches with
     # gate a and select branches gate a left out
+    sampler = indicator_sampler(fresh_thetas(), roles)
     for attempt in range(100):
-        probe = make_rng("tape-pair", attempt)
-        sampler = indicator_sampler(fresh_thetas(), roles)
-        pairs = [
-            (draw_gate(sampler, probe, li), draw_gate(sampler, probe, li))
-            for li in range(3)
-        ]
+        # replay the step's draw: the pair is one block of two rows
+        rows = sampler.draw(make_rng("tape-pair", attempt), 2)
+        pairs = list(zip(*(sampler.decode(row).layers for row in rows)))
         if any(set(a) & set(b) for a, b in pairs) and any(set(b) - set(a) for a, b in pairs):
             break
     else:
@@ -539,11 +525,13 @@ def test_indicator_step_matches_the_tape_bit_for_bit():
         weights = SharedWeights(subset, geometry, seed=21)
         thetas = fresh_thetas()
         before = state_hash(weights)
-        out = step(
-            thetas, weights, subset, (x, y), table, cfg, optimizer,
-            make_rng("tape-pair", attempt),
-        )
+        rng = make_rng("tape-pair", attempt)
+        out = step(thetas, weights, subset, (x, y), table, cfg, optimizer, rng)
         assert state_hash(weights) == before
+        # the step read exactly the doubles of one two-row draw
+        after = make_rng("tape-pair", attempt)
+        sampler.draw(after, 2)
+        assert rng.random() == after.random()
         assert all(type(p) is np.ndarray for p in weights.params.values())
         results.append((out, thetas.values.tolist()))
     (fast, fast_thetas), (tape, tape_thetas) = results

@@ -108,29 +108,35 @@ def test_uniform_sampling_single_op_reduction_always_on():
         assert arch.layers[0] == (0,)
 
 
+def uniform_block(subset, seed, n):
+    """``n`` rows of ``sample_uniform_architecture`` from ``make_rng(seed)``,
+    drawn as one block; its first rows are checked against the one-row calls."""
+    sampler = GateSampler.uniform(subset)
+    rows = sampler.draw(make_rng(seed), n)
+    rng = make_rng(seed)
+    for row in rows[:5]:
+        assert sample_uniform_architecture(subset, rng) == sampler.decode(row)
+    return sampler, rows
+
+
 def test_uniform_sampling_rates_are_half():
     pool = shuffle_pool(declared(["normal"], [3]), seed=0)
     subset = init_subset(pool, capacity=3, seed=0, ledger=TraversalLedger())
-    rng = make_rng(17)
     n = 100_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        arch = sample_uniform_architecture(subset, rng)
-        for s in arch.layers[0]:
-            counts[s] += 1
-    rates = counts / n
+    sampler, rows = uniform_block(subset, 17, n)
+    assert sampler.slots == ((0, 1, 2),)
+    rates = sampler.bits(rows).sum(axis=0) / n
     assert np.all(np.abs(rates - 0.5) < 0.01)
 
 
 def test_uniform_sampling_reduction_conditional_distribution():
     pool = shuffle_pool(declared(["reduction"], [2]), seed=0)
     subset = init_subset(pool, capacity=2, seed=0, ledger=TraversalLedger())
-    rng = make_rng(23)
     n = 100_000
-    freq = {(0,): 0, (1,): 0, (0, 1): 0}
-    for _ in range(n):
-        arch = sample_uniform_architecture(subset, rng)
-        freq[arch.layers[0]] += 1
+    sampler, rows = uniform_block(subset, 23, n)
+    masks, counts = np.unique(rows[:, 0], return_counts=True)
+    freq = {sampler.selection(0, m): c for m, c in zip(masks.tolist(), counts.tolist())}
+    assert freq.keys() == {(0,), (1,), (0, 1)}
     for count in freq.values():
         assert abs(count / n - 1 / 3) < 0.01
 
@@ -473,22 +479,6 @@ def test_dropping_whole_rows_keeps_each_reduction_layer_law():
     assert len(pairs) == len(laws[0]) * len(laws[1])
     for (a, b), c in zip(pairs.tolist(), counts.tolist()):
         assert close(c, laws[0][a] * laws[1][b])
-
-
-def test_draw_gate_reads_one_layer_of_doubles_per_attempt():
-    # a layer drawn alone reads its own slots' doubles per attempt, redrawing
-    # an empty reduction chunk, as a plain one-layer draw does; never the
-    # whole row's width
-    slots = [[], [1, 4], [0, 2, 5], [3], [], [2, 7, 9]]
-    roles = ["normal", "normal", "reduction", "reduction", "normal", "reduction"]
-    probs = [[], [0.4, 0.7], [0.3, 0.5, 0.6], [0.01], [], [0.02, 0.03, 0.01]]
-    sampler = GateSampler(slots, roles, probs)
-    for li in range(len(slots)):
-        for seed in range(20):
-            rng, ref = make_rng("draw-gate", li, seed), make_rng("draw-gate", li, seed)
-            mask = sampler.draw_mask(rng, li)
-            assert mask == reference_draw([slots[li]], [roles[li]], [probs[li]], ref)[0]
-            assert rng.random() == ref.random()
 
 
 def test_bits_are_the_selected_slots_in_column_order():
