@@ -145,18 +145,6 @@ class PoolSettings:
 
 
 @dataclass
-class ConstraintSettings(ConstraintConfig):
-    """The engine's constraint, whose ``__post_init__`` resolves
-    ``upper_bound`` so that the config hash sees the cutoff in use, plus the
-    cost label, an optional cost-table file and the pruning threshold."""
-
-    tau: float = 300.0
-    kind: Literal["flops", "latency"] = "flops"
-    cost_table: str | None = None
-    prune_threshold: float = -2.0
-
-
-@dataclass
 class BenchmarkSettings:
     seed: int = 0
     cost_low: Annotated[float, "[0, inf)"] = 20.0
@@ -200,7 +188,7 @@ class RunConfig:
     k_per_layer: Annotated[int, "[1, inf)"] = 4
     lock_and_rehearse: bool = True
     pool: PoolSettings = field(default_factory=PoolSettings)
-    constraint: ConstraintSettings = field(default_factory=ConstraintSettings)
+    constraint: ConstraintConfig = field(default_factory=ConstraintConfig)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     benchmark: BenchmarkSettings = field(default_factory=BenchmarkSettings)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
@@ -324,10 +312,7 @@ def build_engine(cfg: RunConfig) -> Engine:
             " the cost of the pool's cheapest architecture"
         )
     if cfg.evaluator == "supernet":  # the dataset is made once the budget is known to fit
-        phase = SupernetPhase(
-            ToyDataset.generate(cfg.dataset), cfg.geometry(), cfg.training,
-            cfg.constraint.prune_threshold,
-        )
+        phase = SupernetPhase(ToyDataset.generate(cfg.dataset), cfg.geometry(), cfg.training)
     return Engine(
         pool=pool,
         capacity=cfg.k_per_layer,

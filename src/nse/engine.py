@@ -376,7 +376,6 @@ class SupernetPhase:
     dataset: ToyDataset
     geometry: NetworkGeometry
     training: TrainingConfig
-    prune_threshold: float = -2.0
 
     def __call__(self, engine: Engine, state: EvolutionState, timings: dict[str, float]):
         r = state.round_index
@@ -431,7 +430,8 @@ class SupernetPhase:
                 for name, curve in curves.items():
                     curve.append(stepped[name])
                 removed = prune(
-                    thetas, state.subset, self.prune_threshold, engine.lock_and_rehearse
+                    thetas, state.subset, engine.constraint.prune_threshold,
+                    engine.lock_and_rehearse,
                 )
                 at = len(curves["loss"]) - 1
                 prune_log += [
@@ -519,7 +519,7 @@ class Engine:
     def step_aggregate_replenish(self, state: EvolutionState, front: Sequence[EvaluationRecord]) -> None:
         """Fold the front into the next round's subset and advance the state."""
         if not front:
-            raise EngineError("cannot aggregate an empty front")
+            raise EngineError(f"round {state.round_index} produced an empty front")
         unions = aggregate([rec.architecture for rec in front], state.subset)
         state.subset = replenish(
             unions,
@@ -553,10 +553,6 @@ class Engine:
                 sink(result, state)
             if state.round_index >= self.max_rounds:
                 break
-            if not result.front:
-                raise EngineError(
-                    f"round {state.round_index} produced an empty front"
-                )
             self.step_aggregate_replenish(state, result.front)
             if state.subset.shortage:
                 # the pool ran short while refilling; the front just

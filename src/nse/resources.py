@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Annotated, Mapping
+from typing import Annotated, Literal, Mapping
 
 import numpy as np
 
@@ -56,12 +56,20 @@ class CostTable:
     def from_json(data: Mapping) -> "CostTable":
         if not isinstance(data, Mapping):
             raise ResourceError("a cost table must be a JSON object")
-        cost = {}
+        cost, keys = {}, {}
         for key, value in data.items():
             if key == "_overhead" or key == "unit":
                 continue
-            layer, slot = key.split(".")
-            cost[(int(layer), int(slot))] = _number(key, value)
+            try:
+                layer, slot = (int(part) for part in key.split("."))
+            except ValueError:
+                raise ResourceError(f"key {key!r} must be '<layer>.<slot>', two integers") from None
+            if (layer, slot) in keys:
+                raise ResourceError(
+                    f"keys {keys[layer, slot]!r} and {key!r} both name layer {layer} slot {slot}"
+                )
+            keys[layer, slot] = key
+            cost[layer, slot] = _number(key, value)
         unit = data.get("unit", "units")
         if not isinstance(unit, str):
             raise ResourceError(f"'unit' must be a string, not {type(unit).__name__!r}")
@@ -75,20 +83,28 @@ class CostTable:
 
 @dataclass
 class ConstraintConfig:
-    """Target demand tau plus the regularizer shape (alpha, beta).
+    """The config's constraint section: target demand tau plus the
+    regularizer shape (alpha, beta).
 
     ``upper_bound`` is the hard in-constraint cutoff used when sampling and
-    filtering (defaults to tau); ``edging_margin`` is the relative width of
-    the auxiliary beyond-boundary band.  ``one_sided`` switches the penalty
-    to a hinge that ignores under-budget architectures.
+    filtering; ``__post_init__`` resolves it to tau when unset, so that the
+    config hash sees the cutoff in use.  ``edging_margin`` is the relative
+    width of the auxiliary beyond-boundary band.  ``one_sided`` switches the
+    penalty to a hinge that ignores under-budget architectures.  ``kind``
+    labels the cost, ``cost_table`` names an optional cost-table file, and
+    supernet rounds prune an operation whose indicator falls below
+    ``prune_threshold``.
     """
 
-    tau: float
+    tau: float = 300.0
     alpha: Annotated[float, "[0, inf)"] = 1e-5
     beta: Annotated[float, "[1, inf)"] = 2.0
     upper_bound: float | None = None
     edging_margin: Annotated[float, "[0, inf)"] = 0.1
     one_sided: bool = False
+    kind: Literal["flops", "latency"] = "flops"
+    cost_table: str | None = None
+    prune_threshold: float = -2.0
 
     def __post_init__(self) -> None:
         if self.upper_bound is None:

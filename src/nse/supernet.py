@@ -512,14 +512,14 @@ def train_step_fixed(
 
 def make_recal_batches(
     dataset: ToyDataset, count: int, batch_size: int, rng: np.random.Generator
-) -> list[np.ndarray]:
+) -> np.ndarray:
+    """The recalibration set: ``count`` batches of ``batch_size`` training
+    rows as one (R, B, I) array, drawn by one ``rng.choice`` call, with
+    replacement only when the training split is too small."""
     total = count * batch_size
     replace = total > len(dataset.x_train)
     idx = rng.choice(len(dataset.x_train), size=total, replace=replace)
-    return [
-        dataset.x_train[idx[i * batch_size : (i + 1) * batch_size]]
-        for i in range(count)
-    ]
+    return dataset.x_train[idx].reshape(count, batch_size, -1)
 
 
 Stats = tuple[np.ndarray, np.ndarray]  # a branch's recalibrated (mean, inv)
@@ -533,27 +533,20 @@ EVAL_ROWS = 512
 class InferenceCache:
     """Architecture-independent evaluation work for one set of trained weights.
 
-    Holds the stem outputs of the recalibration batches, as one (R, B, W)
-    stack, and of the whole validation split, as one (V, W) array with its
-    labels.  The cache is valid only while the weights do not change: build
-    it after training.
+    Holds the stem outputs of the recalibration set, ``make_recal_batches``'
+    (R, B, I) array, as one (R, B, W) stack, and of the whole validation
+    split, as one (V, W) array with its labels.  The cache is valid only
+    while the weights do not change: build it after training.
     """
 
-    def __init__(
-        self, weights: SharedWeights, dataset: ToyDataset, recal_batches: Sequence[np.ndarray]
-    ):
+    def __init__(self, weights: SharedWeights, dataset: ToyDataset, recal: np.ndarray):
         self.weights = weights
         w, b = weights.params["stem.w"], weights.params["stem.b"]
 
         def stem(x: np.ndarray) -> np.ndarray:
             return affine_array(np.asarray(x, dtype=np.float64), w, b)
 
-        sizes = sorted({len(xb) for xb in recal_batches})
-        if len(sizes) > 1:
-            raise ValueError(
-                f"recalibration batches must all have one size to be stacked, got sizes {sizes}"
-            )
-        self.recal = stem(np.stack(recal_batches)) if sizes else None
+        self.recal = stem(recal)
         self.val = stem(dataset.x_val)
         self.labels = dataset.y_val
 
@@ -570,8 +563,6 @@ class InferenceCache:
         rows block by block with ``_walk``.
         """
         archs = [architecture.layers for architecture in architectures]
-        if self.recal is None and any(slots for arch in archs for slots in arch):
-            raise ValueError("recalibration requires at least one batch")
         stats = self._recalibrate(archs)
         w, b = self.weights.params["head.w"], self.weights.params["head.b"]
         for start in range(0, len(self.labels), EVAL_ROWS):
@@ -599,12 +590,11 @@ class InferenceCache:
             ]
             for arch in archs
         ]
-        if self.recal is not None:
-            per_block = max(1, EVAL_ROWS // self.recal.shape[1])
-            for start in range(0, len(self.recal), per_block):
-                x, layer0 = self.recal[start : start + per_block], {}
-                for arch, arch_folds in zip(archs, folds):
-                    self._walk(arch, x, layer0, partial(self._fold, arch_folds))
+        per_block = max(1, EVAL_ROWS // self.recal.shape[1])
+        for start in range(0, len(self.recal), per_block):
+            x, layer0 = self.recal[start : start + per_block], {}
+            for arch, arch_folds in zip(archs, folds):
+                self._walk(arch, x, layer0, partial(self._fold, arch_folds))
         return [[[fold.stats() for fold in layer] for layer in arch] for arch in folds]
 
     def _fold(

@@ -495,7 +495,11 @@ def test_supernet_run_with_file_cost_table(tmp_path, capsys):
     bad = {
         "{not json": "is not valid JSON",
         "[1, 2]": "must be a JSON object",
-        json.dumps({**table, "0.x": 1.0}): "invalid literal",
+        json.dumps({**table, "0.x": 1.0}): "key '0.x' must be '<layer>.<slot>'",
+        json.dumps({**table, "0": 1.0}): "key '0' must be '<layer>.<slot>'",
+        json.dumps({**table, "0.1.2": 1.0}): "key '0.1.2' must be '<layer>.<slot>'",
+        json.dumps({**table, "x": 1.0}): "key 'x' must be '<layer>.<slot>'",
+        json.dumps({"0.1": 3.0, "00.1": 3.0}): "keys '0.1' and '00.1' both name layer 0 slot 1",
         json.dumps({**table, first: -1.0}): "finite and nonnegative",
         json.dumps({**table, first: None}): "not 'NoneType'",
         json.dumps({**table, first: True}): f"'{first}' must be a number, not 'bool'",

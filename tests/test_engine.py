@@ -687,8 +687,28 @@ def test_empty_front_is_an_error():
     bench = SyntheticBenchmark.generate(pool, seed=5)
     engine = oracle_engine(pool, bench, bench.overhead + 10.0, samples=5)
     state = engine.initial_state()
-    with pytest.raises(EngineError):
+    with pytest.raises(EngineError, match="^round 1 produced an empty front$"):
         engine.step_aggregate_replenish(state, [])
+
+
+def test_a_round_without_an_in_budget_draw_ends_the_run():
+    # the budget is the cheapest architecture's cost and the round may make
+    # one draw, which at this seed is over it; the round still finishes and
+    # reaches the sink, and aggregating its empty front names the round
+    pool = opaque_pool(("normal", "reduction"), 8)
+    bench = SyntheticBenchmark.generate(pool, seed=3)
+    table = bench.cost_table()
+    cheapest = min(
+        architecture_cost(Architecture([[], [op.slot_index]]), table) for op in pool.layers[1].pool
+    )
+    engine = oracle_engine(pool, bench, cheapest, max_rounds=2, seed=0)
+    engine.retrieval = RetrievalConfig(samples=1, stall_factor=1)
+    finished = []
+    with pytest.raises(EngineError, match="^round 1 produced an empty front$"):
+        engine.run(sink=lambda result, state: finished.append(result))
+    [result] = finished
+    assert result.front == [] and result.diagnostics["draws"] == 1
+    assert result.diagnostics["in_budget"] == 0
 
 
 def test_distribution_unbounded_band_is_plain_sampling():

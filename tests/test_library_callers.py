@@ -23,9 +23,9 @@ BENCH_CHILD = PACKAGE.parent.parent / "bench" / "child.py"
 
 # name -> why it stays without a caller in the package
 ALLOWLIST = {
-    # ROADMAP item 1: the Tensor tape stays in nn.py while bench/child.py
+    # ROADMAP item 11: the Tensor tape stays in nn.py while bench/child.py
     # wraps it; it is the tests' reference until LAYERS is rewritten
-    "softmax_cross_entropy": "item 1: tape op",
+    "softmax_cross_entropy": "item 11: tape op",
     # ROADMAP item 6: `nse run --resume` reads the round artifacts back
     "subset_from_json": "item 6: resume",
     "ledger_from_json": "item 6: resume",
@@ -36,8 +36,8 @@ ALLOWLIST = {
 
 # Class.method -> why it stays without a caller in the package
 METHOD_ALLOWLIST = {
-    # ROADMAP item 1: the tape's backward sweep, which bench/child.py wraps
-    "Tensor.backward": "item 1: tape",
+    # ROADMAP item 11: the tape's backward sweep, which bench/child.py wraps
+    "Tensor.backward": "item 11: tape",
     # ROADMAP item 5: bench/run.py's closed-form check calls it until
     # `nse inspect --check` takes that check over; the package itself
     # builds an Architecture from its slot lists directly

@@ -127,7 +127,7 @@ def test_recalibrate_idempotent_for_duplicate_batches():
 
 
 def test_recalibrate_matches_whole_dataset_oracle():
-    # one batch size: evaluation stacks the recalibration batches, so they share it
+    # one batch size: the recalibration set is one (R, B, I) array
     rng = make_rng("recal", 2)
     batches = [rng.normal(size=(int(rng.integers(4, 20)), 5)) for _ in range(7)]
     size = min(len(b) for b in batches)

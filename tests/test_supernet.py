@@ -526,12 +526,6 @@ def test_a_non_finite_recalibration_value_raises_before_any_validation_work(monk
     assert applied == []
 
 
-def test_cache_rejects_recal_batches_of_unequal_size():
-    _, weights, data, recal = trained_net(seed=8)
-    with pytest.raises(ValueError, match="one size"):
-        InferenceCache(weights, data, recal + [recal[0][:-1]])
-
-
 def test_a_batch_scores_each_architecture_as_it_scores_alone(monkeypatch):
     # layer-0 work is shared within a batch, so every architecture's score and
     # logits must not depend on the batch it is in, nor on its place there,
@@ -583,14 +577,36 @@ def test_a_batch_with_an_ungated_reduction_layer_raises_space_error():
             evaluate(cache, [good, bad])
 
 
-def test_a_batch_without_recal_batches_raises_value_error():
-    subset, weights, data, _ = trained_net(seed=12)
-    cache = InferenceCache(weights, data, [])
+def test_a_batch_without_recal_batches_raises_value_error(monkeypatch):
+    # an empty (0, B, I) recal stack leaves every selected branch without
+    # rows to recalibrate on, which fails before the first validation block
+    subset, weights, data, recal = trained_net(seed=12)
+    cache = InferenceCache(weights, data, recal[:0])
+    assert cache.recal.shape == (0, recal.shape[1], weights.geometry.stem_width)
+    applied = []
+    monkeypatch.setattr(supernet, "normalize_fixed", lambda *args: applied.append(args))
     ungated = Architecture.from_encoding([[], [], subset.active_slots(2)[:1]])
-    with pytest.raises(ValueError, match="at least one batch"):
+    with pytest.raises(ValueError, match="no rows to recalibrate on"):
         evaluate(cache, [ungated])
-    with pytest.raises(ValueError, match="at least one batch"):
+    with pytest.raises(ValueError, match="no rows to recalibrate on"):
         next(cache.val_logits([ungated]))
+    assert applied == []
+
+
+@pytest.mark.parametrize("count, batch", [(3, 48), (4, 200)])
+def test_recal_batches_are_one_array_of_the_per_batch_gathers(count, batch):
+    # 4 * 200 rows outnumber the training split, so that draw has replacement
+    data = ToyDataset.generate(
+        DatasetConfig(seed=2, input_dim=5, classes=3, train_size=600, val_size=100)
+    )
+    recal = make_recal_batches(data, count, batch, make_rng("recal-array", count))
+    rng = make_rng("recal-array", count)
+    total = count * batch
+    idx = rng.choice(len(data.x_train), size=total, replace=total > len(data.x_train))
+    gathers = [data.x_train[idx[i * batch : (i + 1) * batch]] for i in range(count)]
+    assert isinstance(recal, np.ndarray) and recal.shape == (count, batch, 5)
+    assert recal.dtype == data.x_train.dtype
+    assert recal.tobytes() == np.stack(gathers).tobytes()
 
 
 def test_batch_evaluation_holds_one_split_of_layer0_outputs_at_a_time():
