@@ -252,6 +252,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_dump_benchmark(args: argparse.Namespace) -> int:
     _check_output(args.output)
     cfg = load_config(args.config)
+    if cfg.evaluator != "oracle":
+        raise ConfigError("dump-benchmark requires an oracle config")
     pool = cfg.pool.build()
     bench = cfg.benchmark.build(pool)
     payload = {

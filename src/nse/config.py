@@ -291,10 +291,15 @@ def build_engine(cfg: RunConfig) -> Engine:
         table = phase.benchmark.cost_table()
     elif path is not None:
         table = load_cost_table(path)
-        missing = sorted({op.key for layer in pool.layers for op in layer.pool} - table.cost.keys())
+        keys = {op.key for layer in pool.layers for op in layer.pool}
+        missing = sorted(keys - table.cost.keys())
         if missing:
             layer, slot = missing[0]
             raise ConfigError(f"cost table file {path} has no entry for layer {layer} slot {slot}")
+        extra = sorted(table.cost.keys() - keys)
+        if extra:
+            layer, slot = extra[0]
+            raise ConfigError(f"cost table file {path}: key '{layer}.{slot}' names no pool slot")
     else:
         table = build_cost_table(pool, cfg.geometry(), cfg.network.unit_scale)
     # the cheapest architecture selects each reduction layer's cheapest slot

@@ -7,11 +7,11 @@ flat array with a column per active slot, in a ``GateSampler``'s gate-bit
 order; probabilities, gradients and Adam moments are arrays in that order.
 Each indicator step draws its configuration pair as two whole rows of one
 sampler of the probabilities and trains the indicators with a
-two-configuration simulated gradient: the network is forwarded under the
-first row's configuration, each layer of the second row is scored on the
-same layer inputs without gradients, and each layer's pair probabilities
-are rescaled to sum to one.  A resource regularizer pushes the expected
-pair cost toward the target demand.
+two-configuration simulated gradient: one train-mode forward runs the
+first row's configuration and scores each layer of the second row on the
+same layer inputs, computing a branch the two select once, and each
+layer's pair probabilities are rescaled to sum to one.  A resource
+regularizer pushes the expected pair cost toward the target demand.
 
 Threshold pruning deactivates operations whose indicator falls below the
 pruning threshold, except inherited operations (locked) and the last active
@@ -189,12 +189,13 @@ def indicator_update_step(
 
     Draws the configuration pair as one block of two rows from a sampler of
     the table's probabilities, as retrieval draws its rows; forwards the
-    first row's configuration through the whole network on a validation
-    batch, reads each layer output's gradient from the backward pass (no
-    weight gradients are formed), scores the second row's configuration on
-    the same layer inputs without gradients, reusing the branch outputs the
-    two share, and applies the rescaled-pair chain rule plus the resource
-    penalty.  Shared weights are not updated.
+    first row's configuration through the network on a validation batch
+    with the second row's as ``train_forward``'s ``also`` (each layer's
+    trace's ``other`` is the second row's layer output on the same input,
+    a branch the two share computed once), reads each layer output's
+    gradient from the backward pass, which forms no weight gradients, and
+    applies the rescaled-pair chain rule plus the resource penalty.
+    Shared weights are not updated.
 
     Each layer's scalars (its scores, pair probabilities and costs) are
     Python floats; every per-column expression is an array expression over
@@ -204,10 +205,10 @@ def indicator_update_step(
     probs = thetas.probabilities()
     sampler = indicator_sampler(thetas, subset.roles, probs)
     rows = sampler.draw(rng, 2)
-    row_a, row_b = rows.tolist()
+    arch_a, arch_b = (sampler.decode(row) for row in rows.tolist())
     bits_a, bits_b = sampler.bits(rows)
 
-    record = weights.train_forward(sampler.decode(row_a).layers, x)
+    record = weights.train_forward(arch_a.layers, x, also=arch_b.layers)
     loss, dlogits = nn.softmax_cross_entropy_array(record.logits, y)
     upstreams = weights.train_backward(record, dlogits, param_grads=False)
 
@@ -216,10 +217,8 @@ def indicator_update_step(
     per_layer = []
     expected_cost = 0.0
     for li, (trace, upstream) in enumerate(zip(record.layers, upstreams)):
-        shared = dict(zip(trace.slots, trace.branches if trace.slots else ()))
-        o_b = weights.layer_output_nograd(li, sampler.selection(li, row_b[li]), trace.x, shared)
         s_a = float(np.sum(upstream * trace.out))
-        s_b = float(np.sum(upstream * o_b))
+        s_b = float(np.sum(upstream * trace.other))
         lo, hi = bounds[li], bounds[li + 1]
         p_a = config_probability(bits_a[lo:hi], probs[lo:hi])
         p_b = config_probability(bits_b[lo:hi], probs[lo:hi])

@@ -256,8 +256,8 @@ class LayerTrace:
     hidden: list[np.ndarray]  # each branch's activation output
     centered: np.ndarray | None  # (n, B, W) centered second-affine outputs
     inv: np.ndarray | None  # (n, 1, W) inverse batch deviations
-    branches: np.ndarray | None  # (n, B, W) normalized branch outputs
     out: np.ndarray  # the layer output
+    other: np.ndarray | None  # the mix of the ``also`` slots on x, if given
 
 
 @dataclass
@@ -283,29 +283,25 @@ class SharedWeights:
         self.geometry = geometry
         self.roles = subset.roles
         self.seed = seed
-        self.kinds: dict[tuple[int, int], tuple[str, dict]] = {}
-        for li in range(subset.num_layers):
-            for entry in subset.layers[li]:
-                op = entry.descriptor
-                self.kinds[(li, op.slot_index)] = (op.kind, dict(op.params))
         self.params: dict[str, np.ndarray] = {}
         self.blocks: dict[str, np.ndarray] = {}
         self.grad_views: dict[str, np.ndarray] = {}
         self.grad_blocks: dict[str, np.ndarray] = {}
         self.branches: dict[tuple[int, int], Branch] = {}
-        self._build()
+        self._build(subset)
 
-    def _build(self) -> None:
+    def _build(self, subset: SubsetState) -> None:
         g = self.geometry
         self._block("stem", [("w", (g.input_dim, g.stem_width)), ("b", (g.stem_width,))])
         self._block("head", [("w", (g.layer_widths[-1], g.classes)), ("b", (g.classes,))])
-        for (li, slot), (kind, params) in self.kinds.items():
+        for op in (entry.descriptor for layer in subset.layers for entry in layer):
+            li, slot = op.key
             w_in, w_out = g.w_in(li), g.w_out(li)
-            h = _hidden_width(kind, params, w_out)
+            h = _hidden_width(op.kind, op.params, w_out)
             key = f"L{li}.S{slot}"
             shapes = [(w_in, h), (h,), (h, w_out), (w_out,)]
             views = self._block(key, zip(("w1", "b1", "w2", "b2"), shapes))
-            self.branches[(li, slot)] = Branch(key, kind.rsplit("_", 1)[1], *views)
+            self.branches[op.key] = Branch(key, op.kind.rsplit("_", 1)[1], *views)
 
     def _block(self, key: str, parts) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Block ``key``, its gradient block and their ``key.part`` views of the
@@ -323,7 +319,9 @@ class SharedWeights:
 
     # -- training pass (plain arrays, one explicit backward per layer)
 
-    def train_forward(self, layers: Sequence[tuple[int, ...]], x: np.ndarray) -> TrainRecord:
+    def train_forward(
+        self, layers: Sequence[tuple[int, ...]], x: np.ndarray, also: Sequence | None = None
+    ) -> TrainRecord:
         """Train-mode forward of one slot tuple per layer that records what
         ``train_backward`` needs.
 
@@ -331,25 +329,37 @@ class SharedWeights:
         its input and output width, so their second affines are written into
         one (n, B, W) stack that is normalized in one call; the matmuls stay
         per branch, which keeps BLAS's summation order.
+
+        ``also`` is a second configuration's slot tuples: each layer stacks
+        its ``layers`` slots first, then the ``also`` slots they lack, and
+        its trace's ``other`` mixes the ``also`` rows.  Each slice normalizes
+        alone, so ``other`` is that configuration's own layer output bit for
+        bit; the trace keeps only the leading rows, for the backward.
         """
         p = self.params
         x = np.asarray(x, dtype=np.float64)
         h = affine_array(x, p["stem.w"], p["stem.b"])
         traces = []
         for li, slots in enumerate(layers):
-            traces.append(self._layer_train_forward(li, slots, h))
+            second = None if also is None else also[li]
+            traces.append(self._layer_train_forward(li, slots, h, second))
             h = traces[-1].out
         logits = affine_array(h, p["head.w"], p["head.b"])
         return TrainRecord(x, traces, h, logits)
 
-    def _layer_train_forward(self, li: int, slots: tuple[int, ...], x: np.ndarray) -> LayerTrace:
-        if not slots:
-            return LayerTrace(x, slots, [], [], None, None, None, self.layer_mix(li, x, ()))
-        ops = [self.branches[(li, slot)] for slot in slots]
-        hidden, ys = self._stack_affines(ops, x)
-        out, centered, inv, _ = normalize_train_stack(ys)
-        mixed = self.layer_mix(li, x, out)
-        return LayerTrace(x, slots, ops, hidden, centered, inv, out, mixed)
+    def _layer_train_forward(
+        self, li: int, slots: tuple[int, ...], x: np.ndarray, also: tuple[int, ...] | None
+    ) -> LayerTrace:
+        stack = list(slots) + [slot for slot in also or () if slot not in slots]
+        n, ops = len(slots), [self.branches[(li, slot)] for slot in stack]
+        hidden, out, centered, inv = [], (), None, None
+        if ops:
+            hidden, ys = self._stack_affines(ops, x)
+            out, centered, inv, _ = normalize_train_stack(ys)
+            centered, inv = centered[:n], inv[:n]
+        mixed = self.layer_mix(li, x, out[:n])
+        other = None if also is None else self.layer_mix(li, x, (out[stack.index(s)] for s in also))
+        return LayerTrace(x, slots, ops[:n], hidden[:n], centered, inv, mixed, other)
 
     def train_backward(
         self, record: TrainRecord, dlogits: np.ndarray, param_grads: bool = True
@@ -450,29 +460,6 @@ class SharedWeights:
     ) -> np.ndarray:
         """A layer's average of its branch outputs, each folded in as it arrives."""
         return average_arrays(self._layer_parts(layer_index, x, branches))
-
-    def layer_output_nograd(
-        self,
-        layer_index: int,
-        slots: tuple[int, ...],
-        x_data: np.ndarray,
-        known: Mapping[int, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """A configuration's train-mode layer output on a fixed layer input:
-        each branch normalizes with its batch's own moments.
-
-        ``known`` maps slots to branch outputs already computed on this input
-        in train mode.  A train-mode branch output depends only on its input
-        and weights, so those are mixed in as they are; the others are
-        computed as one stack.
-        """
-        x = np.asarray(x_data, dtype=np.float64)
-        known = dict(known or {})
-        fresh = [slot for slot in slots if slot not in known]
-        if fresh:
-            _, ys = self._stack_affines([self.branches[(layer_index, s)] for s in fresh], x)
-            known.update(zip(fresh, normalize_train_stack(ys)[0]))
-        return self.layer_mix(layer_index, x, [known[slot] for slot in slots])
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def tape_stats(weights: SharedWeights) -> dict[tuple[int, int], object]:
     of fixed statistics, or a list that each forwarded input is appended to,
     normalized with its own moments, while recalibrating."""
     if weights not in _TAPE_STATS:
-        _TAPE_STATS[weights] = {key: None for key in weights.kinds}
+        _TAPE_STATS[weights] = {key: None for key in weights.branches}
     return _TAPE_STATS[weights]
 
 
@@ -209,8 +209,7 @@ def branch_forward(
     leaves: Mapping[str, Tensor] | None = None,
 ) -> Tensor:
     leaves = tape_leaves(weights) if leaves is None else leaves
-    kind, _ = weights.kinds[(layer_index, slot)]
-    act = _ACTS[kind.rsplit("_", 1)[1]]
+    act = _ACTS[weights.branches[(layer_index, slot)].act]
     prefix = f"L{layer_index}.S{slot}"
     h = act(affine(x, leaves[f"{prefix}.w1"], leaves[f"{prefix}.b1"]))
     y = affine(h, leaves[f"{prefix}.w2"], leaves[f"{prefix}.b2"])

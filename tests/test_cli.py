@@ -210,8 +210,21 @@ def test_distribution_to_file_and_supernet_rejected(tmp_path, capsys):
         == 0
     )
     assert len(out_csv.read_text().strip().splitlines()) == 4
-    sup = write_config(tmp_path, name="sup.json", evaluator="supernet")
+    # the oracle's tables are not a supernet run's: both commands refuse a
+    # valid supernet config, and dump-benchmark writes nothing
+    sup = write_config(
+        tmp_path,
+        name="sup.json",
+        evaluator="supernet",
+        pool={"num_layers": 4, "ops_per_layer": 6, "reduction_layers": [3], "preset": "toy"},
+    )
+    capsys.readouterr()
+    dump = tmp_path / "dump.json"
     assert main(["distribution", str(sup), "--lo", "0", "--hi", "1", "-n", "1"]) == 2
+    assert "distribution sampling requires an oracle config" in capsys.readouterr().err
+    assert main(["dump-benchmark", str(sup), "-o", str(dump)]) == 2
+    assert "dump-benchmark requires an oracle config" in capsys.readouterr().err
+    assert not dump.exists()
 
 
 def test_inspect_lists_origins_and_checks_hashes(tmp_path, capsys):
@@ -509,6 +522,8 @@ def test_supernet_run_with_file_cost_table(tmp_path, capsys):
         json.dumps({**table, "_overhead": False}): "'_overhead' must be a number, not 'bool'",
         json.dumps({**table, "unit": 5}): "'unit' must be a string, not 'int'",
         json.dumps({"0.11": 3.0}): "no entry for layer 0 slot 0",
+        json.dumps({**table, "7.40": 3.0}): "key '7.40' names no pool slot",
+        json.dumps({**table, "-1.0": 3.0}): "key '-1.0' names no pool slot",
     }
     for text, message in bad.items():
         (tmp_path / "latency.json").write_text(text)

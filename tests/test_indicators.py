@@ -17,6 +17,7 @@ from reference import (
     gate_bits,
     indicator_table,
     layer_cost,
+    layer_forward,
     pair_of,
     selection,
     set_mode,
@@ -448,7 +449,7 @@ def tape_indicator_update_step(
     per_layer = []
     for li in range(subset.num_layers):
         out = layer_outputs[li]
-        o_b = weights.layer_output_nograd(li, gates_b[li], layer_inputs[li].data)
+        o_b = layer_forward(weights, li, gates_b[li], layer_inputs[li]).data
         s_a = float(np.sum(out.grad * out.data))
         s_b = float(np.sum(out.grad * o_b))
         pt_a, pt_b = rescale_pair(

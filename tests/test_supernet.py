@@ -217,9 +217,8 @@ def test_train_step_only_updates_selected_branches():
 def test_identical_branches_get_identical_gradients():
     _, subset, _, weights = build_net(roles=("normal",), ops=2)
     slots = subset.active_slots(0)
-    # force branch 1 to share branch 0's kind and parameters
-    kind0 = weights.kinds[(0, slots[0])]
-    weights.kinds[(0, slots[1])] = (kind0[0], dict(kind0[1]))
+    # force branch 1 to share branch 0's activation and parameters
+    weights.branches[(0, slots[1])].act = weights.branches[(0, slots[0])].act
     for suffix in ("w1", "b1", "w2", "b2"):
         src = weights.params[f"L0.S{slots[0]}.{suffix}"]
         weights.params[f"L0.S{slots[1]}.{suffix}"] = src.copy()
@@ -652,15 +651,52 @@ def test_batch_evaluation_holds_one_split_of_layer0_outputs_at_a_time():
     assert peak < (len(slots[0]) + 16) * one_block
 
 
-def test_layer_output_nograd_matches_train_mode_graph_on_copies():
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        pytest.param((0, 1, 2), (0, 2), id="subset"),
+        pytest.param((0, 1, 2), (0, 1, 2), id="equal"),
+        pytest.param((0, 1), (2, 3), id="disjoint"),
+        pytest.param((0, 1), (1, 3), id="overlapping"),
+        pytest.param((0, 1), (), id="second-empty"),
+        pytest.param((), (1, 2), id="first-empty"),
+    ],
+)
+def test_also_slots_match_the_tape_layer_forward(first, second):
+    # the configuration pair of an indicator step: ``other`` is the second
+    # configuration's layer output on the first's layer input, and the trace
+    # keeps only what the first configuration's backward reads
     subset, weights, data, _ = trained_net(seed=10)
-    x = make_rng("nograd-layer", 0).normal(size=(16, 6))
+    x = make_rng("also-layer", 0).normal(size=(16, 5))
+    y = make_rng("also-labels", 0).integers(0, 3, size=16)
+    slots = [subset.active_slots(li) for li in range(3)]
+    # the reduction layer cannot be empty: it takes the overlapping pair then
+    reduction = (first, second) if first and second else ((0, 1), (1, 3))
+    layers, also = zip(*[(first, second), (first, second), reduction])
+    layers = [selection(s[k] for k in pick) for s, pick in zip(slots, layers)]
+    also = [selection(s[k] for k in pick) for s, pick in zip(slots, also)]
+    record = weights.train_forward(layers, x, also)
+    plain = weights.train_forward(layers, x)
+    assert np.array_equal(record.logits, plain.logits)
     set_mode(weights, "train")
-    for li in range(2):
-        gate = selection(subset.active_slots(li)[:3])
-        got = weights.layer_output_nograd(li, gate, x)
-        expected = layer_forward(weights, li, gate, Tensor(x)).data
-        assert np.array_equal(got, expected)
+    for li, (trace, alone) in enumerate(zip(record.layers, plain.layers)):
+        expected = layer_forward(weights, li, also[li], Tensor(trace.x)).data
+        assert np.array_equal(trace.other, expected), li
+        assert alone.other is None
+        assert [op.key for op in trace.ops] == [op.key for op in alone.ops]
+        assert len(trace.hidden) == len(layers[li])
+        for got, want in zip(trace.hidden, alone.hidden):
+            assert np.array_equal(got, want)
+        for got, want in ((trace.centered, alone.centered), (trace.inv, alone.inv)):
+            assert (0 if got is None else len(got)) == len(layers[li])
+            if layers[li]:
+                assert np.array_equal(got, want)
+    _, dlogits = softmax_cross_entropy_array(record.logits, y)
+    for got, want in zip(
+        weights.train_backward(record, dlogits, param_grads=False),
+        weights.train_backward(plain, dlogits, param_grads=False),
+    ):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +817,7 @@ def test_nan_in_deeper_layer_w1_raises_from_both_steps(act, layer):
     pool, subset, geometry, weights = build_net(
         roles=("normal", "normal", "reduction"), ops=4, seed=13
     )
-    slot = next(s for s in subset.active_slots(layer) if weights.kinds[(layer, s)][0].endswith(act))
+    slot = next(s for s in subset.active_slots(layer) if weights.branches[(layer, s)].act == act)
     weights.params[f"L{layer}.S{slot}.w1"][0, 0] = np.nan
     data = ToyDataset.generate(
         DatasetConfig(seed=1, input_dim=5, classes=3, train_size=64, val_size=32)
